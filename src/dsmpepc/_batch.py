@@ -3,8 +3,10 @@
 Mirrors rollout + trajectory_cost across a whole batch of trajectory
 parameters in numpy. Results agree with the scalar path to floating-point
 noise (the march-based static TTC may differ within its one-cell
-quantization); the scalar modules remain the reference semantics and are
-used for refinement and everywhere a Trajectory object is needed.
+quantization). The scalar path remains the reference semantics: refinement
+scores through its float kernel (kinematics.rollout_floats +
+cost.CostKernel), which rollout/trajectory_cost wrap, so refined costs are
+bit-identical to evaluate_candidate totals.
 """
 
 from __future__ import annotations

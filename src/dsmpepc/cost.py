@@ -18,10 +18,13 @@ import numpy as np
 from .geometry import Pose
 from .kinematics import PlannerConfig, RobotState, Trajectory
 from .world import (
+    HorizonSnapshot,
     NavigationField,
     World,
+    _time_to_collision_among,
     _ttc_assuming_clear,
-    distance_to_nearest_batch,
+    # unused here; bench/tracing.py wraps this name on the cost module
+    distance_to_nearest_batch,  # noqa: F401
     time_to_collision,
 )
 
@@ -170,14 +173,18 @@ def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
     0 when already within goal_tolerance; +inf when the terminal state is
     (nearly) stopped or moving with no component toward the goal.
     """
-    dx = goal[0] - terminal.pose.x
-    dy = goal[1] - terminal.pose.y
+    pose = terminal.pose
+    return _time_to_goal(pose.x, pose.y, pose.heading, terminal.v, goal, params)
+
+
+def _time_to_goal(x: float, y: float, heading: float, v: float,
+                  goal: tuple[float, float], params: CostParams) -> float:
+    dx = goal[0] - x
+    dy = goal[1] - y
     d = math.hypot(dx, dy)
     if d <= params.goal_tolerance:
         return 0.0
-    v_goal = terminal.v * (
-        math.cos(terminal.pose.heading) * dx + math.sin(terminal.pose.heading) * dy
-    ) / d
+    v_goal = v * (math.cos(heading) * dx + math.sin(heading) * dy) / d
     if v_goal > params.v_epsilon:
         return d / v_goal
     return math.inf
@@ -229,6 +236,108 @@ def _goal_xy(goal) -> tuple[float, float]:
     return (float(goal[0]), float(goal[1]))
 
 
+class CostKernel:
+    """Float-only trajectory cost of one planning problem.
+
+    Everything shared by the problem's candidates is prepared once: the
+    navigation field, the obstacles predicted at the step times `ts`, and the
+    weights. `score` then evaluates one rollout given as plain float lists
+    (`kinematics.rollout_floats`) without building any per-state or
+    per-segment object. The optimizer's refinement scores through it, and
+    `trajectory_cost` wraps it, so there is one scalar cost implementation
+    and the totals of both are bit-identical.
+    """
+
+    def __init__(self, world: World, goal, params: CostParams, cfg: PlannerConfig,
+                 ts: list[float], nav: NavigationField | None = None):
+        self.world = world
+        self.goal = _goal_xy(goal)
+        self.nav = NavigationField(world.grid, self.goal) if nav is None else nav
+        self.params = params
+        self.step_h = cfg.step_h
+        self.v_limit = cfg.v_limit
+        self.snapshot = HorizonSnapshot(world, ts)
+
+    def score(self, xs, ys, hs, vs, ws, segments: list | None = None):
+        """(total, terminal) of the rollout with these states at the step times.
+
+        Segment hazards are evaluated at both endpoints against obstacles
+        predicted at the matching times; the closer endpoint defines the
+        segment's d_o, and its TTC feeds the anticipatory factor (so an
+        in-contact endpoint forces probability 1 exactly). Baseline mode uses
+        the distance-only probability and no terminal term. `terminal` is
+        (ttg, ttc_terminal, c_ttg, c_ttc, p_s_N, j_terminal), or None without
+        a terminal term. When `segments` is a list, one (d_o, d_g, ttc, p_c,
+        p_s, j_progress, j_action) tuple per segment is appended to it.
+        """
+        params = self.params
+        world = self.world
+        obstacles = self.snapshot.obstacles
+        xa = np.array(xs)
+        ya = np.array(ys)
+        nf = self.nav.distance_batch(xa, ya).tolist()
+        point_d = self.snapshot.clearance(xa, ya).tolist()
+
+        ds_mode = params.mode == DS_MPEPC
+        sig_d2 = params.sigma_d * params.sigma_d
+        sig_c2 = params.sigma_inv_ttc * params.sigma_inv_ttc
+        a = params.a
+        w_progress, w_v, w_w = params.w_progress, params.w_action_v, params.w_action_w
+        j_collision = params.c_collision
+        h = self.step_h
+        exp, cos, sin, inf = math.exp, math.cos, math.sin, math.inf
+        ttc_point = -1
+        point_ttc = 0.0
+        ttc = None
+        p_s = 1.0
+        total = 0.0
+        # collision_probability and anticipatory_factor are inlined for speed;
+        # a unit test pins the segment p_c to them exactly.
+        for i in range(1, len(xs)):
+            j = i - 1 if point_d[i - 1] <= point_d[i] else i
+            d_o = point_d[j]
+            p_c = exp(-(d_o * d_o) / sig_d2)
+            if ds_mode:
+                if p_c < _P_C_SKIP:
+                    ttc = inf
+                else:
+                    # consecutive segments can share an endpoint, never more
+                    if j != ttc_point:
+                        ttc_point = j
+                        if d_o <= 0.0:
+                            point_ttc = 0.0
+                        else:
+                            v, heading = vs[j], hs[j]
+                            point_ttc = _ttc_assuming_clear(
+                                world, xs[j], ys[j], v * cos(heading), v * sin(heading),
+                                obstacles[j],
+                            )
+                    ttc = point_ttc
+                # anticipatory factor, with 1/0 = inf and 1/inf = 0 exactly
+                inv = inf if ttc == 0.0 else (0.0 if ttc == inf else 1.0 / ttc)
+                p_c = p_c * (1.0 - a * exp(-(inv * inv) / sig_c2))
+            p_s = p_s * (1.0 - p_c)
+            j_progress = w_progress * (nf[i] - nf[i - 1])
+            j_action = h * (w_v * vs[i] ** 2 + w_w * ws[i] ** 2)
+            total += p_s * j_progress + j_action + (1.0 - p_s) * j_collision
+            if segments is not None:
+                segments.append((d_o, nf[i], ttc, p_c, p_s, j_progress, j_action))
+
+        terminal = None
+        if ds_mode and params.include_terminal:
+            n = len(xs) - 1
+            x, y, heading = xs[n], ys[n], hs[n]
+            ttg = _time_to_goal(x, y, heading, vs[n], self.goal, params)
+            ttc_n = _time_to_collision_among(
+                world, x, y, self.v_limit * cos(heading), self.v_limit * sin(heading),
+                obstacles[n],
+            )
+            c_ttg, c_ttc, j_term = terminal_bonus(p_s, ttg, ttc_n, params)
+            total += j_term
+            terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s, j_term)
+        return total, terminal
+
+
 def trajectory_cost(
     traj: Trajectory,
     goal,
@@ -239,79 +348,32 @@ def trajectory_cost(
 ) -> CostBreakdown:
     """Evaluate a rolled-out trajectory under the configured cost mode.
 
-    Segment hazards are evaluated at both endpoints against obstacles
-    predicted at the matching times; the closer endpoint defines the
-    segment's d_o, and its TTC feeds the anticipatory factor (so an
-    in-contact endpoint forces probability 1 exactly). Baseline mode uses the
-    distance-only probability and no terminal term.
+    Scores the trajectory's states through a `CostKernel` built for its
+    timestamps (see `CostKernel.score` for the model) and wraps the result
+    into per-segment and terminal breakdown objects.
     """
     states = traj.states
-    n = len(states) - 1
-    if n < 1:
+    if len(states) < 2:
         raise ValueError("trajectory must contain at least two states")
-    xs = np.array([s.pose.x for s in states])
-    ys = np.array([s.pose.y for s in states])
-    ts = np.array([s.t for s in states])
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+    xs = [s.pose.x for s in states]
+    ys = [s.pose.y for s in states]
+    if not all(map(math.isfinite, xs + ys)):
         raise ValueError("trajectory contains non-finite states")
-
-    goal_xy = _goal_xy(goal)
-    if nav is None:
-        nav = NavigationField(world.grid, goal_xy)
-    nf = nav.distance_batch(xs, ys)
-    point_d = distance_to_nearest_batch(world, xs, ys, ts)
-
-    ds_mode = params.mode == DS_MPEPC
-    point_ttc: dict[int, float] = {}
-
-    def ttc_at(j: int) -> float:
-        if j not in point_ttc:
-            if point_d[j] <= 0.0:
-                point_ttc[j] = 0.0
-            else:
-                s = states[j]
-                point_ttc[j] = _ttc_assuming_clear(
-                    world, s.pose.x, s.pose.y,
-                    s.v * math.cos(s.pose.heading), s.v * math.sin(s.pose.heading),
-                    s.t,
-                )
-        return point_ttc[j]
-
-    h = cfg.step_h
-    segments = []
-    p_s = 1.0
-    total = 0.0
-    for i in range(1, n + 1):
-        j_star = i - 1 if point_d[i - 1] <= point_d[i] else i
-        d_o = float(point_d[j_star])
-        p_c_reactive = collision_probability(d_o, params)
-        if ds_mode:
-            if p_c_reactive >= _P_C_SKIP:
-                ttc: float | None = ttc_at(j_star)
-            else:
-                ttc = math.inf
-            p_c = p_c_reactive * anticipatory_factor(ttc, params)
-        else:
-            ttc = None
-            p_c = p_c_reactive
-        p_s = p_s * (1.0 - p_c)
-        j_progress = params.w_progress * float(nf[i] - nf[i - 1])
-        j_action = h * (
-            params.w_action_v * states[i].v ** 2 + params.w_action_w * states[i].omega ** 2
+    kernel = CostKernel(world, goal, params, cfg, [s.t for s in states], nav)
+    rows: list = []
+    total, terminal = kernel.score(
+        xs, ys, [s.pose.heading for s in states], [s.v for s in states],
+        [s.omega for s in states], rows,
+    )
+    segments = tuple(
+        SegmentEvaluation(
+            index=i, d_o=d_o, d_g=d_g, ttc=ttc, p_c=p_c, p_s=p_s,
+            j_progress=j_progress, j_action=j_action, j_collision=params.c_collision,
         )
-        j_collision = params.c_collision
-        total += p_s * j_progress + j_action + (1.0 - p_s) * j_collision
-        segments.append(
-            SegmentEvaluation(
-                index=i, d_o=d_o, d_g=float(nf[i]), ttc=ttc, p_c=p_c, p_s=p_s,
-                j_progress=j_progress, j_action=j_action, j_collision=j_collision,
-            )
-        )
-
-    terminal_eval = None
-    if ds_mode and params.include_terminal:
-        terminal_eval = terminal_cost(
-            states[-1], p_s, goal_xy, world, params, cfg.v_limit
-        )
-        total += terminal_eval.j_terminal
-    return CostBreakdown(segments=tuple(segments), terminal=terminal_eval, total=total)
+        for i, (d_o, d_g, ttc, p_c, p_s, j_progress, j_action) in enumerate(rows, 1)
+    )
+    return CostBreakdown(
+        segments=segments,
+        terminal=None if terminal is None else TerminalEvaluation(*terminal),
+        total=total,
+    )

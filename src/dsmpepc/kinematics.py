@@ -126,20 +126,26 @@ def advance_pose(pose: Pose, v: float, omega: float, dt: float) -> Pose:
     )
 
 
-def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajectory:
-    """Simulate the closed loop from `start` under parameter `z` for the horizon.
+def step_times(t0: float, cfg: PlannerConfig) -> list[float]:
+    """Timestamps t0, t0+h, ..., t0+N*h of a rollout's N+1 states."""
+    h = cfg.step_h
+    return [t0] + [t0 + i * h for i in range(1, cfg.n_steps + 1)]
+
+
+def rollout_floats(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig):
+    """The closed-loop rollout as plain floats, with no per-step objects.
+
+    Returns (target, xs, ys, headings, vs, omegas): N+1-element lists whose
+    index 0 is the start state; timestamps are `step_times(start.t, cfg)`.
+    The start state is not validated here (`rollout` does that).
 
     The target pose is fixed in the world frame at the start. Each step
     recomputes the egocentric coordinates, applies the control law and the
     velocity modulation, clamps (v, omega) to the configured limits,
     rate-limits their change, and advances the pose one exact arc step.
-    Returns cfg.n_steps + 1 states with strictly increasing timestamps.
-
     The loop body inlines the geometry helpers for speed; it must stay
     arithmetic-identical to composing them (pinned by a unit test).
     """
-    if not start.is_finite():
-        raise ValueError("rollout requires a finite start state")
     target = target_from_param(start.pose, z.r, z.theta, z.delta)
     h = cfg.step_h
     dv = cfg.accel_limit * h
@@ -151,16 +157,14 @@ def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajec
     tx, ty, th_target = target.x, target.y, target.heading
     r_eps, kappa_max, r_slow = R_EPSILON, KAPPA_MAX, R_SLOWDOWN
     z_vmax = z.v_max
-    t0 = start.t
     remainder, tau, pi = math.remainder, math.tau, math.pi
     atan2, atan, sin, cos, hypot = math.atan2, math.atan, math.sin, math.cos, math.hypot
 
-    states = [start]
-    append = states.append
     x, y, heading = start.pose.x, start.pose.y, start.pose.heading
     v_prev = start.v
     w_prev = start.omega
-    for i in range(1, cfg.n_steps + 1):
+    xs, ys, hs, vs, ws = [x], [y], [heading], [v_prev], [w_prev]
+    for _ in range(cfg.n_steps):
         dx = tx - x
         dy = ty - y
         r = hypot(dx, dy)
@@ -211,6 +215,29 @@ def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajec
             heading = remainder(h1, tau)
             if heading <= -pi:
                 heading = pi
-        append(RobotState(pose=Pose(x, y, heading), v=v, omega=w, t=t0 + i * h))
+        xs.append(x)
+        ys.append(y)
+        hs.append(heading)
+        vs.append(v)
+        ws.append(w)
         v_prev, w_prev = v, w
+    return target, xs, ys, hs, vs, ws
+
+
+def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajectory:
+    """Simulate the closed loop from `start` under parameter `z` for the horizon.
+
+    Wraps `rollout_floats`, the float-only rollout that the planner's
+    refinement scores without building any state, into state objects.
+    Returns cfg.n_steps + 1 states with strictly increasing timestamps,
+    bit-identical to the floats the planner scored.
+    """
+    if not start.is_finite():
+        raise ValueError("rollout requires a finite start state")
+    target, xs, ys, hs, vs, ws = rollout_floats(start, z, cfg)
+    ts = step_times(start.t, cfg)
+    states = [start] + [
+        RobotState(pose=Pose(xs[i], ys[i], hs[i]), v=vs[i], omega=ws[i], t=ts[i])
+        for i in range(1, len(xs))
+    ]
     return Trajectory(states=tuple(states), param=z, target=target)

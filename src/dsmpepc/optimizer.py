@@ -17,15 +17,26 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from ._batch import evaluate_batch
-from .cost import CostBreakdown, CostParams, trajectory_cost
+from .cost import CostBreakdown, CostKernel, CostParams, trajectory_cost
 from .geometry import Pose, egocentric_coords, wrap_angle
-from .kinematics import PlannerConfig, RobotState, Trajectory, TrajectoryParam, rollout
+from .kinematics import (
+    PlannerConfig,
+    RobotState,
+    Trajectory,
+    TrajectoryParam,
+    rollout,
+    rollout_floats,
+    step_times,
+)
 from .world import NavigationField, World
 
 Bounds = tuple[tuple[float, float], ...]
 
 # Initial Nelder-Mead simplex spread per dimension (r, theta, delta, v_max).
 _SIMPLEX_STEPS = (0.5, 0.25, 0.25, 0.15)
+# Evaluations needed to score the initial simplex; a smaller refinement
+# budget could not take a single Nelder-Mead step.
+_SIMPLEX_SIZE = len(_SIMPLEX_STEPS) + 1
 
 
 class _BudgetExhausted(Exception):
@@ -37,7 +48,8 @@ class OptimizerConfig:
     """Search budgets, RNG seed, and parameter box for (r, theta, delta, v_max).
 
     bounds=None derives the box from the planner config: r in [0, r_max],
-    angles in [-pi, pi], v_max in [0, v_limit].
+    angles in [-pi, pi], v_max in [0, v_limit]. refine_max_evals is 0 (no
+    refinement) or at least 5, the size of the initial simplex.
     """
 
     n_global_samples: int = 400
@@ -53,6 +65,11 @@ class OptimizerConfig:
             raise ValueError("n_refine_seeds must be in [0, n_global_samples]")
         if self.refine_max_evals < 0:
             raise ValueError("refine_max_evals must be >= 0")
+        if 0 < self.refine_max_evals < _SIMPLEX_SIZE:
+            raise ValueError(
+                f"refine_max_evals must be 0 (no refinement) or >= {_SIMPLEX_SIZE}, "
+                f"the size of the initial simplex; got {self.refine_max_evals}"
+            )
         if self.bounds is not None:
             if len(self.bounds) != 4 or any(lo > hi for lo, hi in self.bounds):
                 raise ValueError("bounds must be four well-ordered (lo, hi) pairs")
@@ -122,7 +139,10 @@ def plan(
 
     Deterministic for fixed inputs and seed. The halting candidate is always
     evaluated, so a result always exists; ties are broken lexicographically on
-    (cost, r, theta, delta, v_max).
+    (cost, r, theta, delta, v_max). Refinement scores candidates through one
+    `CostKernel` on float rollouts; each refined cost is bit-identical to
+    `evaluate_candidate(z, ...).total`. Only the argmin is rolled out into a
+    Trajectory.
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
@@ -131,20 +151,13 @@ def plan(
         nav = NavigationField(world.grid, (goal.x, goal.y))
 
     evaluated: list[tuple[TrajectoryParam, float]] = []
-    best: dict = {"key": None, "param": None, "cost": None, "traj": None}
+    best: dict = {"key": None, "param": None, "cost": None}
 
-    def note(z: TrajectoryParam, cost: float, traj: Trajectory | None) -> None:
+    def note(z: TrajectoryParam, cost: float) -> None:
         evaluated.append((z, cost))
         key = _order_key(z, cost)
         if best["key"] is None or key < best["key"]:
-            best.update(key=key, param=z, cost=cost, traj=traj)
-
-    def evaluate(z: TrajectoryParam) -> float:
-        traj, breakdown = evaluate_candidate(
-            z, current, goal, world, planner_cfg, cost_params, nav=nav
-        )
-        note(z, breakdown.total, traj)
-        return breakdown.total
+            best.update(key=key, param=z, cost=cost)
 
     seeds_pool: list[TrajectoryParam] = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)]
     if warm_start is not None:
@@ -175,12 +188,14 @@ def plan(
     global_results: list[tuple[TrajectoryParam, float]] = []
     for z, cost in zip(candidates, costs):
         cost = float(cost)
-        note(z, cost, None)
+        note(z, cost)
         global_results.append((z, cost))
 
     global_results.sort(key=lambda pc: _order_key(pc[0], pc[1]))
     n_refine = min(opt_cfg.n_refine_seeds, len(global_results))
-    if opt_cfg.refine_max_evals >= 5:
+    if opt_cfg.refine_max_evals > 0 and n_refine > 0:
+        kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
+                            step_times(current.t, planner_cfg), nav)
         for seed_param, _ in global_results[:n_refine]:
             budget = opt_cfg.refine_max_evals
 
@@ -189,7 +204,11 @@ def plan(
                 if budget <= 0:
                     raise _BudgetExhausted
                 budget -= 1
-                return evaluate(_canonical(x, bounds))
+                z = _canonical(x, bounds)
+                _, xs, ys, hs, vs, ws = rollout_floats(current, z, planner_cfg)
+                cost, _ = kernel.score(xs, ys, hs, vs, ws)
+                note(z, cost)
+                return cost
 
             x0 = np.array(seed_param.as_tuple())
             simplex = [x0]
@@ -212,12 +231,9 @@ def plan(
             except _BudgetExhausted:
                 pass
 
-    best_traj = best["traj"]
-    if best_traj is None:
-        best_traj = rollout(current, best["param"], planner_cfg)
     return PlanResult(
         best_param=best["param"],
         best_cost=best["cost"],
-        best_trajectory=best_traj,
+        best_trajectory=rollout(current, best["param"], planner_cfg),
         evaluated=tuple(evaluated),
     )

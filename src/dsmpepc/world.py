@@ -46,6 +46,11 @@ class OccupancyGrid:
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
         self.height, self.width = occupied.shape
+        self._extent = (
+            self.origin[0], self.origin[1],
+            self.origin[0] + self.width * self.resolution,
+            self.origin[1] + self.height * self.resolution,
+        )
         self.has_occupied = bool(occupied.any())
         if self.has_occupied:
             # Exact EDT on cell indices, scaled to meters afterwards.
@@ -81,8 +86,7 @@ class OccupancyGrid:
     @property
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the grid in world coordinates."""
-        ox, oy = self.origin
-        return (ox, oy, ox + self.width * self.resolution, oy + self.height * self.resolution)
+        return self._extent
 
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
         ox, oy = self.origin
@@ -231,24 +235,39 @@ class World:
             raise ValueError("robot_radius must be positive")
 
 
+# Per obstacle at one time: (x, y, vx, vy, radius), from predict_obstacle and
+# obstacle_velocity. Scalar clearance and TTC queries read these.
+ObstacleStates = tuple[tuple[float, float, float, float, float], ...]
+
+
+def obstacle_states(world: World, t: float) -> ObstacleStates:
+    """Position, velocity and radius of every obstacle at time t."""
+    return tuple(
+        predict_obstacle(obs, t) + obstacle_velocity(obs, t) + (obs.radius,)
+        for obs in world.obstacles
+    )
+
+
+def _clearance_among(world: World, x: float, y: float, obstacles: ObstacleStates) -> float:
+    """distance_to_nearest body against obstacles already predicted."""
+    d = world.grid.sample_distance(x, y)
+    for ox, oy, _, _, radius in obstacles:
+        d = min(d, math.hypot(x - ox, y - oy) - radius)
+    return max(0.0, d - world.robot_radius)
+
+
 def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
     """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration).
 
     Minimum over the static field and all obstacle disks predicted at t, with
     the robot radius deducted.
     """
-    x, y = point
-    d = world.grid.sample_distance(x, y)
-    for obs in world.obstacles:
-        ox, oy = predict_obstacle(obs, t)
-        d = min(d, math.hypot(x - ox, y - oy) - obs.radius)
-    return max(0.0, d - world.robot_radius)
+    return _clearance_among(world, point[0], point[1], obstacle_states(world, t))
 
 
-def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
-                              ts: np.ndarray) -> np.ndarray:
-    """Vectorized `distance_to_nearest` over matched point/time arrays."""
-    d = world.grid.sample_distance_batch(xs, ys)
+def _obstacle_centers(world: World, ts: np.ndarray) -> list:
+    """Per obstacle: (radius, xs, ys) of its centers at the times ts, in numpy."""
+    tracks = []
     for obs in world.obstacles:
         if obs.waypoints is None:
             dt = ts - obs.epoch
@@ -258,29 +277,42 @@ def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
             wt = np.array([w[0] for w in obs.waypoints])
             ox = np.interp(ts, wt, np.array([w[1] for w in obs.waypoints]))
             oy = np.interp(ts, wt, np.array([w[2] for w in obs.waypoints]))
-        d = np.minimum(d, np.hypot(xs - ox, ys - oy) - obs.radius)
+        tracks.append((obs.radius, ox, oy))
+    return tracks
+
+
+def _clearance_batch(world: World, xs: np.ndarray, ys: np.ndarray, tracks) -> np.ndarray:
+    d = world.grid.sample_distance_batch(xs, ys)
+    for radius, ox, oy in tracks:
+        d = np.minimum(d, np.hypot(xs - ox, ys - oy) - radius)
     return np.maximum(0.0, d - world.robot_radius)
 
 
-def _ray_box_interval(
-    x: float, y: float, ux: float, uy: float, box: tuple[float, float, float, float]
-) -> tuple[float, float] | None:
-    """Forward parameter interval [s0, s1] where the ray lies inside the box."""
-    s0, s1 = 0.0, math.inf
-    for p, u, lo, hi in ((x, ux, box[0], box[2]), (y, uy, box[1], box[3])):
-        if abs(u) < 1e-15:
-            if p < lo or p > hi:
-                return None
-        else:
-            ta = (lo - p) / u
-            tb = (hi - p) / u
-            if ta > tb:
-                ta, tb = tb, ta
-            s0 = max(s0, ta)
-            s1 = min(s1, tb)
-    if s1 < s0:
-        return None
-    return (s0, s1)
+def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
+                              ts: np.ndarray) -> np.ndarray:
+    """Vectorized `distance_to_nearest` over matched point/time arrays."""
+    return _clearance_batch(world, xs, ys, _obstacle_centers(world, ts))
+
+
+class HorizonSnapshot:
+    """A world's obstacles predicted once at a fixed list of step times.
+
+    Built once per planning problem (or per trajectory_cost call) so that
+    the per-candidate clearance batch and every TTC query read stored
+    obstacle states instead of re-predicting them. `clearance(xs, ys)` equals
+    `distance_to_nearest_batch(world, xs, ys, ts)`; `obstacles[k]` equals
+    `obstacle_states(world, ts[k])`.
+    """
+
+    __slots__ = ("world", "obstacles", "_tracks")
+
+    def __init__(self, world: World, ts: list[float]):
+        self.world = world
+        self.obstacles = [obstacle_states(world, t) for t in ts]
+        self._tracks = _obstacle_centers(world, np.array(ts, dtype=float))
+
+    def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return _clearance_batch(self.world, xs, ys, self._tracks)
 
 
 def _static_ray_arc(
@@ -290,22 +322,42 @@ def _static_ray_arc(
     """Arc length along the ray until the distance field drops to the robot
     radius, or None if there is no hit within max_arc.
 
-    Sphere-tracing march: the 1-Lipschitz field allows steps of (df - radius),
-    floored at resolution/2 so the error stays within one cell. The bilinear
-    sample is inlined; it must match OccupancyGrid.sample_distance.
+    Sphere-tracing march from where the ray enters the grid box: the
+    1-Lipschitz field allows steps of (df - radius), floored at resolution/2
+    so the error stays within one cell. The box clip and the bilinear sample
+    are inlined; the sample must match OccupancyGrid.sample_distance.
     """
     if not grid.has_occupied:
         return None
-    interval = _ray_box_interval(x, y, ux, uy, grid.extent)
-    if interval is None:
+    xmin, ymin, xmax, ymax = grid._extent
+    s, s_end = 0.0, math.inf
+    for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
+        if abs(u) < 1e-15:
+            if p < lo or p > hi:
+                return None
+        else:
+            ta = (lo - p) / u
+            tb = (hi - p) / u
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > s:
+                s = ta
+            if tb < s_end:
+                s_end = tb
+    if s_end < s:
         return None
-    s, s_end = interval
-    s_end = min(s_end, max_arc)
+    if max_arc < s_end:
+        s_end = max_arc
     res = grid.resolution
     min_step = 0.5 * res
     ox, oy = grid.origin
     w1 = grid.width - 1
     h1 = grid.height - 1
+    # Lowest index of the last 2x2 stencil and the offset of the upper
+    # neighbour per axis; a one-cell axis uses its one cell twice (clamping
+    # then leaves the fraction at exactly 0, as sample_distance sets it).
+    ix_last, dx1 = (w1 - 1, 1) if w1 > 0 else (0, 0)
+    iy_last, dy1 = (h1 - 1, 1) if h1 > 0 else (0, 0)
     rows = grid._df_rows
     while s <= s_end:
         gx = (x + ux * s - ox) / res - 0.5
@@ -320,21 +372,18 @@ def _static_ray_arc(
             gy = float(h1)
         ix = int(gx)
         if ix >= w1:
-            ix = w1 - 1 if w1 > 0 else 0
+            ix = ix_last
         iy = int(gy)
         if iy >= h1:
-            iy = h1 - 1 if h1 > 0 else 0
-        fx = gx - ix if w1 > 0 else 0.0
-        fy = gy - iy if h1 > 0 else 0.0
+            iy = iy_last
+        fx = gx - ix
+        fy = gy - iy
         row0 = rows[iy]
+        row1 = rows[iy + dy1]
         v00 = row0[ix]
-        v01 = row0[ix + 1] if w1 > 0 else v00
-        if h1 > 0:
-            row1 = rows[iy + 1]
-            v10 = row1[ix]
-            v11 = row1[ix + 1] if w1 > 0 else v10
-        else:
-            v10, v11 = v00, v01
+        v01 = row0[ix + dx1]
+        v10 = row1[ix]
+        v11 = row1[ix + dx1]
         df = (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
         gap = df - robot_radius
         if gap <= 0.0:
@@ -344,19 +393,19 @@ def _static_ray_arc(
 
 
 def _ttc_assuming_clear(
-    world: World, x: float, y: float, vx: float, vy: float, t0: float
+    world: World, x: float, y: float, vx: float, vy: float, obstacles: ObstacleStates
 ) -> float:
-    """time_to_collision body for a configuration already known clear."""
+    """time_to_collision body for a configuration already known clear, with
+    the obstacles already predicted at the query time."""
     best = math.inf
-    for obs in world.obstacles:
-        ox, oy = predict_obstacle(obs, t0)
-        ovx, ovy = obstacle_velocity(obs, t0)
+    robot_radius = world.robot_radius
+    for ox, oy, ovx, ovy, radius in obstacles:
         dpx, dpy = ox - x, oy - y
         dvx, dvy = ovx - vx, ovy - vy
         a = dvx * dvx + dvy * dvy
         if a < _SPEED_EPS * _SPEED_EPS:
             continue
-        r_sum = world.robot_radius + obs.radius
+        r_sum = robot_radius + radius
         b = 2.0 * (dpx * dvx + dpy * dvy)
         c = dpx * dpx + dpy * dpy - r_sum * r_sum
         disc = b * b - 4.0 * a * c
@@ -369,13 +418,22 @@ def _ttc_assuming_clear(
     if speed >= _SPEED_EPS and world.grid.has_occupied:
         arc = _static_ray_arc(
             world.grid, x, y, vx / speed, vy / speed,
-            world.robot_radius, max_arc=min(best, TTC_HORIZON) * speed,
+            robot_radius, max_arc=min(best, TTC_HORIZON) * speed,
         )
         if arc is not None:
             best = min(best, arc / speed)
     if best > TTC_HORIZON:
         return math.inf
     return best
+
+
+def _time_to_collision_among(
+    world: World, x: float, y: float, vx: float, vy: float, obstacles: ObstacleStates
+) -> float:
+    """time_to_collision body with the obstacles already predicted."""
+    if _clearance_among(world, x, y, obstacles) <= 0.0:
+        return 0.0
+    return _ttc_assuming_clear(world, x, y, vx, vy, obstacles)
 
 
 def time_to_collision(
@@ -387,9 +445,10 @@ def time_to_collision(
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
     the relative-motion quadratic; the static grid is ray-marched.
     """
-    if distance_to_nearest(world, position, t0) <= 0.0:
-        return 0.0
-    return _ttc_assuming_clear(world, position[0], position[1], velocity[0], velocity[1], t0)
+    return _time_to_collision_among(
+        world, position[0], position[1], velocity[0], velocity[1],
+        obstacle_states(world, t0),
+    )
 
 
 _DIJKSTRA_MOVES = (

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ def test_config_validation():
         OptimizerConfig(n_refine_seeds=10, n_global_samples=5)
     with pytest.raises(ValueError):
         OptimizerConfig(bounds=((1.0, 0.0), (0, 1), (0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("evals", [1, 2, 3, 4])
+def test_refine_budget_below_simplex_rejected(evals):
+    # the 4-D initial simplex alone takes 5 evaluations
+    with pytest.raises(ValueError, match="refine_max_evals"):
+        OptimizerConfig(refine_max_evals=evals)
+
+
+@pytest.mark.parametrize("evals", [0, 5])
+def test_refine_budget_edges_accepted(evals):
+    world = open_world()
+    start = RobotState(pose=Pose(9.0, 9.0, 0.0))
+    goal = Pose(14.0, 11.0, 0.0)
+    opt = OptimizerConfig(n_global_samples=32, n_refine_seeds=1, refine_max_evals=evals)
+    result = plan(start, goal, world, CFG, PARAMS, opt)
+    sweep = plan(start, goal, world, CFG, PARAMS, replace(opt, n_refine_seeds=0))
+    assert len(result.evaluated) == len(sweep.evaluated) + evals
 
 
 def test_plan_progresses_toward_goal_in_open_world():

@@ -84,6 +84,14 @@ def test_overlapping_starts_rejected():
         load(doc)
 
 
+def test_refine_budget_below_simplex_rejected_with_path():
+    doc = dict(MINIMAL)
+    doc["agents"] = [{"id": "bot", "start": [2.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0],
+                      "optimizer": {"refine_max_evals": 3}}]
+    with pytest.raises(ScenarioError, match=r"agents\[0\]\.optimizer: refine_max_evals"):
+        load(doc)
+
+
 def test_duplicate_ids_rejected():
     doc = dict(MINIMAL)
     doc["agents"] = [

@@ -6,12 +6,15 @@ import pytest
 
 from dsmpepc.world import (
     DynamicObstacle,
+    HorizonSnapshot,
     NavigationField,
     OccupancyGrid,
     TTC_HORIZON,
     World,
+    _static_ray_arc,
     distance_to_nearest,
     distance_to_nearest_batch,
+    obstacle_states,
     obstacle_velocity,
     predict_obstacle,
     time_to_collision,
@@ -215,6 +218,74 @@ def test_distance_batch_matches_scalar():
     batch = distance_to_nearest_batch(world, xs, ys, ts)
     for x, y, t, b in zip(xs, ys, ts, batch):
         assert distance_to_nearest(world, (x, y), t) == pytest.approx(b, abs=1e-12)
+
+
+def test_horizon_snapshot_matches_per_time_queries():
+    rng = np.random.default_rng(5)
+    occupied = rng.random((24, 24)) < 0.05
+    occupied[3, 20] = True
+    world = World(
+        grid=OccupancyGrid(occupied, 0.25),
+        obstacles=(
+            DynamicObstacle(id="cv", radius=0.4, position=(2, 2), velocity=(0.3, -0.1),
+                            epoch=0.7),
+            DynamicObstacle(id="sc", radius=0.3,
+                            waypoints=((0.5, 1.0, 1.0), (2.1, 5.0, 3.0), (4.0, 2.0, 2.0))),
+        ),
+        robot_radius=0.35,
+    )
+    ts = [0.3 + 0.2 * i for i in range(26)]
+    snapshot = HorizonSnapshot(world, ts)
+    xs = rng.uniform(0, 6, size=26)
+    ys = rng.uniform(0, 6, size=26)
+    assert (snapshot.clearance(xs, ys).tolist()
+            == distance_to_nearest_batch(world, xs, ys, np.array(ts)).tolist())
+    for t, states in zip(ts, snapshot.obstacles):
+        assert states == obstacle_states(world, t)
+        for obs, (ox, oy, ovx, ovy, radius) in zip(world.obstacles, states):
+            assert (ox, oy) == predict_obstacle(obs, t)
+            assert (ovx, ovy) == obstacle_velocity(obs, t)
+            assert radius == obs.radius
+
+
+def _reference_arc(grid, x, y, ux, uy, robot_radius, max_arc):
+    """The grid march written against OccupancyGrid.sample_distance."""
+    xmin, ymin, xmax, ymax = grid.extent
+    s, s_end = 0.0, math.inf
+    for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
+        if abs(u) < 1e-15:
+            if p < lo or p > hi:
+                return None
+        else:
+            ta, tb = sorted(((lo - p) / u, (hi - p) / u))
+            s, s_end = max(s, ta), min(s_end, tb)
+    if s_end < s:
+        return None
+    s_end = min(s_end, max_arc)
+    while s <= s_end:
+        gap = grid.sample_distance(x + ux * s, y + uy * s) - robot_radius
+        if gap <= 0.0:
+            return s
+        s += max(gap, 0.5 * grid.resolution)
+    return None
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (1, 30), (30, 1), (2, 2)])
+def test_static_ray_arc_matches_sampled_march(shape):
+    rng = random.Random(sum(shape))
+    occupied = np.zeros(shape, dtype=bool)
+    occupied.flat[rng.randrange(occupied.size)] = True
+    grid = OccupancyGrid(occupied, 0.2, origin=(-1.0, 0.5))
+    xmin, ymin, xmax, ymax = grid.extent
+    for _ in range(200):
+        x = rng.uniform(xmin - 1.0, xmax + 1.0)
+        y = rng.uniform(ymin - 1.0, ymax + 1.0)
+        ang = rng.choice([0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)])
+        ux, uy = math.cos(ang), math.sin(ang)
+        rr = rng.uniform(0.05, 0.4)
+        max_arc = rng.choice([math.inf, rng.uniform(0.0, 8.0)])
+        assert (_static_ray_arc(grid, x, y, ux, uy, rr, max_arc)
+                == _reference_arc(grid, x, y, ux, uy, rr, max_arc))
 
 
 def test_ttc_head_on_static_disk():
