@@ -1,12 +1,18 @@
 """Vectorized candidate evaluation for the optimizer's global phase.
 
 Mirrors rollout + trajectory_cost across a whole batch of trajectory
-parameters in numpy. Results agree with the scalar path to floating-point
-noise (the march-based static TTC may differ within its one-cell
-quantization). The scalar path remains the reference semantics: refinement
-scores through its float kernel (kinematics.rollout_floats +
-cost.CostKernel), which rollout/trajectory_cost wrap, so refined costs are
-bit-identical to evaluate_candidate totals.
+parameters in numpy. The planning problem itself comes from the one
+`cost.CostKernel` that plan() builds: goal, weights, planner config,
+navigation field and the obstacles predicted at the step times
+(`world.HorizonSnapshot.tracks`, the same `predict_obstacle` values the
+scalar TTC reads). Clearance goes through `world._clearance_batch`. This
+module keeps only the batched rollout, TTC and cost arithmetic.
+
+Results agree with the scalar path to floating-point noise (the march-based
+static TTC may differ within its one-cell quantization, and the scalar
+clearance reads the snapshot's `np.interp` centers). The scalar path remains
+the reference semantics: refinement scores through the kernel itself, so
+refined costs are bit-identical to evaluate_candidate totals.
 """
 
 from __future__ import annotations
@@ -15,12 +21,10 @@ import math
 
 import numpy as np
 
-from .cost import _P_C_SKIP, DS_MPEPC, CostParams
+from .cost import _P_C_SKIP, DS_MPEPC, CostKernel
 from .geometry import KAPPA_MAX, R_EPSILON, R_SLOWDOWN
 from .kinematics import OMEGA_STRAIGHT, PlannerConfig, RobotState, TrajectoryParam
-from .world import TTC_HORIZON, NavigationField, World, obstacle_velocity, predict_obstacle
-
-_SPEED_EPS = 1e-9
+from .world import _SPEED_EPS, TTC_HORIZON, World, _clearance_batch
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -107,35 +111,6 @@ def _rollout_batch(params: np.ndarray, start: RobotState, cfg: PlannerConfig):
     return xs, ys, hs, vs, ws
 
 
-def _obstacle_tracks(world: World, ts: np.ndarray):
-    """Per obstacle: positions (N+1, 2) and velocities (N+1, 2) at times ts."""
-    tracks = []
-    for obs in world.obstacles:
-        if obs.waypoints is None:
-            dt = ts - obs.epoch
-            px = obs.position[0] + obs.velocity[0] * dt
-            py = obs.position[1] + obs.velocity[1] * dt
-            vx = np.full(ts.shape, obs.velocity[0])
-            vy = np.full(ts.shape, obs.velocity[1])
-        else:
-            px = np.empty(ts.shape)
-            py = np.empty(ts.shape)
-            vx = np.empty(ts.shape)
-            vy = np.empty(ts.shape)
-            for k, t in enumerate(ts):
-                px[k], py[k] = predict_obstacle(obs, float(t))
-                vx[k], vy[k] = obstacle_velocity(obs, float(t))
-        tracks.append((obs.radius, px, py, vx, vy))
-    return tracks
-
-
-def _point_distances(world: World, xs, ys, tracks) -> np.ndarray:
-    d = world.grid.sample_distance_batch(xs, ys)
-    for radius, px, py, _, _ in tracks:
-        d = np.minimum(d, np.hypot(xs - px, ys - py) - radius)
-    return np.maximum(0.0, d - world.robot_radius)
-
-
 def _static_arcs_lockstep(grid, x, y, ux, uy, rr: float, max_arc: np.ndarray) -> np.ndarray:
     """Vectorized sphere-trace march; +inf where the ray never hits."""
     n = x.shape[0]
@@ -211,29 +186,29 @@ def _ttc_points(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
 
 
 def evaluate_batch(
-    params: list[TrajectoryParam],
-    current: RobotState,
-    goal_xy: tuple[float, float],
-    world: World,
-    cfg: PlannerConfig,
-    cost_params: CostParams,
-    nav: NavigationField,
+    params: list[TrajectoryParam], current: RobotState, kernel: CostKernel
 ) -> np.ndarray:
-    """Total costs of all candidates, mirroring the scalar evaluation path."""
+    """Total costs of all candidates, mirroring the scalar evaluation path.
+
+    `kernel` holds the problem; its snapshot must be predicted at the step
+    times of a rollout from `current` (`kinematics.step_times(current.t, cfg)`).
+    """
+    world = kernel.world
+    cfg = kernel.cfg
+    cost_params = kernel.params
+    tracks = kernel.snapshot.tracks
     arr = np.array([p.as_tuple() for p in params], dtype=float)
     b = arr.shape[0]
     n = cfg.n_steps
     h = cfg.step_h
     xs, ys, hs, vs, ws = _rollout_batch(arr, current, cfg)
-    ts = current.t + h * np.arange(n + 1)
-    tracks = _obstacle_tracks(world, ts)
 
     flat = (b, n + 1)
-    d = _point_distances(
+    d = _clearance_batch(
         world, xs.reshape(-1), ys.reshape(-1),
-        [(r, np.tile(px, b), np.tile(py, b), None, None) for r, px, py, _, _ in tracks],
+        [(r, np.tile(px, b), np.tile(py, b)) for r, px, py, _, _ in tracks],
     ).reshape(flat)
-    nf = nav.distance_batch(xs.reshape(-1), ys.reshape(-1)).reshape(flat)
+    nf = kernel.nav.distance_batch(xs.reshape(-1), ys.reshape(-1)).reshape(flat)
 
     left = d[:, :-1] <= d[:, 1:]
     d_seg = np.where(left, d[:, :-1], d[:, 1:])
@@ -272,7 +247,7 @@ def evaluate_batch(
     )
 
     if ds_mode and cost_params.include_terminal:
-        gx, gy = goal_xy
+        gx, gy = kernel.goal
         dxg = gx - xs[:, -1]
         dyg = gy - ys[:, -1]
         dist = np.hypot(dxg, dyg)

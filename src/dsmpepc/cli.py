@@ -48,7 +48,7 @@ def _load_scenario(source: str, mode: str | None, seed: int | None) -> scen.Scen
         config = replace(config, seed=seed)
     if mode is not None:
         agents = tuple(
-            replace(a, mode=mode, cost=replace(a.cost, mode=mode)) for a in config.agents
+            replace(a, cost=replace(a.cost, mode=mode)) for a in config.agents
         )
         config = replace(config, agents=agents)
     return config
@@ -172,7 +172,7 @@ def _compare_rows(config: scen.ScenarioConfig, n_seeds: int):
         clearances: list[float] = []
         for k in range(n_seeds):
             agents = tuple(
-                replace(a, mode=mode, cost=replace(a.cost, mode=mode))
+                replace(a, cost=replace(a.cost, mode=mode))
                 for a in config.agents
             )
             cfg = replace(config, agents=agents, seed=config.seed + k)

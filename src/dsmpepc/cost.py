@@ -240,12 +240,14 @@ class CostKernel:
     """Float-only trajectory cost of one planning problem.
 
     Everything shared by the problem's candidates is prepared once: the
-    navigation field, the obstacles predicted at the step times `ts`, and the
-    weights. `score` then evaluates one rollout given as plain float lists
-    (`kinematics.rollout_floats`) without building any per-state or
-    per-segment object. The optimizer's refinement scores through it, and
-    `trajectory_cost` wraps it, so there is one scalar cost implementation
-    and the totals of both are bit-identical.
+    navigation field, the obstacles predicted at the step times `ts`
+    (`snapshot`), the weights and the planner config. `score` then evaluates
+    one rollout given as plain float lists (`kinematics.rollout_floats`)
+    without building any per-state or per-segment object. `plan()` builds one
+    kernel per problem: its vectorized sweep (`_batch.evaluate_batch`) reads
+    the kernel's goal, weights, field and snapshot, and its refinement scores
+    through `score`. `trajectory_cost` wraps `score` too, so there is one
+    scalar cost implementation and the totals of both are bit-identical.
     """
 
     def __init__(self, world: World, goal, params: CostParams, cfg: PlannerConfig,
@@ -254,8 +256,7 @@ class CostKernel:
         self.goal = _goal_xy(goal)
         self.nav = NavigationField(world.grid, self.goal) if nav is None else nav
         self.params = params
-        self.step_h = cfg.step_h
-        self.v_limit = cfg.v_limit
+        self.cfg = cfg
         self.snapshot = HorizonSnapshot(world, ts)
 
     def score(self, xs, ys, hs, vs, ws, segments: list | None = None):
@@ -284,7 +285,7 @@ class CostKernel:
         a = params.a
         w_progress, w_v, w_w = params.w_progress, params.w_action_v, params.w_action_w
         j_collision = params.c_collision
-        h = self.step_h
+        h = self.cfg.step_h
         exp, cos, sin, inf = math.exp, math.cos, math.sin, math.inf
         ttc_point = -1
         point_ttc = 0.0
@@ -328,9 +329,9 @@ class CostKernel:
             n = len(xs) - 1
             x, y, heading = xs[n], ys[n], hs[n]
             ttg = _time_to_goal(x, y, heading, vs[n], self.goal, params)
+            v_limit = self.cfg.v_limit
             ttc_n = _time_to_collision_among(
-                world, x, y, self.v_limit * cos(heading), self.v_limit * sin(heading),
-                obstacles[n],
+                world, x, y, v_limit * cos(heading), v_limit * sin(heading), obstacles[n],
             )
             c_ttg, c_ttc, j_term = terminal_bonus(p_s, ttg, ttc_n, params)
             total += j_term

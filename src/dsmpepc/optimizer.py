@@ -139,16 +139,19 @@ def plan(
 
     Deterministic for fixed inputs and seed. The halting candidate is always
     evaluated, so a result always exists; ties are broken lexicographically on
-    (cost, r, theta, delta, v_max). Refinement scores candidates through one
-    `CostKernel` on float rollouts; each refined cost is bit-identical to
-    `evaluate_candidate(z, ...).total`. Only the argmin is rolled out into a
-    Trajectory.
+    (cost, r, theta, delta, v_max). The problem is built once, as one
+    `CostKernel` (navigation field, weights, and the obstacles predicted at
+    the step times in one `HorizonSnapshot`; `nav` defaults to a field built
+    for the goal). The vectorized sweep reads it, and refinement scores
+    candidates through it on float rollouts, so each refined cost is
+    bit-identical to `evaluate_candidate(z, ...).total`. Only the argmin is
+    rolled out into a Trajectory.
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
     bounds = opt_cfg.resolved_bounds(planner_cfg)
-    if nav is None:
-        nav = NavigationField(world.grid, (goal.x, goal.y))
+    kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
+                        step_times(current.t, planner_cfg), nav)
 
     evaluated: list[tuple[TrajectoryParam, float]] = []
     best: dict = {"key": None, "param": None, "cost": None}
@@ -182,9 +185,7 @@ def plan(
             continue
         seen.add(z.as_tuple())
         candidates.append(z)
-    costs = evaluate_batch(
-        candidates, current, (goal.x, goal.y), world, planner_cfg, cost_params, nav
-    )
+    costs = evaluate_batch(candidates, current, kernel)
     global_results: list[tuple[TrajectoryParam, float]] = []
     for z, cost in zip(candidates, costs):
         cost = float(cost)
@@ -194,8 +195,6 @@ def plan(
     global_results.sort(key=lambda pc: _order_key(pc[0], pc[1]))
     n_refine = min(opt_cfg.n_refine_seeds, len(global_results))
     if opt_cfg.refine_max_evals > 0 and n_refine > 0:
-        kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
-                            step_times(current.t, planner_cfg), nav)
         for seed_param, _ in global_results[:n_refine]:
             budget = opt_cfg.refine_max_evals
 

@@ -234,7 +234,6 @@ def load(source) -> ScenarioConfig:
             start=_pose(entry["start"], f"{path}.start"),
             goal=_pose(entry["goal"], f"{path}.goal"),
             radius=float(entry.get("radius", 0.35)),
-            mode=cost_dict.get("mode", "ds_mpepc"),
             planner=_planner_from_dict(
                 _merge(default_planner, entry.get("planner", {})), f"{path}.planner"
             ),
@@ -363,9 +362,7 @@ _SUITE_OPTIMIZER = OptimizerConfig(n_global_samples=256, n_refine_seeds=2,
 def _agent(agent_id, start, goal, mode, radius=0.35, **overrides) -> AgentSpec:
     overrides.setdefault("optimizer", _SUITE_OPTIMIZER)
     overrides.setdefault("cost", CostParams(mode=mode))
-    return AgentSpec(
-        id=agent_id, start=start, goal=goal, radius=radius, mode=mode, **overrides,
-    )
+    return AgentSpec(id=agent_id, start=start, goal=goal, radius=radius, **overrides)
 
 
 def open_field(mode: str = "ds_mpepc", size: float = 20.0, goal_distance: float = 5.0,

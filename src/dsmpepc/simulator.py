@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .cost import BASELINE_MPEPC, DS_MPEPC, CostParams
+from .cost import CostParams
 from .geometry import Pose
 from .kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
 from .optimizer import OptimizerConfig, plan
@@ -42,13 +42,15 @@ OUTCOME_TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One robot in a scenario: endpoints, footprint, cost mode, and configs."""
+    """One robot in a scenario: endpoints, footprint, and configs.
+
+    The cost mode lives in `cost.mode`; `mode` reads it.
+    """
 
     id: str
     start: Pose
     goal: Pose
     radius: float = 0.35
-    mode: str = DS_MPEPC
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     cost: CostParams = field(default_factory=CostParams)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -56,8 +58,10 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError(f"agent {self.id!r}: radius must be positive")
-        if self.mode not in (BASELINE_MPEPC, DS_MPEPC):
-            raise ValueError(f"agent {self.id!r}: unknown mode {self.mode!r}")
+
+    @property
+    def mode(self) -> str:
+        return self.cost.mode
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,6 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
     n_cycles = int(round(scenario.duration / h))
 
     navs = {a.id: NavigationField(grid, (a.goal.x, a.goal.y)) for a in specs}
-    costs = {a.id: replace(a.cost, mode=a.mode) for a in specs}
     states: dict[str, RobotState] = {
         a.id: RobotState(pose=a.start.wrapped(), v=0.0, omega=0.0, t=0.0) for a in specs
     }
@@ -294,7 +297,7 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
             if active[a.id] and a.id in hit:
                 collided[a.id] = True
                 freeze(a.id, t)
-            elif active[a.id] and nf_d <= costs[a.id].goal_tolerance:
+            elif active[a.id] and nf_d <= a.cost.goal_tolerance:
                 reached_at[a.id] = t
                 freeze(a.id, t)
 
@@ -314,7 +317,7 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
                 a.optimizer, seed=_cycle_seed(scenario.seed, idx, cycle)
             )
             result = plan(
-                states[a.id], a.goal, snapshot, a.planner, costs[a.id], opt_cfg,
+                states[a.id], a.goal, snapshot, a.planner, a.cost, opt_cfg,
                 warm_start=warm[a.id], nav=navs[a.id],
             )
             warm[a.id] = result.best_param
@@ -343,7 +346,7 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
             outcome = OUTCOME_COLLIDED
         elif a.id in reached_at:
             outcome = OUTCOME_REACHED
-        elif detect_deadlock(trace, goal_tolerance=costs[a.id].goal_tolerance):
+        elif detect_deadlock(trace, goal_tolerance=a.cost.goal_tolerance):
             outcome = OUTCOME_DEADLOCKED
         else:
             outcome = OUTCOME_TIMEOUT

@@ -144,20 +144,27 @@ class OccupancyGrid:
         xs = np.asarray(xs, dtype=float)
         if not self.has_occupied:
             return np.full(xs.shape, math.inf)
-        gx = np.clip((xs - self.origin[0]) / self.resolution - 0.5, 0.0, self.width - 1)
-        gy = np.clip((np.asarray(ys, dtype=float) - self.origin[1]) / self.resolution - 0.5,
-                     0.0, self.height - 1)
-        ix = np.minimum(gx.astype(int), max(0, self.width - 2))
-        iy = np.minimum(gy.astype(int), max(0, self.height - 2))
+        return self.sample_field_batch(self.distance_field, xs, ys)
+
+    def sample_field_batch(self, values: np.ndarray, xs, ys) -> np.ndarray:
+        """Bilinear sample of a per-cell field (shaped like the grid, values at
+        cell centers) at arrays of points; clamps outside points."""
+        w1 = self.width - 1
+        h1 = self.height - 1
+        gx = np.minimum(np.maximum(
+            (np.asarray(xs, dtype=float) - self.origin[0]) / self.resolution - 0.5, 0.0), w1)
+        gy = np.minimum(np.maximum(
+            (np.asarray(ys, dtype=float) - self.origin[1]) / self.resolution - 0.5, 0.0), h1)
+        ix = np.minimum(gx.astype(int), max(0, w1 - 1))
+        iy = np.minimum(gy.astype(int), max(0, h1 - 1))
         fx = gx - ix
         fy = gy - iy
-        df = self.distance_field
-        ix1 = np.minimum(ix + 1, self.width - 1)
-        iy1 = np.minimum(iy + 1, self.height - 1)
-        v00 = df[iy, ix]
-        v01 = df[iy, ix1]
-        v10 = df[iy1, ix]
-        v11 = df[iy1, ix1]
+        ix1 = np.minimum(ix + 1, w1)
+        iy1 = np.minimum(iy + 1, h1)
+        v00 = values[iy, ix]
+        v01 = values[iy, ix1]
+        v10 = values[iy1, ix]
+        v11 = values[iy1, ix1]
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
 
 
@@ -297,22 +304,36 @@ def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
 class HorizonSnapshot:
     """A world's obstacles predicted once at a fixed list of step times.
 
-    Built once per planning problem (or per trajectory_cost call) so that
-    the per-candidate clearance batch and every TTC query read stored
-    obstacle states instead of re-predicting them. `clearance(xs, ys)` equals
-    `distance_to_nearest_batch(world, xs, ys, ts)`; `obstacles[k]` equals
-    `obstacle_states(world, ts[k])`.
+    Built once per planning problem (or per trajectory_cost call); the
+    optimizer's sweep and its refinement share one, through one `CostKernel`,
+    so nothing re-predicts an obstacle. It holds two versions of the centers:
+
+    - `obstacles[k]` equals `obstacle_states(world, ts[k])`, the
+      `predict_obstacle`/`obstacle_velocity` values that scalar TTC queries
+      read. `tracks` holds the same values as numpy arrays, one
+      (radius, xs, ys, vxs, vys) tuple per obstacle over the times, for the
+      vectorized sweep.
+    - `clearance(xs, ys)` equals `distance_to_nearest_batch(world, xs, ys,
+      ts)`, whose waypoint centers come from `np.interp`. Those differ from
+      `predict_obstacle` by a few ulps at some times, and the scalar cost
+      reads this clearance, so keeping both sets keeps every cost
+      bit-identical to `distance_to_nearest_batch`-based scoring.
     """
 
-    __slots__ = ("world", "obstacles", "_tracks")
+    __slots__ = ("world", "obstacles", "tracks", "_centers")
 
     def __init__(self, world: World, ts: list[float]):
         self.world = world
         self.obstacles = [obstacle_states(world, t) for t in ts]
-        self._tracks = _obstacle_centers(world, np.array(ts, dtype=float))
+        states = np.array(self.obstacles, dtype=float).reshape(
+            len(ts), len(world.obstacles), 5)
+        self.tracks = [
+            (obs.radius, *states[:, k, :4].T) for k, obs in enumerate(world.obstacles)
+        ]
+        self._centers = _obstacle_centers(world, np.array(ts, dtype=float))
 
     def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _clearance_batch(self.world, xs, ys, self._tracks)
+        return _clearance_batch(self.world, xs, ys, self._centers)
 
 
 def _static_ray_arc(
@@ -505,28 +526,11 @@ class NavigationField:
     def distance(self, x: float, y: float) -> float:
         if self._values is None:
             return math.hypot(x - self.goal[0], y - self.goal[1])
-        return float(self._interp(np.array([x]), np.array([y]))[0])
+        return float(self.grid.sample_field_batch(self._values, [x], [y])[0])
 
     def distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self._values is None:
             return np.hypot(xs - self.goal[0], ys - self.goal[1])
-        return self._interp(xs, ys)
-
-    def _interp(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        vals = self._values
-        gx = np.clip((xs - grid.origin[0]) / grid.resolution - 0.5, 0.0, grid.width - 1)
-        gy = np.clip((ys - grid.origin[1]) / grid.resolution - 0.5, 0.0, grid.height - 1)
-        ix = np.minimum(gx.astype(int), max(0, grid.width - 2))
-        iy = np.minimum(gy.astype(int), max(0, grid.height - 2))
-        fx = gx - ix
-        fy = gy - iy
-        ix1 = np.minimum(ix + 1, grid.width - 1)
-        iy1 = np.minimum(iy + 1, grid.height - 1)
-        v00 = vals[iy, ix]
-        v01 = vals[iy, ix1]
-        v10 = vals[iy1, ix]
-        v11 = vals[iy1, ix1]
-        return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
+        return self.grid.sample_field_batch(self._values, xs, ys)

@@ -17,6 +17,7 @@ import numpy as np
 from dsmpepc._batch import evaluate_batch
 from dsmpepc.cost import (
     BASELINE_MPEPC,
+    CostKernel,
     CostParams,
     collision_probability,
     modified_collision_probability,
@@ -24,7 +25,13 @@ from dsmpepc.cost import (
     trajectory_cost,
 )
 from dsmpepc.geometry import ControlGains, Pose, wrap_angle
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
+from dsmpepc.kinematics import (
+    PlannerConfig,
+    RobotState,
+    TrajectoryParam,
+    rollout,
+    step_times,
+)
 from dsmpepc.optimizer import OptimizerConfig, plan
 from dsmpepc.scenarios import builtin
 from dsmpepc.simulator import run
@@ -296,10 +303,11 @@ def test_c6_oracles():
         result = plan(start, goal, world, short_cfg, PARAMS,
                       replace(search, seed=idx), nav=nav)
         best_grid = math.inf
+        kernel = CostKernel(world, goal, PARAMS, short_cfg,
+                            step_times(start.t, short_cfg), nav)
         for lo in range(0, len(grid_points), 8192):
             chunk = grid_points[lo:lo + 8192]
-            costs = evaluate_batch(chunk, start, (goal.x, goal.y), world,
-                                   short_cfg, PARAMS, nav)
+            costs = evaluate_batch(chunk, start, kernel)
             best_grid = min(best_grid, float(costs.min()))
         assert result.best_cost <= best_grid + 1e-6
 

@@ -121,9 +121,11 @@ def test_landscape_outputs(small_scenario, tmp_path):
     code = main(["landscape", small_scenario, "--agent", "bot", "--t", "0.0",
                  "--rank", "cost", "--top", "25", "--out", out])
     assert code == 0
-    svg = open(os.path.join(out, "landscape.svg")).read()
+    with open(os.path.join(out, "landscape.svg")) as f:
+        svg = f.read()
     assert svg.count("<polyline") == 25
-    rows = open(os.path.join(out, "landscape.csv")).read().splitlines()
+    with open(os.path.join(out, "landscape.csv")) as f:
+        rows = f.read().splitlines()
     assert rows[0] == "rank,r,theta,delta,v_max,cost,ttg,ttc"
     assert len(rows) > 25
 
@@ -136,7 +138,8 @@ def test_landscape_top_zero_is_valid_svg(small_scenario, tmp_path):
     svg_path = os.path.join(out, "landscape.svg")
     tree = ET.parse(svg_path)
     assert tree.getroot().tag.endswith("svg")
-    assert open(svg_path).read().count("<polyline") == 0
+    with open(svg_path) as f:
+        assert f.read().count("<polyline") == 0
 
 
 def test_landscape_ttc_rank_steers_into_free_half_plane():
@@ -193,7 +196,8 @@ def test_run_t_corridor_baseline_exits_1(tmp_path):
 def test_compare_direction_on_deadlock_scenario(tmp_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", "t_corridor", "--seeds", "1", "--out", out]) == 0
-    rows = open(os.path.join(out, "compare.csv")).read().splitlines()[1:]
+    with open(os.path.join(out, "compare.csv")) as f:
+        rows = f.read().splitlines()[1:]
     rates = {line.split(",")[0]: float(line.split(",")[2]) for line in rows}
     assert rates["ds_mpepc"] >= rates["baseline_mpepc"]
     assert rates["ds_mpepc"] == 1.0

@@ -134,6 +134,10 @@ def test_refinement_entries_rescore_exactly(name):
     refined = result.evaluated[n_sweep:]
     assert 0 < len(refined) <= OPT.n_refine_seeds * OPT.refine_max_evals
     start, goal, world, cost, _ = PROBLEMS[name]
+    # the vectorized sweep agrees with the scalar path to floating-point noise
+    for z, c in sweep.evaluated:
+        _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
+        assert math.isclose(c, breakdown.total, rel_tol=0.0, abs_tol=1e-9)
     for z, c in refined:
         _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
         assert c == breakdown.total

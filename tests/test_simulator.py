@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dsmpepc import simulator
+from dsmpepc.cost import BASELINE_MPEPC, CostParams
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig
 from dsmpepc.optimizer import OptimizerConfig
-from dsmpepc.scenarios import ScenarioConfig
+from dsmpepc.scenarios import ScenarioConfig, _agent_to_dict
 from dsmpepc.simulator import (
     AgentSpec,
     TraceSample,
@@ -230,3 +232,22 @@ def test_partial_result_on_timeout():
     bot = result.agent("bot")
     assert bot.outcome == "timeout"
     assert len(bot.trace) == int(2.0 / 0.2) + 1
+
+
+def test_agent_cost_mode_reaches_plan(monkeypatch):
+    # the cost mode lives only in AgentSpec.cost; run() plans with it as given
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args[4].mode)
+        return real_plan(*args, **kwargs)
+
+    real_plan = simulator.plan
+    monkeypatch.setattr(simulator, "plan", spy)
+    bot = spec("bot", Pose(5.0, 10.0, 0.0), Pose(15.0, 10.0, 0.0),
+               cost=CostParams(mode=BASELINE_MPEPC))
+    assert bot.mode == BASELINE_MPEPC
+    run(make_scenario([bot], duration=0.6))
+    assert seen == [BASELINE_MPEPC] * 3
+    doc = _agent_to_dict(bot)
+    assert doc["mode"] == doc["cost"]["mode"] == BASELINE_MPEPC

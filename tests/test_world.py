@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,17 +236,25 @@ def test_horizon_snapshot_matches_per_time_queries():
         robot_radius=0.35,
     )
     ts = [0.3 + 0.2 * i for i in range(26)]
-    snapshot = HorizonSnapshot(world, ts)
     xs = rng.uniform(0, 6, size=26)
     ys = rng.uniform(0, 6, size=26)
-    assert (snapshot.clearance(xs, ys).tolist()
-            == distance_to_nearest_batch(world, xs, ys, np.array(ts)).tolist())
-    for t, states in zip(ts, snapshot.obstacles):
-        assert states == obstacle_states(world, t)
-        for obs, (ox, oy, ovx, ovy, radius) in zip(world.obstacles, states):
-            assert (ox, oy) == predict_obstacle(obs, t)
-            assert (ovx, ovy) == obstacle_velocity(obs, t)
+    for w in (world, replace(world, obstacles=())):
+        snapshot = HorizonSnapshot(w, ts)
+        assert (snapshot.clearance(xs, ys).tolist()
+                == distance_to_nearest_batch(w, xs, ys, np.array(ts)).tolist())
+        assert len(snapshot.tracks) == len(w.obstacles)
+        for t, states in zip(ts, snapshot.obstacles):
+            assert states == obstacle_states(w, t)
+            for obs, (ox, oy, ovx, ovy, radius) in zip(w.obstacles, states):
+                assert (ox, oy) == predict_obstacle(obs, t)
+                assert (ovx, ovy) == obstacle_velocity(obs, t)
+                assert radius == obs.radius
+        # the sweep's arrays hold exactly the predicted states
+        for obs, (radius, oxs, oys, ovxs, ovys) in zip(w.obstacles, snapshot.tracks):
             assert radius == obs.radius
+            for k, t in enumerate(ts):
+                assert (oxs[k], oys[k]) == predict_obstacle(obs, t)
+                assert (ovxs[k], ovys[k]) == obstacle_velocity(obs, t)
 
 
 def _reference_arc(grid, x, y, ux, uy, robot_radius, max_arc):
