@@ -3,16 +3,18 @@
 Mirrors rollout + trajectory_cost across a whole batch of trajectory
 parameters in numpy. The planning problem itself comes from the one
 `cost.CostKernel` that plan() builds: goal, weights, planner config,
-navigation field and the obstacles predicted at the step times
-(`world.HorizonSnapshot.tracks`, the same `predict_obstacle` values the
-scalar TTC reads). Clearance goes through `world._clearance_batch`. This
-module keeps only the batched rollout, TTC and cost arithmetic.
+navigation field and the obstacles predicted at the step times in one
+`world.HorizonSnapshot`. The (B, N+1) rollout arrays go straight into the
+snapshot's clearance and the field's lookup, and the TTC queries read the
+snapshot's `tracks`. This module keeps only the batched rollout, TTC and
+cost arithmetic.
 
-Results agree with the scalar path to floating-point noise (the march-based
-static TTC may differ within its one-cell quantization, and the scalar
-clearance reads the snapshot's `np.interp` centers). The scalar path remains
-the reference semantics: refinement scores through the kernel itself, so
-refined costs are bit-identical to evaluate_candidate totals.
+Results agree with the scalar path to floating-point noise (numpy's
+transcendental functions may round differently from `math`'s, and the
+march-based static TTC may differ within its one-cell quantization). The
+scalar path remains the reference semantics: refinement scores through the
+kernel itself, so refined costs are bit-identical to evaluate_candidate
+totals.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .cost import _P_C_SKIP, DS_MPEPC, CostKernel
 from .geometry import KAPPA_MAX, R_EPSILON, R_SLOWDOWN
 from .kinematics import OMEGA_STRAIGHT, PlannerConfig, RobotState, TrajectoryParam
-from .world import _SPEED_EPS, TTC_HORIZON, World, _clearance_batch
+from .world import _SPEED_EPS, TTC_HORIZON, World
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -203,12 +205,8 @@ def evaluate_batch(
     h = cfg.step_h
     xs, ys, hs, vs, ws = _rollout_batch(arr, current, cfg)
 
-    flat = (b, n + 1)
-    d = _clearance_batch(
-        world, xs.reshape(-1), ys.reshape(-1),
-        [(r, np.tile(px, b), np.tile(py, b)) for r, px, py, _, _ in tracks],
-    ).reshape(flat)
-    nf = kernel.nav.distance_batch(xs.reshape(-1), ys.reshape(-1)).reshape(flat)
+    d = kernel.snapshot.clearance(xs, ys)
+    nf = kernel.nav.distance_batch(xs, ys)
 
     left = d[:, :-1] <= d[:, 1:]
     d_seg = np.where(left, d[:, :-1], d[:, 1:])

@@ -21,7 +21,6 @@ from .world import (
     HorizonSnapshot,
     NavigationField,
     World,
-    _time_to_collision_among,
     _ttc_assuming_clear,
     # unused here; bench/tracing.py wraps this name on the cost module
     distance_to_nearest_batch,  # noqa: F401
@@ -60,19 +59,18 @@ class CostParams:
     v_epsilon: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.sigma_d <= 0:
-            raise ValueError("sigma_d must be positive")
+        # written so that NaN fails every check
+        for name in ("sigma_d", "sigma_inv_ttc", "sigma_inv_ttg", "goal_tolerance",
+                     "v_epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.a < 1.0:
             raise ValueError("a must be in [0, 1)")
-        if self.sigma_inv_ttc <= 0 or self.sigma_inv_ttg <= 0:
-            raise ValueError("sigma_inv_ttc and sigma_inv_ttg must be positive")
         for name in ("w_progress", "w_action_v", "w_action_w", "c_collision"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.mode not in (BASELINE_MPEPC, DS_MPEPC):
             raise ValueError(f"unknown cost mode {self.mode!r}")
-        if self.goal_tolerance <= 0 or self.v_epsilon <= 0:
-            raise ValueError("goal_tolerance and v_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,9 +241,11 @@ class CostKernel:
     navigation field, the obstacles predicted at the step times `ts`
     (`snapshot`), the weights and the planner config. `score` then evaluates
     one rollout given as plain float lists (`kinematics.rollout_floats`)
-    without building any per-state or per-segment object. `plan()` builds one
-    kernel per problem: its vectorized sweep (`_batch.evaluate_batch`) reads
-    the kernel's goal, weights, field and snapshot, and its refinement scores
+    without building any per-state or per-segment object. Its clearances
+    come from `snapshot.clearance` alone; the contact test of every TTC
+    query, the terminal one included, reads them. `plan()` builds one kernel
+    per problem: its vectorized sweep (`_batch.evaluate_batch`) reads the
+    kernel's goal, weights, field and snapshot, and its refinement scores
     through `score`. `trajectory_cost` wraps `score` too, so there is one
     scalar cost implementation and the totals of both are bit-identical.
     """
@@ -330,7 +330,7 @@ class CostKernel:
             x, y, heading = xs[n], ys[n], hs[n]
             ttg = _time_to_goal(x, y, heading, vs[n], self.goal, params)
             v_limit = self.cfg.v_limit
-            ttc_n = _time_to_collision_among(
+            ttc_n = 0.0 if point_d[n] <= 0.0 else _ttc_assuming_clear(
                 world, x, y, v_limit * cos(heading), v_limit * sin(heading), obstacles[n],
             )
             c_ttg, c_ttc, j_term = terminal_bonus(p_s, ttg, ttc_n, params)

@@ -71,12 +71,12 @@ class ControlGains:
     curvature_lambda: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be strictly positive")
-        if self.curvature_beta < 0:
-            raise ValueError("curvature_beta must be >= 0")
-        if self.curvature_lambda < 1:
-            raise ValueError("curvature_lambda must be >= 1")
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError("k1 and k2 must be positive and finite")
+        if not 0 <= self.curvature_beta < math.inf:
+            raise ValueError("curvature_beta must be finite and >= 0")
+        if not 1 <= self.curvature_lambda < math.inf:
+            raise ValueError("curvature_lambda must be finite and >= 1")
 
 
 def egocentric_coords(robot: Pose, target: Pose) -> EgocentricCoords:

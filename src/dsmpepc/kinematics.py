@@ -70,8 +70,10 @@ class PlannerConfig:
     gains: ControlGains = field(default_factory=ControlGains)
 
     def __post_init__(self) -> None:
-        if self.horizon_T <= 0 or self.step_h <= 0:
-            raise ValueError("horizon_T and step_h must be positive")
+        for name in ("horizon_T", "step_h", "v_limit", "omega_limit", "accel_limit",
+                     "alpha_limit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         n = self.horizon_T / self.step_h
         if abs(n - round(n)) > 1e-9:
             raise ValueError("horizon_T must be an integer multiple of step_h")

@@ -10,6 +10,7 @@ obstacles and infinity sentinels, so nothing here assumes smoothness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class OptimizerConfig:
     bounds: Bounds | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_global_samples", "n_refine_seeds", "refine_max_evals", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_global_samples < 1:
             raise ValueError("n_global_samples must be >= 1")
         if not 0 <= self.n_refine_seeds <= self.n_global_samples:
@@ -71,8 +76,9 @@ class OptimizerConfig:
                 f"the size of the initial simplex; got {self.refine_max_evals}"
             )
         if self.bounds is not None:
-            if len(self.bounds) != 4 or any(lo > hi for lo, hi in self.bounds):
-                raise ValueError("bounds must be four well-ordered (lo, hi) pairs")
+            if len(self.bounds) != 4 or not all(
+                    -math.inf < lo <= hi < math.inf for lo, hi in self.bounds):
+                raise ValueError("bounds must be four finite, well-ordered (lo, hi) pairs")
 
     def resolved_bounds(self, planner_cfg: PlannerConfig) -> Bounds:
         if self.bounds is not None:
@@ -121,7 +127,8 @@ def _canonical(x, bounds: Bounds) -> TrajectoryParam:
     return TrajectoryParam(r, theta, delta, v)
 
 
-def _order_key(param: TrajectoryParam, cost: float):
+def _order_key(entry: tuple[TrajectoryParam, float]):
+    param, cost = entry
     return (cost, param.r, param.theta, param.delta, param.v_max)
 
 
@@ -153,15 +160,6 @@ def plan(
     kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
                         step_times(current.t, planner_cfg), nav)
 
-    evaluated: list[tuple[TrajectoryParam, float]] = []
-    best: dict = {"key": None, "param": None, "cost": None}
-
-    def note(z: TrajectoryParam, cost: float) -> None:
-        evaluated.append((z, cost))
-        key = _order_key(z, cost)
-        if best["key"] is None or key < best["key"]:
-            best.update(key=key, param=z, cost=cost)
-
     seeds_pool: list[TrajectoryParam] = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)]
     if warm_start is not None:
         seeds_pool.append(_canonical(warm_start.as_tuple(), bounds))
@@ -178,24 +176,12 @@ def plan(
         for row in lo + unit * (hi - lo):
             seeds_pool.append(TrajectoryParam(*(float(v) for v in row)))
 
-    candidates: list[TrajectoryParam] = []
-    seen: set[tuple[float, float, float, float]] = set()
-    for z in seeds_pool:
-        if z.as_tuple() in seen:
-            continue
-        seen.add(z.as_tuple())
-        candidates.append(z)
+    candidates = list(dict.fromkeys(seeds_pool))
     costs = evaluate_batch(candidates, current, kernel)
-    global_results: list[tuple[TrajectoryParam, float]] = []
-    for z, cost in zip(candidates, costs):
-        cost = float(cost)
-        note(z, cost)
-        global_results.append((z, cost))
+    evaluated = [(z, float(cost)) for z, cost in zip(candidates, costs)]
 
-    global_results.sort(key=lambda pc: _order_key(pc[0], pc[1]))
-    n_refine = min(opt_cfg.n_refine_seeds, len(global_results))
-    if opt_cfg.refine_max_evals > 0 and n_refine > 0:
-        for seed_param, _ in global_results[:n_refine]:
+    if opt_cfg.refine_max_evals > 0:
+        for seed_param, _ in sorted(evaluated, key=_order_key)[:opt_cfg.n_refine_seeds]:
             budget = opt_cfg.refine_max_evals
 
             def objective(x) -> float:
@@ -206,7 +192,7 @@ def plan(
                 z = _canonical(x, bounds)
                 _, xs, ys, hs, vs, ws = rollout_floats(current, z, planner_cfg)
                 cost, _ = kernel.score(xs, ys, hs, vs, ws)
-                note(z, cost)
+                evaluated.append((z, cost))
                 return cost
 
             x0 = np.array(seed_param.as_tuple())
@@ -230,9 +216,10 @@ def plan(
             except _BudgetExhausted:
                 pass
 
+    best_param, best_cost = min(evaluated, key=_order_key)
     return PlanResult(
-        best_param=best["param"],
-        best_cost=best["cost"],
-        best_trajectory=rollout(current, best["param"], planner_cfg),
+        best_param=best_param,
+        best_cost=best_cost,
+        best_trajectory=rollout(current, best_param, planner_cfg),
         evaluated=tuple(evaluated),
     )

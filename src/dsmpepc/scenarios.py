@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -128,45 +129,68 @@ def _optimizer_to_dict(o: OptimizerConfig) -> dict:
     return out
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override, path: str) -> dict:
+    """`override`, the object at `path`, merged over `base`, recursively."""
     out = dict(base)
-    for key, value in override.items():
+    for key, value in _object(override, path).items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+            out[key] = _merge(out[key], value, f"{path}.{key}")
         else:
             out[key] = value
     return out
 
 
-def _build(path: str, builder, payload: dict):
+def _build(path: str, builder, /, *args, **payload):
+    """builder(*args, **payload), with a failure reported as a ScenarioError
+    naming the document path; also coerces single fields (`_build(path,
+    float, value)`)."""
     try:
-        return builder(**payload)
-    except (TypeError, ValueError) as exc:
+        return builder(*args, **payload)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{path}: expected a list")
+    return list(value)
+
+
+def _numbers(value, n: int, path: str) -> tuple[float, ...]:
+    """A list of exactly n numbers, coerced to floats."""
+    value = _list(value, path)
+    if len(value) != n:
+        raise ScenarioError(f"{path}: expected {n} numbers, got {len(value)}")
+    return tuple(_build(f"{path}[{k}]", float, v) for k, v in enumerate(value))
 
 
 def _planner_from_dict(d: dict, path: str) -> PlannerConfig:
     d = dict(d)
-    gains = _build(f"{path}.gains", ControlGains, d.pop("gains", {}))
-    cfg = _build(path, PlannerConfig, d)
-    return PlannerConfig(
-        horizon_T=cfg.horizon_T, step_h=cfg.step_h, v_limit=cfg.v_limit,
-        omega_limit=cfg.omega_limit, accel_limit=cfg.accel_limit,
-        alpha_limit=cfg.alpha_limit, gains=gains,
-    )
+    gains = _build(f"{path}.gains", ControlGains,
+                   **_object(d.pop("gains", {}), f"{path}.gains"))
+    return _build(path, PlannerConfig, gains=gains, **d)
 
 
 def _optimizer_from_dict(d: dict, path: str) -> OptimizerConfig:
     d = dict(d)
-    if "bounds" in d and d["bounds"] is not None:
-        d["bounds"] = tuple(tuple(b) for b in d["bounds"])
-    return _build(path, OptimizerConfig, d)
+    if d.get("bounds") is not None:
+        d["bounds"] = tuple(_numbers(b, 2, f"{path}.bounds[{k}]")
+                            for k, b in enumerate(_list(d["bounds"], f"{path}.bounds")))
+    return _build(path, OptimizerConfig, **d)
 
 
 def _pose(value, path: str) -> Pose:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{path}: expected [x, y, heading]")
-    return Pose(float(value[0]), float(value[1]), float(value[2])).wrapped()
+    """[x, y, heading]; x and y outside the map are rejected by validate()."""
+    x, y, heading = _numbers(value, 3, path)
+    if not math.isfinite(heading):
+        raise ScenarioError(f"{path}: heading must be finite")
+    return Pose(x, y, heading).wrapped()
 
 
 def load(source) -> ScenarioConfig:
@@ -194,26 +218,26 @@ def load(source) -> ScenarioConfig:
     map_block = doc.get("map")
     if not isinstance(map_block, dict) or "rows" not in map_block:
         raise ScenarioError("map: expected an object with 'rows' and 'resolution'")
-    try:
-        grid = OccupancyGrid.from_ascii(
-            list(map_block["rows"]),
-            float(map_block.get("resolution", 0.0)),
-            tuple(map_block.get("origin", (0.0, 0.0))),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"map: {exc}") from exc
+    rows = _list(map_block["rows"], "map.rows")
+    if not all(isinstance(r, str) for r in rows):
+        raise ScenarioError("map.rows: expected a list of strings")
+    grid = _build(
+        "map", OccupancyGrid.from_ascii, rows,
+        _build("map.resolution", float, map_block.get("resolution", 0.0)),
+        _numbers(map_block.get("origin", (0.0, 0.0)), 2, "map.origin"),
+    )
 
-    duration = float(doc.get("duration", 60.0))
-    if duration <= 0:
-        raise ScenarioError("duration: must be positive")
-    seed = int(doc.get("seed", 0))
+    duration = _build("duration", float, doc.get("duration", 60.0))
+    if not 0 < duration < math.inf:
+        raise ScenarioError("duration: must be positive and finite")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ScenarioError("seed: must be an integer")
 
-    defaults = doc.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ScenarioError("defaults: expected an object")
-    default_planner = defaults.get("planner", {})
-    default_cost = defaults.get("cost", {})
-    default_optimizer = defaults.get("optimizer", {})
+    defaults = _object(doc.get("defaults", {}), "defaults")
+    default_planner = _object(defaults.get("planner", {}), "defaults.planner")
+    default_cost = _object(defaults.get("cost", {}), "defaults.cost")
+    default_optimizer = _object(defaults.get("optimizer", {}), "defaults.optimizer")
 
     agents_block = doc.get("agents", [])
     if not isinstance(agents_block, list) or not agents_block:
@@ -221,47 +245,51 @@ def load(source) -> ScenarioConfig:
     agents = []
     for i, entry in enumerate(agents_block):
         path = f"agents[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: expected an object")
+        entry = _object(entry, path)
         if "id" not in entry or "start" not in entry or "goal" not in entry:
             raise ScenarioError(f"{path}: 'id', 'start' and 'goal' are required")
         agent_id = str(entry["id"])
-        cost_dict = _merge(default_cost, entry.get("cost", {}))
+        cost_dict = _merge(default_cost, entry.get("cost", {}), f"{path}.cost")
         if "mode" in entry:
             cost_dict["mode"] = entry["mode"]
-        spec = AgentSpec(
+        spec = _build(
+            path, AgentSpec,
             id=agent_id,
             start=_pose(entry["start"], f"{path}.start"),
             goal=_pose(entry["goal"], f"{path}.goal"),
-            radius=float(entry.get("radius", 0.35)),
+            radius=_build(f"{path}.radius", float, entry.get("radius", 0.35)),
             planner=_planner_from_dict(
-                _merge(default_planner, entry.get("planner", {})), f"{path}.planner"
+                _merge(default_planner, entry.get("planner", {}), f"{path}.planner"),
+                f"{path}.planner",
             ),
-            cost=_build(f"{path}.cost", CostParams, cost_dict),
+            cost=_build(f"{path}.cost", CostParams, **cost_dict),
             optimizer=_optimizer_from_dict(
-                _merge(default_optimizer, entry.get("optimizer", {})), f"{path}.optimizer"
+                _merge(default_optimizer, entry.get("optimizer", {}), f"{path}.optimizer"),
+                f"{path}.optimizer",
             ),
         )
         agents.append(spec)
 
     obstacles = []
-    for i, entry in enumerate(doc.get("scripted_obstacles", [])):
+    for i, entry in enumerate(_list(doc.get("scripted_obstacles", []), "scripted_obstacles")):
         path = f"scripted_obstacles[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: expected an object")
+        entry = _object(entry, path)
         payload = {
             "id": str(entry.get("id", f"obstacle_{i}")),
-            "radius": float(entry.get("radius", 0.3)),
+            "radius": _build(f"{path}.radius", float, entry.get("radius", 0.3)),
         }
         if "waypoints" in entry:
+            waypoints = _list(entry["waypoints"], f"{path}.waypoints")
             payload["waypoints"] = tuple(
-                (float(w[0]), float(w[1]), float(w[2])) for w in entry["waypoints"]
+                _numbers(w, 3, f"{path}.waypoints[{k}]") for k, w in enumerate(waypoints)
             )
         else:
-            payload["position"] = tuple(map(float, entry.get("position", (0.0, 0.0))))
-            payload["velocity"] = tuple(map(float, entry.get("velocity", (0.0, 0.0))))
-            payload["epoch"] = float(entry.get("epoch", 0.0))
-        obstacles.append(_build(path, DynamicObstacle, payload))
+            payload["position"] = _numbers(entry.get("position", (0.0, 0.0)), 2,
+                                           f"{path}.position")
+            payload["velocity"] = _numbers(entry.get("velocity", (0.0, 0.0)), 2,
+                                           f"{path}.velocity")
+            payload["epoch"] = _build(f"{path}.epoch", float, entry.get("epoch", 0.0))
+        obstacles.append(_build(path, DynamicObstacle, **payload))
 
     config = ScenarioConfig(
         name=str(doc.get("name", "scenario")),

@@ -56,8 +56,8 @@ class AgentSpec:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"agent {self.id!r}: radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"agent {self.id!r}: radius must be positive and finite")
 
     @property
     def mode(self) -> str:

@@ -40,11 +40,13 @@ class OccupancyGrid:
         occupied = np.asarray(occupied, dtype=bool)
         if occupied.ndim != 2 or occupied.size == 0:
             raise ValueError("grid must be a non-empty 2D array")
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
         self.occupied = occupied
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError("origin must be finite")
         self.height, self.width = occupied.shape
         self._extent = (
             self.origin[0], self.origin[1],
@@ -60,6 +62,12 @@ class OccupancyGrid:
         # Nested-list mirror of the field: scalar sampling is several times
         # faster on plain Python floats than through numpy indexing.
         self._df_rows: list[list[float]] = self.distance_field.tolist()
+        # Per axis, the 2x2 bilinear stencil of both samplers: (last cell
+        # index, lowest index of the last stencil, offset of the upper
+        # neighbour). A one-cell axis uses its one cell twice; clamping then
+        # leaves the fraction at exactly 0.
+        self._stencil_x = _axis_stencil(self.width)
+        self._stencil_y = _axis_stencil(self.height)
 
     @classmethod
     def from_ascii(
@@ -100,13 +108,17 @@ class OccupancyGrid:
         return (min(self.width - 1, max(0, ix)), min(self.height - 1, max(0, iy)))
 
     def sample_distance(self, x: float, y: float) -> float:
-        """Bilinear sample of the distance field (meters); clamps outside points."""
+        """Bilinear sample of the distance field (meters); clamps outside points.
+
+        The same arithmetic as `sample_distance_batch`, so the two agree
+        exactly."""
         if not self.has_occupied:
             return math.inf
+        rows = self._df_rows
+        w1, ix_last, dx1 = self._stencil_x
+        h1, iy_last, dy1 = self._stencil_y
         gx = (x - self.origin[0]) / self.resolution - 0.5
         gy = (y - self.origin[1]) / self.resolution - 0.5
-        w1 = self.width - 1
-        h1 = self.height - 1
         if gx < 0.0:
             gx = 0.0
         elif gx > w1:
@@ -117,26 +129,18 @@ class OccupancyGrid:
             gy = float(h1)
         ix = int(gx)
         if ix >= w1:
-            ix = w1 - 1 if w1 > 0 else 0
+            ix = ix_last
         iy = int(gy)
         if iy >= h1:
-            iy = h1 - 1 if h1 > 0 else 0
+            iy = iy_last
         fx = gx - ix
         fy = gy - iy
-        rows = self._df_rows
         row0 = rows[iy]
+        row1 = rows[iy + dy1]
         v00 = row0[ix]
-        v01 = row0[ix + 1] if w1 > 0 else v00
-        if h1 > 0:
-            row1 = rows[iy + 1]
-            v10 = row1[ix]
-            v11 = row1[ix + 1] if w1 > 0 else v10
-        else:
-            v10, v11 = v00, v01
-        if w1 <= 0:
-            fx = 0.0
-        if h1 <= 0:
-            fy = 0.0
+        v01 = row0[ix + dx1]
+        v10 = row1[ix]
+        v11 = row1[ix + dx1]
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
 
     def sample_distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -149,23 +153,26 @@ class OccupancyGrid:
     def sample_field_batch(self, values: np.ndarray, xs, ys) -> np.ndarray:
         """Bilinear sample of a per-cell field (shaped like the grid, values at
         cell centers) at arrays of points; clamps outside points."""
-        w1 = self.width - 1
-        h1 = self.height - 1
+        w1, ix_last, dx1 = self._stencil_x
+        h1, iy_last, dy1 = self._stencil_y
         gx = np.minimum(np.maximum(
             (np.asarray(xs, dtype=float) - self.origin[0]) / self.resolution - 0.5, 0.0), w1)
         gy = np.minimum(np.maximum(
             (np.asarray(ys, dtype=float) - self.origin[1]) / self.resolution - 0.5, 0.0), h1)
-        ix = np.minimum(gx.astype(int), max(0, w1 - 1))
-        iy = np.minimum(gy.astype(int), max(0, h1 - 1))
+        ix = np.minimum(gx.astype(int), ix_last)
+        iy = np.minimum(gy.astype(int), iy_last)
         fx = gx - ix
         fy = gy - iy
-        ix1 = np.minimum(ix + 1, w1)
-        iy1 = np.minimum(iy + 1, h1)
         v00 = values[iy, ix]
-        v01 = values[iy, ix1]
-        v10 = values[iy1, ix]
-        v11 = values[iy1, ix1]
+        v01 = values[iy, ix + dx1]
+        v10 = values[iy + dy1, ix]
+        v11 = values[iy + dy1, ix + dx1]
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
+
+
+def _axis_stencil(cells: int) -> tuple[int, int, int]:
+    last = cells - 1
+    return (last, last - 1, 1) if last > 0 else (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -186,14 +193,18 @@ class DynamicObstacle:
     waypoints: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"obstacle {self.id!r}: radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"obstacle {self.id!r}: radius must be positive and finite")
+        numbers = (*self.position, *self.velocity, self.epoch)
         if self.waypoints is not None:
             if len(self.waypoints) == 0:
                 raise ValueError(f"obstacle {self.id!r}: empty waypoint script")
             times = [w[0] for w in self.waypoints]
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError(f"obstacle {self.id!r}: waypoint times must strictly increase")
+            numbers += tuple(v for w in self.waypoints for v in w)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"obstacle {self.id!r}: motion model must be finite")
 
 
 def predict_obstacle(obstacle: DynamicObstacle, t: float) -> tuple[float, float]:
@@ -238,8 +249,8 @@ class World:
     robot_radius: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.robot_radius <= 0:
-            raise ValueError("robot_radius must be positive")
+        if not 0 < self.robot_radius < math.inf:
+            raise ValueError("robot_radius must be positive and finite")
 
 
 # Per obstacle at one time: (x, y, vx, vy, radius), from predict_obstacle and
@@ -272,57 +283,22 @@ def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> f
     return _clearance_among(world, point[0], point[1], obstacle_states(world, t))
 
 
-def _obstacle_centers(world: World, ts: np.ndarray) -> list:
-    """Per obstacle: (radius, xs, ys) of its centers at the times ts, in numpy."""
-    tracks = []
-    for obs in world.obstacles:
-        if obs.waypoints is None:
-            dt = ts - obs.epoch
-            ox = obs.position[0] + obs.velocity[0] * dt
-            oy = obs.position[1] + obs.velocity[1] * dt
-        else:
-            wt = np.array([w[0] for w in obs.waypoints])
-            ox = np.interp(ts, wt, np.array([w[1] for w in obs.waypoints]))
-            oy = np.interp(ts, wt, np.array([w[2] for w in obs.waypoints]))
-        tracks.append((obs.radius, ox, oy))
-    return tracks
-
-
-def _clearance_batch(world: World, xs: np.ndarray, ys: np.ndarray, tracks) -> np.ndarray:
-    d = world.grid.sample_distance_batch(xs, ys)
-    for radius, ox, oy in tracks:
-        d = np.minimum(d, np.hypot(xs - ox, ys - oy) - radius)
-    return np.maximum(0.0, d - world.robot_radius)
-
-
-def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
-                              ts: np.ndarray) -> np.ndarray:
-    """Vectorized `distance_to_nearest` over matched point/time arrays."""
-    return _clearance_batch(world, xs, ys, _obstacle_centers(world, ts))
-
-
 class HorizonSnapshot:
     """A world's obstacles predicted once at a fixed list of step times.
 
     Built once per planning problem (or per trajectory_cost call); the
     optimizer's sweep and its refinement share one, through one `CostKernel`,
-    so nothing re-predicts an obstacle. It holds two versions of the centers:
-
-    - `obstacles[k]` equals `obstacle_states(world, ts[k])`, the
-      `predict_obstacle`/`obstacle_velocity` values that scalar TTC queries
-      read. `tracks` holds the same values as numpy arrays, one
-      (radius, xs, ys, vxs, vys) tuple per obstacle over the times, for the
-      vectorized sweep.
-    - `clearance(xs, ys)` equals `distance_to_nearest_batch(world, xs, ys,
-      ts)`, whose waypoint centers come from `np.interp`. Those differ from
-      `predict_obstacle` by a few ulps at some times, and the scalar cost
-      reads this clearance, so keeping both sets keeps every cost
-      bit-identical to `distance_to_nearest_batch`-based scoring.
+    so nothing re-predicts an obstacle. `obstacles[k]` equals
+    `obstacle_states(world, ts[k])`, the `predict_obstacle`/`obstacle_velocity`
+    values that scalar TTC queries read; `tracks` holds the same values as
+    numpy arrays, one (radius, xs, ys, vxs, vys) tuple per obstacle over the
+    times. `clearance` reads `tracks`, so every planning-time clearance and
+    TTC sees the same obstacle centers.
     """
 
-    __slots__ = ("world", "obstacles", "tracks", "_centers")
+    __slots__ = ("world", "obstacles", "tracks")
 
-    def __init__(self, world: World, ts: list[float]):
+    def __init__(self, world: World, ts):
         self.world = world
         self.obstacles = [obstacle_states(world, t) for t in ts]
         states = np.array(self.obstacles, dtype=float).reshape(
@@ -330,10 +306,21 @@ class HorizonSnapshot:
         self.tracks = [
             (obs.radius, *states[:, k, :4].T) for k, obs in enumerate(world.obstacles)
         ]
-        self._centers = _obstacle_centers(world, np.array(ts, dtype=float))
 
     def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _clearance_batch(self.world, xs, ys, self._centers)
+        """Clearance d_o at points whose last axis runs over the step times;
+        any leading axes (a batch of rollouts) broadcast."""
+        world = self.world
+        d = world.grid.sample_distance_batch(xs, ys)
+        for radius, ox, oy, _, _ in self.tracks:
+            d = np.minimum(d, np.hypot(xs - ox, ys - oy) - radius)
+        return np.maximum(0.0, d - world.robot_radius)
+
+
+def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
+                              ts: np.ndarray) -> np.ndarray:
+    """Vectorized `distance_to_nearest` over matched point/time arrays."""
+    return HorizonSnapshot(world, ts).clearance(xs, ys)
 
 
 def _static_ray_arc(
@@ -372,13 +359,8 @@ def _static_ray_arc(
     res = grid.resolution
     min_step = 0.5 * res
     ox, oy = grid.origin
-    w1 = grid.width - 1
-    h1 = grid.height - 1
-    # Lowest index of the last 2x2 stencil and the offset of the upper
-    # neighbour per axis; a one-cell axis uses its one cell twice (clamping
-    # then leaves the fraction at exactly 0, as sample_distance sets it).
-    ix_last, dx1 = (w1 - 1, 1) if w1 > 0 else (0, 0)
-    iy_last, dy1 = (h1 - 1, 1) if h1 > 0 else (0, 0)
+    w1, ix_last, dx1 = grid._stencil_x
+    h1, iy_last, dy1 = grid._stencil_y
     rows = grid._df_rows
     while s <= s_end:
         gx = (x + ux * s - ox) / res - 0.5
@@ -448,15 +430,6 @@ def _ttc_assuming_clear(
     return best
 
 
-def _time_to_collision_among(
-    world: World, x: float, y: float, vx: float, vy: float, obstacles: ObstacleStates
-) -> float:
-    """time_to_collision body with the obstacles already predicted."""
-    if _clearance_among(world, x, y, obstacles) <= 0.0:
-        return 0.0
-    return _ttc_assuming_clear(world, x, y, vx, vy, obstacles)
-
-
 def time_to_collision(
     world: World, position: tuple[float, float], velocity: tuple[float, float], t0: float
 ) -> float:
@@ -466,10 +439,11 @@ def time_to_collision(
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
     the relative-motion quadratic; the static grid is ray-marched.
     """
-    return _time_to_collision_among(
-        world, position[0], position[1], velocity[0], velocity[1],
-        obstacle_states(world, t0),
-    )
+    x, y = position
+    obstacles = obstacle_states(world, t0)
+    if _clearance_among(world, x, y, obstacles) <= 0.0:
+        return 0.0
+    return _ttc_assuming_clear(world, x, y, velocity[0], velocity[1], obstacles)
 
 
 _DIJKSTRA_MOVES = (

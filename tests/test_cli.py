@@ -73,6 +73,14 @@ def test_run_malformed_json_exits_2(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_malformed_field_exits_2(tmp_path, capsys):
+    doc = dict(SMALL_FIELD, duration="abc")
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "duration" in capsys.readouterr().err
+
+
 def test_run_nonreached_exits_1(tmp_path):
     doc = dict(SMALL_FIELD)
     doc["duration"] = 2.0  # timeout before reaching

@@ -144,6 +144,28 @@ def test_terminal_ttc_cases():
     assert terminal_ttc(contact, wall_world, 0.0, v_limit=1.0) == 0.0
 
 
+def test_trajectory_terminal_ttc_matches_terminal_ttc():
+    # the wall's cell centers sit at x >= 10.5
+    grid = OccupancyGrid.from_ascii(["." * 52 + "#" * 2] * 40, 0.2)
+    world = World(grid=grid, robot_radius=0.35,
+                  obstacles=(DynamicObstacle(id="o", radius=0.4, position=(6.0, 6.5),
+                                             velocity=(0.1, -0.3)),))
+    goal = Pose(9.0, 4.0, 0.0)
+    ends = {}
+    for name, pose, z in (
+        ("contact", Pose(9.2, 4.0, 0.0), TrajectoryParam(3.0, 0.0, 0.0, 1.0)),
+        ("clear", Pose(3.0, 3.0, 0.4), TrajectoryParam(3.0, 0.2, 0.3, 0.6)),
+    ):
+        start = RobotState(pose=pose, v=0.4)
+        traj = rollout(start, z, CFG)
+        last = traj.states[-1]
+        expected = terminal_ttc(last, world, last.t, CFG.v_limit)
+        assert trajectory_cost(traj, goal, world, PARAMS, CFG).terminal.ttc_terminal == expected
+        ends[name] = expected
+    assert ends["contact"] == 0.0
+    assert 0.0 < ends["clear"] < math.inf
+
+
 def test_terminal_bonus_exact_points():
     c_ttg, c_ttc, j = terminal_bonus(1.0, math.inf, math.inf, PARAMS)
     assert (c_ttg, c_ttc, j) == (1.0, 1.0, -1.0)

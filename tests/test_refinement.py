@@ -3,6 +3,12 @@
 The golden digests were recorded from the planner whose refinement scored
 every candidate through `evaluate_candidate` (rollout + trajectory_cost);
 any change to the numbers that plan() or run() produce changes a digest.
+
+numpy's float64 exp, arctan2 and arctan round some last bits differently on
+its AVX-512 (X86_V4) and AVX2 code paths, so the plan digests come in two
+exact tables, one per dispatch level, selected from the running numpy. Both
+were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64; the AVX2 table by
+running with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 """
 
 import hashlib
@@ -11,6 +17,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from dsmpepc import builtin, run
 from dsmpepc.cost import BASELINE_MPEPC, CostParams
@@ -108,7 +119,7 @@ def sim_digest(result) -> str:
     ))
 
 
-PLAN_DIGESTS = {
+PLAN_DIGESTS_AVX512 = {
     "ds_walled_mixed":
         "055296978a7c25aaea57722ed173eb454ff5c5a2f3497e767f295ece41d58e0a",
     "baseline_walled_mixed":
@@ -122,6 +133,23 @@ PLAN_DIGESTS = {
     "ds_warm_start":
         "aed0ba00b8416b7264d64a90cafc11aa1801f469ce5ab710efc985d8907cba7a",
 }
+PLAN_DIGESTS_AVX2 = {
+    "ds_walled_mixed":
+        "b7279a260da24f9ff225bc151d5a5382d849a65757b8bb7f7cb1fb2bee9fe371",
+    "baseline_walled_mixed":
+        "d7721532e55121f8a13707ad39952b8136c3b4c961b933c93aacfcf840c82227",
+    "ds_no_terminal":
+        "998341981dc0c5f8348b5db4093560c42d1341089175da85ec6a248cb3c70646",
+    "ds_empty_cv":
+        "3fe58c7c5b21e1b109c22713d10a8aca8e94fba1a9ea979d87c64753d61e8ea9",
+    "ds_in_contact":
+        "f7e4003eb0699b3eb485e7f13ce5326cd735c457d813c326e835aa1c80de7970",
+    "ds_warm_start":
+        "f3ac53bdb6a7043dc7e7fcc14b6af48ff744675484033087b2832471e3935329",
+}
+# numpy before 2.4 has no X86_V4 target; its AVX-512 baseline is AVX512_SKX
+_AVX512 = __cpu_features__.get("X86_V4", __cpu_features__.get("AVX512_SKX"))
+PLAN_DIGESTS = PLAN_DIGESTS_AVX512 if _AVX512 else PLAN_DIGESTS_AVX2
 RUN_DIGEST = "e0c34edae0078a1b7aabe3028d0c9e4e04187a91fd4354a6fe2a68152544eb18"
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -110,6 +111,52 @@ def test_script_times_within_duration():
     ]
     with pytest.raises(ScenarioError, match="script times"):
         load(doc)
+
+
+_PED = {"id": "ped", "radius": 0.3, "position": [5.0, 8.0], "velocity": [0.1, 0.0]}
+
+# (path into the document, value); a path that ends in a new key adds it
+MALFORMED = [
+    (("duration",), "abc"),
+    (("duration",), math.nan),
+    (("duration",), math.inf),
+    (("seed",), "x"),
+    (("seed",), 1.5),
+    (("seed",), True),
+    (("agents", 0, "radius"), "big"),
+    (("agents", 0, "radius"), math.nan),
+    (("agents", 0, "start"), [2.0, 5.0]),
+    (("agents", 0, "goal"), [8.0, 5.0, math.nan]),
+    (("map", "resolution"), None),
+    (("map", "resolution"), math.inf),
+    (("map", "origin"), [1.0]),
+    (("defaults",), {"cost": [1, 2]}),
+    (("defaults",), {"cost": {"path": 1}}),
+    (("defaults",), {"cost": {"sigma_d": math.nan}}),
+    (("defaults",), {"cost": {"w_progress": math.nan}}),
+    (("defaults",), {"planner": {"v_limit": math.nan}}),
+    (("defaults",), {"planner": {"v_limit": -1}}),
+    (("defaults",), {"optimizer": {"bounds": [[0, 1], [0, 1], [0, 1], [0, math.inf]]}}),
+    (("defaults",), {"optimizer": {"n_global_samples": 50.5}}),
+    (("defaults",), {"optimizer": {"seed": True}}),
+    (("agents", 0, "planner"), "fast"),
+    (("scripted_obstacles",), 5),
+    (("scripted_obstacles",), [{"id": "ped", "waypoints": [[0.0, 1.0, 1.0], [2.0, 3.0]]}]),
+    (("scripted_obstacles",), [dict(_PED, radius=math.nan)]),
+    (("scripted_obstacles",), [dict(_PED, velocity=[math.nan, 0.0])]),
+]
+
+
+@pytest.mark.parametrize("path,value", MALFORMED, ids=lambda v: repr(v))
+def test_malformed_field_is_a_scenario_error(path, value):
+    doc = copy.deepcopy(MINIMAL)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    # JSON text carries NaN and Infinity as the literals json.loads accepts
+    with pytest.raises(ScenarioError):
+        load(json.dumps(doc))
 
 
 def test_round_trip_serialization():

@@ -238,10 +238,17 @@ def test_horizon_snapshot_matches_per_time_queries():
     ts = [0.3 + 0.2 * i for i in range(26)]
     xs = rng.uniform(0, 6, size=26)
     ys = rng.uniform(0, 6, size=26)
+    stack_x = rng.uniform(0, 6, size=(3, 26))
+    stack_y = rng.uniform(0, 6, size=(3, 26))
     for w in (world, replace(world, obstacles=())):
         snapshot = HorizonSnapshot(w, ts)
-        assert (snapshot.clearance(xs, ys).tolist()
-                == distance_to_nearest_batch(w, xs, ys, np.array(ts)).tolist())
+        # a batch of rollouts broadcasts over the leading axis, row for row
+        stacked = snapshot.clearance(stack_x, stack_y)
+        assert stacked.shape == (3, 26)
+        for row_x, row_y, row in zip(stack_x, stack_y, stacked):
+            assert snapshot.clearance(row_x, row_y).tolist() == row.tolist()
+        for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys)):
+            assert d == pytest.approx(distance_to_nearest(w, (x, y), t), abs=1e-12)
         assert len(snapshot.tracks) == len(w.obstacles)
         for t, states in zip(ts, snapshot.obstacles):
             assert states == obstacle_states(w, t)
@@ -443,12 +450,15 @@ def test_navigation_goal_in_wall_rejected():
 
 
 def test_navigation_field_batch_matches_scalar():
-    rows = ["......", "..##..", "..##..", "......"]
-    grid = OccupancyGrid.from_ascii(rows, 0.5)
-    nav = NavigationField(grid, (0.5, 0.5))
     rng = np.random.default_rng(1)
-    xs = rng.uniform(0, 3, size=100)
-    ys = rng.uniform(0, 2, size=100)
-    batch = nav.distance_batch(xs, ys)
-    for x, y, b in zip(xs, ys, batch):
-        assert nav.distance(x, y) == pytest.approx(b, abs=1e-12)
+    # a 1-tall and a 1-wide grid sample their one cell row or column twice
+    for rows in (["......", "..##..", "..##..", "......"], ["#....."], ["#", ".", ".", "."]):
+        grid = OccupancyGrid.from_ascii(rows, 0.5)
+        xmin, ymin, xmax, ymax = grid.extent
+        nav = NavigationField(grid, (xmax - 0.25, ymin + 0.25))
+        # includes points outside the grid, which clamp to its border
+        xs = rng.uniform(xmin - 0.5, xmax + 0.5, size=100)
+        ys = rng.uniform(ymin - 0.5, ymax + 0.5, size=100)
+        batch = nav.distance_batch(xs, ys)
+        for x, y, b in zip(xs, ys, batch):
+            assert nav.distance(x, y) == b
