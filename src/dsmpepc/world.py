@@ -8,12 +8,13 @@ during one planning cycle; all queries are read-only.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 # Time-to-collision values beyond this horizon are reported as +inf; the
 # anticipatory cost factor is within 1e-6 of its asymptote there.
@@ -82,10 +83,12 @@ class OccupancyGrid:
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise ValueError("map rows must be non-empty and of equal length")
-        bad = sorted({c for r in rows for c in r} - {"#", "."})
+        bad = sorted(set("".join(rows)) - {"#", "."})
         if bad:
             raise ValueError(f"map rows may only contain '#' and '.', got {bad}")
-        occupied = np.array([[c == "#" for c in row] for row in reversed(rows)])
+        # Only '#' and '.' are left, so the text encodes to one byte per cell.
+        text = "".join(reversed(rows)).encode("ascii")
+        occupied = np.frombuffer(text, np.uint8).reshape(len(rows), width) == ord("#")
         return cls(occupied, resolution, origin)
 
     def to_ascii(self) -> list[str]:
@@ -474,23 +477,27 @@ class NavigationField:
         gx, gy = grid.cell_of(*self.goal)
         if grid.occupied[gy, gx]:
             raise ValueError("navigation goal lies in an occupied cell")
-        dist = np.full(grid.occupied.shape, math.inf)
-        dist[gy, gx] = 0.0
-        heap = [(0.0, gx, gy)]
-        occ = grid.occupied
         w, h = grid.width, grid.height
-        while heap:
-            d, cx, cy = heapq.heappop(heap)
-            if d > dist[cy, cx]:
-                continue
-            for mx, my, cost in _DIJKSTRA_MOVES:
-                nx, ny = cx + mx, cy + my
-                if nx < 0 or ny < 0 or nx >= w or ny >= h or occ[ny, nx]:
-                    continue
-                nd = d + cost * res
-                if nd < dist[ny, nx]:
-                    dist[ny, nx] = nd
-                    heapq.heappush(heap, (nd, nx, ny))
+        # Graph of the free cells of the grid padded with a one-cell occupied
+        # border: every move is then a flat-index offset that stays inside the
+        # padded array. Node k is padded cell (k // stride, k % stride); row k
+        # of the CSR matrix lists the moves out of it, so only free cells have
+        # edges. Each edge weighs cost * res and a path's length is the running
+        # float sum of its steps, so the field is independent of visit order.
+        stride = w + 2
+        free = np.pad(~grid.occupied, 1).ravel()
+        cells = np.flatnonzero(free)
+        targets = cells[:, None] + np.array([my * stride + mx for mx, my, _ in _DIJKSTRA_MOVES])
+        edges = free[targets]
+        weights = np.array([cost * res for _, _, cost in _DIJKSTRA_MOVES])
+        indptr = np.zeros(free.size + 1, dtype=np.int64)
+        indptr[cells + 1] = edges.sum(axis=1)
+        graph = csr_matrix(
+            (np.broadcast_to(weights, edges.shape)[edges], targets[edges], np.cumsum(indptr)),
+            shape=(free.size, free.size),
+        )
+        dist = dijkstra(graph, indices=(gy + 1) * stride + gx + 1)
+        dist = dist.reshape(h + 2, stride)[1:-1, 1:-1]
         finite = dist[np.isfinite(dist)]
         ceiling = (finite.max() if finite.size else 0.0) + math.hypot(
             w * res, h * res

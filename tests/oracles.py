@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's query structures: brute-force loops,
-fine-step forward simulation, and a fine-step closed-loop integrator. They
-are slow and simple on purpose.
+fine-step forward simulation, a fine-step closed-loop integrator, and a
+heap-driven Dijkstra. They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -31,6 +32,36 @@ def brute_force_distance_field(occupied: np.ndarray, resolution: float) -> np.nd
     gy, gx = np.mgrid[0:h, 0:w]
     d2 = (gy[..., None] - ys) ** 2 + (gx[..., None] - xs) ** 2
     return np.sqrt(d2.min(axis=-1)) * resolution
+
+
+def reference_navigation_field(grid, goal) -> np.ndarray:
+    """Shortest 8-connected path length (meters) from the goal's cell to every
+    free cell, one heap entry at a time; unreachable and occupied cells get
+    the largest finite length plus the grid diagonal."""
+    res = grid.resolution
+    gx, gy = grid.cell_of(*goal)
+    occ = grid.occupied
+    h, w = occ.shape
+    moves = [(mx, my, math.hypot(mx, my)) for mx in (-1, 0, 1) for my in (-1, 0, 1)
+             if mx or my]
+    dist = np.full((h, w), math.inf)
+    dist[gy, gx] = 0.0
+    heap = [(0.0, gx, gy)]
+    while heap:
+        d, cx, cy = heapq.heappop(heap)
+        if d > dist[cy, cx]:
+            continue
+        for mx, my, cost in moves:
+            nx, ny = cx + mx, cy + my
+            if nx < 0 or ny < 0 or nx >= w or ny >= h or occ[ny, nx]:
+                continue
+            nd = d + cost * res
+            if nd < dist[ny, nx]:
+                dist[ny, nx] = nd
+                heapq.heappush(heap, (nd, nx, ny))
+    finite = dist[np.isfinite(dist)]
+    ceiling = (finite.max() if finite.size else 0.0) + math.hypot(w * res, h * res)
+    return np.where(np.isfinite(dist), dist, ceiling)
 
 
 def fine_step_first_contact(

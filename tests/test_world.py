@@ -21,7 +21,12 @@ from dsmpepc.world import (
     time_to_collision,
 )
 
-from oracles import brute_force_distance_field, fine_step_first_contact
+from dsmpepc.scenarios import builtin
+from oracles import (
+    brute_force_distance_field,
+    fine_step_first_contact,
+    reference_navigation_field,
+)
 
 
 def empty_grid(size_cells=40, resolution=0.25):
@@ -44,9 +49,22 @@ def test_from_ascii_validation():
     with pytest.raises(ValueError):
         OccupancyGrid.from_ascii(["##", "#"], 0.5)
     with pytest.raises(ValueError):
+        OccupancyGrid.from_ascii(["#.", "#.#"], 0.5)
+    with pytest.raises(ValueError, match="'x'"):
         OccupancyGrid.from_ascii(["#x"], 0.5)
+    # a non-ASCII character is named, not an encoding error
+    with pytest.raises(ValueError, match="'é'"):
+        OccupancyGrid.from_ascii(["#é"], 0.5)
     with pytest.raises(ValueError):
         OccupancyGrid.from_ascii(["##"], 0.0)
+
+
+def test_from_ascii_matches_per_character_parse():
+    rows = ["#..#.##", "...#...", "##.....", ".#.#.#.", "......#"]
+    grid = OccupancyGrid.from_ascii(rows, 0.5)
+    expected = np.array([[c == "#" for c in row] for row in reversed(rows)])
+    assert grid.occupied.dtype == bool
+    assert np.array_equal(grid.occupied, expected)
 
 
 def test_zero_area_grid_rejected():
@@ -462,3 +480,42 @@ def test_navigation_field_batch_matches_scalar():
         batch = nav.distance_batch(xs, ys)
         for x, y, b in zip(xs, ys, batch):
             assert nav.distance(x, y) == b
+
+
+def _free_cell_centers(grid, cells):
+    return [grid.cell_center(ix, iy) for ix, iy in cells if not grid.occupied[iy, ix]]
+
+
+def test_navigation_field_matches_reference_dijkstra():
+    cases = []
+    for name in ("narrow_corridor", "t_corridor", "pedestrian_hall"):
+        config = builtin(name)
+        cases += [(config.grid, (a.goal.x, a.goal.y)) for a in config.agents]
+    # the right-hand pocket is walled off: its cells get the ceiling
+    pocket = OccupancyGrid.from_ascii(
+        ["#########", "#....#..#", "#.##.#..#", "#....####", "#........"], 0.3, (1.0, -2.0))
+    cases.append((pocket, pocket.cell_center(1, 1)))
+    # free cells that touch only at a corner, between two occupied cells
+    corner = OccupancyGrid.from_ascii([".#.", "#.#", "..#"], 0.5)
+    cases += [(corner, corner.cell_center(0, 2)), (corner, corner.cell_center(2, 2))]
+    for rows in (["#", ".", ".", "#", "."], ["..#...#."]):
+        thin = OccupancyGrid.from_ascii(rows, 0.5)
+        cases += [(thin, c) for c in _free_cell_centers(
+            thin, np.ndindex(thin.width, thin.height))]
+    # goals on every border of an irregular map
+    rim = OccupancyGrid.from_ascii(["..#..", ".#...", "...#.", "#...."], 0.25, (-1.0, 2.0))
+    w, h = rim.width, rim.height
+    border = ({(ix, iy) for ix in range(w) for iy in (0, h - 1)}
+              | {(ix, iy) for ix in (0, w - 1) for iy in range(h)})
+    cases += [(rim, c) for c in _free_cell_centers(rim, sorted(border))]
+    for grid, goal in cases:
+        assert np.array_equal(
+            NavigationField(grid, goal)._values, reference_navigation_field(grid, goal))
+    # the corner cut is a move: one diagonal step joins the two free corners
+    nav = NavigationField(corner, corner.cell_center(0, 2))
+    assert nav._values[1, 1] == math.sqrt(2.0) * 0.5
+    assert nav._values[2, 2] == 2 * math.sqrt(2.0) * 0.5
+    # the pocket is unreachable and lies at the ceiling, above every reached cell
+    nav = NavigationField(pocket, pocket.cell_center(1, 1))
+    reached = nav._values[1:4, 1:5][~pocket.occupied[1:4, 1:5]]
+    assert nav._values[3, 6] == nav._values[0, 0] > reached.max()
