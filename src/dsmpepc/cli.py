@@ -17,9 +17,10 @@ import time
 from dataclasses import replace
 
 from . import scenarios as scen
-from .cost import BASELINE_MPEPC, DS_MPEPC, trajectory_cost
+from ._batch import evaluate_batch
+from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
 from .geometry import Pose
-from .kinematics import RobotState, rollout
+from .kinematics import RobotState, step_times, trajectory
 from .optimizer import plan
 from .simulator import SimResult, run
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
@@ -219,30 +220,31 @@ def cmd_compare(args) -> int:
 
 
 def _landscape_candidates(config, agent_spec, state, world, nav):
-    """Evaluate the planner's global candidate set at a frozen snapshot."""
-    params = replace(agent_spec.cost, mode=DS_MPEPC)
+    """Evaluate the planner's global candidate set at a frozen snapshot, under
+    the ds cost with its terminal term (whose TTG and TTC the ranks read)."""
+    params = replace(agent_spec.cost, mode=DS_MPEPC, include_terminal=True)
     opt = agent_spec.optimizer
     result = plan(
         state, agent_spec.goal, world, agent_spec.planner, params,
         replace(opt, n_refine_seeds=0, seed=config.seed), nav=nav,
     )
-    rows = []
-    for z, _cost in result.evaluated:
-        traj = rollout(state, z, agent_spec.planner)
-        breakdown = trajectory_cost(
-            traj, agent_spec.goal, world, params, agent_spec.planner, nav=nav
-        )
-        term = breakdown.terminal
-        rows.append(
-            {
-                "param": z,
-                "trajectory": traj,
-                "cost": breakdown.total,
-                "ttg": term.ttg,
-                "ttc": term.ttc_terminal,
-            }
-        )
-    return rows
+    zs = [z for z, _ in result.evaluated]
+    kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
+                        step_times(state.t, agent_spec.planner), nav)
+    # one batch rescoring every candidate, with its terminal rows and rollout
+    rows, states = evaluate_batch(zs, state, kernel, rows=True)
+    ttg, ttc = rows.terminal[:2]
+    return [
+        {
+            "param": z,
+            "trajectory": trajectory(state, z, agent_spec.planner, *(a[k] for a in states)),
+            "cost": cost,
+            "ttg": g,
+            "ttc": c,
+        }
+        for k, (z, cost, g, c) in enumerate(
+            zip(zs, rows.total.tolist(), ttg.tolist(), ttc.tolist()))
+    ]
 
 
 def cmd_landscape(args) -> int:
@@ -336,6 +338,17 @@ def cmd_list_builtins(_args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsmpepc",
@@ -361,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run both cost modes over several seeds")
     common(p_cmp)
-    p_cmp.add_argument("--seeds", type=int, default=5, help="number of seeds per mode")
+    p_cmp.add_argument("--seeds", type=_int_at_least(1), default=5,
+                       help="number of seeds per mode")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_land = sub.add_parser("landscape", help="render ranked candidate trajectories")
@@ -369,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--agent", required=True, help="agent id to sample for")
     p_land.add_argument("--t", type=float, default=0.0, help="snapshot time (s)")
     p_land.add_argument("--rank", choices=("cost", "ttg", "ttc"), default="cost")
-    p_land.add_argument("--top", type=int, default=50,
-                        help="number of trajectories to render")
+    p_land.add_argument("--top", type=_int_at_least(0), default=50,
+                        help="number of trajectories to render (0: ranking CSV only)")
     p_land.set_defaults(func=cmd_landscape)
 
     p_list = sub.add_parser("list-builtins", help="list built-in scenarios")

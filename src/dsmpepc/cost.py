@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +22,12 @@ from .world import (
     HorizonSnapshot,
     NavigationField,
     World,
-    _ttc_assuming_clear,
-    # unused here; bench/tracing.py wraps this name on the cost module
-    distance_to_nearest_batch,  # noqa: F401
+    _ttc_batch,
     time_to_collision,
 )
+# unused here; bench/tracing.py wraps these names on the cost module
+from .world import _ttc_batch as _ttc_assuming_clear  # noqa: F401
+from .world import distance_to_nearest_batch  # noqa: F401
 
 BASELINE_MPEPC = "baseline_mpepc"
 DS_MPEPC = "ds_mpepc"
@@ -114,20 +116,22 @@ class CostBreakdown:
     total: float
 
 
+# The scalar formulas below use numpy's exp, as the batched `CostKernel`
+# does, so a probability or bonus they compute equals the planner's exactly.
+
+
 def collision_probability(d_o: float, params: CostParams) -> float:
     """Bell-shaped distance-based collision probability exp(-d_o^2 / sigma_d^2)."""
     if d_o < 0:
         raise ValueError("d_o must be >= 0")
-    return math.exp(-(d_o * d_o) / (params.sigma_d * params.sigma_d))
+    return float(np.exp(-(d_o * d_o) / (params.sigma_d * params.sigma_d)))
 
 
-def _inverse(value: float) -> float:
-    """1/value with the exact conventions 1/inf = 0 and 1/0 = inf."""
-    if value == 0.0:
-        return math.inf
-    if math.isinf(value):
-        return 0.0
-    return 1.0 / value
+def _inverse(values):
+    """1/value elementwise, with the exact conventions 1/inf = 0 and 1/0 = inf."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(values == 0.0, math.inf, np.where(np.isinf(values), 0.0, 1.0 / values))
 
 
 def anticipatory_factor(ttc: float, params: CostParams) -> float:
@@ -140,7 +144,7 @@ def anticipatory_factor(ttc: float, params: CostParams) -> float:
         raise ValueError("ttc must be >= 0")
     inv = _inverse(ttc)
     sig = params.sigma_inv_ttc
-    return 1.0 - params.a * math.exp(-(inv * inv) / (sig * sig))
+    return 1.0 - params.a * float(np.exp(-(inv * inv) / (sig * sig)))
 
 
 def modified_collision_probability(d_o: float, ttc: float, params: CostParams) -> float:
@@ -172,17 +176,12 @@ def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
     (nearly) stopped or moving with no component toward the goal.
     """
     pose = terminal.pose
-    return _time_to_goal(pose.x, pose.y, pose.heading, terminal.v, goal, params)
-
-
-def _time_to_goal(x: float, y: float, heading: float, v: float,
-                  goal: tuple[float, float], params: CostParams) -> float:
-    dx = goal[0] - x
-    dy = goal[1] - y
+    dx = goal[0] - pose.x
+    dy = goal[1] - pose.y
     d = math.hypot(dx, dy)
     if d <= params.goal_tolerance:
         return 0.0
-    v_goal = v * (math.cos(heading) * dx + math.sin(heading) * dy) / d
+    v_goal = terminal.v * (math.cos(pose.heading) * dx + math.sin(pose.heading) * dy) / d
     if v_goal > params.v_epsilon:
         return d / v_goal
     return math.inf
@@ -209,8 +208,8 @@ def terminal_bonus(p_s_N: float, ttg: float, ttc: float,
         raise ValueError("p_s_N must lie in [0, 1]")
     inv_g = _inverse(ttg)
     inv_c = _inverse(ttc)
-    c_ttg = math.exp(-(inv_g * inv_g) / (params.sigma_inv_ttg * params.sigma_inv_ttg))
-    c_ttc = math.exp(-(inv_c * inv_c) / (params.sigma_inv_ttc * params.sigma_inv_ttc))
+    c_ttg = float(np.exp(-(inv_g * inv_g) / (params.sigma_inv_ttg * params.sigma_inv_ttg)))
+    c_ttc = float(np.exp(-(inv_c * inv_c) / (params.sigma_inv_ttc * params.sigma_inv_ttc)))
     if p_s_N == 0.0:
         return (c_ttg, c_ttc, 0.0)
     return (c_ttg, c_ttc, -(p_s_N * c_ttg * c_ttc))
@@ -234,20 +233,30 @@ def _goal_xy(goal) -> tuple[float, float]:
     return (float(goal[0]), float(goal[1]))
 
 
+class CostRows(NamedTuple):
+    """Per-candidate rows of a batched cost evaluation.
+
+    `total` is (B,). `segments` holds (B, N) arrays in SegmentEvaluation's
+    field order (d_o, d_g, ttc, p_c, p_s, j_progress, j_action); ttc is None
+    in baseline mode. `terminal` holds (B,) arrays in TerminalEvaluation's
+    field order, or is None without a terminal term.
+    """
+
+    total: np.ndarray
+    segments: tuple
+    terminal: tuple | None
+
+
 class CostKernel:
-    """Float-only trajectory cost of one planning problem.
+    """The trajectory cost of one planning problem, over batches of rollouts.
 
     Everything shared by the problem's candidates is prepared once: the
     navigation field, the obstacles predicted at the step times `ts`
-    (`snapshot`), the weights and the planner config. `score` then evaluates
-    one rollout given as plain float lists (`kinematics.rollout_floats`)
-    without building any per-state or per-segment object. Its clearances
-    come from `snapshot.clearance` alone; the contact test of every TTC
-    query, the terminal one included, reads them. `plan()` builds one kernel
-    per problem: its vectorized sweep (`_batch.evaluate_batch`) reads the
-    kernel's goal, weights, field and snapshot, and its refinement scores
-    through `score`. `trajectory_cost` wraps `score` too, so there is one
-    scalar cost implementation and the totals of both are bit-identical.
+    (`snapshot`), the weights and the planner config. `evaluate` then scores
+    any number of rollouts given as (B, N+1) state arrays. It is the one
+    cost implementation: `plan()` builds one kernel per problem and every
+    batch it evaluates (`_batch.evaluate_batch`) goes through it, and
+    `trajectory_cost` scores a single trajectory as a batch of one.
     """
 
     def __init__(self, world: World, goal, params: CostParams, cfg: PlannerConfig,
@@ -259,84 +268,90 @@ class CostKernel:
         self.cfg = cfg
         self.snapshot = HorizonSnapshot(world, ts)
 
-    def score(self, xs, ys, hs, vs, ws, segments: list | None = None):
-        """(total, terminal) of the rollout with these states at the step times.
+    def evaluate(self, xs, ys, hs, vs, ws, rows: bool = False):
+        """Total cost of each rollout whose states at the step times are the
+        rows of these (B, N+1) arrays; with `rows`, the `CostRows`.
 
         Segment hazards are evaluated at both endpoints against obstacles
         predicted at the matching times; the closer endpoint defines the
         segment's d_o, and its TTC feeds the anticipatory factor (so an
-        in-contact endpoint forces probability 1 exactly). Baseline mode uses
-        the distance-only probability and no terminal term. `terminal` is
-        (ttg, ttc_terminal, c_ttg, c_ttc, p_s_N, j_terminal), or None without
-        a terminal term. When `segments` is a list, one (d_o, d_g, ttc, p_c,
-        p_s, j_progress, j_action) tuple per segment is appended to it.
+        in-contact endpoint forces probability 1 exactly). A segment whose
+        distance-based probability is below _P_C_SKIP gets ttc = +inf without
+        a query. Baseline mode uses the distance-only probability and no
+        terminal term. Every operation is elementwise or runs along a row, so
+        a row does not depend on the rest of the batch, and the segment terms
+        are summed in order, as a loop over the segments would.
         """
         params = self.params
         world = self.world
-        obstacles = self.snapshot.obstacles
-        xa = np.array(xs)
-        ya = np.array(ys)
-        nf = self.nav.distance_batch(xa, ya).tolist()
-        point_d = self.snapshot.clearance(xa, ya).tolist()
+        cfg = self.cfg
+        tracks = self.snapshot.tracks
+        b, n = xs.shape[0], xs.shape[1] - 1
+        d = self.snapshot.clearance(xs, ys)
+        nf = self.nav.distance_batch(xs, ys)
+
+        left = d[:, :-1] <= d[:, 1:]
+        d_seg = np.where(left, d[:, :-1], d[:, 1:])
+        p_c = np.exp(-(d_seg * d_seg) / (params.sigma_d * params.sigma_d))
 
         ds_mode = params.mode == DS_MPEPC
-        sig_d2 = params.sigma_d * params.sigma_d
-        sig_c2 = params.sigma_inv_ttc * params.sigma_inv_ttc
-        a = params.a
-        w_progress, w_v, w_w = params.w_progress, params.w_action_v, params.w_action_w
-        j_collision = params.c_collision
-        h = self.cfg.step_h
-        exp, cos, sin, inf = math.exp, math.cos, math.sin, math.inf
-        ttc_point = -1
-        point_ttc = 0.0
         ttc = None
-        p_s = 1.0
-        total = 0.0
-        # collision_probability and anticipatory_factor are inlined for speed;
-        # a unit test pins the segment p_c to them exactly.
-        for i in range(1, len(xs)):
-            j = i - 1 if point_d[i - 1] <= point_d[i] else i
-            d_o = point_d[j]
-            p_c = exp(-(d_o * d_o) / sig_d2)
-            if ds_mode:
-                if p_c < _P_C_SKIP:
-                    ttc = inf
-                else:
-                    # consecutive segments can share an endpoint, never more
-                    if j != ttc_point:
-                        ttc_point = j
-                        if d_o <= 0.0:
-                            point_ttc = 0.0
-                        else:
-                            v, heading = vs[j], hs[j]
-                            point_ttc = _ttc_assuming_clear(
-                                world, xs[j], ys[j], v * cos(heading), v * sin(heading),
-                                obstacles[j],
-                            )
-                    ttc = point_ttc
-                # anticipatory factor, with 1/0 = inf and 1/inf = 0 exactly
-                inv = inf if ttc == 0.0 else (0.0 if ttc == inf else 1.0 / ttc)
-                p_c = p_c * (1.0 - a * exp(-(inv * inv) / sig_c2))
-            p_s = p_s * (1.0 - p_c)
-            j_progress = w_progress * (nf[i] - nf[i - 1])
-            j_action = h * (w_v * vs[i] ** 2 + w_w * ws[i] ** 2)
-            total += p_s * j_progress + j_action + (1.0 - p_s) * j_collision
-            if segments is not None:
-                segments.append((d_o, nf[i], ttc, p_c, p_s, j_progress, j_action))
+        if ds_mode:
+            ttc = np.full((b, n), math.inf)
+            need = p_c >= _P_C_SKIP
+            if need.any():
+                rr, cols = np.nonzero(need)
+                pt = np.where(left[rr, cols], cols, cols + 1)
+                pv = vs[rr, pt]
+                ph = hs[rr, pt]
+                ttc[rr, cols] = _ttc_batch(
+                    world, xs[rr, pt], ys[rr, pt], pv * np.cos(ph), pv * np.sin(ph), pt,
+                    tracks, d[rr, pt],
+                )
+            inv = _inverse(ttc)
+            with np.errstate(invalid="ignore"):
+                factor = 1.0 - params.a * np.exp(
+                    -(inv * inv) / (params.sigma_inv_ttc * params.sigma_inv_ttc))
+            p_c = p_c * factor
+
+        p_s = np.cumprod(1.0 - p_c, axis=1)
+        j_prog = params.w_progress * np.diff(nf, axis=1)
+        j_act = cfg.step_h * (params.w_action_v * vs[:, 1:] ** 2
+                              + params.w_action_w * ws[:, 1:] ** 2)
+        totals = np.cumsum(
+            p_s * j_prog + j_act + (1.0 - p_s) * params.c_collision, axis=1)[:, -1]
 
         terminal = None
         if ds_mode and params.include_terminal:
-            n = len(xs) - 1
-            x, y, heading = xs[n], ys[n], hs[n]
-            ttg = _time_to_goal(x, y, heading, vs[n], self.goal, params)
-            v_limit = self.cfg.v_limit
-            ttc_n = 0.0 if point_d[n] <= 0.0 else _ttc_assuming_clear(
-                world, x, y, v_limit * cos(heading), v_limit * sin(heading), obstacles[n],
+            gx, gy = self.goal
+            x, y, heading, v = xs[:, -1], ys[:, -1], hs[:, -1], vs[:, -1]
+            dxg = gx - x
+            dyg = gy - y
+            dist = np.hypot(dxg, dyg)
+            safe_d = np.where(dist > 0.0, dist, 1.0)
+            v_goal = v * (np.cos(heading) * dxg + np.sin(heading) * dyg) / safe_d
+            with np.errstate(divide="ignore"):
+                ttg = np.where(
+                    dist <= params.goal_tolerance,
+                    0.0,
+                    np.where(v_goal > params.v_epsilon, dist / v_goal, math.inf),
+                )
+            ttc_n = _ttc_batch(
+                world, x, y, cfg.v_limit * np.cos(heading), cfg.v_limit * np.sin(heading),
+                np.full(b, n), tracks, d[:, -1],
             )
-            c_ttg, c_ttc, j_term = terminal_bonus(p_s, ttg, ttc_n, params)
-            total += j_term
-            terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s, j_term)
-        return total, terminal
+            inv_g = _inverse(ttg)
+            inv_c = _inverse(ttc_n)
+            with np.errstate(invalid="ignore"):
+                c_ttg = np.exp(-(inv_g * inv_g) / (params.sigma_inv_ttg * params.sigma_inv_ttg))
+                c_ttc = np.exp(-(inv_c * inv_c) / (params.sigma_inv_ttc * params.sigma_inv_ttc))
+            p_s_n = p_s[:, -1]
+            j_term = np.where(p_s_n == 0.0, 0.0, -(p_s_n * c_ttg * c_ttc))
+            totals = totals + j_term
+            terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
+        if not rows:
+            return totals
+        return CostRows(totals, (d_seg, nf[:, 1:], ttc, p_c, p_s, j_prog, j_act), terminal)
 
 
 def trajectory_cost(
@@ -349,32 +364,31 @@ def trajectory_cost(
 ) -> CostBreakdown:
     """Evaluate a rolled-out trajectory under the configured cost mode.
 
-    Scores the trajectory's states through a `CostKernel` built for its
-    timestamps (see `CostKernel.score` for the model) and wraps the result
-    into per-segment and terminal breakdown objects.
+    Scores the trajectory's states as a batch of one through a `CostKernel`
+    built for its timestamps (see `CostKernel.evaluate` for the model) and
+    wraps the row into per-segment and terminal breakdown objects.
     """
     states = traj.states
     if len(states) < 2:
         raise ValueError("trajectory must contain at least two states")
-    xs = [s.pose.x for s in states]
-    ys = [s.pose.y for s in states]
-    if not all(map(math.isfinite, xs + ys)):
+    # one contiguous (1, N+1) array per state component, as a batch row
+    columns = np.array([(s.pose.x, s.pose.y, s.pose.heading, s.v, s.omega)
+                        for s in states], dtype=float).T.copy()
+    if not np.isfinite(columns[:2]).all():
         raise ValueError("trajectory contains non-finite states")
     kernel = CostKernel(world, goal, params, cfg, [s.t for s in states], nav)
-    rows: list = []
-    total, terminal = kernel.score(
-        xs, ys, [s.pose.heading for s in states], [s.v for s in states],
-        [s.omega for s in states], rows,
-    )
+    result = kernel.evaluate(*(c[None] for c in columns), rows=True)
+    d_o, d_g, ttc, p_c, p_s, j_progress, j_action = (
+        None if a is None else a[0].tolist() for a in result.segments)
     segments = tuple(
         SegmentEvaluation(
-            index=i, d_o=d_o, d_g=d_g, ttc=ttc, p_c=p_c, p_s=p_s,
-            j_progress=j_progress, j_action=j_action, j_collision=params.c_collision,
+            index=i + 1, d_o=d_o[i], d_g=d_g[i], ttc=None if ttc is None else ttc[i],
+            p_c=p_c[i], p_s=p_s[i], j_progress=j_progress[i], j_action=j_action[i],
+            j_collision=params.c_collision,
         )
-        for i, (d_o, d_g, ttc, p_c, p_s, j_progress, j_action) in enumerate(rows, 1)
+        for i in range(len(states) - 1)
     )
-    return CostBreakdown(
-        segments=segments,
-        terminal=None if terminal is None else TerminalEvaluation(*terminal),
-        total=total,
-    )
+    terminal = None
+    if result.terminal is not None:
+        terminal = TerminalEvaluation(*(float(a[0]) for a in result.terminal))
+    return CostBreakdown(segments=segments, terminal=terminal, total=float(result.total[0]))

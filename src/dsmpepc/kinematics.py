@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import (
     KAPPA_MAX,
     R_EPSILON,
@@ -134,112 +136,127 @@ def step_times(t0: float, cfg: PlannerConfig) -> list[float]:
     return [t0] + [t0 + i * h for i in range(1, cfg.n_steps + 1)]
 
 
-def rollout_floats(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig):
-    """The closed-loop rollout as plain floats, with no per-step objects.
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """`geometry.wrap_angle` over an array: angles wrapped to (-pi, pi]."""
+    w = a - math.tau * np.rint(a / math.tau)
+    return np.where(w <= -math.pi, math.pi, w)
 
-    Returns (target, xs, ys, headings, vs, omegas): N+1-element lists whose
-    index 0 is the start state; timestamps are `step_times(start.t, cfg)`.
-    The start state is not validated here (`rollout` does that).
+
+def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
+    """The closed-loop rollout of B candidates from one start state at once.
+
+    `params` is a (B, 4) array of (r, theta, delta, v_max) rows. Returns the
+    (xs, ys, headings, vs, omegas) arrays, each (B, N+1), whose column 0 is
+    the start state; timestamps are `step_times(start.t, cfg)`. The start
+    state is not validated here (`rollout` does that).
 
     The target pose is fixed in the world frame at the start. Each step
     recomputes the egocentric coordinates, applies the control law and the
     velocity modulation, clamps (v, omega) to the configured limits,
-    rate-limits their change, and advances the pose one exact arc step.
-    The loop body inlines the geometry helpers for speed; it must stay
-    arithmetic-identical to composing them (pinned by a unit test).
+    rate-limits their change, and advances the pose one exact arc step
+    (`advance_pose`). Every operation is elementwise, so a row does not
+    depend on the rest of the batch.
     """
-    target = target_from_param(start.pose, z.r, z.theta, z.delta)
-    h = cfg.step_h
-    dv = cfg.accel_limit * h
-    dw = cfg.alpha_limit * h
+    b = params.shape[0]
+    n = cfg.n_steps
     gains = cfg.gains
     k1, k2 = gains.k1, gains.k2
     beta, lam = gains.curvature_beta, gains.curvature_lambda
-    v_limit, w_limit = cfg.v_limit, cfg.omega_limit
-    tx, ty, th_target = target.x, target.y, target.heading
-    r_eps, kappa_max, r_slow = R_EPSILON, KAPPA_MAX, R_SLOWDOWN
-    z_vmax = z.v_max
-    remainder, tau, pi = math.remainder, math.tau, math.pi
-    atan2, atan, sin, cos, hypot = math.atan2, math.atan, math.sin, math.cos, math.hypot
+    h = cfg.step_h
+    dv = cfg.accel_limit * h
+    dw = cfg.alpha_limit * h
 
-    x, y, heading = start.pose.x, start.pose.y, start.pose.heading
-    v_prev = start.v
-    w_prev = start.omega
-    xs, ys, hs, vs, ws = [x], [y], [heading], [v_prev], [w_prev]
-    for _ in range(cfg.n_steps):
+    r_z, th_z, dl_z, vmax_z = params.T
+    los0 = _wrap(start.pose.heading - dl_z)
+    tx = start.pose.x + r_z * np.cos(los0)
+    ty = start.pose.y + r_z * np.sin(los0)
+    th_t = _wrap(los0 + th_z)
+
+    xs = np.empty((b, n + 1))
+    ys = np.empty((b, n + 1))
+    hs = np.empty((b, n + 1))
+    vs = np.empty((b, n + 1))
+    ws = np.empty((b, n + 1))
+    xs[:, 0] = start.pose.x
+    ys[:, 0] = start.pose.y
+    hs[:, 0] = start.pose.heading
+    vs[:, 0] = start.v
+    ws[:, 0] = start.omega
+
+    x = xs[:, 0].copy()
+    y = ys[:, 0].copy()
+    hd = hs[:, 0].copy()
+    v_prev = vs[:, 0].copy()
+    w_prev = ws[:, 0].copy()
+    for i in range(1, n + 1):
         dx = tx - x
         dy = ty - y
-        r = hypot(dx, dy)
-        los = heading if r < r_eps else atan2(dy, dx)
-        theta = remainder(th_target - los, tau)
-        if theta <= -pi:
-            theta = pi
-        delta = remainder(heading - los, tau)
-        if delta <= -pi:
-            delta = pi
-        bracket = k2 * (delta - atan(-k1 * theta))
-        bracket += (1.0 + k1 / (1.0 + (k1 * theta) ** 2)) * sin(delta)
-        if r < r_eps:
-            kappa = -bracket / r_eps
-            if kappa > kappa_max:
-                kappa = kappa_max
-            elif kappa < -kappa_max:
-                kappa = -kappa_max
-        else:
-            kappa = -bracket / r
-        v_cmd = z_vmax / (1.0 + beta * abs(kappa) ** lam)
-        slow = r / r_slow
-        if slow < 1.0:
-            v_cmd = v_cmd * slow
+        r = np.hypot(dx, dy)
+        near = r < R_EPSILON
+        los = np.where(near, hd, np.arctan2(dy, dx))
+        theta = _wrap(th_t - los)
+        delta = _wrap(hd - los)
+        bracket = k2 * (delta - np.arctan(-k1 * theta))
+        bracket += (1.0 + k1 / (1.0 + (k1 * theta) ** 2)) * np.sin(delta)
+        kappa = np.where(
+            near,
+            np.minimum(np.maximum(-bracket / R_EPSILON, -KAPPA_MAX), KAPPA_MAX),
+            -bracket / np.where(near, 1.0, r),
+        )
+        v_cmd = vmax_z / (1.0 + beta * np.abs(kappa) ** lam)
+        v_cmd = v_cmd * np.minimum(1.0, r / R_SLOWDOWN)
         w_cmd = kappa * v_cmd
-        if v_cmd > v_limit:
-            v_cmd = v_limit
-        elif v_cmd < -v_limit:
-            v_cmd = -v_limit
-        if w_cmd > w_limit:
-            w_cmd = w_limit
-        elif w_cmd < -w_limit:
-            w_cmd = -w_limit
-        lo = v_prev - dv
-        hi = v_prev + dv
-        v = lo if v_cmd < lo else (hi if v_cmd > hi else v_cmd)
-        lo = w_prev - dw
-        hi = w_prev + dw
-        w = lo if w_cmd < lo else (hi if w_cmd > hi else w_cmd)
-        if abs(w) < OMEGA_STRAIGHT:
-            x = x + v * h * cos(heading)
-            y = y + v * h * sin(heading)
-        else:
-            radius = v / w
-            h1 = heading + w * h
-            x = x + radius * (sin(h1) - sin(heading))
-            y = y - radius * (cos(h1) - cos(heading))
-            heading = remainder(h1, tau)
-            if heading <= -pi:
-                heading = pi
-        xs.append(x)
-        ys.append(y)
-        hs.append(heading)
-        vs.append(v)
-        ws.append(w)
+        v_cmd = np.minimum(np.maximum(v_cmd, -cfg.v_limit), cfg.v_limit)
+        w_cmd = np.minimum(np.maximum(w_cmd, -cfg.omega_limit), cfg.omega_limit)
+        v = np.minimum(np.maximum(v_cmd, v_prev - dv), v_prev + dv)
+        w = np.minimum(np.maximum(w_cmd, w_prev - dw), w_prev + dw)
+        straight = np.abs(w) < OMEGA_STRAIGHT
+        w_safe = np.where(straight, 1.0, w)
+        radius = v / w_safe
+        h1 = hd + w * h
+        cos0 = np.cos(hd)
+        sin0 = np.sin(hd)
+        x = np.where(
+            straight,
+            x + v * h * cos0,
+            x + radius * (np.sin(h1) - sin0),
+        )
+        y = np.where(
+            straight,
+            y + v * h * sin0,
+            y - radius * (np.cos(h1) - cos0),
+        )
+        hd = np.where(straight, hd, _wrap(h1))
+        xs[:, i] = x
+        ys[:, i] = y
+        hs[:, i] = hd
+        vs[:, i] = v
+        ws[:, i] = w
         v_prev, w_prev = v, w
-    return target, xs, ys, hs, vs, ws
+    return xs, ys, hs, vs, ws
+
+
+def trajectory(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,
+               xs, ys, hs, vs, ws) -> Trajectory:
+    """The Trajectory of one rollout row (`rollout_batch`) of `z` from `start`."""
+    ts = step_times(start.t, cfg)
+    xs, ys, hs, vs, ws = (np.asarray(a).tolist() for a in (xs, ys, hs, vs, ws))
+    states = [start] + [
+        RobotState(pose=Pose(xs[i], ys[i], hs[i]), v=vs[i], omega=ws[i], t=ts[i])
+        for i in range(1, len(ts))
+    ]
+    target = target_from_param(start.pose, z.r, z.theta, z.delta)
+    return Trajectory(states=tuple(states), param=z, target=target)
 
 
 def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajectory:
     """Simulate the closed loop from `start` under parameter `z` for the horizon.
 
-    Wraps `rollout_floats`, the float-only rollout that the planner's
-    refinement scores without building any state, into state objects.
-    Returns cfg.n_steps + 1 states with strictly increasing timestamps,
-    bit-identical to the floats the planner scored.
+    A batch of one through `rollout_batch`, so it returns exactly the states
+    the planner scored for `z`: cfg.n_steps + 1 states with strictly
+    increasing timestamps.
     """
     if not start.is_finite():
         raise ValueError("rollout requires a finite start state")
-    target, xs, ys, hs, vs, ws = rollout_floats(start, z, cfg)
-    ts = step_times(start.t, cfg)
-    states = [start] + [
-        RobotState(pose=Pose(xs[i], ys[i], hs[i]), v=vs[i], omega=ws[i], t=ts[i])
-        for i in range(1, len(xs))
-    ]
-    return Trajectory(states=tuple(states), param=z, target=target)
+    rows = rollout_batch(start, np.array([z.as_tuple()], dtype=float), cfg)
+    return trajectory(start, z, cfg, *(a[0] for a in rows))

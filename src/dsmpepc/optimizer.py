@@ -1,10 +1,11 @@
 """Per-cycle selection of the trajectory parameter minimizing the expected cost.
 
-The search is derivative-free: a deterministic scrambled-Sobol sweep over the
-parameter box (always including the halting candidate, the previous cycle's
-solution, and the direct-to-goal parameter), followed by Nelder-Mead
-refinement from the best seeds. The cost surface contains minima over
-obstacles and infinity sentinels, so nothing here assumes smoothness.
+The search is derivative-free and batched: a deterministic scrambled-Sobol
+sweep over the parameter box (always including the halting candidate, the
+previous cycle's solution, and the direct-to-goal parameter), then a few
+rounds of batched local search around the best seeds (`minimize`). The cost
+surface contains minima over obstacles and infinity sentinels, so nothing
+here assumes smoothness.
 """
 
 from __future__ import annotations
@@ -14,50 +15,50 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from ._batch import evaluate_batch
 from .cost import CostBreakdown, CostKernel, CostParams, trajectory_cost
-from .geometry import Pose, egocentric_coords, wrap_angle
+from .geometry import Pose, egocentric_coords
 from .kinematics import (
     PlannerConfig,
     RobotState,
     Trajectory,
     TrajectoryParam,
+    _wrap,
     rollout,
-    rollout_floats,
     step_times,
+    trajectory,
 )
 from .world import NavigationField, World
 
 Bounds = tuple[tuple[float, float], ...]
 
-# Initial Nelder-Mead simplex spread per dimension (r, theta, delta, v_max).
-_SIMPLEX_STEPS = (0.5, 0.25, 0.25, 0.15)
-# Evaluations needed to score the initial simplex; a smaller refinement
-# budget could not take a single Nelder-Mead step.
-_SIMPLEX_SIZE = len(_SIMPLEX_STEPS) + 1
-
-
-class _BudgetExhausted(Exception):
-    """Raised by the refinement objective once its evaluation budget is spent."""
+# Fewest probes per seed in a refinement round: fewer cannot positively span
+# the four-dimensional parameter space, so a round could miss every descent
+# direction.
+_MIN_ROUND = 5
+# Standard deviation per axis (r, theta, delta, v_max) of a seed's first round.
+_FIRST_SPREAD = np.array([0.5, 0.25, 0.25, 0.15])
+# Variance added to every seed's sampling covariance after each round, so it
+# stays positive definite.
+_COV_FLOOR = np.diag(np.square(1e-3 * _FIRST_SPREAD))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budgets, RNG seed, and parameter box for (r, theta, delta, v_max).
+    """Search budgets and RNG seed.
 
-    bounds=None derives the box from the planner config: r in [0, r_max],
-    angles in [-pi, pi], v_max in [0, v_limit]. refine_max_evals is 0 (no
-    refinement) or at least 5, the size of the initial simplex.
+    The sweep scores n_global_samples candidates; refinement then spends
+    refine_max_evals evaluations on each of the n_refine_seeds best, which is
+    0 (no refinement) or at least 5 (see `minimize`). The parameter box
+    (`resolved_bounds`) follows from the planner config.
     """
 
     n_global_samples: int = 400
     n_refine_seeds: int = 3
-    refine_max_evals: int = 60
+    refine_max_evals: int = 240
     seed: int = 0
-    bounds: Bounds | None = None
 
     def __post_init__(self) -> None:
         for name in ("n_global_samples", "n_refine_seeds", "refine_max_evals", "seed"):
@@ -70,19 +71,16 @@ class OptimizerConfig:
             raise ValueError("n_refine_seeds must be in [0, n_global_samples]")
         if self.refine_max_evals < 0:
             raise ValueError("refine_max_evals must be >= 0")
-        if 0 < self.refine_max_evals < _SIMPLEX_SIZE:
+        if 0 < self.refine_max_evals < _MIN_ROUND:
             raise ValueError(
-                f"refine_max_evals must be 0 (no refinement) or >= {_SIMPLEX_SIZE}, "
-                f"the size of the initial simplex; got {self.refine_max_evals}"
+                f"refine_max_evals must be 0 (no refinement) or >= {_MIN_ROUND}, "
+                f"enough for one round to probe every direction of the four "
+                f"parameters; got {self.refine_max_evals}"
             )
-        if self.bounds is not None:
-            if len(self.bounds) != 4 or not all(
-                    -math.inf < lo <= hi < math.inf for lo, hi in self.bounds):
-                raise ValueError("bounds must be four finite, well-ordered (lo, hi) pairs")
 
     def resolved_bounds(self, planner_cfg: PlannerConfig) -> Bounds:
-        if self.bounds is not None:
-            return self.bounds
+        """The parameter box: r in [0, r_max], angles in [-pi, pi], v_max in
+        [0, v_limit]."""
         return (
             (0.0, planner_cfg.r_max),
             (-math.pi, math.pi),
@@ -111,25 +109,103 @@ def evaluate_candidate(
     cost_params: CostParams,
     nav: NavigationField | None = None,
 ) -> tuple[Trajectory, CostBreakdown]:
-    """Roll out one candidate and evaluate its cost."""
+    """Roll out one candidate and evaluate its cost.
+
+    Both steps are batches of one through the planner's own evaluation path,
+    so the total equals the candidate's cost in any `plan()` of the same
+    problem exactly.
+    """
     traj = rollout(current, z, planner_cfg)
     breakdown = trajectory_cost(traj, goal, world, cost_params, planner_cfg, nav=nav)
     return traj, breakdown
 
 
-def _canonical(x, bounds: Bounds) -> TrajectoryParam:
-    """Project raw optimizer coordinates into the parameter box: clip r and
-    v_max, wrap the angles (no artificial boundary at +-pi)."""
-    r = min(bounds[0][1], max(bounds[0][0], float(x[0])))
-    theta = wrap_angle(float(x[1]))
-    delta = wrap_angle(float(x[2]))
-    v = min(bounds[3][1], max(bounds[3][0], float(x[3])))
-    return TrajectoryParam(r, theta, delta, v)
+def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """Project raw (n, 4) parameter rows into the box: clip r and v_max,
+    wrap the angles (no artificial boundary at +-pi). A row with v_max = 0
+    never moves, whatever its r, theta and delta, so it becomes the halting
+    candidate itself rather than a tie with it."""
+    (r_lo, r_hi), _, _, (v_lo, v_hi) = bounds
+    v = np.minimum(np.maximum(x[:, 3], v_lo), v_hi)
+    moving = v != 0.0
+    return np.column_stack((
+        np.where(moving, np.minimum(np.maximum(x[:, 0], r_lo), r_hi), 0.0),
+        np.where(moving, _wrap(x[:, 1]), 0.0),
+        np.where(moving, _wrap(x[:, 2]), 0.0),
+        np.where(moving, v, 0.0),
+    ))
 
 
 def _order_key(entry: tuple[TrajectoryParam, float]):
+    """Cost, then r and v_max before the angles: every candidate that ties
+    with the halting one and is not it (see `_canonical`) has r > 0 or
+    v_max > 0, so the tie resolves to the halting candidate."""
     param, cost = entry
-    return (cost, param.r, param.theta, param.delta, param.v_max)
+    return (cost, param.r, param.v_max, param.theta, param.delta)
+
+
+def minimize(seeds: list[tuple[TrajectoryParam, float]], current: RobotState,
+             kernel: CostKernel, bounds: Bounds, budget: int, unit: np.ndarray):
+    """Batched local search from each (param, cost) seed.
+
+    Each seed spends `budget` evaluations over ceil(sqrt(budget) / 2)
+    rounds, or fewer when a round would drop below _MIN_ROUND probes: a
+    larger budget buys both more rounds and larger ones. All seeds share one
+    `evaluate_batch` call per round. A round draws each seed's probes from
+    the low-discrepancy points `unit` (in [0, 1)^4, at least budget per
+    seed), spread over the seed's sampling box (its covariance, started from
+    _FIRST_SPREAD), and after a round that moved the seed it repeats that
+    move once. When the round beats the seed's best cost, the seed moves to
+    the round's best and its covariance becomes mostly that of the steps to
+    the round's best third, doubled; otherwise the covariance shrinks to a
+    quarter. This is a cross-entropy search that keeps the best point
+    rather than the mean.
+
+    Returns the (param, cost) entries in evaluation order and their
+    rollouts' (xs, ys, headings, vs, omegas) arrays.
+    """
+    n = len(seeds)
+    rounds = min(math.ceil(math.sqrt(budget) / 2), budget // _MIN_ROUND)
+    unit = 2.0 * unit[:budget * n] - 1.0
+    center = np.array([z.as_tuple() for z, _ in seeds])
+    best = np.array([cost for _, cost in seeds])
+    cov = np.tile(np.diag(np.square(_FIRST_SPREAD)), (n, 1, 1))
+    step = np.zeros((n, 4))
+    evaluated: list[tuple[TrajectoryParam, float]] = []
+    states = []
+    used = 0
+    for r in range(rounds):
+        k = budget // rounds + (r < budget % rounds)
+        u = unit[used:used + n * k].reshape(n, k, 4)
+        used += n * k
+        # u is uniform in [-1, 1], variance 1/3 per axis
+        x = center[:, None, :] + np.einsum(
+            "sij,skj->ski", np.linalg.cholesky(cov) * math.sqrt(3.0), u)
+        moved = step.any(axis=1)
+        x[moved, 0] = center[moved] + step[moved]
+        x = _canonical(x.reshape(-1, 4), bounds)
+        params = [TrajectoryParam(*row) for row in x.tolist()]
+        rows, round_states = evaluate_batch(params, current, kernel, rows=True)
+        evaluated += zip(params, rows.total.tolist())
+        states.append(round_states)
+        x = x.reshape(n, k, 4)
+        costs = rows.total.reshape(n, k)
+        for s in range(n):
+            d = x[s] - center[s]
+            d[:, 1:3] = _wrap(d[:, 1:3])
+            order = np.argsort(costs[s], kind="stable")
+            j = order[0]
+            if costs[s, j] < best[s]:
+                elite = d[order[:max(2, k // 3)]]
+                cov[s] = 0.2 * cov[s] + 1.6 * (elite.T @ elite) / len(elite)
+                step[s] = d[j]
+                center[s] = x[s, j]
+                best[s] = costs[s, j]
+            else:
+                step[s] = 0.0
+                cov[s] *= 0.25
+            cov[s] += _COV_FLOOR
+    return evaluated, tuple(np.concatenate(parts) for parts in zip(*states))
 
 
 def plan(
@@ -146,13 +222,13 @@ def plan(
 
     Deterministic for fixed inputs and seed. The halting candidate is always
     evaluated, so a result always exists; ties are broken lexicographically on
-    (cost, r, theta, delta, v_max). The problem is built once, as one
+    (cost, r, v_max, theta, delta). The problem is built once, as one
     `CostKernel` (navigation field, weights, and the obstacles predicted at
     the step times in one `HorizonSnapshot`; `nav` defaults to a field built
-    for the goal). The vectorized sweep reads it, and refinement scores
-    candidates through it on float rollouts, so each refined cost is
-    bit-identical to `evaluate_candidate(z, ...).total`. Only the argmin is
-    rolled out into a Trajectory.
+    for the goal). The sweep and every refinement round score their
+    candidates through it in batches (`evaluate_batch`), so every cost in
+    `evaluated` is bit-identical to `evaluate_candidate(z, ...).total`, and
+    `best_trajectory` is the argmin's own rollout.
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
@@ -160,66 +236,40 @@ def plan(
     kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
                         step_times(current.t, planner_cfg), nav)
 
-    seeds_pool: list[TrajectoryParam] = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)]
-    if warm_start is not None:
-        seeds_pool.append(_canonical(warm_start.as_tuple(), bounds))
     to_goal = egocentric_coords(current.pose, goal)
-    seeds_pool.append(_canonical((to_goal.r, to_goal.theta, to_goal.delta, math.inf), bounds))
+    given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]
+    if warm_start is not None:
+        given.insert(0, warm_start.as_tuple())
+    seeds_pool = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)] + [
+        TrajectoryParam(*row) for row in _canonical(np.array(given), bounds).tolist()
+    ]
 
+    # one scrambled Sobol sequence per plan: the sweep spreads its first
+    # points over the box, refinement its first points around each seed
     n_sobol = max(0, opt_cfg.n_global_samples - len(seeds_pool))
-    if n_sobol > 0:
-        sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
-        m = max(1, math.ceil(math.log2(n_sobol)))
-        unit = sampler.random_base2(m)[:n_sobol]
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        for row in lo + unit * (hi - lo):
-            seeds_pool.append(TrajectoryParam(*(float(v) for v in row)))
+    n_refine = opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals
+    sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
+    unit = sampler.random_base2(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))))
+    lo, hi = np.array(bounds).T
+    seeds_pool += [TrajectoryParam(*row) for row in (lo + unit[:n_sobol] * (hi - lo)).tolist()]
 
     candidates = list(dict.fromkeys(seeds_pool))
-    costs = evaluate_batch(candidates, current, kernel)
-    evaluated = [(z, float(cost)) for z, cost in zip(candidates, costs)]
+    rows, states = evaluate_batch(candidates, current, kernel, rows=True)
+    evaluated = list(zip(candidates, rows.total.tolist()))
 
-    if opt_cfg.refine_max_evals > 0:
-        for seed_param, _ in sorted(evaluated, key=_order_key)[:opt_cfg.n_refine_seeds]:
-            budget = opt_cfg.refine_max_evals
+    if n_refine > 0:
+        seeds = sorted(evaluated, key=_order_key)[:opt_cfg.n_refine_seeds]
+        refined, refined_states = minimize(seeds, current, kernel, bounds,
+                                           opt_cfg.refine_max_evals, unit)
+        evaluated += refined
+        states = tuple(np.concatenate(pair) for pair in zip(states, refined_states))
 
-            def objective(x) -> float:
-                nonlocal budget
-                if budget <= 0:
-                    raise _BudgetExhausted
-                budget -= 1
-                z = _canonical(x, bounds)
-                _, xs, ys, hs, vs, ws = rollout_floats(current, z, planner_cfg)
-                cost, _ = kernel.score(xs, ys, hs, vs, ws)
-                evaluated.append((z, cost))
-                return cost
-
-            x0 = np.array(seed_param.as_tuple())
-            simplex = [x0]
-            for dim, step in enumerate(_SIMPLEX_STEPS):
-                vertex = x0.copy()
-                vertex[dim] += step
-                simplex.append(vertex)
-            try:
-                minimize(
-                    objective,
-                    x0,
-                    method="Nelder-Mead",
-                    options={
-                        "maxfev": opt_cfg.refine_max_evals,
-                        "initial_simplex": np.array(simplex),
-                        "xatol": 1e-4,
-                        "fatol": 1e-12,
-                    },
-                )
-            except _BudgetExhausted:
-                pass
-
-    best_param, best_cost = min(evaluated, key=_order_key)
+    best = min(range(len(evaluated)), key=lambda i: _order_key(evaluated[i]))
+    best_param, best_cost = evaluated[best]
     return PlanResult(
         best_param=best_param,
         best_cost=best_cost,
-        best_trajectory=rollout(current, best_param, planner_cfg),
+        best_trajectory=trajectory(current, best_param, planner_cfg,
+                                   *(a[best] for a in states)),
         evaluated=tuple(evaluated),
     )

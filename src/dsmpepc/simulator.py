@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .cost import CostParams
 from .geometry import Pose
-from .kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
+from .kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout_batch
 from .optimizer import OptimizerConfig, plan
 from .world import (
     DynamicObstacle,
@@ -243,7 +245,8 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
     """Simulate a scenario to completion or timeout and collect metrics.
 
     diag_every, when set, re-rolls every evaluated candidate each
-    diag_every-th cycle and stores the resulting polyline fans per agent.
+    diag_every-th cycle, in one batch, and stores the resulting polyline fans
+    per agent.
     """
     grid = scenario.grid
     specs = list(scenario.agents)
@@ -329,11 +332,12 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
                 )
             )
             if fans is not None and cycle % diag_every == 0:
-                polylines = []
-                for z, _ in result.evaluated:
-                    traj = rollout(states[a.id], z, a.planner)
-                    polylines.append(tuple((s.pose.x, s.pose.y) for s in traj.states))
-                fans[a.id].append((t, tuple(polylines)))
+                params = np.array([z.as_tuple() for z, _ in result.evaluated])
+                xs, ys, *_ = rollout_batch(states[a.id], params, a.planner)
+                polylines = tuple(
+                    tuple(zip(x_row, y_row)) for x_row, y_row in zip(xs.tolist(), ys.tolist())
+                )
+                fans[a.id].append((t, polylines))
         for a in specs:
             if active[a.id]:
                 states[a.id] = moves[a.id]

@@ -257,7 +257,7 @@ class World:
 
 
 # Per obstacle at one time: (x, y, vx, vy, radius), from predict_obstacle and
-# obstacle_velocity. Scalar clearance and TTC queries read these.
+# obstacle_velocity.
 ObstacleStates = tuple[tuple[float, float, float, float, float], ...]
 
 
@@ -269,42 +269,36 @@ def obstacle_states(world: World, t: float) -> ObstacleStates:
     )
 
 
-def _clearance_among(world: World, x: float, y: float, obstacles: ObstacleStates) -> float:
-    """distance_to_nearest body against obstacles already predicted."""
-    d = world.grid.sample_distance(x, y)
-    for ox, oy, _, _, radius in obstacles:
-        d = min(d, math.hypot(x - ox, y - oy) - radius)
-    return max(0.0, d - world.robot_radius)
-
-
 def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
     """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration).
 
     Minimum over the static field and all obstacle disks predicted at t, with
     the robot radius deducted.
     """
-    return _clearance_among(world, point[0], point[1], obstacle_states(world, t))
+    x, y = point
+    d = world.grid.sample_distance(x, y)
+    for ox, oy, _, _, radius in obstacle_states(world, t):
+        d = min(d, math.hypot(x - ox, y - oy) - radius)
+    return max(0.0, d - world.robot_radius)
 
 
 class HorizonSnapshot:
     """A world's obstacles predicted once at a fixed list of step times.
 
-    Built once per planning problem (or per trajectory_cost call); the
-    optimizer's sweep and its refinement share one, through one `CostKernel`,
-    so nothing re-predicts an obstacle. `obstacles[k]` equals
-    `obstacle_states(world, ts[k])`, the `predict_obstacle`/`obstacle_velocity`
-    values that scalar TTC queries read; `tracks` holds the same values as
-    numpy arrays, one (radius, xs, ys, vxs, vys) tuple per obstacle over the
-    times. `clearance` reads `tracks`, so every planning-time clearance and
-    TTC sees the same obstacle centers.
+    Built once per planning problem (or per trajectory_cost or
+    time_to_collision call); every batch the optimizer evaluates shares one,
+    through one `CostKernel`, so nothing re-predicts an obstacle. `tracks`
+    holds one (radius, xs, ys, vxs, vys) tuple of arrays per obstacle over
+    the times: the `predict_obstacle`/`obstacle_velocity` values. Every
+    planning-time clearance (`clearance`) and TTC reads them, so both see
+    the same obstacle centers.
     """
 
-    __slots__ = ("world", "obstacles", "tracks")
+    __slots__ = ("world", "tracks")
 
     def __init__(self, world: World, ts):
         self.world = world
-        self.obstacles = [obstacle_states(world, t) for t in ts]
-        states = np.array(self.obstacles, dtype=float).reshape(
+        states = np.array([obstacle_states(world, t) for t in ts], dtype=float).reshape(
             len(ts), len(world.obstacles), 5)
         self.tracks = [
             (obs.radius, *states[:, k, :4].T) for k, obs in enumerate(world.obstacles)
@@ -326,111 +320,88 @@ def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
     return HorizonSnapshot(world, ts).clearance(xs, ys)
 
 
-def _static_ray_arc(
-    grid: OccupancyGrid, x: float, y: float, ux: float, uy: float,
-    robot_radius: float, max_arc: float,
-) -> float | None:
-    """Arc length along the ray until the distance field drops to the robot
-    radius, or None if there is no hit within max_arc.
+def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
+                     max_arc) -> np.ndarray:
+    """Arc length along each ray until the distance field drops to the robot
+    radius; +inf where a ray has no hit within its max_arc.
 
-    Sphere-tracing march from where the ray enters the grid box: the
+    Sphere-tracing march from where each ray enters the grid box: the
     1-Lipschitz field allows steps of (df - radius), floored at resolution/2
-    so the error stays within one cell. The box clip and the bilinear sample
-    are inlined; the sample must match OccupancyGrid.sample_distance.
+    so the error stays within one cell. All rays march in lockstep, each
+    until it hits or passes its end.
     """
-    if not grid.has_occupied:
-        return None
-    xmin, ymin, xmax, ymax = grid._extent
-    s, s_end = 0.0, math.inf
+    n = x.shape[0]
+    arcs = np.full(n, math.inf)
+    if n == 0 or not grid.has_occupied:
+        return arcs
+    xmin, ymin, xmax, ymax = grid.extent
+    s0 = np.zeros(n)
+    s1 = np.minimum(np.asarray(max_arc, dtype=float), math.inf)
+    valid = np.ones(n, dtype=bool)
     for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
-        if abs(u) < 1e-15:
-            if p < lo or p > hi:
-                return None
-        else:
-            ta = (lo - p) / u
-            tb = (hi - p) / u
-            if ta > tb:
-                ta, tb = tb, ta
-            if ta > s:
-                s = ta
-            if tb < s_end:
-                s_end = tb
-    if s_end < s:
-        return None
-    if max_arc < s_end:
-        s_end = max_arc
-    res = grid.resolution
-    min_step = 0.5 * res
-    ox, oy = grid.origin
-    w1, ix_last, dx1 = grid._stencil_x
-    h1, iy_last, dy1 = grid._stencil_y
-    rows = grid._df_rows
-    while s <= s_end:
-        gx = (x + ux * s - ox) / res - 0.5
-        gy = (y + uy * s - oy) / res - 0.5
-        if gx < 0.0:
-            gx = 0.0
-        elif gx > w1:
-            gx = float(w1)
-        if gy < 0.0:
-            gy = 0.0
-        elif gy > h1:
-            gy = float(h1)
-        ix = int(gx)
-        if ix >= w1:
-            ix = ix_last
-        iy = int(gy)
-        if iy >= h1:
-            iy = iy_last
-        fx = gx - ix
-        fy = gy - iy
-        row0 = rows[iy]
-        row1 = rows[iy + dy1]
-        v00 = row0[ix]
-        v01 = row0[ix + dx1]
-        v10 = row1[ix]
-        v11 = row1[ix + dx1]
-        df = (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
+        parallel = np.abs(u) < 1e-15
+        valid &= ~parallel | ((p >= lo) & (p <= hi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo - p) / np.where(parallel, 1.0, u)
+            tb = (hi - p) / np.where(parallel, 1.0, u)
+        lo_t = np.minimum(ta, tb)
+        hi_t = np.maximum(ta, tb)
+        s0 = np.where(parallel, s0, np.maximum(s0, lo_t))
+        s1 = np.where(parallel, s1, np.minimum(s1, hi_t))
+    valid &= s1 >= s0
+    min_step = 0.5 * grid.resolution
+
+    idx = np.nonzero(valid)[0]
+    s = s0[idx]
+    end = s1[idx]
+    while idx.size:
+        df = grid.sample_distance_batch(x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)
         gap = df - robot_radius
-        if gap <= 0.0:
-            return s
-        s += gap if gap > min_step else min_step
-    return None
+        hit = gap <= 0.0
+        arcs[idx[hit]] = s[hit]
+        s = s + np.maximum(min_step, gap)
+        alive = ~hit & (s <= end)
+        idx = idx[alive]
+        s = s[alive]
+        end = end[alive]
+    return arcs
 
 
-def _ttc_assuming_clear(
-    world: World, x: float, y: float, vx: float, vy: float, obstacles: ObstacleStates
-) -> float:
-    """time_to_collision body for a configuration already known clear, with
-    the obstacles already predicted at the query time."""
-    best = math.inf
-    robot_radius = world.robot_radius
-    for ox, oy, ovx, ovy, radius in obstacles:
-        dpx, dpy = ox - x, oy - y
-        dvx, dvy = ovx - vx, ovy - vy
+def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
+    """time_to_collision of points moving with velocities (vx, vy), each
+    against the obstacle states at its index `t_idx` into a snapshot's
+    `tracks`; `d0` is the points' clearance (0 exactly where in contact)."""
+    n = x.shape[0]
+    best = np.full(n, math.inf)
+    for radius, px, py, ovx, ovy in tracks:
+        dpx = px[t_idx] - x
+        dpy = py[t_idx] - y
+        dvx = ovx[t_idx] - vx
+        dvy = ovy[t_idx] - vy
         a = dvx * dvx + dvy * dvy
-        if a < _SPEED_EPS * _SPEED_EPS:
-            continue
-        r_sum = robot_radius + radius
-        b = 2.0 * (dpx * dvx + dpy * dvy)
+        r_sum = world.robot_radius + radius
+        bq = 2.0 * (dpx * dvx + dpy * dvy)
         c = dpx * dpx + dpy * dpy - r_sum * r_sum
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            continue
-        s = (-b - math.sqrt(disc)) / (2.0 * a)
-        if 0.0 < s < best:
-            best = s
-    speed = math.hypot(vx, vy)
-    if speed >= _SPEED_EPS and world.grid.has_occupied:
-        arc = _static_ray_arc(
-            world.grid, x, y, vx / speed, vy / speed,
-            robot_radius, max_arc=min(best, TTC_HORIZON) * speed,
+        disc = bq * bq - 4.0 * a * c
+        ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
+        s = np.where(ok & (s > 0.0), s, math.inf)
+        best = np.minimum(best, s)
+    speed = np.hypot(vx, vy)
+    movers = speed >= _SPEED_EPS
+    if movers.any() and world.grid.has_occupied:
+        mi = np.nonzero(movers)[0]
+        sp = speed[mi]
+        arcs = _static_ray_arcs(
+            world.grid,
+            x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
+            world.robot_radius,
+            np.minimum(best[mi], TTC_HORIZON) * sp,
         )
-        if arc is not None:
-            best = min(best, arc / speed)
-    if best > TTC_HORIZON:
-        return math.inf
-    return best
+        best[mi] = np.minimum(best[mi], arcs / sp)
+    best = np.where(best > TTC_HORIZON, math.inf, best)
+    return np.where(d0 <= 0.0, 0.0, best)
 
 
 def time_to_collision(
@@ -440,13 +411,16 @@ def time_to_collision(
 
     Returns 0 exactly when already in contact (d_o = 0), +inf when no contact
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
-    the relative-motion quadratic; the static grid is ray-marched.
+    the relative-motion quadratic; the static grid is ray-marched. A batch of
+    one point through the planner's own TTC (`_ttc_batch`).
     """
-    x, y = position
-    obstacles = obstacle_states(world, t0)
-    if _clearance_among(world, x, y, obstacles) <= 0.0:
-        return 0.0
-    return _ttc_assuming_clear(world, x, y, velocity[0], velocity[1], obstacles)
+    snapshot = HorizonSnapshot(world, [t0])
+    x = np.array([float(position[0])])
+    y = np.array([float(position[1])])
+    ttc = _ttc_batch(world, x, y, np.array([float(velocity[0])]),
+                     np.array([float(velocity[1])]), np.zeros(1, dtype=int),
+                     snapshot.tracks, snapshot.clearance(x, y))
+    return float(ttc[0])
 
 
 _DIJKSTRA_MOVES = (

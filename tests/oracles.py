@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's query structures: brute-force loops,
-fine-step forward simulation, a fine-step closed-loop integrator, and a
-heap-driven Dijkstra. They are slow and simple on purpose.
+fine-step forward simulation, a fine-step closed-loop integrator, a
+heap-driven Dijkstra, and scalar, one-state-at-a-time versions of the
+planner's batched rollout step, grid ray march, time-to-collision and
+trajectory cost, written against the public scalar helpers. They are slow
+and simple on purpose.
 """
 
 from __future__ import annotations
@@ -12,15 +15,23 @@ import math
 
 import numpy as np
 
+from dsmpepc.cost import (
+    DS_MPEPC,
+    collision_probability,
+    expected_time_to_goal,
+    modified_collision_probability,
+    terminal_bonus,
+)
 from dsmpepc.geometry import (
     ControlGains,
     Pose,
     control_law_curvature,
     egocentric_coords,
+    target_from_param,
     velocity_modulation,
 )
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam
-from dsmpepc.geometry import target_from_param
+from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, advance_pose
+from dsmpepc.world import TTC_HORIZON, NavigationField, distance_to_nearest, obstacle_states
 
 
 def brute_force_distance_field(occupied: np.ndarray, resolution: float) -> np.ndarray:
@@ -187,3 +198,114 @@ def fine_rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,
             )
         v_prev, w_prev = v, w
     return pose
+
+
+def reference_rollout_step(pose: Pose, v_prev: float, w_prev: float, target: Pose,
+                           v_max: float, cfg: PlannerConfig):
+    """One closed-loop step of the rollout, composed from the public helpers:
+    control law, velocity modulation, limits, rate limits, one arc step.
+    Returns (pose, v, omega)."""
+    h = cfg.step_h
+    coords = egocentric_coords(pose, target)
+    kappa = control_law_curvature(coords, cfg.gains)
+    v_cmd = velocity_modulation(kappa, v_max, coords.r, cfg.gains)
+    w_cmd = kappa * v_cmd
+    v_cmd = min(cfg.v_limit, max(-cfg.v_limit, v_cmd))
+    w_cmd = min(cfg.omega_limit, max(-cfg.omega_limit, w_cmd))
+    v = min(v_prev + cfg.accel_limit * h, max(v_prev - cfg.accel_limit * h, v_cmd))
+    w = min(w_prev + cfg.alpha_limit * h, max(w_prev - cfg.alpha_limit * h, w_cmd))
+    return advance_pose(pose, v, w, h), v, w
+
+
+def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
+    """The grid march written against OccupancyGrid.sample_distance: arc
+    length to the first sample within the robot radius, or None."""
+    xmin, ymin, xmax, ymax = grid.extent
+    s, s_end = 0.0, math.inf
+    for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
+        if abs(u) < 1e-15:
+            if p < lo or p > hi:
+                return None
+        else:
+            ta, tb = sorted(((lo - p) / u, (hi - p) / u))
+            s, s_end = max(s, ta), min(s_end, tb)
+    if s_end < s:
+        return None
+    s_end = min(s_end, max_arc)
+    while s <= s_end:
+        gap = grid.sample_distance(x + ux * s, y + uy * s) - robot_radius
+        if gap <= 0.0:
+            return s
+        s += max(gap, 0.5 * grid.resolution)
+    return None
+
+
+def reference_time_to_collision(world, position, velocity, t0: float) -> float:
+    """time_to_collision one obstacle at a time: 0 in contact, the earliest
+    positive root of each disk's relative-motion quadratic, the grid march,
+    +inf beyond TTC_HORIZON."""
+    x, y = position
+    vx, vy = velocity
+    if distance_to_nearest(world, (x, y), t0) <= 0.0:
+        return 0.0
+    best = math.inf
+    for ox, oy, ovx, ovy, radius in obstacle_states(world, t0):
+        dpx, dpy = ox - x, oy - y
+        dvx, dvy = ovx - vx, ovy - vy
+        a = dvx * dvx + dvy * dvy
+        if a < 1e-18:
+            continue
+        r_sum = world.robot_radius + radius
+        b = 2.0 * (dpx * dvx + dpy * dvy)
+        c = dpx * dpx + dpy * dpy - r_sum * r_sum
+        disc = b * b - 4.0 * a * c
+        if disc > 0.0:
+            s = (-b - math.sqrt(disc)) / (2.0 * a)
+            if s > 0.0:
+                best = min(best, s)
+    speed = math.hypot(vx, vy)
+    if speed >= 1e-9 and world.grid.has_occupied:
+        arc = reference_ray_arc(world.grid, x, y, vx / speed, vy / speed,
+                                world.robot_radius, min(best, TTC_HORIZON) * speed)
+        if arc is not None:
+            best = min(best, arc / speed)
+    return math.inf if best > TTC_HORIZON else best
+
+
+def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfig):
+    """The trajectory cost one segment at a time from the public scalar
+    helpers. Returns (total, [(d_o, p_c, p_s), ...], terminal j or None)."""
+    nav = NavigationField(world.grid, (goal.x, goal.y))
+    states = traj.states
+    point_d = [distance_to_nearest(world, (s.pose.x, s.pose.y), s.t) for s in states]
+    ds_mode = params.mode == DS_MPEPC
+    total, p_s, rows = 0.0, 1.0, []
+    for i in range(1, len(states)):
+        j = i - 1 if point_d[i - 1] <= point_d[i] else i
+        d_o = point_d[j]
+        if not ds_mode:
+            p_c = collision_probability(d_o, params)
+        elif collision_probability(d_o, params) < 1e-12:
+            p_c = modified_collision_probability(d_o, math.inf, params)
+        else:
+            s = states[j]
+            velocity = (s.v * math.cos(s.pose.heading), s.v * math.sin(s.pose.heading))
+            ttc = reference_time_to_collision(world, (s.pose.x, s.pose.y), velocity, s.t)
+            p_c = modified_collision_probability(d_o, ttc, params)
+        p_s *= 1.0 - p_c
+        a, b = states[i - 1].pose, states[i].pose
+        j_progress = params.w_progress * (nav.distance(b.x, b.y) - nav.distance(a.x, a.y))
+        j_action = cfg.step_h * (params.w_action_v * states[i].v ** 2
+                                 + params.w_action_w * states[i].omega ** 2)
+        total += p_s * j_progress + j_action + (1.0 - p_s) * params.c_collision
+        rows.append((d_o, p_c, p_s))
+    j_terminal = None
+    if ds_mode and params.include_terminal:
+        last = states[-1]
+        ttg = expected_time_to_goal(last, (goal.x, goal.y), params)
+        velocity = (cfg.v_limit * math.cos(last.pose.heading),
+                    cfg.v_limit * math.sin(last.pose.heading))
+        ttc = reference_time_to_collision(world, (last.pose.x, last.pose.y), velocity, last.t)
+        j_terminal = terminal_bonus(p_s, ttg, ttc, params)[2]
+        total += j_terminal
+    return total, rows, j_terminal

@@ -407,7 +407,7 @@ def test_c9_performance():
     )
     nav = NavigationField(scenario.grid, (spec.goal.x, spec.goal.y))
     start = RobotState(pose=spec.start)
-    default_budget = OptimizerConfig()  # 400 global + 3x60 refinement
+    default_budget = OptimizerConfig()  # 400 global + 3x240 refinement
     timings = []
     for i in range(5):
         t0 = time.perf_counter()

@@ -221,3 +221,31 @@ def test_landscape_bad_time_exits_2(small_scenario, tmp_path):
     code = main(["landscape", small_scenario, "--agent", "bot", "--t", "99.0",
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "open_field", "--seeds", "0"],
+    ["compare", "open_field", "--seeds", "-1"],
+    ["landscape", "open_field", "--agent", "bot", "--top", "-5"],
+])
+def test_count_below_minimum_exits_2(argv, tmp_path, capsys):
+    # a count out of range is a usage error, caught before any run starts
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_landscape_with_terminal_ablated(tmp_path):
+    # the ranks read the terminal TTG and TTC, so the landscape scores with
+    # the terminal term even for an agent that ablates it
+    doc = dict(SMALL_FIELD, defaults=dict(SMALL_FIELD["defaults"],
+                                          cost={"include_terminal": False}))
+    path = tmp_path / "ablated.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "land")
+    assert main(["landscape", str(path), "--agent", "bot", "--rank", "ttc",
+                 "--out", out]) == 0
+    with open(os.path.join(out, "landscape.csv")) as f:
+        assert len(f.read().splitlines()) == 1 + 96

@@ -23,6 +23,8 @@ from dsmpepc.geometry import Pose, wrap_angle
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
 from dsmpepc.world import DynamicObstacle, OccupancyGrid, World
 
+from oracles import reference_trajectory_cost
+
 PARAMS = CostParams()
 CFG = PlannerConfig()
 
@@ -361,3 +363,32 @@ def test_terminal_cost_wrapper():
     assert ev.j_terminal == -1.0
     ev0 = terminal_cost(terminal, 0.0, (12.0, 6.0), world, PARAMS, v_limit=1.0)
     assert ev0.j_terminal == 0.0
+
+
+def test_trajectory_cost_matches_scalar_reference():
+    # the batched cost against a one-segment-at-a-time evaluation from the
+    # public scalar helpers, in both modes, among walls and moving disks;
+    # numpy's exp and the rollout's trig round within ulps of math's
+    rows = ["#" * 48] + ["#" + "." * 46 + "#"] * 8 + ["#" + "." * 20 + "#" * 5
+                                                      + "." * 21 + "#"] * 4
+    rows += ["#" + "." * 46 + "#"] * 10 + ["#" * 48]
+    grid = OccupancyGrid.from_ascii(rows, 0.25)
+    rng = random.Random(19)
+    for _ in range(12):
+        obstacles = random_world(rng, n_obstacles=2).obstacles
+        world = World(grid=grid, obstacles=obstacles, robot_radius=0.35)
+        start, z = random_state_param(rng, center=(6.0, 2.5))
+        traj = rollout(start, z, CFG)
+        goal = Pose(rng.uniform(2, 10), rng.uniform(1.0, 2.5), 0.0)
+        for params in (PARAMS, replace(PARAMS, mode=BASELINE_MPEPC)):
+            breakdown = trajectory_cost(traj, goal, world, params, CFG)
+            total, segments, j_terminal = reference_trajectory_cost(
+                traj, goal, world, params, CFG)
+            assert math.isclose(breakdown.total, total, rel_tol=1e-9, abs_tol=1e-9)
+            for seg, (d_o, p_c, p_s) in zip(breakdown.segments, segments):
+                assert math.isclose(seg.d_o, d_o, abs_tol=1e-12)
+                assert math.isclose(seg.p_c, p_c, rel_tol=1e-9, abs_tol=1e-12)
+                assert math.isclose(seg.p_s, p_s, rel_tol=1e-9, abs_tol=1e-12)
+            if j_terminal is not None:
+                assert math.isclose(breakdown.terminal.j_terminal, j_terminal,
+                                    rel_tol=1e-9, abs_tol=1e-12)

@@ -1,13 +1,16 @@
-"""Refinement scoring pinned against the public scalar path and golden digests.
+"""Planner results pinned by exact rescoring and golden digests.
 
-The golden digests were recorded from the planner whose refinement scored
-every candidate through `evaluate_candidate` (rollout + trajectory_cost);
-any change to the numbers that plan() or run() produce changes a digest.
+Every candidate plan() evaluates, in the sweep and in each batched
+refinement round, goes through `_batch.evaluate_batch`, and a row of a batch
+does not depend on the rest of the batch; so every entry of `evaluated`
+rescores exactly through `evaluate_candidate`, a batch of one. The golden
+digests pin the numbers that plan() and run() produce; any change to them
+changes a digest.
 
 numpy's float64 exp, arctan2 and arctan round some last bits differently on
-its AVX-512 (X86_V4) and AVX2 code paths, so the plan digests come in two
-exact tables, one per dispatch level, selected from the running numpy. Both
-were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64; the AVX2 table by
+its AVX-512 (X86_V4) and AVX2 code paths, so the digests come in two exact
+sets, one per dispatch level, selected from the running numpy. Both were
+recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64; the AVX2 set by
 running with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 """
 
@@ -24,10 +27,11 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
 from dsmpepc import builtin, run
-from dsmpepc.cost import BASELINE_MPEPC, CostParams
+from dsmpepc._batch import evaluate_batch
+from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams
 from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam
-from dsmpepc.optimizer import OptimizerConfig, evaluate_candidate, plan
+from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout, step_times
+from dsmpepc.optimizer import OptimizerConfig, _order_key, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
 CFG = PlannerConfig()
@@ -120,37 +124,40 @@ def sim_digest(result) -> str:
 
 
 PLAN_DIGESTS_AVX512 = {
-    "ds_walled_mixed":
-        "055296978a7c25aaea57722ed173eb454ff5c5a2f3497e767f295ece41d58e0a",
     "baseline_walled_mixed":
-        "1064fa4c1e837bee597b45292b993d68e287aca0bcfdfcecc1129e9172a3cc6c",
-    "ds_no_terminal":
-        "f3b76c4e32b3ae83b80f77646c0ecdbfb5a6366877b5e6c4c99d8159360cb7d9",
+        "200c89bef68f7ba1afb8484f1d0b5b19822239d1c01eeec688f728eec5e2cf8f",
     "ds_empty_cv":
-        "d93e723d2a8e47053752f717f0c4a06dc4da8c1a516531ba24bbcf95676e2632",
+        "35632ac9cf0d2ce21b5add63b1b5419e7265dc215ad7294c1bbd25699e3f45dc",
     "ds_in_contact":
-        "f7e4003eb0699b3eb485e7f13ce5326cd735c457d813c326e835aa1c80de7970",
+        "b2905dffdc07ae425fe81fcf58504495af4fbfffc2ae1748d43fda30d0949244",
+    "ds_no_terminal":
+        "3330b9408f646b45bf73835386a782708121a4e066f9a19100a47ef461e4d56f",
+    "ds_walled_mixed":
+        "485d62268a68288dd87d61bd0e9853671188ed1b9e1fc3e30261724358f62126",
     "ds_warm_start":
-        "aed0ba00b8416b7264d64a90cafc11aa1801f469ce5ab710efc985d8907cba7a",
+        "f50272049985daf62503f15a89512cbfc679d1a59dfd8fc212435f479c29082d",
 }
 PLAN_DIGESTS_AVX2 = {
-    "ds_walled_mixed":
-        "b7279a260da24f9ff225bc151d5a5382d849a65757b8bb7f7cb1fb2bee9fe371",
     "baseline_walled_mixed":
-        "d7721532e55121f8a13707ad39952b8136c3b4c961b933c93aacfcf840c82227",
-    "ds_no_terminal":
-        "998341981dc0c5f8348b5db4093560c42d1341089175da85ec6a248cb3c70646",
+        "6a07c7d957959e2c07e226038aeab8a4f17050ffd4e434524a95b49948138400",
     "ds_empty_cv":
-        "3fe58c7c5b21e1b109c22713d10a8aca8e94fba1a9ea979d87c64753d61e8ea9",
+        "2be347f304799b8e7ac72483ce81432fa1d12061b166a600ebddf259623f8f85",
     "ds_in_contact":
-        "f7e4003eb0699b3eb485e7f13ce5326cd735c457d813c326e835aa1c80de7970",
+        "b2905dffdc07ae425fe81fcf58504495af4fbfffc2ae1748d43fda30d0949244",
+    "ds_no_terminal":
+        "b2525c44d6ef07bdfed1638196f72f91ec890bf662369693f9821b1625568f92",
+    "ds_walled_mixed":
+        "3aa6655594380e1a1d00d49cfa42b9bc17822d772303d94274d7060bbc58e240",
     "ds_warm_start":
-        "f3ac53bdb6a7043dc7e7fcc14b6af48ff744675484033087b2832471e3935329",
+        "9c6cb005646b25041ffa4d4a766692cb873f03e64140216e445bd93510d9aaca",
 }
 # numpy before 2.4 has no X86_V4 target; its AVX-512 baseline is AVX512_SKX
 _AVX512 = __cpu_features__.get("X86_V4", __cpu_features__.get("AVX512_SKX"))
 PLAN_DIGESTS = PLAN_DIGESTS_AVX512 if _AVX512 else PLAN_DIGESTS_AVX2
-RUN_DIGEST = "e0c34edae0078a1b7aabe3028d0c9e4e04187a91fd4354a6fe2a68152544eb18"
+RUN_DIGEST = (
+    "d119b65ec4873a7bb277e252b0fc9d6a3d79290f2d267e45f40fcd10ff908339" if _AVX512
+    else "6b0435a4741c3c3d023f0cd7129e9177f50b8c9529f5ced6160321ba2c0b1371"
+)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -160,21 +167,41 @@ def test_refinement_entries_rescore_exactly(name):
     n_sweep = len(sweep.evaluated)
     assert result.evaluated[:n_sweep] == sweep.evaluated
     refined = result.evaluated[n_sweep:]
-    assert 0 < len(refined) <= OPT.n_refine_seeds * OPT.refine_max_evals
+    assert len(refined) == OPT.n_refine_seeds * OPT.refine_max_evals
     start, goal, world, cost, _ = PROBLEMS[name]
-    # the vectorized sweep agrees with the scalar path to floating-point noise
-    for z, c in sweep.evaluated:
-        _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
-        assert math.isclose(c, breakdown.total, rel_tol=0.0, abs_tol=1e-9)
-    for z, c in refined:
+    # sweep and refinement alike: each cost is its candidate's batch of one
+    for z, c in result.evaluated:
         _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
         assert c == breakdown.total
-    best = min(result.evaluated, key=lambda pc: (pc[1], *pc[0].as_tuple()))
-    assert best == (result.best_param, result.best_cost)
-    traj, breakdown = evaluate_candidate(
-        result.best_param, start, goal, world, CFG, cost, nav=nav)
-    assert traj.states == result.best_trajectory.states
+    assert min(result.evaluated, key=_order_key) == (result.best_param, result.best_cost)
+    # the argmin's own rollout row, not a second rollout
+    assert result.best_trajectory == rollout(start, result.best_param, CFG)
     assert math.isfinite(result.best_cost)
+
+
+def _rows(rows, states, k):
+    """Everything a batch returns for its k-th candidate, as lists."""
+    parts = [rows.total[k]] + [a[k] for a in rows.segments if a is not None]
+    parts += [a[k] for a in rows.terminal or ()] + [a[k] for a in states]
+    return [np.asarray(a).tolist() for a in parts]
+
+
+@pytest.mark.parametrize("name", ["ds_walled_mixed", "baseline_walled_mixed", "ds_empty_cv"])
+def test_batch_rows_do_not_depend_on_the_batch(name):
+    # exact rescoring rests on this: a candidate's row in a sub-slice of a
+    # batch, down to a batch of one, equals its row in the whole batch
+    start, goal, world, cost, _ = PROBLEMS[name]
+    kernel = CostKernel(world, goal, cost, CFG, step_times(start.t, CFG))
+    rng = np.random.default_rng(3)
+    lo, hi = np.array(OPT.resolved_bounds(CFG)).T
+    params = [TrajectoryParam(*row) for row in (lo + rng.random((64, 4)) * (hi - lo)).tolist()]
+    params[5] = TrajectoryParam(0.0, 0.0, 0.0, 0.0)
+    full = evaluate_batch(params, start, kernel, rows=True)
+    for size in (1, 3, 7, 13):
+        for first in range(0, 64 - size + 1, size):
+            part = evaluate_batch(params[first:first + size], start, kernel, rows=True)
+            for k in range(size):
+                assert _rows(*part, k) == _rows(*full, first + k)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -214,3 +214,13 @@ def test_t_corridor_has_stationary_blocker():
     config = builtin("t_corridor")
     blocker = next(a for a in config.agents if a.id == "blocker")
     assert blocker.start == blocker.goal
+
+
+def test_optimizer_bounds_key_is_named():
+    # the parameter box follows from the planner config; a "bounds" key is
+    # rejected with the block's path, not silently ignored
+    doc = dict(MINIMAL)
+    doc["agents"] = [{"id": "bot", "start": [2.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0],
+                      "optimizer": {"bounds": [[0, 1], [0, 1], [0, 1], [0, 1]]}}]
+    with pytest.raises(ScenarioError, match=r"agents\[0\]\.optimizer: .*bounds"):
+        load(doc)

@@ -12,7 +12,7 @@ from dsmpepc.world import (
     OccupancyGrid,
     TTC_HORIZON,
     World,
-    _static_ray_arc,
+    _static_ray_arcs,
     distance_to_nearest,
     distance_to_nearest_batch,
     obstacle_states,
@@ -26,6 +26,8 @@ from oracles import (
     brute_force_distance_field,
     fine_step_first_contact,
     reference_navigation_field,
+    reference_ray_arc,
+    reference_time_to_collision,
 )
 
 
@@ -268,40 +270,14 @@ def test_horizon_snapshot_matches_per_time_queries():
         for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys)):
             assert d == pytest.approx(distance_to_nearest(w, (x, y), t), abs=1e-12)
         assert len(snapshot.tracks) == len(w.obstacles)
-        for t, states in zip(ts, snapshot.obstacles):
-            assert states == obstacle_states(w, t)
-            for obs, (ox, oy, ovx, ovy, radius) in zip(w.obstacles, states):
-                assert (ox, oy) == predict_obstacle(obs, t)
-                assert (ovx, ovy) == obstacle_velocity(obs, t)
-                assert radius == obs.radius
-        # the sweep's arrays hold exactly the predicted states
-        for obs, (radius, oxs, oys, ovxs, ovys) in zip(w.obstacles, snapshot.tracks):
+        # the arrays hold exactly the predicted states
+        for k, (obs, (radius, oxs, oys, ovxs, ovys)) in enumerate(
+                zip(w.obstacles, snapshot.tracks)):
             assert radius == obs.radius
-            for k, t in enumerate(ts):
-                assert (oxs[k], oys[k]) == predict_obstacle(obs, t)
-                assert (ovxs[k], ovys[k]) == obstacle_velocity(obs, t)
-
-
-def _reference_arc(grid, x, y, ux, uy, robot_radius, max_arc):
-    """The grid march written against OccupancyGrid.sample_distance."""
-    xmin, ymin, xmax, ymax = grid.extent
-    s, s_end = 0.0, math.inf
-    for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
-        if abs(u) < 1e-15:
-            if p < lo or p > hi:
-                return None
-        else:
-            ta, tb = sorted(((lo - p) / u, (hi - p) / u))
-            s, s_end = max(s, ta), min(s_end, tb)
-    if s_end < s:
-        return None
-    s_end = min(s_end, max_arc)
-    while s <= s_end:
-        gap = grid.sample_distance(x + ux * s, y + uy * s) - robot_radius
-        if gap <= 0.0:
-            return s
-        s += max(gap, 0.5 * grid.resolution)
-    return None
+            for i, t in enumerate(ts):
+                assert (oxs[i], oys[i]) == predict_obstacle(obs, t)
+                assert (ovxs[i], ovys[i]) == obstacle_velocity(obs, t)
+                assert (oxs[i], oys[i], ovxs[i], ovys[i], radius) == obstacle_states(w, t)[k]
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (1, 30), (30, 1), (2, 2)])
@@ -311,15 +287,20 @@ def test_static_ray_arc_matches_sampled_march(shape):
     occupied.flat[rng.randrange(occupied.size)] = True
     grid = OccupancyGrid(occupied, 0.2, origin=(-1.0, 0.5))
     xmin, ymin, xmax, ymax = grid.extent
+    rays = []
     for _ in range(200):
         x = rng.uniform(xmin - 1.0, xmax + 1.0)
         y = rng.uniform(ymin - 1.0, ymax + 1.0)
         ang = rng.choice([0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)])
-        ux, uy = math.cos(ang), math.sin(ang)
-        rr = rng.uniform(0.05, 0.4)
-        max_arc = rng.choice([math.inf, rng.uniform(0.0, 8.0)])
-        assert (_static_ray_arc(grid, x, y, ux, uy, rr, max_arc)
-                == _reference_arc(grid, x, y, ux, uy, rr, max_arc))
+        rays.append((x, y, math.cos(ang), math.sin(ang),
+                     rng.choice([math.inf, rng.uniform(0.0, 8.0)])))
+    x, y, ux, uy, max_arc = map(np.array, zip(*rays))
+    for rr in (0.05, rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4), 0.4):
+        # all rays march in one lockstep batch, each as it would alone
+        arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+        for ray, arc in zip(rays, arcs.tolist()):
+            expected = reference_ray_arc(grid, *ray[:4], rr, ray[4])
+            assert arc == (math.inf if expected is None else expected)
 
 
 def test_ttc_head_on_static_disk():
@@ -519,3 +500,33 @@ def test_navigation_field_matches_reference_dijkstra():
     nav = NavigationField(pocket, pocket.cell_center(1, 1))
     reached = nav._values[1:4, 1:5][~pocket.occupied[1:4, 1:5]]
     assert nav._values[3, 6] == nav._values[0, 0] > reached.max()
+
+
+def test_ttc_matches_scalar_reference():
+    # the batched TTC against one-obstacle-at-a-time queries and a scalar
+    # march, in a walled hall with constant-velocity and scripted disks
+    rows = ["#" * 40] + ["#" + "." * 38 + "#"] * 8 + ["#" + "." * 15 + "#" * 6
+                                                      + "." * 17 + "#"] * 3
+    rows += ["#" + "." * 38 + "#"] * 8 + ["#" * 40]
+    grid = OccupancyGrid.from_ascii(rows, 0.25)
+    world = World(
+        grid=grid,
+        obstacles=(
+            DynamicObstacle(id="cv", radius=0.3, position=(3.0, 2.0), velocity=(0.4, -0.2),
+                            epoch=0.5),
+            DynamicObstacle(id="wp", radius=0.25,
+                            waypoints=((0.0, 8.0, 1.0), (3.0, 5.0, 4.0), (6.0, 2.0, 4.0))),
+        ),
+        robot_radius=0.35,
+    )
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(400):
+        p = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 5.0))
+        v = rng.choice([(0.0, 0.0), (rng.uniform(-1, 1), rng.uniform(-1, 1))])
+        t = rng.uniform(0.0, 7.0)
+        expected = reference_time_to_collision(world, p, v, t)
+        # numpy and math may round the speed's hypot an ulp apart
+        assert math.isclose(time_to_collision(world, p, v, t), expected, rel_tol=1e-12)
+        checked += math.isfinite(expected) and expected > 0.0
+    assert checked >= 100
