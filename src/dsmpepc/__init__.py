@@ -20,7 +20,6 @@ from .cost import (
     modified_collision_probability,
     survivability,
     terminal_bonus,
-    terminal_cost,
     terminal_ttc,
     trajectory_cost,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "survivability",
     "target_from_param",
     "terminal_bonus",
-    "terminal_cost",
     "terminal_ttc",
     "time_to_collision",
     "trajectory_cost",

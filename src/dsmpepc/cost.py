@@ -116,15 +116,15 @@ class CostBreakdown:
     total: float
 
 
-# The scalar formulas below use numpy's exp, as the batched `CostKernel`
-# does, so a probability or bonus they compute equals the planner's exactly.
+# The formulas below take floats or numpy arrays (elementwise, broadcasting)
+# and are the planner's own code: `CostKernel.evaluate` calls them on whole
+# batches of rows. A float input gives a float (numpy's float64).
 
 
-def collision_probability(d_o: float, params: CostParams) -> float:
-    """Bell-shaped distance-based collision probability exp(-d_o^2 / sigma_d^2)."""
-    if d_o < 0:
-        raise ValueError("d_o must be >= 0")
-    return float(np.exp(-(d_o * d_o) / (params.sigma_d * params.sigma_d)))
+def _probabilities(p) -> bool:
+    """Whether every value lies in [0, 1] (NaN does not)."""
+    p = np.asarray(p)
+    return bool(((0.0 <= p) & (p <= 1.0)).all())
 
 
 def _inverse(values):
@@ -134,20 +134,32 @@ def _inverse(values):
         return np.where(values == 0.0, math.inf, np.where(np.isinf(values), 0.0, 1.0 / values))
 
 
-def anticipatory_factor(ttc: float, params: CostParams) -> float:
+def _bell(x, sigma: float):
+    """exp(-x^2 / sigma^2): 1 exactly at x = 0, 0 exactly at x = inf (and
+    where x^2 overflows to inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-(x * x) / (sigma * sigma))
+
+
+def collision_probability(d_o, params: CostParams):
+    """Bell-shaped distance-based collision probability exp(-d_o^2 / sigma_d^2)."""
+    if np.any(np.less(d_o, 0.0)):
+        raise ValueError("d_o must be >= 0")
+    return _bell(d_o, params.sigma_d)
+
+
+def anticipatory_factor(ttc, params: CostParams):
     """(1 - a * exp(-(1/ttc)^2 / sigma_inv_ttc^2)) in [1 - a, 1].
 
     Equals 1 exactly at ttc = 0 (contact: no discount) and 1 - a exactly at
     ttc = +inf (motion that never collides earns the full discount).
     """
-    if ttc < 0:
+    if np.any(np.less(ttc, 0.0)):
         raise ValueError("ttc must be >= 0")
-    inv = _inverse(ttc)
-    sig = params.sigma_inv_ttc
-    return 1.0 - params.a * float(np.exp(-(inv * inv) / (sig * sig)))
+    return 1.0 - params.a * _bell(_inverse(ttc), params.sigma_inv_ttc)
 
 
-def modified_collision_probability(d_o: float, ttc: float, params: CostParams) -> float:
+def modified_collision_probability(d_o, ttc, params: CostParams):
     """Distance-based probability discounted by the anticipatory factor.
 
     Satisfies (1 - a) * p_c <= result <= p_c for every ttc.
@@ -155,21 +167,18 @@ def modified_collision_probability(d_o: float, ttc: float, params: CostParams) -
     return collision_probability(d_o, params) * anticipatory_factor(ttc, params)
 
 
-def survivability(p_c_sequence) -> list[float]:
-    """Running products prod_{k<=i} (1 - p_c_k); index 0 of the result is
-    survivability after the first segment."""
-    out = []
-    p_s = 1.0
-    for p_c in p_c_sequence:
-        if not 0.0 <= p_c <= 1.0:
-            raise ValueError("collision probabilities must lie in [0, 1]")
-        p_s = p_s * (1.0 - p_c)
-        out.append(p_s)
-    return out
+def survivability(p_c_sequence):
+    """Running products prod_{k<=i} (1 - p_c_k) along the last axis; index 0
+    of the result is survivability after the first segment. A sequence gives
+    a list, an array an array."""
+    if not _probabilities(p_c_sequence):
+        raise ValueError("collision probabilities must lie in [0, 1]")
+    p_s = np.cumprod(1.0 - np.asarray(p_c_sequence, dtype=float), axis=-1)
+    return p_s if isinstance(p_c_sequence, np.ndarray) else p_s.tolist()
 
 
 def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
-                          params: CostParams) -> float:
+                          params: CostParams):
     """Distance to goal over the velocity component toward it.
 
     0 when already within goal_tolerance; +inf when the terminal state is
@@ -178,13 +187,12 @@ def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
     pose = terminal.pose
     dx = goal[0] - pose.x
     dy = goal[1] - pose.y
-    d = math.hypot(dx, dy)
-    if d <= params.goal_tolerance:
-        return 0.0
-    v_goal = terminal.v * (math.cos(pose.heading) * dx + math.sin(pose.heading) * dy) / d
-    if v_goal > params.v_epsilon:
-        return d / v_goal
-    return math.inf
+    d = np.hypot(dx, dy)
+    toward = np.cos(pose.heading) * dx + np.sin(pose.heading) * dy
+    v_goal = terminal.v * toward / np.where(d > 0.0, d, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.where(d <= params.goal_tolerance, 0.0,
+                        np.where(v_goal > params.v_epsilon, d / v_goal, math.inf))[()]
 
 
 def terminal_ttc(terminal: RobotState, world: World, t_N: float, v_limit: float) -> float:
@@ -197,34 +205,17 @@ def terminal_ttc(terminal: RobotState, world: World, t_N: float, v_limit: float)
     return time_to_collision(world, (terminal.pose.x, terminal.pose.y), velocity, t_N)
 
 
-def terminal_bonus(p_s_N: float, ttg: float, ttc: float,
-                   params: CostParams) -> tuple[float, float, float]:
+def terminal_bonus(p_s_N, ttg, ttc, params: CostParams):
     """(C_TTG, C_TTC, j_terminal) with j_terminal = -p_s_N * C_TTG * C_TTC.
 
     Both C factors reach 1 exactly at infinite TTG/TTC, so the -1 bound is
     attainable; j_terminal is exactly 0 whenever p_s_N is 0.
     """
-    if not 0.0 <= p_s_N <= 1.0:
+    if not _probabilities(p_s_N):
         raise ValueError("p_s_N must lie in [0, 1]")
-    inv_g = _inverse(ttg)
-    inv_c = _inverse(ttc)
-    c_ttg = float(np.exp(-(inv_g * inv_g) / (params.sigma_inv_ttg * params.sigma_inv_ttg)))
-    c_ttc = float(np.exp(-(inv_c * inv_c) / (params.sigma_inv_ttc * params.sigma_inv_ttc)))
-    if p_s_N == 0.0:
-        return (c_ttg, c_ttc, 0.0)
-    return (c_ttg, c_ttc, -(p_s_N * c_ttg * c_ttc))
-
-
-def terminal_cost(terminal: RobotState, p_s_N: float, goal: tuple[float, float],
-                  world: World, params: CostParams, v_limit: float) -> TerminalEvaluation:
-    """Evaluate the terminal bonus at a trajectory's last state."""
-    ttg = expected_time_to_goal(terminal, goal, params)
-    ttc = terminal_ttc(terminal, world, terminal.t, v_limit)
-    c_ttg, c_ttc, j_term = terminal_bonus(p_s_N, ttg, ttc, params)
-    return TerminalEvaluation(
-        ttg=ttg, ttc_terminal=ttc, c_ttg=c_ttg, c_ttc=c_ttc,
-        p_s_N=p_s_N, j_terminal=j_term,
-    )
+    c_ttg = _bell(_inverse(ttg), params.sigma_inv_ttg)
+    c_ttc = _bell(_inverse(ttc), params.sigma_inv_ttc)
+    return (c_ttg, c_ttc, np.where(p_s_N == 0.0, 0.0, -(p_s_N * c_ttg * c_ttc))[()])
 
 
 def _goal_xy(goal) -> tuple[float, float]:
@@ -272,15 +263,19 @@ class CostKernel:
         """Total cost of each rollout whose states at the step times are the
         rows of these (B, N+1) arrays; with `rows`, the `CostRows`.
 
-        Segment hazards are evaluated at both endpoints against obstacles
-        predicted at the matching times; the closer endpoint defines the
-        segment's d_o, and its TTC feeds the anticipatory factor (so an
-        in-contact endpoint forces probability 1 exactly). A segment whose
-        distance-based probability is below _P_C_SKIP gets ttc = +inf without
-        a query. Baseline mode uses the distance-only probability and no
-        terminal term. Every operation is elementwise or runs along a row, so
-        a row does not depend on the rest of the batch, and the segment terms
-        are summed in order, as a loop over the segments would.
+        The terms are the module's formulas applied to whole rows:
+        `collision_probability` and `anticipatory_factor` per segment,
+        `survivability` along each row, and `expected_time_to_goal` and
+        `terminal_bonus` at the last states. Segment hazards are evaluated
+        at both endpoints against obstacles predicted at the matching times;
+        the closer endpoint defines the segment's d_o, and its TTC feeds the
+        anticipatory factor (so an in-contact endpoint forces probability 1
+        exactly). A segment whose distance-based probability is below
+        _P_C_SKIP gets ttc = +inf without a query. Baseline mode uses the
+        distance-only probability and no terminal term. Every operation is
+        elementwise or runs along a row, so a row does not depend on the rest
+        of the batch, and the segment terms are summed in order, as a loop
+        over the segments would.
         """
         params = self.params
         world = self.world
@@ -292,7 +287,7 @@ class CostKernel:
 
         left = d[:, :-1] <= d[:, 1:]
         d_seg = np.where(left, d[:, :-1], d[:, 1:])
-        p_c = np.exp(-(d_seg * d_seg) / (params.sigma_d * params.sigma_d))
+        p_c = collision_probability(d_seg, params)
 
         ds_mode = params.mode == DS_MPEPC
         ttc = None
@@ -308,13 +303,9 @@ class CostKernel:
                     world, xs[rr, pt], ys[rr, pt], pv * np.cos(ph), pv * np.sin(ph), pt,
                     tracks, d[rr, pt],
                 )
-            inv = _inverse(ttc)
-            with np.errstate(invalid="ignore"):
-                factor = 1.0 - params.a * np.exp(
-                    -(inv * inv) / (params.sigma_inv_ttc * params.sigma_inv_ttc))
-            p_c = p_c * factor
+            p_c = p_c * anticipatory_factor(ttc, params)
 
-        p_s = np.cumprod(1.0 - p_c, axis=1)
+        p_s = survivability(p_c)
         j_prog = params.w_progress * np.diff(nf, axis=1)
         j_act = cfg.step_h * (params.w_action_v * vs[:, 1:] ** 2
                               + params.w_action_w * ws[:, 1:] ** 2)
@@ -323,30 +314,15 @@ class CostKernel:
 
         terminal = None
         if ds_mode and params.include_terminal:
-            gx, gy = self.goal
-            x, y, heading, v = xs[:, -1], ys[:, -1], hs[:, -1], vs[:, -1]
-            dxg = gx - x
-            dyg = gy - y
-            dist = np.hypot(dxg, dyg)
-            safe_d = np.where(dist > 0.0, dist, 1.0)
-            v_goal = v * (np.cos(heading) * dxg + np.sin(heading) * dyg) / safe_d
-            with np.errstate(divide="ignore"):
-                ttg = np.where(
-                    dist <= params.goal_tolerance,
-                    0.0,
-                    np.where(v_goal > params.v_epsilon, dist / v_goal, math.inf),
-                )
+            x, y, heading = xs[:, -1], ys[:, -1], hs[:, -1]
+            ttg = expected_time_to_goal(RobotState(Pose(x, y, heading), vs[:, -1]),
+                                        self.goal, params)
             ttc_n = _ttc_batch(
                 world, x, y, cfg.v_limit * np.cos(heading), cfg.v_limit * np.sin(heading),
                 np.full(b, n), tracks, d[:, -1],
             )
-            inv_g = _inverse(ttg)
-            inv_c = _inverse(ttc_n)
-            with np.errstate(invalid="ignore"):
-                c_ttg = np.exp(-(inv_g * inv_g) / (params.sigma_inv_ttg * params.sigma_inv_ttg))
-                c_ttc = np.exp(-(inv_c * inv_c) / (params.sigma_inv_ttc * params.sigma_inv_ttc))
             p_s_n = p_s[:, -1]
-            j_term = np.where(p_s_n == 0.0, 0.0, -(p_s_n * c_ttg * c_ttc))
+            c_ttg, c_ttc, j_term = terminal_bonus(p_s_n, ttg, ttc_n, params)
             totals = totals + j_term
             terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
         if not rows:

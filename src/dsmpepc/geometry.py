@@ -6,12 +6,18 @@ the target, target heading relative to the line of sight, and robot heading
 relative to the line of sight. A nonlinear feedback law maps that frame to a
 path curvature; a modulation rule maps curvature and target distance to a
 linear velocity. All angles are radians wrapped to (-pi, pi].
+
+Each formula takes floats or numpy arrays (elementwise, broadcasting) and is
+the planner's own code: `kinematics.rollout_batch` calls it on a whole batch
+of rollouts per step. A float input gives a float (numpy's float64).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Below this target distance the line of sight is undefined; the curvature
 # is clamped instead of dividing by ~0.
@@ -24,12 +30,15 @@ KAPPA_MAX = 20.0
 R_SLOWDOWN = 0.5
 
 
-def wrap_angle(angle: float) -> float:
+# As 0-d arrays, constants reach numpy's loops without the conversion of a
+# Python float that every operation would otherwise repeat.
+_TAU, _PI, _MINUS_PI = np.array(math.tau), np.array(math.pi), np.array(-math.pi)
+
+
+def wrap_angle(angle):
     """Wrap an angle to (-pi, pi]."""
-    w = math.remainder(angle, math.tau)
-    if w <= -math.pi:
-        return math.pi
-    return w
+    w = angle - _TAU * np.rint(angle / _TAU)
+    return np.where(w <= _MINUS_PI, _PI, w)[()]
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,7 @@ class Pose:
     heading: float
 
     def wrapped(self) -> "Pose":
-        return Pose(self.x, self.y, wrap_angle(self.heading))
+        return Pose(self.x, self.y, float(wrap_angle(self.heading)))
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)
@@ -89,11 +98,8 @@ def egocentric_coords(robot: Pose, target: Pose) -> EgocentricCoords:
     """
     dx = target.x - robot.x
     dy = target.y - robot.y
-    r = math.hypot(dx, dy)
-    if r < R_EPSILON:
-        los = robot.heading
-    else:
-        los = math.atan2(dy, dx)
+    r = np.hypot(dx, dy)
+    los = np.where(r < R_EPSILON, robot.heading, np.arctan2(dy, dx))
     return EgocentricCoords(
         r=r,
         theta=wrap_angle(target.heading - los),
@@ -101,19 +107,19 @@ def egocentric_coords(robot: Pose, target: Pose) -> EgocentricCoords:
     )
 
 
-def target_from_param(robot: Pose, r: float, theta: float, delta: float) -> Pose:
+def target_from_param(robot: Pose, r, theta, delta) -> Pose:
     """Inverse of `egocentric_coords`: world-frame target pose for (r, theta, delta)."""
-    if r < 0:
+    if np.any(np.less(r, 0.0)):
         raise ValueError("r must be >= 0")
     los = wrap_angle(robot.heading - delta)
     return Pose(
-        x=robot.x + r * math.cos(los),
-        y=robot.y + r * math.sin(los),
+        x=robot.x + r * np.cos(los),
+        y=robot.y + r * np.sin(los),
         heading=wrap_angle(los + theta),
     )
 
 
-def control_law_curvature(coords: EgocentricCoords, gains: ControlGains) -> float:
+def control_law_curvature(coords: EgocentricCoords, gains: ControlGains):
     """Path curvature kappa (1/m) of the pose-following law at `coords`.
 
     Returns -(1/r) * [k2*(delta - atan(-k1*theta)) + (1 + k1/(1+(k1*theta)^2)) * sin(delta)].
@@ -121,21 +127,31 @@ def control_law_curvature(coords: EgocentricCoords, gains: ControlGains) -> floa
     """
     k1, k2 = gains.k1, gains.k2
     theta, delta = coords.theta, coords.delta
-    bracket = k2 * (delta - math.atan(-k1 * theta))
-    bracket += (1.0 + k1 / (1.0 + (k1 * theta) ** 2)) * math.sin(delta)
-    if coords.r < R_EPSILON:
-        kappa = -bracket / R_EPSILON
-        return min(KAPPA_MAX, max(-KAPPA_MAX, kappa))
-    return -bracket / coords.r
+    k1_theta = k1 * theta
+    # -[...] built directly: rounding is symmetric under negation, so this
+    # is exactly the negated bracket
+    minus_bracket = k2 * (np.arctan(-k1_theta) - delta)
+    minus_bracket -= (1.0 + k1 / (1.0 + k1_theta * k1_theta)) * np.sin(delta)
+    kappa = minus_bracket / np.maximum(coords.r, R_EPSILON)
+    return np.where(coords.r < R_EPSILON,
+                    np.minimum(np.maximum(kappa, -KAPPA_MAX), KAPPA_MAX), kappa)[()]
 
 
-def velocity_modulation(kappa: float, z_vmax: float, r: float, gains: ControlGains) -> float:
+def velocity_modulation(kappa, z_vmax, r, gains: ControlGains):
     """Linear velocity command in [0, z_vmax].
 
     Velocity drops on high-curvature arcs, 1/(1 + beta*|kappa|^lambda), and
     linearly inside R_SLOWDOWN of the target so the robot arrives at rest.
+    Raises ValueError for a negative z_vmax.
     """
-    if z_vmax < 0:
+    if np.any(np.less(z_vmax, 0.0)):
         raise ValueError("z_vmax must be >= 0")
-    v = z_vmax / (1.0 + gains.curvature_beta * abs(kappa) ** gains.curvature_lambda)
-    return v * min(1.0, r / R_SLOWDOWN)
+    return _velocity_modulation(kappa, z_vmax, r, gains)
+
+
+def _velocity_modulation(kappa, z_vmax, r, gains: ControlGains):
+    """The formula of `velocity_modulation` without its z_vmax check, which
+    `rollout_batch` would otherwise repeat on the same v_max rows every step."""
+    # np.power, not **: numpy's float64 scalar ** rounds squares differently
+    v = z_vmax / (1.0 + gains.curvature_beta * np.power(np.abs(kappa), gains.curvature_lambda))
+    return v * np.minimum(1.0, r / R_SLOWDOWN)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    KAPPA_MAX,
-    R_EPSILON,
-    R_SLOWDOWN,
     ControlGains,
     Pose,
+    _velocity_modulation,
+    control_law_curvature,
+    egocentric_coords,
     target_from_param,
     wrap_angle,
 )
@@ -107,26 +107,25 @@ class Trajectory:
         return self.states[-1]
 
 
-def advance_pose(pose: Pose, v: float, omega: float, dt: float) -> Pose:
+def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
     """Advance a unicycle pose by one step of constant (v, omega).
 
     Exact arc integration: for |omega| >= OMEGA_STRAIGHT the pose moves along
     the circle of radius v/omega, otherwise along a straight segment. The
-    chord length never exceeds |v|*dt.
+    chord length never exceeds |v|*dt. Takes floats or arrays, like the
+    `geometry` formulas.
     """
-    if abs(omega) < OMEGA_STRAIGHT:
-        return Pose(
-            x=pose.x + v * dt * math.cos(pose.heading),
-            y=pose.y + v * dt * math.sin(pose.heading),
-            heading=pose.heading,
-        )
-    radius = v / omega
+    straight = np.abs(omega) < OMEGA_STRAIGHT
     h0 = pose.heading
     h1 = h0 + omega * dt
+    radius = v / np.where(straight, 1.0, omega)
+    cos0 = np.cos(h0)
+    sin0 = np.sin(h0)
+    step = v * dt
     return Pose(
-        x=pose.x + radius * (math.sin(h1) - math.sin(h0)),
-        y=pose.y - radius * (math.cos(h1) - math.cos(h0)),
-        heading=wrap_angle(h1),
+        x=np.where(straight, pose.x + step * cos0, pose.x + radius * (np.sin(h1) - sin0))[()],
+        y=np.where(straight, pose.y + step * sin0, pose.y - radius * (np.cos(h1) - cos0))[()],
+        heading=np.where(straight, h0, wrap_angle(h1))[()],
     )
 
 
@@ -134,12 +133,6 @@ def step_times(t0: float, cfg: PlannerConfig) -> list[float]:
     """Timestamps t0, t0+h, ..., t0+N*h of a rollout's N+1 states."""
     h = cfg.step_h
     return [t0] + [t0 + i * h for i in range(1, cfg.n_steps + 1)]
-
-
-def _wrap(a: np.ndarray) -> np.ndarray:
-    """`geometry.wrap_angle` over an array: angles wrapped to (-pi, pi]."""
-    w = a - math.tau * np.rint(a / math.tau)
-    return np.where(w <= -math.pi, math.pi, w)
 
 
 def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
@@ -150,27 +143,25 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     the start state; timestamps are `step_times(start.t, cfg)`. The start
     state is not validated here (`rollout` does that).
 
-    The target pose is fixed in the world frame at the start. Each step
-    recomputes the egocentric coordinates, applies the control law and the
-    velocity modulation, clamps (v, omega) to the configured limits,
-    rate-limits their change, and advances the pose one exact arc step
-    (`advance_pose`). Every operation is elementwise, so a row does not
-    depend on the rest of the batch.
+    The target poses are fixed in the world frame at the start
+    (`target_from_param`). Each step is the model's own formulas over the
+    whole batch: `egocentric_coords`, `control_law_curvature`,
+    `velocity_modulation` (its formula, without re-checking v_max on every
+    step), then (v, omega) clamped to the configured limits and
+    rate-limited, and one exact arc step (`advance_pose`). Every operation
+    is elementwise, so a row does not depend on the rest of the batch.
     """
     b = params.shape[0]
     n = cfg.n_steps
     gains = cfg.gains
-    k1, k2 = gains.k1, gains.k2
-    beta, lam = gains.curvature_beta, gains.curvature_lambda
-    h = cfg.step_h
-    dv = cfg.accel_limit * h
-    dw = cfg.alpha_limit * h
+    # 0-d arrays, like the constants of `geometry.wrap_angle`: numpy takes
+    # them as they are instead of converting a Python float on every step
+    h, v_lo, v_hi, w_lo, w_hi, dv, dw = (np.array(c) for c in (
+        cfg.step_h, -cfg.v_limit, cfg.v_limit, -cfg.omega_limit, cfg.omega_limit,
+        cfg.accel_limit * cfg.step_h, cfg.alpha_limit * cfg.step_h))
 
     r_z, th_z, dl_z, vmax_z = params.T
-    los0 = _wrap(start.pose.heading - dl_z)
-    tx = start.pose.x + r_z * np.cos(los0)
-    ty = start.pose.y + r_z * np.sin(los0)
-    th_t = _wrap(los0 + th_z)
+    target = target_from_param(start.pose, r_z, th_z, dl_z)
 
     xs = np.empty((b, n + 1))
     ys = np.empty((b, n + 1))
@@ -183,53 +174,22 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     vs[:, 0] = start.v
     ws[:, 0] = start.omega
 
-    x = xs[:, 0].copy()
-    y = ys[:, 0].copy()
-    hd = hs[:, 0].copy()
+    pose = Pose(xs[:, 0].copy(), ys[:, 0].copy(), hs[:, 0].copy())
     v_prev = vs[:, 0].copy()
     w_prev = ws[:, 0].copy()
     for i in range(1, n + 1):
-        dx = tx - x
-        dy = ty - y
-        r = np.hypot(dx, dy)
-        near = r < R_EPSILON
-        los = np.where(near, hd, np.arctan2(dy, dx))
-        theta = _wrap(th_t - los)
-        delta = _wrap(hd - los)
-        bracket = k2 * (delta - np.arctan(-k1 * theta))
-        bracket += (1.0 + k1 / (1.0 + (k1 * theta) ** 2)) * np.sin(delta)
-        kappa = np.where(
-            near,
-            np.minimum(np.maximum(-bracket / R_EPSILON, -KAPPA_MAX), KAPPA_MAX),
-            -bracket / np.where(near, 1.0, r),
-        )
-        v_cmd = vmax_z / (1.0 + beta * np.abs(kappa) ** lam)
-        v_cmd = v_cmd * np.minimum(1.0, r / R_SLOWDOWN)
-        w_cmd = kappa * v_cmd
-        v_cmd = np.minimum(np.maximum(v_cmd, -cfg.v_limit), cfg.v_limit)
-        w_cmd = np.minimum(np.maximum(w_cmd, -cfg.omega_limit), cfg.omega_limit)
-        v = np.minimum(np.maximum(v_cmd, v_prev - dv), v_prev + dv)
-        w = np.minimum(np.maximum(w_cmd, w_prev - dw), w_prev + dw)
-        straight = np.abs(w) < OMEGA_STRAIGHT
-        w_safe = np.where(straight, 1.0, w)
-        radius = v / w_safe
-        h1 = hd + w * h
-        cos0 = np.cos(hd)
-        sin0 = np.sin(hd)
-        x = np.where(
-            straight,
-            x + v * h * cos0,
-            x + radius * (np.sin(h1) - sin0),
-        )
-        y = np.where(
-            straight,
-            y + v * h * sin0,
-            y - radius * (np.cos(h1) - cos0),
-        )
-        hd = np.where(straight, hd, _wrap(h1))
-        xs[:, i] = x
-        ys[:, i] = y
-        hs[:, i] = hd
+        coords = egocentric_coords(pose, target)
+        kappa = control_law_curvature(coords, gains)
+        v = _velocity_modulation(kappa, vmax_z, coords.r, gains)
+        w = kappa * v
+        v = np.minimum(np.maximum(v, v_lo), v_hi)
+        w = np.minimum(np.maximum(w, w_lo), w_hi)
+        v = np.minimum(np.maximum(v, v_prev - dv), v_prev + dv)
+        w = np.minimum(np.maximum(w, w_prev - dw), w_prev + dw)
+        pose = advance_pose(pose, v, w, h)
+        xs[:, i] = pose.x
+        ys[:, i] = pose.y
+        hs[:, i] = pose.heading
         vs[:, i] = v
         ws[:, i] = w
         v_prev, w_prev = v, w

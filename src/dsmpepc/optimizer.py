@@ -19,13 +19,12 @@ from scipy.stats import qmc
 
 from ._batch import evaluate_batch
 from .cost import CostBreakdown, CostKernel, CostParams, trajectory_cost
-from .geometry import Pose, egocentric_coords
+from .geometry import R_EPSILON, Pose, wrap_angle
 from .kinematics import (
     PlannerConfig,
     RobotState,
     Trajectory,
     TrajectoryParam,
-    _wrap,
     rollout,
     step_times,
     trajectory,
@@ -120,6 +119,24 @@ def evaluate_candidate(
     return traj, breakdown
 
 
+def _to_goal(pose: Pose, goal: Pose) -> tuple[float, float, float]:
+    """(r, theta, delta) of the goal pose seen from `pose`: the parameter of
+    the direct-to-goal seed.
+
+    `egocentric_coords` on floats, but with libm's atan2 (`math.atan2`), in
+    which every recorded plan computed this seed: numpy's arctan2, which
+    `egocentric_coords` shares with the rollout, rounds the last bit
+    differently on some inputs, and through the seed that would change the
+    candidates some plans evaluate.
+    """
+    dx = goal.x - pose.x
+    dy = goal.y - pose.y
+    r = math.hypot(dx, dy)
+    los = pose.heading if r < R_EPSILON else math.atan2(dy, dx)
+    return (r, math.remainder(goal.heading - los, math.tau),
+            math.remainder(pose.heading - los, math.tau))
+
+
 def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Project raw (n, 4) parameter rows into the box: clip r and v_max,
     wrap the angles (no artificial boundary at +-pi). A row with v_max = 0
@@ -130,8 +147,8 @@ def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     moving = v != 0.0
     return np.column_stack((
         np.where(moving, np.minimum(np.maximum(x[:, 0], r_lo), r_hi), 0.0),
-        np.where(moving, _wrap(x[:, 1]), 0.0),
-        np.where(moving, _wrap(x[:, 2]), 0.0),
+        np.where(moving, wrap_angle(x[:, 1]), 0.0),
+        np.where(moving, wrap_angle(x[:, 2]), 0.0),
         np.where(moving, v, 0.0),
     ))
 
@@ -192,7 +209,7 @@ def minimize(seeds: list[tuple[TrajectoryParam, float]], current: RobotState,
         costs = rows.total.reshape(n, k)
         for s in range(n):
             d = x[s] - center[s]
-            d[:, 1:3] = _wrap(d[:, 1:3])
+            d[:, 1:3] = wrap_angle(d[:, 1:3])
             order = np.argsort(costs[s], kind="stable")
             j = order[0]
             if costs[s, j] < best[s]:
@@ -232,12 +249,15 @@ def plan(
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
+    if not goal.is_finite():
+        raise ValueError("plan requires a finite goal")
+    if warm_start is not None and not all(map(math.isfinite, warm_start.as_tuple())):
+        raise ValueError("plan requires a finite warm_start")
     bounds = opt_cfg.resolved_bounds(planner_cfg)
     kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
                         step_times(current.t, planner_cfg), nav)
 
-    to_goal = egocentric_coords(current.pose, goal)
-    given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]
+    given = [_to_goal(current.pose, goal) + (math.inf,)]
     if warm_start is not None:
         given.insert(0, warm_start.as_tuple())
     seeds_pool = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)] + [

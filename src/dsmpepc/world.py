@@ -60,9 +60,6 @@ class OccupancyGrid:
             self.distance_field = ndimage.distance_transform_edt(~occupied) * self.resolution
         else:
             self.distance_field = np.full(occupied.shape, math.inf)
-        # Nested-list mirror of the field: scalar sampling is several times
-        # faster on plain Python floats than through numpy indexing.
-        self._df_rows: list[list[float]] = self.distance_field.tolist()
         # Per axis, the 2x2 bilinear stencil of both samplers: (last cell
         # index, lowest index of the last stencil, offset of the upper
         # neighbour). A one-cell axis uses its one cell twice; clamping then
@@ -117,7 +114,7 @@ class OccupancyGrid:
         exactly."""
         if not self.has_occupied:
             return math.inf
-        rows = self._df_rows
+        field = self.distance_field
         w1, ix_last, dx1 = self._stencil_x
         h1, iy_last, dy1 = self._stencil_y
         gx = (x - self.origin[0]) / self.resolution - 0.5
@@ -138,12 +135,10 @@ class OccupancyGrid:
             iy = iy_last
         fx = gx - ix
         fy = gy - iy
-        row0 = rows[iy]
-        row1 = rows[iy + dy1]
-        v00 = row0[ix]
-        v01 = row0[ix + dx1]
-        v10 = row1[ix]
-        v11 = row1[ix + dx1]
+        v00 = field.item(iy, ix)
+        v01 = field.item(iy, ix + dx1)
+        v10 = field.item(iy + dy1, ix)
+        v11 = field.item(iy + dy1, ix + dx1)
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
 
     def sample_distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

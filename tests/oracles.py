@@ -4,8 +4,9 @@ These deliberately avoid the library's query structures: brute-force loops,
 fine-step forward simulation, a fine-step closed-loop integrator, a
 heap-driven Dijkstra, and scalar, one-state-at-a-time versions of the
 planner's batched rollout step, grid ray march, time-to-collision and
-trajectory cost, written against the public scalar helpers. They are slow
-and simple on purpose.
+trajectory cost. The model's formulas are written again below with `math`,
+one value at a time, so these cross-checks do not compare the library's
+formulas with themselves. They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -15,23 +16,94 @@ import math
 
 import numpy as np
 
-from dsmpepc.cost import (
-    DS_MPEPC,
-    collision_probability,
-    expected_time_to_goal,
-    modified_collision_probability,
-    terminal_bonus,
-)
-from dsmpepc.geometry import (
-    ControlGains,
-    Pose,
-    control_law_curvature,
-    egocentric_coords,
-    target_from_param,
-    velocity_modulation,
-)
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, advance_pose
+from dsmpepc.cost import DS_MPEPC
+from dsmpepc.geometry import KAPPA_MAX, R_EPSILON, R_SLOWDOWN, ControlGains, Pose
+from dsmpepc.kinematics import OMEGA_STRAIGHT, PlannerConfig, RobotState, TrajectoryParam
 from dsmpepc.world import TTC_HORIZON, NavigationField, distance_to_nearest, obstacle_states
+
+
+def _wrap_angle(angle: float) -> float:
+    """Angle wrapped to (-pi, pi]."""
+    w = math.remainder(angle, math.tau)
+    return math.pi if w <= -math.pi else w
+
+
+def _egocentric_coords(robot: Pose, target: Pose) -> tuple[float, float, float]:
+    """(r, theta, delta) of the target seen from the robot."""
+    dx = target.x - robot.x
+    dy = target.y - robot.y
+    r = math.hypot(dx, dy)
+    los = robot.heading if r < R_EPSILON else math.atan2(dy, dx)
+    return r, _wrap_angle(target.heading - los), _wrap_angle(robot.heading - los)
+
+
+def _target_from_param(robot: Pose, r: float, theta: float, delta: float) -> Pose:
+    """World-frame target pose of the parameter (r, theta, delta)."""
+    los = _wrap_angle(robot.heading - delta)
+    return Pose(robot.x + r * math.cos(los), robot.y + r * math.sin(los),
+                _wrap_angle(los + theta))
+
+
+def _control_law_curvature(r: float, theta: float, delta: float, gains: ControlGains) -> float:
+    """The pose-following law's curvature, clamped below R_EPSILON."""
+    k1, k2 = gains.k1, gains.k2
+    bracket = k2 * (delta - math.atan(-k1 * theta))
+    bracket += (1.0 + k1 / (1.0 + (k1 * theta) ** 2)) * math.sin(delta)
+    if r < R_EPSILON:
+        return min(KAPPA_MAX, max(-KAPPA_MAX, -bracket / R_EPSILON))
+    return -bracket / r
+
+
+def _velocity_modulation(kappa: float, v_max: float, r: float, gains: ControlGains) -> float:
+    """Speed slowed on tight arcs and inside R_SLOWDOWN of the target."""
+    v = v_max / (1.0 + gains.curvature_beta * abs(kappa) ** gains.curvature_lambda)
+    return v * min(1.0, r / R_SLOWDOWN)
+
+
+def _advance_pose(pose: Pose, v: float, w: float, dt: float) -> Pose:
+    """One exact arc step of constant (v, w)."""
+    if abs(w) < OMEGA_STRAIGHT:
+        return Pose(pose.x + v * dt * math.cos(pose.heading),
+                    pose.y + v * dt * math.sin(pose.heading), pose.heading)
+    radius = v / w
+    h1 = pose.heading + w * dt
+    return Pose(pose.x + radius * (math.sin(h1) - math.sin(pose.heading)),
+                pose.y - radius * (math.cos(h1) - math.cos(pose.heading)),
+                _wrap_angle(h1))
+
+
+def _bell(value: float, sigma: float) -> float:
+    """exp(-(1/value)^2 / sigma^2), with 1/0 = inf and 1/inf = 0."""
+    inverse = math.inf if value == 0.0 else 0.0 if math.isinf(value) else 1.0 / value
+    return math.exp(-(inverse * inverse) / (sigma * sigma))
+
+
+def _collision_probability(d_o: float, params) -> float:
+    return math.exp(-(d_o * d_o) / (params.sigma_d * params.sigma_d))
+
+
+def _modified_collision_probability(d_o: float, ttc: float, params) -> float:
+    factor = 1.0 - params.a * _bell(ttc, params.sigma_inv_ttc)
+    return _collision_probability(d_o, params) * factor
+
+
+def _expected_time_to_goal(state: RobotState, goal: tuple[float, float], params) -> float:
+    """Distance to the goal over the speed toward it; 0 inside goal_tolerance."""
+    dx = goal[0] - state.pose.x
+    dy = goal[1] - state.pose.y
+    d = math.hypot(dx, dy)
+    if d <= params.goal_tolerance:
+        return 0.0
+    v_goal = state.v * (math.cos(state.pose.heading) * dx
+                        + math.sin(state.pose.heading) * dy) / d
+    return d / v_goal if v_goal > params.v_epsilon else math.inf
+
+
+def _terminal_bonus(p_s_N: float, ttg: float, ttc: float, params) -> float:
+    """j_terminal = -p_s_N * C_TTG * C_TTC."""
+    if p_s_N == 0.0:
+        return 0.0
+    return -(p_s_N * _bell(ttg, params.sigma_inv_ttg) * _bell(ttc, params.sigma_inv_ttc))
 
 
 def brute_force_distance_field(occupied: np.ndarray, resolution: float) -> np.ndarray:
@@ -110,12 +182,12 @@ def integrate_control_law(
     t = 0.0
     reached_at = None
     while t < t_end:
-        coords = egocentric_coords(pose, target)
-        if stop_radius is not None and coords.r < stop_radius:
+        r, theta, delta = _egocentric_coords(pose, target)
+        if stop_radius is not None and r < stop_radius:
             reached_at = t
             break
-        kappa = control_law_curvature(coords, gains)
-        v = velocity_modulation(kappa, v_max, coords.r, gains)
+        kappa = _control_law_curvature(r, theta, delta, gains)
+        v = _velocity_modulation(kappa, v_max, r, gains)
         omega = kappa * v
         heading = pose.heading
         if abs(omega) < 1e-12:
@@ -166,16 +238,16 @@ def fine_rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,
                  substeps: int = 100) -> Pose:
     """Closed-loop rollout recomputing control every h/substeps; returns the
     terminal pose after the horizon. Rate limits scale with the substep."""
-    target = target_from_param(start.pose, z.r, z.theta, z.delta)
+    target = _target_from_param(start.pose, z.r, z.theta, z.delta)
     dt = cfg.step_h / substeps
     dv = cfg.accel_limit * dt
     dw = cfg.alpha_limit * dt
     pose = start.pose
     v_prev, w_prev = start.v, start.omega
     for _ in range(cfg.n_steps * substeps):
-        coords = egocentric_coords(pose, target)
-        kappa = control_law_curvature(coords, cfg.gains)
-        v_cmd = velocity_modulation(kappa, z.v_max, coords.r, cfg.gains)
+        r, theta, delta = _egocentric_coords(pose, target)
+        kappa = _control_law_curvature(r, theta, delta, cfg.gains)
+        v_cmd = _velocity_modulation(kappa, z.v_max, r, cfg.gains)
         w_cmd = kappa * v_cmd
         v_cmd = min(cfg.v_limit, max(-cfg.v_limit, v_cmd))
         w_cmd = min(cfg.omega_limit, max(-cfg.omega_limit, w_cmd))
@@ -202,19 +274,19 @@ def fine_rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,
 
 def reference_rollout_step(pose: Pose, v_prev: float, w_prev: float, target: Pose,
                            v_max: float, cfg: PlannerConfig):
-    """One closed-loop step of the rollout, composed from the public helpers:
+    """One closed-loop step of the rollout, composed from the formulas above:
     control law, velocity modulation, limits, rate limits, one arc step.
     Returns (pose, v, omega)."""
     h = cfg.step_h
-    coords = egocentric_coords(pose, target)
-    kappa = control_law_curvature(coords, cfg.gains)
-    v_cmd = velocity_modulation(kappa, v_max, coords.r, cfg.gains)
+    r, theta, delta = _egocentric_coords(pose, target)
+    kappa = _control_law_curvature(r, theta, delta, cfg.gains)
+    v_cmd = _velocity_modulation(kappa, v_max, r, cfg.gains)
     w_cmd = kappa * v_cmd
     v_cmd = min(cfg.v_limit, max(-cfg.v_limit, v_cmd))
     w_cmd = min(cfg.omega_limit, max(-cfg.omega_limit, w_cmd))
     v = min(v_prev + cfg.accel_limit * h, max(v_prev - cfg.accel_limit * h, v_cmd))
     w = min(w_prev + cfg.alpha_limit * h, max(w_prev - cfg.alpha_limit * h, w_cmd))
-    return advance_pose(pose, v, w, h), v, w
+    return _advance_pose(pose, v, w, h), v, w
 
 
 def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
@@ -273,8 +345,8 @@ def reference_time_to_collision(world, position, velocity, t0: float) -> float:
 
 
 def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfig):
-    """The trajectory cost one segment at a time from the public scalar
-    helpers. Returns (total, [(d_o, p_c, p_s), ...], terminal j or None)."""
+    """The trajectory cost one segment at a time from the formulas above.
+    Returns (total, [(d_o, p_c, p_s), ...], terminal j or None)."""
     nav = NavigationField(world.grid, (goal.x, goal.y))
     states = traj.states
     point_d = [distance_to_nearest(world, (s.pose.x, s.pose.y), s.t) for s in states]
@@ -284,14 +356,14 @@ def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfi
         j = i - 1 if point_d[i - 1] <= point_d[i] else i
         d_o = point_d[j]
         if not ds_mode:
-            p_c = collision_probability(d_o, params)
-        elif collision_probability(d_o, params) < 1e-12:
-            p_c = modified_collision_probability(d_o, math.inf, params)
+            p_c = _collision_probability(d_o, params)
+        elif _collision_probability(d_o, params) < 1e-12:
+            p_c = _modified_collision_probability(d_o, math.inf, params)
         else:
             s = states[j]
             velocity = (s.v * math.cos(s.pose.heading), s.v * math.sin(s.pose.heading))
             ttc = reference_time_to_collision(world, (s.pose.x, s.pose.y), velocity, s.t)
-            p_c = modified_collision_probability(d_o, ttc, params)
+            p_c = _modified_collision_probability(d_o, ttc, params)
         p_s *= 1.0 - p_c
         a, b = states[i - 1].pose, states[i].pose
         j_progress = params.w_progress * (nav.distance(b.x, b.y) - nav.distance(a.x, a.y))
@@ -302,10 +374,10 @@ def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfi
     j_terminal = None
     if ds_mode and params.include_terminal:
         last = states[-1]
-        ttg = expected_time_to_goal(last, (goal.x, goal.y), params)
+        ttg = _expected_time_to_goal(last, (goal.x, goal.y), params)
         velocity = (cfg.v_limit * math.cos(last.pose.heading),
                     cfg.v_limit * math.sin(last.pose.heading))
         ttc = reference_time_to_collision(world, (last.pose.x, last.pose.y), velocity, last.t)
-        j_terminal = terminal_bonus(p_s, ttg, ttc, params)[2]
+        j_terminal = _terminal_bonus(p_s, ttg, ttc, params)
         total += j_terminal
     return total, rows, j_terminal

@@ -8,6 +8,7 @@ import pytest
 from dsmpepc.cost import (
     BASELINE_MPEPC,
     DS_MPEPC,
+    CostKernel,
     CostParams,
     anticipatory_factor,
     collision_probability,
@@ -15,14 +16,21 @@ from dsmpepc.cost import (
     modified_collision_probability,
     survivability,
     terminal_bonus,
-    terminal_cost,
     terminal_ttc,
     trajectory_cost,
 )
 from dsmpepc.geometry import Pose, wrap_angle
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
+from dsmpepc.kinematics import (
+    PlannerConfig,
+    RobotState,
+    TrajectoryParam,
+    rollout,
+    rollout_batch,
+    step_times,
+)
 from dsmpepc.world import DynamicObstacle, OccupancyGrid, World
 
+from agreement import assert_float_alone_equals_array
 from oracles import reference_trajectory_cost
 
 PARAMS = CostParams()
@@ -198,6 +206,84 @@ def test_terminal_bonus_bounds_and_monotonicity():
             assert g2 <= g1
 
 
+def test_formulas_agree_on_floats_and_arrays():
+    # the kernel calls these on arrays; each entry equals the float result
+    # for that entry alone, exactly
+    rng = np.random.default_rng(6)
+    n = 40
+    d_o = np.concatenate([rng.uniform(0.0, 1.0, n - 2), [0.0, math.inf]])
+    ttc = np.concatenate([rng.uniform(0.0, 6.0, n - 3), [0.0, math.inf, 1e-300]])
+    assert_float_alone_equals_array(lambda d: collision_probability(d, PARAMS), d_o)
+    assert_float_alone_equals_array(lambda t: anticipatory_factor(t, PARAMS), ttc)
+    assert_float_alone_equals_array(
+        lambda d, t: modified_collision_probability(d, t, PARAMS), d_o, ttc)
+
+    p_c = rng.uniform(0.0, 1.0, (5, 8))
+    p_c[1, 3] = 1.0
+    p_c[2] = 0.0
+    rows = survivability(p_c)
+    for seq, row in zip(p_c.tolist(), rows):
+        assert survivability(seq) == row.tolist()
+
+    x, y, heading = rng.uniform(-3.0, 3.0, (3, n))
+    v = rng.uniform(0.0, 1.0, n)
+    v[:2] = 0.0
+    x[2:4] = [4.1, 3.95]  # within goal_tolerance of the goal
+    y[2:4] = 0.0
+    assert_float_alone_equals_array(
+        lambda *a: expected_time_to_goal(RobotState(Pose(*a[:3]), a[3]), (4.0, 0.0), PARAMS),
+        x, y, heading, v)
+
+    p_s = np.concatenate([rng.uniform(0.0, 1.0, n - 2), [0.0, 1.0]])
+    ttg = np.concatenate([rng.uniform(0.0, 50.0, n - 2), [math.inf, 0.0]])
+    for k in range(3):
+        assert_float_alone_equals_array(
+            lambda *a: terminal_bonus(*a, PARAMS)[k], p_s, ttg, ttc)
+
+
+def test_array_formulas_keep_their_argument_checks():
+    with pytest.raises(ValueError):
+        collision_probability(np.array([0.1, -0.1]), PARAMS)
+    with pytest.raises(ValueError):
+        anticipatory_factor(np.array([math.inf, -1.0]), PARAMS)
+    with pytest.raises(ValueError):
+        survivability(np.array([[0.1, 1.5]]))
+    with pytest.raises(ValueError):
+        terminal_bonus(np.array([0.5, math.nan]), 1.0, 1.0, PARAMS)
+
+
+def test_kernel_rows_keep_the_paper_bounds():
+    # the guarantees on the rows the planner itself scores: among walls and
+    # moving disks, (1 - a) p_c <= p~_c <= p_c per segment and the terminal
+    # bonus in [-1, 0]
+    rows = ["#" * 48] + ["#" + "." * 46 + "#"] * 8 + ["#" + "." * 20 + "#" * 5
+                                                      + "." * 21 + "#"] * 4
+    rows += ["#" + "." * 46 + "#"] * 10 + ["#" * 48]
+    rng = random.Random(23)
+    world = World(grid=OccupancyGrid.from_ascii(rows, 0.25), robot_radius=0.35,
+                  obstacles=random_world(rng, n_obstacles=4).obstacles)
+    start = RobotState(pose=Pose(2.0, 4.5, 0.3), v=0.4, omega=-0.1, t=1.0)
+    lo, hi = np.array([(0.0, 8.0), (-math.pi, math.pi), (-math.pi, math.pi), (0.0, 1.0)]).T
+    params = lo + np.random.default_rng(23).random((300, 4)) * (hi - lo)
+    states = rollout_batch(start, params, CFG)
+    ts = step_times(start.t, CFG)
+    goal = Pose(10.0, 4.0, 0.0)
+    ds = CostKernel(world, goal, PARAMS, CFG, ts).evaluate(*states, rows=True)
+    base = CostKernel(world, goal, replace(PARAMS, mode=BASELINE_MPEPC), CFG,
+                      ts).evaluate(*states, rows=True)
+    assert (ds.segments[0] == base.segments[0]).all()
+    p_c, p_mod = base.segments[3], ds.segments[3]
+    assert ((1 - PARAMS.a) * p_c <= p_mod).all()
+    assert (p_mod <= p_c).all()
+    # both bounds are exercised: contact (ttc = 0) and a discounted hazard
+    ttc = ds.segments[2]
+    assert ((ttc == 0.0) & (p_mod == 1.0)).any()
+    assert ((p_c > 0.1) & (p_mod < p_c)).any()
+    j_terminal = ds.terminal[5]
+    assert ((-1.0 <= j_terminal) & (j_terminal <= 0.0)).all()
+    assert (j_terminal < -0.5).any() and (j_terminal == 0.0).any()
+
+
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(a=1.0)
@@ -353,16 +439,16 @@ def test_trajectory_cost_rejects_short_trajectory():
         trajectory_cost(bad, Pose(1, 0, 0), open_world(), PARAMS, CFG)
 
 
-def test_terminal_cost_wrapper():
+def test_terminal_rows_of_a_halting_robot():
     world = open_world()
-    terminal = RobotState(pose=Pose(6, 6, 0), v=0.0, t=5.0)
-    ev = terminal_cost(terminal, 1.0, (12.0, 6.0), world, PARAMS, v_limit=1.0)
+    start = RobotState(pose=Pose(6, 6, 0), t=5.0)
+    traj = rollout(start, TrajectoryParam(0.0, 0.0, 0.0, 0.0), CFG)
+    ev = trajectory_cost(traj, Pose(12.0, 6.0, 0.0), world, PARAMS, CFG).terminal
     # stopped far from the goal facing open space: full bonus
     assert ev.ttg == math.inf
     assert ev.ttc_terminal == math.inf
+    assert ev.p_s_N == 1.0
     assert ev.j_terminal == -1.0
-    ev0 = terminal_cost(terminal, 0.0, (12.0, 6.0), world, PARAMS, v_limit=1.0)
-    assert ev0.j_terminal == 0.0
 
 
 def test_trajectory_cost_matches_scalar_reference():

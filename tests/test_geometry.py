@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dsmpepc.geometry import (
@@ -16,6 +17,7 @@ from dsmpepc.geometry import (
     wrap_angle,
 )
 
+from agreement import assert_float_alone_equals_array
 from oracles import integrate_control_law
 
 GAINS = ControlGains(k1=1.2, k2=3.0)
@@ -158,3 +160,52 @@ def test_control_law_attracts_sample():
             start, Pose(0, 0, 0), GAINS, stop_radius=0.05
         )
         assert reached_at is not None and reached_at < 60.0
+
+
+def test_formulas_agree_on_floats_and_arrays():
+    # the rollout calls these on arrays; each entry equals the float result
+    # for that entry alone, exactly
+    rng = np.random.default_rng(4)
+    angles = np.concatenate([rng.uniform(-12.0, 12.0, 40),
+                             [math.pi, -math.pi, 3 * math.pi, 0.0, -2 * math.pi]])
+    assert_float_alone_equals_array(wrap_angle, angles)
+
+    n = 48
+    robot = Pose(*rng.uniform(-3.0, 3.0, (3, n)))
+    offset = rng.uniform(-4.0, 4.0, (2, n))
+    # coincident and nearly coincident targets take the r < R_EPSILON branch
+    offset[:, :4] = [[0.0, 0.0, 1e-7, -3e-7], [0.0, 0.0, 0.0, 2e-7]]
+    target = Pose(robot.x + offset[0], robot.y + offset[1], rng.uniform(-3.0, 3.0, n))
+    coords = egocentric_coords(robot, target)
+    assert (coords.r[:4] < R_EPSILON).all()
+    for i in range(n):
+        alone = egocentric_coords(*(Pose(float(p.x[i]), float(p.y[i]), float(p.heading[i]))
+                                    for p in (robot, target)))
+        assert all(isinstance(v, float) for v in (alone.r, alone.theta, alone.delta))
+        assert (alone.r, alone.theta, alone.delta) == (coords.r[i], coords.theta[i],
+                                                       coords.delta[i])
+
+    start = Pose(0.4, -1.2, 2.9)
+    params = rng.uniform([0.0, -math.pi, -math.pi], [9.0, math.pi, math.pi], (n, 3)).T
+    batch = target_from_param(start, *params)
+    for i in range(n):
+        alone = target_from_param(start, *(float(p[i]) for p in params))
+        assert (alone.x, alone.y, alone.heading) == (batch.x[i], batch.y[i], batch.heading[i])
+
+    assert_float_alone_equals_array(
+        lambda r, th, dl: control_law_curvature(EgocentricCoords(r, th, dl), GAINS),
+        coords.r, coords.theta, coords.delta)
+    kappa = control_law_curvature(coords, GAINS)
+    assert (np.abs(kappa[:4]) <= KAPPA_MAX).all()
+    assert_float_alone_equals_array(
+        lambda k, vmax, r: velocity_modulation(k, vmax, r, GAINS),
+        kappa, rng.uniform(0.0, 1.0, n), coords.r)
+
+
+def test_array_formulas_keep_their_argument_checks():
+    with pytest.raises(ValueError):
+        target_from_param(Pose(0, 0, 0), np.array([1.0, -1.0]), 0.0, 0.0)
+    with pytest.raises(ValueError):
+        velocity_modulation(np.zeros(2), np.array([0.5, -0.1]), np.ones(2), GAINS)
+    with pytest.raises(ValueError):
+        velocity_modulation(0.0, -0.1, 1.0, GAINS)

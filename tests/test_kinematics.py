@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dsmpepc.geometry import Pose, target_from_param, wrap_angle
@@ -12,6 +13,7 @@ from dsmpepc.kinematics import (
     rollout,
 )
 
+from agreement import assert_float_alone_equals_array
 from oracles import fine_rollout, integrate_recorded_controls, reference_rollout_step
 
 CFG = PlannerConfig()
@@ -63,6 +65,18 @@ def test_advance_pose_chord_bound():
         p0 = Pose(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3))
         p1 = advance_pose(p0, v, w, 0.2)
         assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= abs(v) * 0.2 + 1e-12
+
+
+def test_advance_pose_agrees_on_floats_and_arrays():
+    # straight steps (|omega| < OMEGA_STRAIGHT, exactly 0 included) and arcs
+    rng = np.random.default_rng(2)
+    x, y, heading, v = rng.uniform(-3.0, 3.0, (4, 40))
+    omega = rng.uniform(-2.0, 2.0, 40)
+    omega[:4] = [0.0, 1e-12, -5e-10, 2e-9]
+    for part in ("x", "y", "heading"):
+        assert_float_alone_equals_array(
+            lambda *a: getattr(advance_pose(Pose(*a[:3]), a[3], a[4], 0.2), part),
+            x, y, heading, v, omega)
 
 
 def test_rollout_null_candidate_is_halt():

@@ -182,3 +182,15 @@ def test_plan_beats_coarse_grid_sample():
         _, breakdown = evaluate_candidate(z, start, goal, world, cfg, PARAMS, nav=nav)
         best_grid = min(best_grid, breakdown.total)
     assert result.best_cost <= best_grid + 1e-6
+
+
+@pytest.mark.parametrize("goal, warm, name", [
+    (Pose(math.nan, 10.0, 0.0), None, "goal"),
+    (Pose(11.0, 10.0, math.inf), None, "goal"),
+    (Pose(11.0, 10.0, 0.0), TrajectoryParam(math.nan, 0.0, 0.0, 0.5), "warm_start"),
+    (Pose(11.0, 10.0, 0.0), TrajectoryParam(1.0, math.inf, 0.0, 0.5), "warm_start"),
+])
+def test_plan_rejects_non_finite_goal_and_warm_start(goal, warm, name):
+    start = RobotState(pose=Pose(8.0, 10.0, 0.0))
+    with pytest.raises(ValueError, match=name):
+        plan(start, goal, open_world(), CFG, PARAMS, small_opt(), warm_start=warm)
