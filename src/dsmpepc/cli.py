@@ -16,6 +16,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from . import scenarios as scen
 from ._batch import evaluate_batch
 from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
@@ -232,7 +234,7 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
     kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
                         step_times(state.t, agent_spec.planner), nav)
     # one batch rescoring every candidate, with its terminal rows and rollout
-    rows, states = evaluate_batch(zs, state, kernel, rows=True)
+    rows, states = evaluate_batch(np.array([z.as_tuple() for z in zs]), state, kernel)
     ttg, ttc = rows.terminal[:2]
     return [
         {

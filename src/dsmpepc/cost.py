@@ -259,9 +259,10 @@ class CostKernel:
         self.cfg = cfg
         self.snapshot = HorizonSnapshot(world, ts)
 
-    def evaluate(self, xs, ys, hs, vs, ws, rows: bool = False):
-        """Total cost of each rollout whose states at the step times are the
-        rows of these (B, N+1) arrays; with `rows`, the `CostRows`.
+    def evaluate(self, xs, ys, hs, vs, ws) -> CostRows:
+        """The `CostRows` of the rollouts whose states at the step times are
+        the rows of these (B, N+1) arrays: each one's total cost, and its
+        per-segment and terminal terms.
 
         The terms are the module's formulas applied to whole rows:
         `collision_probability` and `anticipatory_factor` per segment,
@@ -325,8 +326,6 @@ class CostKernel:
             c_ttg, c_ttc, j_term = terminal_bonus(p_s_n, ttg, ttc_n, params)
             totals = totals + j_term
             terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
-        if not rows:
-            return totals
         return CostRows(totals, (d_seg, nf[:, 1:], ttc, p_c, p_s, j_prog, j_act), terminal)
 
 
@@ -353,7 +352,7 @@ def trajectory_cost(
     if not np.isfinite(columns[:2]).all():
         raise ValueError("trajectory contains non-finite states")
     kernel = CostKernel(world, goal, params, cfg, [s.t for s in states], nav)
-    result = kernel.evaluate(*(c[None] for c in columns), rows=True)
+    result = kernel.evaluate(*(c[None] for c in columns))
     d_o, d_g, ttc, p_c, p_s, j_progress, j_action = (
         None if a is None else a[0].tolist() for a in result.segments)
     segments = tuple(

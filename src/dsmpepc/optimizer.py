@@ -153,17 +153,17 @@ def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     ))
 
 
-def _order_key(entry: tuple[TrajectoryParam, float]):
-    """Cost, then r and v_max before the angles: every candidate that ties
-    with the halting one and is not it (see `_canonical`) has r > 0 or
-    v_max > 0, so the tie resolves to the halting candidate."""
-    param, cost = entry
-    return (cost, param.r, param.v_max, param.theta, param.delta)
+def _ranking(params: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Stable order of the (M, 4) rows by (cost, r, v_max, theta, delta). A
+    row that ties with the halting candidate and is not it has r > 0 or
+    v_max > 0 (see `_canonical`), so the tie resolves to the halting one."""
+    return np.lexsort((params[:, 2], params[:, 1], params[:, 3], params[:, 0], costs))
 
 
-def minimize(seeds: list[tuple[TrajectoryParam, float]], current: RobotState,
+def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
              kernel: CostKernel, bounds: Bounds, budget: int, unit: np.ndarray):
-    """Batched local search from each (param, cost) seed.
+    """Batched local search from each row of the (S, 4) array `seeds`,
+    whose costs are `seed_costs`.
 
     Each seed spends `budget` evaluations over ceil(sqrt(budget) / 2)
     rounds, or fewer when a round would drop below _MIN_ROUND probes: a
@@ -178,18 +178,17 @@ def minimize(seeds: list[tuple[TrajectoryParam, float]], current: RobotState,
     quarter. This is a cross-entropy search that keeps the best point
     rather than the mean.
 
-    Returns the (param, cost) entries in evaluation order and their
-    rollouts' (xs, ys, headings, vs, omegas) arrays.
+    Returns the rows in evaluation order, their costs, and their rollouts'
+    (xs, ys, headings, vs, omegas) arrays.
     """
     n = len(seeds)
     rounds = min(math.ceil(math.sqrt(budget) / 2), budget // _MIN_ROUND)
     unit = 2.0 * unit[:budget * n] - 1.0
-    center = np.array([z.as_tuple() for z, _ in seeds])
-    best = np.array([cost for _, cost in seeds])
+    center = np.array(seeds, dtype=float)
+    best = np.array(seed_costs, dtype=float)
     cov = np.tile(np.diag(np.square(_FIRST_SPREAD)), (n, 1, 1))
     step = np.zeros((n, 4))
-    evaluated: list[tuple[TrajectoryParam, float]] = []
-    states = []
+    params, costs, states = [], [], []
     used = 0
     for r in range(rounds):
         k = budget // rounds + (r < budget % rounds)
@@ -201,28 +200,29 @@ def minimize(seeds: list[tuple[TrajectoryParam, float]], current: RobotState,
         moved = step.any(axis=1)
         x[moved, 0] = center[moved] + step[moved]
         x = _canonical(x.reshape(-1, 4), bounds)
-        params = [TrajectoryParam(*row) for row in x.tolist()]
-        rows, round_states = evaluate_batch(params, current, kernel, rows=True)
-        evaluated += zip(params, rows.total.tolist())
+        rows, round_states = evaluate_batch(x, current, kernel)
+        params.append(x)
+        costs.append(rows.total)
         states.append(round_states)
         x = x.reshape(n, k, 4)
-        costs = rows.total.reshape(n, k)
+        cost = rows.total.reshape(n, k)
         for s in range(n):
             d = x[s] - center[s]
             d[:, 1:3] = wrap_angle(d[:, 1:3])
-            order = np.argsort(costs[s], kind="stable")
+            order = np.argsort(cost[s], kind="stable")
             j = order[0]
-            if costs[s, j] < best[s]:
+            if cost[s, j] < best[s]:
                 elite = d[order[:max(2, k // 3)]]
                 cov[s] = 0.2 * cov[s] + 1.6 * (elite.T @ elite) / len(elite)
                 step[s] = d[j]
                 center[s] = x[s, j]
-                best[s] = costs[s, j]
+                best[s] = cost[s, j]
             else:
                 step[s] = 0.0
                 cov[s] *= 0.25
             cov[s] += _COV_FLOOR
-    return evaluated, tuple(np.concatenate(parts) for parts in zip(*states))
+    return (np.concatenate(params), np.concatenate(costs),
+            tuple(np.concatenate(parts) for parts in zip(*states)))
 
 
 def plan(
@@ -242,10 +242,12 @@ def plan(
     (cost, r, v_max, theta, delta). The problem is built once, as one
     `CostKernel` (navigation field, weights, and the obstacles predicted at
     the step times in one `HorizonSnapshot`; `nav` defaults to a field built
-    for the goal). The sweep and every refinement round score their
-    candidates through it in batches (`evaluate_batch`), so every cost in
-    `evaluated` is bit-identical to `evaluate_candidate(z, ...).total`, and
-    `best_trajectory` is the argmin's own rollout.
+    for the goal). The candidates stay rows of one (M, 4) array, costs
+    beside it, up to the argmin; the sweep and every refinement round score
+    theirs through the kernel (`evaluate_batch`), so every cost in
+    `evaluated` is bit-identical to `evaluate_candidate(z, ...).total`.
+    `best_param` is the argmin's object in `evaluated`, the only
+    `TrajectoryParam`s built, and `best_trajectory` is its own rollout.
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
@@ -260,36 +262,38 @@ def plan(
     given = [_to_goal(current.pose, goal) + (math.inf,)]
     if warm_start is not None:
         given.insert(0, warm_start.as_tuple())
-    seeds_pool = [TrajectoryParam(0.0, 0.0, 0.0, 0.0)] + [
-        TrajectoryParam(*row) for row in _canonical(np.array(given), bounds).tolist()
-    ]
-
     # one scrambled Sobol sequence per plan: the sweep spreads its first
     # points over the box, refinement its first points around each seed
-    n_sobol = max(0, opt_cfg.n_global_samples - len(seeds_pool))
+    n_sobol = max(0, opt_cfg.n_global_samples - 1 - len(given))
     n_refine = opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals
     sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
     unit = sampler.random_base2(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))))
     lo, hi = np.array(bounds).T
-    seeds_pool += [TrajectoryParam(*row) for row in (lo + unit[:n_sobol] * (hi - lo)).tolist()]
-
-    candidates = list(dict.fromkeys(seeds_pool))
-    rows, states = evaluate_batch(candidates, current, kernel, rows=True)
-    evaluated = list(zip(candidates, rows.total.tolist()))
+    # the halting candidate, the given seeds and the sweep, each row once
+    pool = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds),
+                           lo + unit[:n_sobol] * (hi - lo)))
+    _, first = np.unique(pool, axis=0, return_index=True)
+    params = pool[np.sort(first)]
+    rows, states = evaluate_batch(params, current, kernel)
+    costs = rows.total
 
     if n_refine > 0:
-        seeds = sorted(evaluated, key=_order_key)[:opt_cfg.n_refine_seeds]
-        refined, refined_states = minimize(seeds, current, kernel, bounds,
-                                           opt_cfg.refine_max_evals, unit)
-        evaluated += refined
+        seeds = _ranking(params, costs)[:opt_cfg.n_refine_seeds]
+        refined, refined_costs, refined_states = minimize(
+            params[seeds], costs[seeds], current, kernel, bounds,
+            opt_cfg.refine_max_evals, unit)
+        params = np.concatenate((params, refined))
+        costs = np.concatenate((costs, refined_costs))
         states = tuple(np.concatenate(pair) for pair in zip(states, refined_states))
 
-    best = min(range(len(evaluated)), key=lambda i: _order_key(evaluated[i]))
+    evaluated = tuple((TrajectoryParam(*row), cost)
+                      for row, cost in zip(params.tolist(), costs.tolist()))
+    best = _ranking(params, costs)[0]
     best_param, best_cost = evaluated[best]
     return PlanResult(
         best_param=best_param,
         best_cost=best_cost,
         best_trajectory=trajectory(current, best_param, planner_cfg,
                                    *(a[best] for a in states)),
-        evaluated=tuple(evaluated),
+        evaluated=evaluated,
     )

@@ -268,9 +268,9 @@ def test_kernel_rows_keep_the_paper_bounds():
     states = rollout_batch(start, params, CFG)
     ts = step_times(start.t, CFG)
     goal = Pose(10.0, 4.0, 0.0)
-    ds = CostKernel(world, goal, PARAMS, CFG, ts).evaluate(*states, rows=True)
+    ds = CostKernel(world, goal, PARAMS, CFG, ts).evaluate(*states)
     base = CostKernel(world, goal, replace(PARAMS, mode=BASELINE_MPEPC), CFG,
-                      ts).evaluate(*states, rows=True)
+                      ts).evaluate(*states)
     assert (ds.segments[0] == base.segments[0]).all()
     p_c, p_mod = base.segments[3], ds.segments[3]
     assert ((1 - PARAMS.a) * p_c <= p_mod).all()

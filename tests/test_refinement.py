@@ -1,9 +1,12 @@
 """Planner results pinned by exact rescoring and golden digests.
 
-Every candidate plan() evaluates, in the sweep and in each batched
-refinement round, goes through `_batch.evaluate_batch`, and a row of a batch
-does not depend on the rest of the batch; so every entry of `evaluated`
-rescores exactly through `evaluate_candidate`, a batch of one. The golden
+plan() keeps its candidates as rows of one (M, 4) parameter array. Every
+row, in the sweep and in each batched refinement round, is scored through
+`_batch.evaluate_batch`, and a row of a batch does not depend on the rest of
+the batch; so every entry of `evaluated` (the rows as `TrajectoryParam`
+objects, with their costs) rescores exactly through `evaluate_candidate`, a
+batch of one, and the argmin is the entry of least (cost, r, v_max, theta,
+delta), which `best_param` is. The golden
 digests pin the numbers that plan() and run() produce; any change to them
 changes a digest.
 
@@ -31,7 +34,7 @@ from dsmpepc._batch import evaluate_batch
 from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout, step_times
-from dsmpepc.optimizer import OptimizerConfig, _order_key, evaluate_candidate, plan
+from dsmpepc.optimizer import OptimizerConfig, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
 CFG = PlannerConfig()
@@ -173,7 +176,11 @@ def test_refinement_entries_rescore_exactly(name):
     for z, c in result.evaluated:
         _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
         assert c == breakdown.total
-    assert min(result.evaluated, key=_order_key) == (result.best_param, result.best_cost)
+    # the argmin: lowest cost, ties broken on r, v_max, theta, delta in turn
+    ranked = min(result.evaluated, key=lambda e: (e[1], e[0].r, e[0].v_max, e[0].theta,
+                                                  e[0].delta))
+    assert ranked == (result.best_param, result.best_cost)
+    assert any(z is result.best_param for z, _ in result.evaluated)
     # the argmin's own rollout row, not a second rollout
     assert result.best_trajectory == rollout(start, result.best_param, CFG)
     assert math.isfinite(result.best_cost)
@@ -194,12 +201,12 @@ def test_batch_rows_do_not_depend_on_the_batch(name):
     kernel = CostKernel(world, goal, cost, CFG, step_times(start.t, CFG))
     rng = np.random.default_rng(3)
     lo, hi = np.array(OPT.resolved_bounds(CFG)).T
-    params = [TrajectoryParam(*row) for row in (lo + rng.random((64, 4)) * (hi - lo)).tolist()]
-    params[5] = TrajectoryParam(0.0, 0.0, 0.0, 0.0)
-    full = evaluate_batch(params, start, kernel, rows=True)
+    params = lo + rng.random((64, 4)) * (hi - lo)
+    params[5] = 0.0
+    full = evaluate_batch(params, start, kernel)
     for size in (1, 3, 7, 13):
         for first in range(0, 64 - size + 1, size):
-            part = evaluate_batch(params[first:first + size], start, kernel, rows=True)
+            part = evaluate_batch(params[first:first + size], start, kernel)
             for k in range(size):
                 assert _rows(*part, k) == _rows(*full, first + k)
 
