@@ -19,7 +19,7 @@ from scipy.stats import qmc
 
 from ._batch import evaluate_batch
 from .cost import CostBreakdown, CostKernel, CostParams, trajectory_cost
-from .geometry import R_EPSILON, Pose, wrap_angle
+from .geometry import Pose, egocentric_coords, wrap_angle
 from .kinematics import (
     PlannerConfig,
     RobotState,
@@ -117,24 +117,6 @@ def evaluate_candidate(
     traj = rollout(current, z, planner_cfg)
     breakdown = trajectory_cost(traj, goal, world, cost_params, planner_cfg, nav=nav)
     return traj, breakdown
-
-
-def _to_goal(pose: Pose, goal: Pose) -> tuple[float, float, float]:
-    """(r, theta, delta) of the goal pose seen from `pose`: the parameter of
-    the direct-to-goal seed.
-
-    `egocentric_coords` on floats, but with libm's atan2 (`math.atan2`), in
-    which every recorded plan computed this seed: numpy's arctan2, which
-    `egocentric_coords` shares with the rollout, rounds the last bit
-    differently on some inputs, and through the seed that would change the
-    candidates some plans evaluate.
-    """
-    dx = goal.x - pose.x
-    dy = goal.y - pose.y
-    r = math.hypot(dx, dy)
-    los = pose.heading if r < R_EPSILON else math.atan2(dy, dx)
-    return (r, math.remainder(goal.heading - los, math.tau),
-            math.remainder(pose.heading - los, math.tau))
 
 
 def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -259,7 +241,8 @@ def plan(
     kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
                         step_times(current.t, planner_cfg), nav)
 
-    given = [_to_goal(current.pose, goal) + (math.inf,)]
+    to_goal = egocentric_coords(current.pose, goal)
+    given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]
     if warm_start is not None:
         given.insert(0, warm_start.as_tuple())
     # one scrambled Sobol sequence per plan: the sweep spreads its first
