@@ -104,9 +104,14 @@ def _build(path: str, builder, /, *args, **payload):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys: tuple[str, ...] = ()) -> dict:
+    """`value`, which must be an object; given `keys`, one with no other key."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: expected an object")
+    for key in value:
+        if keys and key not in keys:
+            where = f"{path}.{key}" if path else str(key)
+            raise ScenarioError(f"{where}: unknown key (known: {', '.join(keys)})")
     return value
 
 
@@ -160,10 +165,13 @@ def load(source) -> ScenarioConfig:
         raise ScenarioError(f"unsupported scenario source {type(source).__name__}")
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _object(doc, "", ("name", "map", "defaults", "agents", "scripted_obstacles", "duration",
+                      "seed"))
 
     map_block = doc.get("map")
     if not isinstance(map_block, dict) or "rows" not in map_block:
         raise ScenarioError("map: expected an object with 'rows' and 'resolution'")
+    _object(map_block, "map", ("rows", "resolution", "origin"))
     rows = _list(map_block["rows"], "map.rows")
     if not all(isinstance(r, str) for r in rows):
         raise ScenarioError("map.rows: expected a list of strings")
@@ -180,7 +188,7 @@ def load(source) -> ScenarioConfig:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ScenarioError("seed: must be an integer")
 
-    defaults = _object(doc.get("defaults", {}), "defaults")
+    defaults = _object(doc.get("defaults", {}), "defaults", ("planner", "cost", "optimizer"))
     default_planner = _object(defaults.get("planner", {}), "defaults.planner")
     default_cost = _object(defaults.get("cost", {}), "defaults.cost")
     default_optimizer = _object(defaults.get("optimizer", {}), "defaults.optimizer")
@@ -191,7 +199,8 @@ def load(source) -> ScenarioConfig:
     agents = []
     for i, entry in enumerate(agents_block):
         path = f"agents[{i}]"
-        entry = _object(entry, path)
+        entry = _object(entry, path, ("id", "start", "goal", "radius", "mode", "planner",
+                                      "cost", "optimizer"))
         if "id" not in entry or "start" not in entry or "goal" not in entry:
             raise ScenarioError(f"{path}: 'id', 'start' and 'goal' are required")
         agent_id = str(entry["id"])
@@ -219,7 +228,11 @@ def load(source) -> ScenarioConfig:
     obstacles = []
     for i, entry in enumerate(_list(doc.get("scripted_obstacles", []), "scripted_obstacles")):
         path = f"scripted_obstacles[{i}]"
-        entry = _object(entry, path)
+        entry = _object(entry, path, ("id", "radius", "waypoints", "position", "velocity",
+                                      "epoch"))
+        if "waypoints" in entry and entry.keys() & {"position", "velocity", "epoch"}:
+            raise ScenarioError(f"{path}: 'waypoints' excludes 'position', 'velocity' "
+                                "and 'epoch'")
         payload = {
             "id": str(entry.get("id", f"obstacle_{i}")),
             "radius": _build(f"{path}.radius", float, entry.get("radius", 0.3)),

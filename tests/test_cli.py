@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -79,6 +80,15 @@ def test_run_malformed_field_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "duration" in capsys.readouterr().err
+
+
+def test_run_unknown_key_exits_2(tmp_path, capsys):
+    doc = copy.deepcopy(SMALL_FIELD)
+    doc["agents"][0]["raduis"] = 0.5
+    path = tmp_path / "bad_key.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "agents[0].raduis: unknown key" in capsys.readouterr().err
 
 
 def test_run_nonreached_exits_1(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -157,6 +158,40 @@ def test_malformed_field_is_a_scenario_error(path, value):
     # JSON text carries NaN and Infinity as the literals json.loads accepts
     with pytest.raises(ScenarioError):
         load(json.dumps(doc))
+
+
+# (path into the document, misspelt key, the path the error must name); each
+# of these loaded silently, with the key ignored, before keys were checked
+UNKNOWN_KEYS = [
+    ((), "durration", "durration"),
+    (("map",), "orgin", "map.orgin"),
+    (("defaults",), "planer", "defaults.planer"),
+    (("agents", 0), "raduis", "agents[0].raduis"),
+    (("scripted_obstacles", 0), "positon", "scripted_obstacles[0].positon"),
+]
+
+
+@pytest.mark.parametrize("path,key,named", UNKNOWN_KEYS, ids=lambda v: repr(v))
+def test_unknown_key_is_a_scenario_error(path, key, named):
+    doc = copy.deepcopy(MINIMAL)
+    doc["defaults"] = {"cost": {"a": 0.5}}
+    doc["scripted_obstacles"] = [dict(_PED)]
+    load(doc)
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = 1.0
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(named)}: unknown key"):
+        load(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["position", "velocity", "epoch"])
+def test_waypoints_exclude_constant_velocity_keys(key):
+    obstacle = {"id": "ped", "waypoints": [[0.0, 1.0, 1.0], [2.0, 3.0, 1.0]],
+                key: _PED.get(key, 0.5)}
+    doc = dict(MINIMAL, scripted_obstacles=[obstacle])
+    with pytest.raises(ScenarioError, match=r"^scripted_obstacles\[0\]: 'waypoints' excludes"):
+        load(doc)
 
 
 def test_round_trip_serialization():
