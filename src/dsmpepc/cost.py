@@ -242,7 +242,8 @@ class CostKernel:
     """The trajectory cost of one planning problem, over batches of rollouts.
 
     Everything shared by the problem's candidates is prepared once: the
-    navigation field, the obstacles predicted at the step times `ts`
+    navigation field (`nav`, which must be built for `goal`, or one built
+    here), the obstacles predicted at the step times `ts`
     (`snapshot`), the weights and the planner config. `evaluate` then scores
     any number of rollouts given as (B, N+1) state arrays. It is the one
     cost implementation: `plan()` builds one kernel per problem and every
@@ -254,6 +255,8 @@ class CostKernel:
                  ts: list[float], nav: NavigationField | None = None):
         self.world = world
         self.goal = _goal_xy(goal)
+        if nav is not None and nav.goal != self.goal:
+            raise ValueError(f"nav was built for goal {nav.goal}, not for {self.goal}")
         self.nav = NavigationField(world.grid, self.goal) if nav is None else nav
         self.params = params
         self.cfg = cfg

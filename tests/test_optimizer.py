@@ -7,7 +7,7 @@ import pytest
 
 from dsmpepc.cost import CostParams, trajectory_cost
 from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam
+from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import OptimizerConfig, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
@@ -194,3 +194,20 @@ def test_plan_rejects_non_finite_goal_and_warm_start(goal, warm, name):
     start = RobotState(pose=Pose(8.0, 10.0, 0.0))
     with pytest.raises(ValueError, match=name):
         plan(start, goal, open_world(), CFG, PARAMS, small_opt(), warm_start=warm)
+
+
+def test_navigation_field_for_another_goal_is_rejected():
+    # a field built for another goal would steer every candidate toward it
+    start = RobotState(pose=Pose(8.0, 10.0, 0.0))
+    goal = Pose(14.0, 10.0, 0.0)
+    world = open_world()
+    nav = NavigationField(world.grid, (4.0, 10.0))
+    with pytest.raises(ValueError, match="nav"):
+        plan(start, goal, world, CFG, PARAMS, small_opt(), nav=nav)
+    z = TrajectoryParam(6.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="nav"):
+        evaluate_candidate(z, start, goal, world, CFG, PARAMS, nav=nav)
+    with pytest.raises(ValueError, match="nav"):
+        trajectory_cost(rollout(start, z, CFG), goal, world, PARAMS, CFG, nav=nav)
+    same = NavigationField(world.grid, (goal.x, goal.y))
+    assert plan(start, goal, world, CFG, PARAMS, small_opt(), nav=same).best_param.r > 0.0
