@@ -1,0 +1,132 @@
+"""Metamorphic invariants of the planner's evaluation path.
+
+One fixed (B, 4) array of trajectory parameters is scored through
+`_batch.evaluate_batch` in a walled world with a constant-velocity disk and a
+waypoint disk, and again in a transformed copy of the same problem. Each
+transform is a symmetry of the model, so every candidate's total and every
+per-segment and terminal row must come out the same. The copies round
+differently, a few ulps per operation, so each test states its tolerance.
+Unlike the golden digests, these checks do not depend on a platform's float
+rounding, and unlike a batch-versus-scalar comparison they catch a frame or
+timing error that every path shares: an obstacle predicted on the absolute
+clock fails the time shift, swapped axes or atan2 arguments fail the mirror.
+An error that commutes with both transforms, such as a flipped sign of the
+TTC relative velocity, passes them; the TTC oracles in test_world catch it.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dsmpepc._batch import evaluate_batch
+from dsmpepc.cost import CostKernel, CostParams
+from dsmpepc.geometry import Pose
+from dsmpepc.kinematics import PlannerConfig, RobotState, step_times
+from dsmpepc.optimizer import OptimizerConfig
+from dsmpepc.world import DynamicObstacle, OccupancyGrid, World
+
+CFG = PlannerConfig()
+COST = CostParams()
+RES = 0.25
+
+# 12 m x 6 m: outer walls, a pillar and a partition, neither symmetric about
+# the horizontal mid-line, so the mirror image is a different map.
+ROWS = (
+    ["#" * 48]
+    + ["#" + "." * 46 + "#"] * 4
+    + ["#" + "." * 17 + "####" + "." * 25 + "#"] * 5
+    + ["#" + "." * 46 + "#"] * 4
+    + ["#" + "." * 30 + "#" * 16 + "#"] * 2
+    + ["#" + "." * 46 + "#"] * 7
+    + ["#" * 48]
+)
+START = RobotState(Pose(1.5, 2.6, 0.3), v=0.4, omega=-0.2, t=0.6)
+GOAL = Pose(10.2, 4.1, 0.4)
+CV = DynamicObstacle(id="cv", radius=0.3, position=(5.6, 2.3), velocity=(-0.5, 0.15),
+                     epoch=0.9)
+# waypoint times off the 0.2 s step grid of START.t + i * h
+SCRIPTED = DynamicObstacle(id="wp", radius=0.25, waypoints=(
+    (0.37, 2.4, 4.4), (2.93, 4.1, 2.9), (5.11, 7.9, 2.1),
+))
+
+
+def _params() -> np.ndarray:
+    rng = np.random.default_rng(8)
+    lo, hi = np.array(OptimizerConfig().resolved_bounds(CFG)).T
+    params = lo + rng.random((96, 4)) * (hi - lo)
+    params[0] = 0.0  # the halting candidate
+    return params
+
+
+PARAMS = _params()
+
+
+def _score(rows, start, goal, obstacles, params=PARAMS):
+    world = World(grid=OccupancyGrid.from_ascii(rows, RES), obstacles=obstacles,
+                  robot_radius=0.35)
+    kernel = CostKernel(world, goal, COST, CFG, step_times(start.t, CFG))
+    cost_rows, _ = evaluate_batch(params, start, kernel)
+    return cost_rows
+
+
+def _assert_rows_close(got, want, tol):
+    """Totals, then every segment and terminal row, within `tol` absolute or
+    relative (TTCs run to tens of seconds); infinities must match."""
+    np.testing.assert_allclose(got.total, want.total, rtol=tol, atol=tol)
+    for a, b in zip(got.segments + got.terminal, want.segments + want.terminal,
+                    strict=True):
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+
+
+def test_problem_exercises_every_term():
+    # the invariants below would be weak on a problem where nothing is near
+    rows = _score(ROWS, START, GOAL, (CV, SCRIPTED))
+    d_o, _, ttc, p_c = rows.segments[:4]
+    assert (ttc == 0.0).any()  # contact
+    assert (np.isfinite(ttc) & (ttc > 0.0)).any()  # a discounted hazard
+    assert (p_c > 0.1).any() and (d_o > 1.0).any()
+    ttc_terminal = rows.terminal[1]
+    assert (ttc_terminal == 0.0).any() and (ttc_terminal > 0.0).any()
+
+
+@pytest.mark.parametrize("shift", [0.75, 1000.0])
+def test_time_shift(shift):
+    """Adding a constant to the clock (`current.t`, the obstacle epoch and
+    every waypoint time) changes nothing the robot sees.
+
+    Tolerance 1e-9: the shifted step times and waypoint times differ from
+    the originals by rounding at the size of `shift`, at most about 1e-13 s;
+    the costs move by a few orders of magnitude more at most."""
+    shifted = (
+        replace(CV, epoch=CV.epoch + shift),
+        replace(SCRIPTED, waypoints=tuple((t + shift, x, y)
+                                          for t, x, y in SCRIPTED.waypoints)),
+    )
+    want = _score(ROWS, START, GOAL, (CV, SCRIPTED))
+    got = _score(ROWS, replace(START, t=START.t + shift), GOAL, shifted)
+    _assert_rows_close(got, want, 1e-9)
+
+
+def test_mirror():
+    """Mirroring the map, the poses and the obstacles across the map's
+    horizontal mid-line, and negating theta, delta, the headings and the
+    turn rate, mirrors every rollout, so every cost term is unchanged.
+
+    Tolerance 1e-9: a mirrored coordinate 2 * y_mid - y is rounded, so the
+    two rollouts differ by a few ulps per step over the 25 steps."""
+    y2 = len(ROWS) * RES  # twice the mid-line
+
+    def pose(p):
+        return Pose(p.x, y2 - p.y, -p.heading)
+
+    mirrored = (
+        replace(CV, position=(CV.position[0], y2 - CV.position[1]),
+                velocity=(CV.velocity[0], -CV.velocity[1])),
+        replace(SCRIPTED, waypoints=tuple((t, x, y2 - y) for t, x, y in SCRIPTED.waypoints)),
+    )
+    params = PARAMS * np.array([1.0, -1.0, -1.0, 1.0])
+    want = _score(ROWS, START, GOAL, (CV, SCRIPTED))
+    got = _score(ROWS[::-1], replace(START, pose=pose(START.pose), omega=-START.omega),
+                 pose(GOAL), mirrored, params)
+    _assert_rows_close(got, want, 1e-9)
