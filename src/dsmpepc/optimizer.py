@@ -160,8 +160,8 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
     quarter. This is a cross-entropy search that keeps the best point
     rather than the mean.
 
-    Returns the rows in evaluation order, their costs, and their rollouts'
-    (xs, ys, headings, vs, omegas) arrays.
+    Returns, per round in evaluation order, the arrays of its rows, their
+    costs and their rollouts' (xs, ys, headings, vs, omegas).
     """
     n = len(seeds)
     rounds = min(math.ceil(math.sqrt(budget) / 2), budget // _MIN_ROUND)
@@ -170,7 +170,7 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
     best = np.array(seed_costs, dtype=float)
     cov = np.tile(np.diag(np.square(_FIRST_SPREAD)), (n, 1, 1))
     step = np.zeros((n, 4))
-    params, costs, states = [], [], []
+    evaluated = []
     used = 0
     for r in range(rounds):
         k = budget // rounds + (r < budget % rounds)
@@ -182,29 +182,26 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
         moved = step.any(axis=1)
         x[moved, 0] = center[moved] + step[moved]
         x = _canonical(x.reshape(-1, 4), bounds)
-        rows, round_states = evaluate_batch(x, current, kernel)
-        params.append(x)
-        costs.append(rows.total)
-        states.append(round_states)
+        rows, states = evaluate_batch(x, current, kernel)
+        evaluated.append((x, rows.total, *states))
         x = x.reshape(n, k, 4)
-        cost = rows.total.reshape(n, k)
+        costs = rows.total.reshape(n, k)
         for s in range(n):
             d = x[s] - center[s]
             d[:, 1:3] = wrap_angle(d[:, 1:3])
-            order = np.argsort(cost[s], kind="stable")
+            order = np.argsort(costs[s], kind="stable")
             j = order[0]
-            if cost[s, j] < best[s]:
+            if costs[s, j] < best[s]:
                 elite = d[order[:max(2, k // 3)]]
                 cov[s] = 0.2 * cov[s] + 1.6 * (elite.T @ elite) / len(elite)
                 step[s] = d[j]
                 center[s] = x[s, j]
-                best[s] = cost[s, j]
+                best[s] = costs[s, j]
             else:
                 step[s] = 0.0
                 cov[s] *= 0.25
             cov[s] += _COV_FLOOR
-    return (np.concatenate(params), np.concatenate(costs),
-            tuple(np.concatenate(parts) for parts in zip(*states)))
+    return evaluated
 
 
 def plan(
@@ -258,16 +255,12 @@ def plan(
     _, first = np.unique(pool, axis=0, return_index=True)
     params = pool[np.sort(first)]
     rows, states = evaluate_batch(params, current, kernel)
-    costs = rows.total
-
+    parts = [(params, rows.total, *states)]
     if n_refine > 0:
-        seeds = _ranking(params, costs)[:opt_cfg.n_refine_seeds]
-        refined, refined_costs, refined_states = minimize(
-            params[seeds], costs[seeds], current, kernel, bounds,
-            opt_cfg.refine_max_evals, unit)
-        params = np.concatenate((params, refined))
-        costs = np.concatenate((costs, refined_costs))
-        states = tuple(np.concatenate(pair) for pair in zip(states, refined_states))
+        seeds = _ranking(params, rows.total)[:opt_cfg.n_refine_seeds]
+        parts += minimize(params[seeds], rows.total[seeds], current, kernel, bounds,
+                          opt_cfg.refine_max_evals, unit)
+    params, costs, *states = (np.concatenate(a) for a in zip(*parts))
 
     evaluated = tuple((TrajectoryParam(*row), cost)
                       for row, cost in zip(params.tolist(), costs.tolist()))
