@@ -6,9 +6,8 @@ row, in the sweep and in each batched refinement round, is scored through
 the batch; so every entry of `evaluated` (the rows as `TrajectoryParam`
 objects, with their costs) rescores exactly through `evaluate_candidate`, a
 batch of one, and the argmin is the entry of least (cost, r, v_max, theta,
-delta), which `best_param` is. The golden
-digests pin the numbers that plan() and run() produce; any change to them
-changes a digest.
+delta), which `best_param` is. The golden digests pin the numbers that
+plan() and run() produce; any change to them changes a digest.
 
 numpy's float64 exp, arctan2 and arctan round some last bits differently on
 its AVX-512 (X86_V4) and AVX2 code paths, so the digests come in two exact
