@@ -16,15 +16,12 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import scenarios as scen
 from ._batch import evaluate_batch
 from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
-from .geometry import Pose
-from .kinematics import RobotState, step_times, trajectory
-from .optimizer import plan
-from .simulator import SimResult, run
+from .kinematics import TrajectoryParam, step_times, trajectory
+from .optimizer import candidate_pool
+from .simulator import SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
 from .world import predict_obstacle
 
@@ -222,19 +219,15 @@ def cmd_compare(args) -> int:
 
 
 def _landscape_candidates(config, agent_spec, state, world, nav):
-    """Evaluate the planner's global candidate set at a frozen snapshot, under
-    the ds cost with its terminal term (whose TTG and TTC the ranks read)."""
+    """Score the planner's sweep (`candidate_pool`, without a warm start) at
+    one state and world, in one batch, under the ds cost with its terminal
+    term (whose TTG and TTC the ranks read)."""
     params = replace(agent_spec.cost, mode=DS_MPEPC, include_terminal=True)
-    opt = agent_spec.optimizer
-    result = plan(
-        state, agent_spec.goal, world, agent_spec.planner, params,
-        replace(opt, n_refine_seeds=0, seed=config.seed), nav=nav,
-    )
-    zs = [z for z, _ in result.evaluated]
+    opt = replace(agent_spec.optimizer, n_refine_seeds=0, seed=config.seed)
+    zs, _ = candidate_pool(state, agent_spec.goal, agent_spec.planner, opt)
     kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
                         step_times(state.t, agent_spec.planner), nav)
-    # one batch rescoring every candidate, with its terminal rows and rollout
-    rows, states = evaluate_batch(np.array([z.as_tuple() for z in zs]), state, kernel)
+    rows, states = evaluate_batch(zs, state, kernel)
     ttg, ttc = rows.terminal[:2]
     return [
         {
@@ -244,8 +237,9 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
             "ttg": g,
             "ttc": c,
         }
-        for k, (z, cost, g, c) in enumerate(
-            zip(zs, rows.total.tolist(), ttg.tolist(), ttc.tolist()))
+        for k, (z, cost, g, c) in enumerate(zip(
+            (TrajectoryParam(*row) for row in zs.tolist()),
+            rows.total.tolist(), ttg.tolist(), ttc.tolist()))
     ]
 
 
@@ -265,53 +259,24 @@ def cmd_landscape(args) -> int:
         return 2
 
     spec = next(a for a in config.agents if a.id == args.agent)
-    h = spec.planner.step_h
-    cycles = int(round(args.t / h))
-    from .simulator import _snapshot_for  # shared snapshot construction
-    from .world import NavigationField
+    # the simulation's own step at the snapshot time, or its last step
+    cycles = int(round(args.t / spec.planner.step_h))
+    for step in steps(config):
+        if step.cycle == cycles:
+            break
+    rows = _landscape_candidates(config, spec, step.states[spec.id],
+                                 step.worlds[spec.id], step.navs[spec.id])
 
-    if cycles > 0:
-        truncated = replace(config, duration=cycles * h)
-        sim = run(truncated)
-        states = {}
-        moving = {}
-        for a_spec, a_res in zip(config.agents, sim.agents):
-            last = a_res.trace[-1]
-            states[a_spec.id] = RobotState(
-                pose=Pose(last.x, last.y, last.heading), v=last.v, omega=last.omega,
-                t=last.t,
-            )
-            moving[a_spec.id] = a_res.outcome not in ("reached", "collided")
-    else:
-        states = {
-            a.id: RobotState(pose=a.start.wrapped(), t=0.0) for a in config.agents
-        }
-        moving = {a.id: True for a in config.agents}
-    snapshot_t = cycles * h
-    world = _snapshot_for(
-        spec.id, list(config.agents), states, moving, config.scripted_obstacles,
-        config.grid, spec.radius, snapshot_t,
-    )
-    nav = NavigationField(config.grid, (spec.goal.x, spec.goal.y))
-    rows = _landscape_candidates(config, spec, states[spec.id], world, nav)
-
-    def sort_key(row):
-        tie = row["param"].as_tuple()
-        if args.rank == "cost":
-            return (row["cost"], tie)
-        if args.rank == "ttg":
-            return (row["ttg"], tie)
-        return (-row["ttc"], tie)
-
-    ranked = sorted(rows, key=sort_key)
+    sign = -1.0 if args.rank == "ttc" else 1.0  # terminal TTC ranks descending
+    ranked = sorted(rows, key=lambda row: (sign * row[args.rank], row["param"].as_tuple()))
     top = ranked[: args.top]
 
     renderer = SceneRenderer(config.grid)
     for row in top:
         renderer.add_fan([(s.pose.x, s.pose.y) for s in row["trajectory"].states])
-    for other_id, st in states.items():
-        other = next(a for a in config.agents if a.id == other_id)
-        color = AGENT_COLOR if other_id == spec.id else OBSTACLE_COLOR
+    for other in config.agents:
+        st = step.states[other.id]
+        color = AGENT_COLOR if other.id == spec.id else OBSTACLE_COLOR
         renderer.add_disk(st.pose.x, st.pose.y, other.radius, color)
     renderer.add_goal_marker(spec.goal.x, spec.goal.y)
 

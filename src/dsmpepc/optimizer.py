@@ -204,6 +204,29 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
     return evaluated
 
 
+def candidate_pool(current: RobotState, goal: Pose, planner_cfg: PlannerConfig,
+                   opt_cfg: OptimizerConfig, warm_start: TrajectoryParam | None = None):
+    """The sweep's (M, 4) rows, each once: the halting candidate, the warm
+    start, the direct-to-goal parameter and the first Sobol points over the
+    box (n_global_samples rows before duplicates go). Also the scrambled
+    Sobol points in [0, 1)^4 they came from, as many as refinement
+    (`minimize`) spreads around its seeds."""
+    bounds = opt_cfg.resolved_bounds(planner_cfg)
+    to_goal = egocentric_coords(current.pose, goal)
+    given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]
+    if warm_start is not None:
+        given.insert(0, warm_start.as_tuple())
+    n_sobol = max(0, opt_cfg.n_global_samples - 1 - len(given))
+    n_refine = opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals
+    sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
+    unit = sampler.random_base2(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))))
+    lo, hi = np.array(bounds).T
+    pool = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds),
+                           lo + unit[:n_sobol] * (hi - lo)))
+    _, first = np.unique(pool, axis=0, return_index=True)
+    return pool[np.sort(first)], unit
+
+
 def plan(
     current: RobotState,
     goal: Pose,
@@ -222,9 +245,10 @@ def plan(
     `CostKernel` (navigation field, weights, and the obstacles predicted at
     the step times in one `HorizonSnapshot`; `nav` defaults to a field built
     for the goal). The candidates stay rows of one (M, 4) array, costs
-    beside it, up to the argmin; the sweep and every refinement round score
-    theirs through the kernel (`evaluate_batch`), so every cost in
-    `evaluated` is bit-identical to `evaluate_candidate(z, ...).total`.
+    beside it, up to the argmin; the sweep (`candidate_pool`) and every
+    refinement round score theirs through the kernel (`evaluate_batch`), so
+    every cost in `evaluated` is bit-identical to
+    `evaluate_candidate(z, ...).total`.
     `best_param` is the argmin's object in `evaluated`, the only
     `TrajectoryParam`s built, and `best_trajectory` is its own rollout.
     """
@@ -237,26 +261,10 @@ def plan(
     bounds = opt_cfg.resolved_bounds(planner_cfg)
     kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
                         step_times(current.t, planner_cfg), nav)
-
-    to_goal = egocentric_coords(current.pose, goal)
-    given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]
-    if warm_start is not None:
-        given.insert(0, warm_start.as_tuple())
-    # one scrambled Sobol sequence per plan: the sweep spreads its first
-    # points over the box, refinement its first points around each seed
-    n_sobol = max(0, opt_cfg.n_global_samples - 1 - len(given))
-    n_refine = opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals
-    sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
-    unit = sampler.random_base2(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))))
-    lo, hi = np.array(bounds).T
-    # the halting candidate, the given seeds and the sweep, each row once
-    pool = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds),
-                           lo + unit[:n_sobol] * (hi - lo)))
-    _, first = np.unique(pool, axis=0, return_index=True)
-    params = pool[np.sort(first)]
+    params, unit = candidate_pool(current, goal, planner_cfg, opt_cfg, warm_start)
     rows, states = evaluate_batch(params, current, kernel)
     parts = [(params, rows.total, *states)]
-    if n_refine > 0:
+    if opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals > 0:
         seeds = _ranking(params, rows.total)[:opt_cfg.n_refine_seeds]
         parts += minimize(params[seeds], rows.total[seeds], current, kernel, bounds,
                           opt_cfg.refine_max_evals, unit)

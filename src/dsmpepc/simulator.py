@@ -1,15 +1,19 @@
 """Closed-loop multi-agent simulation with receding-horizon replanning.
 
-Every cycle each active agent plans against a snapshot in which the other
-agents appear as constant-velocity disk obstacles, then all agents execute
-the first control of their chosen trajectories simultaneously. Terminated
-agents stay in the world as static disks. The loop is deterministic for a
-fixed scenario and seed.
+One loop (`steps`) builds one scene per step. A step records contacts and
+goal arrivals and stops the agents that finished; stopped agents stay in
+the world as static disks. It then builds every agent's disk once and every
+agent's `World` once: the others as constant-velocity disks, plus the
+scripted obstacles. The trace's clearance and that step's plans read those
+worlds, and all active agents execute the first control of their plans at
+once. `run()` summarises the steps; the CLI's landscape reads one. The loop
+is deterministic for a fixed scenario and seed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -18,7 +22,7 @@ import numpy as np
 from .cost import CostParams
 from .geometry import Pose
 from .kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout_batch
-from .optimizer import OptimizerConfig, plan
+from .optimizer import OptimizerConfig, PlanResult, plan
 from .world import (
     DynamicObstacle,
     NavigationField,
@@ -202,51 +206,38 @@ def detect_collision(
     return events
 
 
-def _planar_velocity(state: RobotState) -> tuple[float, float]:
-    return (
-        state.v * math.cos(state.pose.heading),
-        state.v * math.sin(state.pose.heading),
-    )
-
-
-def _snapshot_for(
-    agent_id: str,
-    specs: list[AgentSpec],
-    states: dict[str, RobotState],
-    moving: dict[str, bool],
-    scripted: tuple[DynamicObstacle, ...],
-    grid: OccupancyGrid,
-    radius: float,
-    t: float,
-) -> World:
-    obstacles = list(scripted)
-    for other in specs:
-        if other.id == agent_id:
-            continue
-        s = states[other.id]
-        vel = _planar_velocity(s) if moving[other.id] else (0.0, 0.0)
-        obstacles.append(
-            DynamicObstacle(
-                id=other.id,
-                radius=other.radius,
-                position=(s.pose.x, s.pose.y),
-                velocity=vel,
-                epoch=t,
-            )
-        )
-    return World(grid=grid, obstacles=tuple(obstacles), robot_radius=radius)
-
-
 def _cycle_seed(base_seed: int, agent_index: int, cycle: int) -> int:
     return (base_seed * 1_000_003 + agent_index * 8_191 + cycle * 131 + 7) % (2**31)
 
 
-def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
-    """Simulate a scenario to completion or timeout and collect metrics.
+@dataclass(frozen=True)
+class Step:
+    """One recorded step of a run, at t = cycle * step_h: every agent as the
+    step found it (`samples`), the agents it stopped (id -> outcome) and the
+    states after that, and each agent's world (`steps`). `plans` are the
+    plans made at the step before, which moved the active agents here."""
 
-    diag_every, when set, re-rolls every evaluated candidate each
-    diag_every-th cycle, in one batch, and stores the resulting polyline fans
-    per agent.
+    cycle: int
+    t: float
+    samples: dict[str, TraceSample]
+    contacts: tuple[ContactEvent, ...]
+    stopped: dict[str, str]
+    states: dict[str, RobotState]
+    worlds: dict[str, World]
+    navs: dict[str, NavigationField]
+    plans: dict[str, PlanResult]
+
+
+def steps(scenario: "ScenarioConfig") -> Iterator[Step]:
+    """The recorded steps of a simulation, from t = 0 until every agent has
+    stopped or the duration is spent.
+
+    A step stops the active agents in contact or at their goal, then builds
+    every agent's disk once (at its constant velocity, at rest once stopped)
+    and every agent's world once: the grid, the scripted obstacles and the
+    other agents' disks. The samples' d_o read these worlds, and so do the
+    plans every active agent makes before the next step; all of them then
+    execute the first control of their plans at once.
     """
     grid = scenario.grid
     specs = list(scenario.agents)
@@ -258,102 +249,106 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
     n_cycles = int(round(scenario.duration / h))
 
     navs = {a.id: NavigationField(grid, (a.goal.x, a.goal.y)) for a in specs}
-    states: dict[str, RobotState] = {
-        a.id: RobotState(pose=a.start.wrapped(), v=0.0, omega=0.0, t=0.0) for a in specs
-    }
-    active = {a.id: True for a in specs}
-    reached_at: dict[str, float] = {}
-    collided = {a.id: False for a in specs}
-    warm: dict[str, TrajectoryParam | None] = {a.id: None for a in specs}
+    radii = {a.id: a.radius for a in specs}
+    states = {a.id: RobotState(pose=a.start.wrapped(), t=0.0) for a in specs}
+    active = {a.id for a in specs}
+    plans: dict[str, PlanResult] = {}
+    for cycle in range(n_cycles + 1):
+        t = cycle * h
+        found = dict(states)
+        xy = {aid: (s.pose.x, s.pose.y) for aid, s in found.items()}
+        events = detect_collision(grid, xy, radii, scenario.scripted_obstacles, t)
+        hit = {aid for pair in events for aid in pair}
+        nf = {a.id: navs[a.id].distance(*xy[a.id]) for a in specs}
+        stopped = {}
+        for a in specs:
+            if a.id in active and (a.id in hit or nf[a.id] <= a.cost.goal_tolerance):
+                stopped[a.id] = OUTCOME_COLLIDED if a.id in hit else OUTCOME_REACHED
+                active.remove(a.id)
+            if a.id not in active:  # at rest, at this step's time
+                states[a.id] = RobotState(pose=found[a.id].pose, t=t)
+
+        disks = {
+            aid: DynamicObstacle(
+                id=aid, radius=radii[aid], position=xy[aid], epoch=t,
+                velocity=(s.v * math.cos(s.pose.heading), s.v * math.sin(s.pose.heading))
+                if aid in active else (0.0, 0.0),
+            )
+            for aid, s in states.items()
+        }
+        worlds = {
+            a.id: World(grid=grid, robot_radius=a.radius, obstacles=scenario.scripted_obstacles
+                        + tuple(d for bid, d in disks.items() if bid != a.id))
+            for a in specs
+        }
+        samples = {
+            aid: TraceSample(t=t, x=s.pose.x, y=s.pose.y, heading=s.pose.heading, v=s.v,
+                             omega=s.omega, d_o=distance_to_nearest(worlds[aid], xy[aid], t),
+                             nf_distance=nf[aid])
+            for aid, s in found.items()
+        }
+        contacts = tuple(ContactEvent(t=t, agent_id=aid, other_id=o) for aid, o in events)
+        yield Step(cycle, t, samples, contacts, stopped, dict(states), worlds, navs, plans)
+        if cycle == n_cycles or not active:
+            return
+
+        last, plans = plans, {}
+        for idx, a in enumerate(specs):
+            if a.id in active:
+                warm = last[a.id].best_param if a.id in last else None
+                plans[a.id] = plan(
+                    states[a.id], a.goal, worlds[a.id], a.planner, a.cost,
+                    replace(a.optimizer, seed=_cycle_seed(scenario.seed, idx, cycle)),
+                    warm_start=warm, nav=navs[a.id],
+                )
+        for aid, result in plans.items():
+            states[aid] = result.best_trajectory.states[1]
+
+
+def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
+    """Simulate a scenario to completion or timeout and collect metrics.
+
+    The result summarises `steps`: every step's trace samples, contacts and
+    stopped agents, and the plans made between steps. diag_every, when set,
+    re-rolls every candidate a plan evaluated each diag_every-th cycle, in
+    one batch, and stores the resulting polyline fans per agent.
+    """
+    specs = scenario.agents
     traces: dict[str, list[TraceSample]] = {a.id: [] for a in specs}
     replans: dict[str, list[ReplanRecord]] = {a.id: [] for a in specs}
-    contacts: list[ContactEvent] = []
     fans: dict[str, list] | None = {a.id: [] for a in specs} if diag_every else None
-
-    def freeze(agent_id: str, t: float) -> None:
-        s = states[agent_id]
-        states[agent_id] = RobotState(pose=s.pose, v=0.0, omega=0.0, t=t)
-        active[agent_id] = False
-
-    def record_step(t: float) -> None:
-        positions = {a.id: (states[a.id].pose.x, states[a.id].pose.y) for a in specs}
-        radii = {a.id: a.radius for a in specs}
-        events = detect_collision(grid, positions, radii, scenario.scripted_obstacles, t)
-        for aid, other in events:
-            contacts.append(ContactEvent(t=t, agent_id=aid, other_id=other))
-        hit = {aid for aid, _ in events} | {
-            other for _, other in events if other in positions
-        }
+    contacts: list[ContactEvent] = []
+    stopped: dict[str, tuple[str, float]] = {}
+    prev = None
+    for step in steps(scenario):
         for a in specs:
-            s = states[a.id]
-            snapshot = _snapshot_for(
-                a.id, specs, states, active, scenario.scripted_obstacles, grid, a.radius, t
-            )
-            d_o = distance_to_nearest(snapshot, (s.pose.x, s.pose.y), t)
-            nf_d = navs[a.id].distance(s.pose.x, s.pose.y)
-            traces[a.id].append(
-                TraceSample(
-                    t=t, x=s.pose.x, y=s.pose.y, heading=s.pose.heading,
-                    v=s.v, omega=s.omega, d_o=d_o, nf_distance=nf_d,
-                )
-            )
-            if active[a.id] and a.id in hit:
-                collided[a.id] = True
-                freeze(a.id, t)
-            elif active[a.id] and nf_d <= a.cost.goal_tolerance:
-                reached_at[a.id] = t
-                freeze(a.id, t)
-
-    record_step(0.0)
-    for cycle in range(n_cycles):
-        if not any(active.values()):
-            break
-        t = cycle * h
-        moves: dict[str, RobotState] = {}
-        for idx, a in enumerate(specs):
-            if not active[a.id]:
+            result = step.plans.get(a.id)
+            if result is None:
                 continue
-            snapshot = _snapshot_for(
-                a.id, specs, states, active, scenario.scripted_obstacles, grid, a.radius, t
-            )
-            opt_cfg = replace(
-                a.optimizer, seed=_cycle_seed(scenario.seed, idx, cycle)
-            )
-            result = plan(
-                states[a.id], a.goal, snapshot, a.planner, a.cost, opt_cfg,
-                warm_start=warm[a.id], nav=navs[a.id],
-            )
-            warm[a.id] = result.best_param
-            moves[a.id] = result.best_trajectory.states[1]
-            replans[a.id].append(
-                ReplanRecord(
-                    t=t, param=result.best_param, cost=result.best_cost,
-                    n_evaluated=len(result.evaluated),
-                )
-            )
-            if fans is not None and cycle % diag_every == 0:
+            replans[a.id].append(ReplanRecord(
+                t=prev.t, param=result.best_param, cost=result.best_cost,
+                n_evaluated=len(result.evaluated),
+            ))
+            if fans is not None and prev.cycle % diag_every == 0:
                 params = np.array([z.as_tuple() for z, _ in result.evaluated])
-                xs, ys, *_ = rollout_batch(states[a.id], params, a.planner)
-                polylines = tuple(
+                xs, ys, *_ = rollout_batch(prev.states[a.id], params, a.planner)
+                fans[a.id].append((prev.t, tuple(
                     tuple(zip(x_row, y_row)) for x_row, y_row in zip(xs.tolist(), ys.tolist())
-                )
-                fans[a.id].append((t, polylines))
-        for a in specs:
-            if active[a.id]:
-                states[a.id] = moves[a.id]
-        record_step((cycle + 1) * h)
+                )))
+        contacts += step.contacts
+        for aid, sample in step.samples.items():
+            traces[aid].append(sample)
+        stopped.update((aid, (outcome, step.t)) for aid, outcome in step.stopped.items())
+        prev = step
 
+    h = specs[0].planner.step_h
     results = []
     for a in specs:
         trace = traces[a.id]
-        if collided[a.id]:
-            outcome = OUTCOME_COLLIDED
-        elif a.id in reached_at:
-            outcome = OUTCOME_REACHED
-        elif detect_deadlock(trace, goal_tolerance=a.cost.goal_tolerance):
-            outcome = OUTCOME_DEADLOCKED
-        else:
-            outcome = OUTCOME_TIMEOUT
+        outcome, stop_t = stopped.get(a.id, (None, None))
+        if outcome is None:
+            deadlocked = detect_deadlock(trace, goal_tolerance=a.cost.goal_tolerance)
+            outcome = OUTCOME_DEADLOCKED if deadlocked else OUTCOME_TIMEOUT
         path_length = sum(
             math.hypot(b.x - a2.x, b.y - a2.y) for a2, b in zip(trace, trace[1:])
         )
@@ -363,7 +358,7 @@ def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
             AgentResult(
                 id=a.id,
                 outcome=outcome,
-                time_to_goal=reached_at.get(a.id),
+                time_to_goal=stop_t if outcome == OUTCOME_REACHED else None,
                 path_length=path_length,
                 min_clearance=min(s.d_o for s in trace),
                 smoothness_v=(sum(dv) / len(dv)) if dv else 0.0,

@@ -148,6 +148,23 @@ def test_landscape_outputs(small_scenario, tmp_path):
     assert len(rows) > 25
 
 
+def test_landscape_scores_the_sweep_in_one_batch(small_scenario, tmp_path, monkeypatch):
+    # no plan() and no rescoring: one evaluate_batch call over the sweep
+    from dsmpepc import cli, optimizer, simulator
+
+    calls = {"cli": 0, "optimizer": 0}
+    for module in (cli, optimizer):
+        def counted(*args, _real=module.evaluate_batch, _name=module.__name__, **kwargs):
+            calls[_name.rsplit(".", 1)[1]] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "evaluate_batch", counted)
+    monkeypatch.setattr(simulator, "plan", lambda *a, **k: pytest.fail("planned"))
+    assert main(["landscape", small_scenario, "--agent", "bot", "--top", "0",
+                 "--out", str(tmp_path / "land")]) == 0
+    assert calls == {"cli": 1, "optimizer": 0}
+
+
 def test_landscape_top_zero_is_valid_svg(small_scenario, tmp_path):
     out = str(tmp_path / "land0")
     code = main(["landscape", small_scenario, "--agent", "bot", "--t", "0.0",
@@ -164,33 +181,15 @@ def test_landscape_ttc_rank_steers_into_free_half_plane():
     # T-corridor snapshot with the blocker dead ahead: at least 80% of the
     # 50 highest-terminal-TTC candidates point into the open gap above it
     import math
-    from dataclasses import replace
-    from dsmpepc import builtin, run
     from dsmpepc.cli import _landscape_candidates
-    from dsmpepc.geometry import Pose
-    from dsmpepc.kinematics import RobotState
-    from dsmpepc.simulator import _snapshot_for
-    from dsmpepc.world import NavigationField
+    from dsmpepc.simulator import steps
 
     cfg = builtin("t_corridor", mode="ds_mpepc")
     spec = next(a for a in cfg.agents if a.id == "mover")
     blocker = next(a for a in cfg.agents if a.id == "blocker")
-    sim = run(replace(cfg, duration=6.0))
-    states = {}
-    moving = {}
-    for a_spec, a_res in zip(cfg.agents, sim.agents):
-        last = a_res.trace[-1]
-        states[a_spec.id] = RobotState(
-            pose=Pose(last.x, last.y, last.heading), v=last.v, omega=last.omega,
-            t=last.t,
-        )
-        moving[a_spec.id] = a_res.outcome not in ("reached", "collided")
-    world = _snapshot_for(
-        spec.id, list(cfg.agents), states, moving, cfg.scripted_obstacles,
-        cfg.grid, spec.radius, 6.0,
-    )
-    nav = NavigationField(cfg.grid, (spec.goal.x, spec.goal.y))
-    rows = _landscape_candidates(cfg, spec, states[spec.id], world, nav)
+    step = next(s for s in steps(cfg) if s.cycle == 30)  # t = 6.0
+    rows = _landscape_candidates(cfg, spec, step.states[spec.id], step.worlds[spec.id],
+                                 step.navs[spec.id])
     top = sorted(rows, key=lambda r: (-r["ttc"], r["param"].as_tuple()))[:50]
     into_free_half = 0
     for row in top:
@@ -199,6 +198,35 @@ def test_landscape_ttc_rank_steers_into_free_half_plane():
         if probe_y > blocker.start.y:
             into_free_half += 1
     assert into_free_half >= 40
+
+
+def test_landscape_of_an_agent_stopped_at_the_snapshot_starts_from_rest(tmp_path):
+    # open_field's robot reaches its goal at t = 5.2 at 0.8 m/s, and the
+    # simulator stops it there; the landscape scores it from that rest
+    from dataclasses import replace
+    from dsmpepc import run
+    from dsmpepc.cost import DS_MPEPC
+    from dsmpepc.geometry import Pose
+    from dsmpepc.kinematics import RobotState, TrajectoryParam
+    from dsmpepc.optimizer import evaluate_candidate
+    from dsmpepc.world import World
+
+    cfg = builtin("open_field")
+    robot = cfg.agents[0]
+    last = run(cfg).agent("robot").trace[-1]
+    assert (last.t, last.v) == (5.2, 0.8)
+    out = tmp_path / "land"
+    assert main(["landscape", "open_field", "--agent", "robot", "--t", "5.2",
+                 "--top", "0", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "landscape.csv").read_text().splitlines()[1:]]
+    halt = next(r for r in rows if r[1:5] == ["0.000000"] * 4)
+    _, expected = evaluate_candidate(
+        TrajectoryParam(0.0, 0.0, 0.0, 0.0),
+        RobotState(pose=Pose(last.x, last.y, last.heading), t=last.t), robot.goal,
+        World(grid=cfg.grid, robot_radius=robot.radius), robot.planner,
+        replace(robot.cost, mode=DS_MPEPC, include_terminal=True),
+    )
+    assert halt[5] == f"{expected.total:.9f}"
 
 
 def test_run_t_corridor_baseline_exits_1(tmp_path):

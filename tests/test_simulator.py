@@ -251,3 +251,54 @@ def test_agent_cost_mode_reaches_plan(monkeypatch):
     assert seen == [BASELINE_MPEPC] * 3
     doc = _agent_to_dict(bot)
     assert doc["mode"] == doc["cost"]["mode"] == BASELINE_MPEPC
+
+
+def test_one_world_and_one_disk_per_agent_per_step(monkeypatch):
+    # each recorded step builds every agent's disk once and every agent's
+    # world once, and that step's plans are made in those same worlds
+    built = {"World": [], "DynamicObstacle": []}
+    for name, objects in built.items():
+        def counted(*args, _real=getattr(simulator, name), _objects=objects, **kwargs):
+            _objects.append(_real(*args, **kwargs))
+            return _objects[-1]
+
+        monkeypatch.setattr(simulator, name, counted)
+    planned_in = []
+
+    def spy(*args, **kwargs):
+        planned_in.append(args[2])
+        return real_plan(*args, **kwargs)
+
+    real_plan = simulator.plan
+    monkeypatch.setattr(simulator, "plan", spy)
+    ped = DynamicObstacle(id="ped", radius=0.3, position=(9.0, 12.0), velocity=(0.0, -0.5))
+    scenario = make_scenario(
+        [spec("a", Pose(6.0, 10.0, 0.0), Pose(12.0, 10.0, 0.0)),
+         spec("b", Pose(12.0, 8.0, math.pi), Pose(6.0, 8.0, math.pi)),
+         spec("c", Pose(6.0, 14.0, 0.0), Pose(6.2, 14.0, 0.0))],
+        duration=3.0, obstacles=(ped,),
+    )
+    result = run(scenario)
+    recorded = sum(len(a.trace) for a in result.agents)
+    assert len(built["World"]) == len(built["DynamicObstacle"]) == recorded
+    assert len(planned_in) == sum(len(a.replans) for a in result.agents) > 0
+    worlds = {id(w) for w in built["World"]}
+    assert all(id(w) in worlds for w in planned_in)
+    assert result.agent("c").outcome == "reached"
+
+
+def test_stopped_agent_rests_at_each_step_time():
+    # a landscape read at a later step scores a stopped agent from rest at
+    # that step's time, so the moving disks are predicted from that time
+    scenario = make_scenario(
+        [spec("a", Pose(6.0, 10.0, 0.0), Pose(6.2, 10.0, 0.0)),
+         spec("b", Pose(6.0, 14.0, 0.0), Pose(12.0, 14.0, 0.0))],
+        duration=1.0,
+    )
+    seen = []
+    for step in simulator.steps(scenario):
+        a = step.states["a"]
+        assert (a.pose, a.v, a.omega, a.t) == (scenario.agents[0].start, 0.0, 0.0, step.t)
+        assert step.worlds["b"].obstacles[0].velocity == (0.0, 0.0)
+        seen.append(step.cycle)
+    assert seen == list(range(6))
