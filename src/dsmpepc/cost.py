@@ -242,12 +242,12 @@ class CostKernel:
     """The trajectory cost of one planning problem, over batches of rollouts.
 
     Everything shared by the problem's candidates is prepared once: the
-    navigation field (`nav`, which must be built for `goal`, or one built
-    here), the obstacles predicted at the step times `ts`
-    (`snapshot`), the weights and the planner config. `evaluate` then scores
-    any number of rollouts given as (B, N+1) state arrays. It is the one
-    cost implementation: `plan()` builds one kernel per problem and every
-    batch it evaluates (`_batch.evaluate_batch`) goes through it, and
+    navigation field (`nav`, which must be built for `goal` over the
+    world's grid, or one built here), the obstacles predicted at the step
+    times `ts` (`snapshot`), the weights and the planner config. `evaluate`
+    then scores any number of rollouts given as (B, N+1) state arrays. It is
+    the one cost implementation: `plan()` builds one kernel per problem and
+    every batch it evaluates (`_batch.evaluate_batch`) goes through it, and
     `trajectory_cost` scores a single trajectory as a batch of one.
     """
 
@@ -257,6 +257,12 @@ class CostKernel:
         self.goal = _goal_xy(goal)
         if nav is not None and nav.goal != self.goal:
             raise ValueError(f"nav was built for goal {nav.goal}, not for {self.goal}")
+        # identity first: the planner's callers pass the world's own grid
+        if nav is not None and nav.grid is not world.grid and not (
+                nav.grid.resolution == world.grid.resolution
+                and nav.grid.origin == world.grid.origin
+                and np.array_equal(nav.grid.occupied, world.grid.occupied)):
+            raise ValueError("nav was built over another grid than the world's")
         self.nav = NavigationField(world.grid, self.goal) if nav is None else nav
         self.params = params
         self.cfg = cfg

@@ -211,3 +211,24 @@ def test_navigation_field_for_another_goal_is_rejected():
         trajectory_cost(rollout(start, z, CFG), goal, world, PARAMS, CFG, nav=nav)
     same = NavigationField(world.grid, (goal.x, goal.y))
     assert plan(start, goal, world, CFG, PARAMS, small_opt(), nav=same).best_param.r > 0.0
+
+
+def test_navigation_field_over_another_grid_is_rejected():
+    # a field over another map would route the progress term around walls
+    # that are not there, or through walls that are
+    rows = ["#" * 40] + ["#" + "." * 38 + "#"] * 38 + ["#" * 40]
+    walled = rows[:20] + ["#" * 30 + "." * 9 + "#"] + rows[21:]
+    world = World(grid=OccupancyGrid.from_ascii(rows, 0.25))
+    start = RobotState(pose=Pose(3.0, 3.0, 0.0))
+    goal = Pose(3.0, 7.0, 0.0)
+    for grid in (OccupancyGrid.from_ascii(walled, 0.25),
+                 OccupancyGrid.from_ascii(rows, 0.2),
+                 OccupancyGrid.from_ascii(rows, 0.25, origin=(0.25, 0.0))):
+        nav = NavigationField(grid, (goal.x, goal.y))
+        with pytest.raises(ValueError, match="nav"):
+            plan(start, goal, world, CFG, PARAMS, small_opt(), nav=nav)
+    # an equal grid built separately is the same map
+    equal = NavigationField(OccupancyGrid.from_ascii(rows, 0.25), (goal.x, goal.y))
+    own = NavigationField(world.grid, (goal.x, goal.y))
+    assert (plan(start, goal, world, CFG, PARAMS, small_opt(), nav=equal)
+            == plan(start, goal, world, CFG, PARAMS, small_opt(), nav=own))
