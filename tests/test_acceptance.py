@@ -10,6 +10,7 @@ import math
 import random
 import statistics
 import time
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -213,13 +214,20 @@ def test_c4_monotonicity_and_displacement():
 
 @criterion(5, "terminal cost bounded in [-1, 0] with exact landmarks")
 def test_c5_terminal_bounds():
+    # 1,000,000 random draws scored in one array call; the first 10,000 are
+    # also scored one at a time as floats, each equal to its array entry
     rng = random.Random(5)
+    draws = array("d")
     for _ in range(1_000_000):
         p = rng.random()
         ttg = rng.choice((0.0, math.inf, rng.uniform(0.0, 2000.0)))
         ttc = rng.choice((0.0, math.inf, rng.uniform(0.0, 2000.0)))
-        _, _, j = terminal_bonus(p, ttg, ttc, PARAMS)
-        assert -1.0 <= j <= 0.0
+        draws.extend((p, ttg, ttc))
+    p, ttg, ttc = np.frombuffer(draws).reshape(-1, 3).T
+    _, _, j = terminal_bonus(p, ttg, ttc, PARAMS)
+    assert np.all((-1.0 <= j) & (j <= 0.0))
+    for k in range(10_000):
+        assert terminal_bonus(float(p[k]), float(ttg[k]), float(ttc[k]), PARAMS)[2] == j[k]
     assert terminal_bonus(1.0, math.inf, math.inf, PARAMS)[2] == -1.0
     assert terminal_bonus(0.0, math.inf, math.inf, PARAMS)[2] == 0.0
     sigma_half = replace(PARAMS, sigma_inv_ttc=0.5)
