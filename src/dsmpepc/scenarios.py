@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -83,14 +83,21 @@ def _obstacle_to_dict(o: DynamicObstacle) -> dict:
     return out
 
 
+# The dataclass whose fields a config block may set, by the block's key.
+_BLOCKS = {"cost": CostParams, "planner": PlannerConfig, "gains": ControlGains,
+           "optimizer": OptimizerConfig}
+
+
 def _merge(base: dict, override, path: str) -> dict:
-    """`override`, the object at `path`, merged over `base`, recursively."""
+    """`override`, the config block at `path`, merged over `base`,
+    recursively. Its keys must be fields of the block's dataclass."""
+    block = _BLOCKS[path.rsplit(".", 1)[-1]]
     out = dict(base)
-    for key, value in _object(override, path).items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value, f"{path}.{key}")
-        else:
-            out[key] = value
+    for key, value in _object(override, path, tuple(f.name for f in fields(block))).items():
+        if key in _BLOCKS and isinstance(value, dict):
+            inner = out.get(key)
+            value = _merge(inner if isinstance(inner, dict) else {}, value, f"{path}.{key}")
+        out[key] = value
     return out
 
 
@@ -153,8 +160,11 @@ def load(source) -> ScenarioConfig:
         if isinstance(source, os.PathLike) or (
             len(str(source)) < 4096 and os.path.exists(source)
         ):
-            with open(source, "r", encoding="utf-8") as f:
-                text = f.read()
+            try:
+                with open(source, "r", encoding="utf-8") as f:
+                    text = f.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ScenarioError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -189,9 +199,9 @@ def load(source) -> ScenarioConfig:
         raise ScenarioError("seed: must be an integer")
 
     defaults = _object(doc.get("defaults", {}), "defaults", ("planner", "cost", "optimizer"))
-    default_planner = _object(defaults.get("planner", {}), "defaults.planner")
-    default_cost = _object(defaults.get("cost", {}), "defaults.cost")
-    default_optimizer = _object(defaults.get("optimizer", {}), "defaults.optimizer")
+    default_planner = _merge({}, defaults.get("planner", {}), "defaults.planner")
+    default_cost = _merge({}, defaults.get("cost", {}), "defaults.cost")
+    default_optimizer = _merge({}, defaults.get("optimizer", {}), "defaults.optimizer")
 
     agents_block = doc.get("agents", [])
     if not isinstance(agents_block, list) or not agents_block:
@@ -267,11 +277,14 @@ def validate(config: ScenarioConfig) -> None:
     """Raise ScenarioError on geometric or schema-level inconsistencies."""
     grid = config.grid
     xmin, ymin, xmax, ymax = grid.extent
-    seen_ids = set()
+    # a contact names the other party by its id, or "grid" for the map
+    ids = [a.id for a in config.agents] + [o.id for o in config.scripted_obstacles]
+    for k, ident in enumerate(ids):
+        if ident == "grid":
+            raise ScenarioError("agents and scripted_obstacles: id 'grid' names the map")
+        if ident in ids[:k]:
+            raise ScenarioError(f"agents and scripted_obstacles: duplicate id {ident!r}")
     for agent in config.agents:
-        if agent.id in seen_ids:
-            raise ScenarioError(f"agents: duplicate id {agent.id!r}")
-        seen_ids.add(agent.id)
         for label, pose in (("start", agent.start), ("goal", agent.goal)):
             if not (xmin <= pose.x <= xmax and ymin <= pose.y <= ymax):
                 raise ScenarioError(

@@ -91,6 +91,28 @@ def test_run_unknown_key_exits_2(tmp_path, capsys):
     assert "agents[0].raduis: unknown key" in capsys.readouterr().err
 
 
+def test_run_unreadable_path_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(json.dumps(dict(SMALL_FIELD, name="caf\u00e9"), ensure_ascii=False)
+                      .encode("latin-1"))
+    for source in (tmp_path, latin):
+        assert main(["run", str(source), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+def test_run_obstacle_sharing_an_agent_id_exits_2(tmp_path, capsys):
+    # the obstacle "b" hits agent "a"; with a shared id it would stop agent "b"
+    doc = copy.deepcopy(SMALL_FIELD)
+    doc["agents"].append({"id": "b", "start": [3.0, 8.0, 0.0], "goal": [7.0, 8.0, 0.0]})
+    doc["agents"][0]["id"] = "a"
+    doc["scripted_obstacles"] = [{"id": "b", "radius": 0.3, "position": [4.2, 5.0],
+                                  "velocity": [-0.5, 0.0]}]
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate id 'b'" in capsys.readouterr().err
+
+
 def test_run_nonreached_exits_1(tmp_path):
     doc = dict(SMALL_FIELD)
     doc["duration"] = 2.0  # timeout before reaching

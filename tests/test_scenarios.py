@@ -104,6 +104,32 @@ def test_duplicate_ids_rejected():
         load(doc)
 
 
+@pytest.mark.parametrize("obstacle_id", ["bot", "ped"])
+def test_obstacle_id_unique_across_agents_and_obstacles(obstacle_id):
+    # a contact names the other party by id, so a shared id would stop the
+    # agent of that name whenever the obstacle touches anyone
+    doc = dict(MINIMAL, scripted_obstacles=[dict(_PED), dict(_PED, id=obstacle_id)])
+    with pytest.raises(ScenarioError, match=f"duplicate id '{obstacle_id}'"):
+        load(doc)
+
+
+def test_grid_is_not_an_id():
+    doc = copy.deepcopy(MINIMAL)
+    doc["agents"][0]["id"] = "grid"
+    with pytest.raises(ScenarioError, match="id 'grid' names the map"):
+        load(doc)
+
+
+def test_unreadable_path_is_a_scenario_error(tmp_path):
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load(tmp_path)
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(json.dumps(dict(MINIMAL, name="caf\u00e9"), ensure_ascii=False)
+                      .encode("latin-1"))
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load(str(latin))
+
+
 def test_script_times_within_duration():
     doc = dict(MINIMAL)
     doc["scripted_obstacles"] = [
@@ -160,21 +186,33 @@ def test_malformed_field_is_a_scenario_error(path, value):
         load(json.dumps(doc))
 
 
-# (path into the document, misspelt key, the path the error must name); each
-# of these loaded silently, with the key ignored, before keys were checked
+# (path into the document, misspelt key, the path the error must name). The
+# first five loaded silently, with the key ignored, before keys were checked;
+# a key inside a config block was named under the first agent's block
 UNKNOWN_KEYS = [
     ((), "durration", "durration"),
     (("map",), "orgin", "map.orgin"),
     (("defaults",), "planer", "defaults.planer"),
     (("agents", 0), "raduis", "agents[0].raduis"),
     (("scripted_obstacles", 0), "positon", "scripted_obstacles[0].positon"),
+    (("defaults", "cost"), "sgima_d", "defaults.cost.sgima_d"),
+    (("defaults", "planner"), "v_limt", "defaults.planner.v_limt"),
+    (("defaults", "planner", "gains"), "k3", "defaults.planner.gains.k3"),
+    (("defaults", "optimizer"), "n_samples", "defaults.optimizer.n_samples"),
+    (("agents", 0, "cost"), "sgima_d", "agents[0].cost.sgima_d"),
+    (("agents", 0, "planner"), "v_limt", "agents[0].planner.v_limt"),
+    (("agents", 0, "planner", "gains"), "k3", "agents[0].planner.gains.k3"),
+    (("agents", 0, "optimizer"), "n_samples", "agents[0].optimizer.n_samples"),
 ]
 
 
 @pytest.mark.parametrize("path,key,named", UNKNOWN_KEYS, ids=lambda v: repr(v))
 def test_unknown_key_is_a_scenario_error(path, key, named):
     doc = copy.deepcopy(MINIMAL)
-    doc["defaults"] = {"cost": {"a": 0.5}}
+    blocks = {"cost": {"a": 0.5}, "planner": {"gains": {"k1": 1.2}},
+              "optimizer": {"seed": 4}}
+    doc["defaults"] = copy.deepcopy(blocks)
+    doc["agents"][0].update(copy.deepcopy(blocks))
     doc["scripted_obstacles"] = [dict(_PED)]
     load(doc)
     target = doc
@@ -253,9 +291,9 @@ def test_t_corridor_has_stationary_blocker():
 
 def test_optimizer_bounds_key_is_named():
     # the parameter box follows from the planner config; a "bounds" key is
-    # rejected with the block's path, not silently ignored
+    # rejected with its path, not silently ignored
     doc = dict(MINIMAL)
     doc["agents"] = [{"id": "bot", "start": [2.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0],
                       "optimizer": {"bounds": [[0, 1], [0, 1], [0, 1], [0, 1]]}}]
-    with pytest.raises(ScenarioError, match=r"agents\[0\]\.optimizer: .*bounds"):
+    with pytest.raises(ScenarioError, match=r"^agents\[0\]\.optimizer\.bounds: unknown key"):
         load(doc)
