@@ -278,6 +278,8 @@ def cmd_landscape(args) -> int:
         st = step.states[other.id]
         color = AGENT_COLOR if other.id == spec.id else OBSTACLE_COLOR
         renderer.add_disk(st.pose.x, st.pose.y, other.radius, color)
+    for obs in config.scripted_obstacles:
+        renderer.add_disk(*predict_obstacle(obs, step.t), obs.radius, OBSTACLE_COLOR)
     renderer.add_goal_marker(spec.goal.x, spec.goal.y)
 
     lines = ["rank,r,theta,delta,v_max,cost,ttg,ttc"]

@@ -190,7 +190,8 @@ def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
     d = np.hypot(dx, dy)
     toward = np.cos(pose.heading) * dx + np.sin(pose.heading) * dy
     v_goal = terminal.v * toward / np.where(d > 0.0, d, 1.0)
-    with np.errstate(divide="ignore"):
+    # d = v_goal = 0 (at rest on the goal) divides 0 by 0; the tolerance masks it
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d <= params.goal_tolerance, 0.0,
                         np.where(v_goal > params.v_epsilon, d / v_goal, math.inf))[()]
 
@@ -281,7 +282,10 @@ class CostKernel:
         the closer endpoint defines the segment's d_o, and its TTC feeds the
         anticipatory factor (so an in-contact endpoint forces probability 1
         exactly). A segment whose distance-based probability is below
-        _P_C_SKIP gets ttc = +inf without a query. Baseline mode uses the
+        _P_C_SKIP gets ttc = +inf without a query. All TTC queries of an
+        evaluation go to one `_ttc_batch` call, so the grid is ray-marched
+        once: the segments' queries first, then the terminal queries (each
+        last state at v_limit along its heading). Baseline mode uses the
         distance-only probability and no terminal term. Every operation is
         elementwise or runs along a row, so a row does not depend on the rest
         of the batch, and the segment terms are summed in order, as a loop
@@ -300,19 +304,24 @@ class CostKernel:
         p_c = collision_probability(d_seg, params)
 
         ds_mode = params.mode == DS_MPEPC
+        with_terminal = ds_mode and params.include_terminal
         ttc = None
         if ds_mode:
+            rr, cols = np.nonzero(p_c >= _P_C_SKIP)
+            qr, qt = rr, np.where(left[rr, cols], cols, cols + 1)
+            speed = vs[qr, qt]
+            if with_terminal:
+                qr = np.concatenate((qr, np.arange(b)))
+                qt = np.concatenate((qt, np.full(b, n)))
+                speed = np.concatenate((speed, np.full(b, cfg.v_limit)))
+            q_ttc = np.empty(0)
+            if qr.size:
+                qh = hs[qr, qt]
+                q_ttc = _ttc_batch(world, xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
+                                   speed * np.sin(qh), qt, tracks, d[qr, qt])
             ttc = np.full((b, n), math.inf)
-            need = p_c >= _P_C_SKIP
-            if need.any():
-                rr, cols = np.nonzero(need)
-                pt = np.where(left[rr, cols], cols, cols + 1)
-                pv = vs[rr, pt]
-                ph = hs[rr, pt]
-                ttc[rr, cols] = _ttc_batch(
-                    world, xs[rr, pt], ys[rr, pt], pv * np.cos(ph), pv * np.sin(ph), pt,
-                    tracks, d[rr, pt],
-                )
+            ttc[rr, cols] = q_ttc[:rr.size]
+            ttc_n = q_ttc[rr.size:]
             p_c = p_c * anticipatory_factor(ttc, params)
 
         p_s = survivability(p_c)
@@ -323,14 +332,10 @@ class CostKernel:
             p_s * j_prog + j_act + (1.0 - p_s) * params.c_collision, axis=1)[:, -1]
 
         terminal = None
-        if ds_mode and params.include_terminal:
-            x, y, heading = xs[:, -1], ys[:, -1], hs[:, -1]
-            ttg = expected_time_to_goal(RobotState(Pose(x, y, heading), vs[:, -1]),
-                                        self.goal, params)
-            ttc_n = _ttc_batch(
-                world, x, y, cfg.v_limit * np.cos(heading), cfg.v_limit * np.sin(heading),
-                np.full(b, n), tracks, d[:, -1],
-            )
+        if with_terminal:
+            ttg = expected_time_to_goal(
+                RobotState(Pose(xs[:, -1], ys[:, -1], hs[:, -1]), vs[:, -1]),
+                self.goal, params)
             p_s_n = p_s[:, -1]
             c_ttg, c_ttc, j_term = terminal_bonus(p_s_n, ttg, ttc_n, params)
             totals = totals + j_term

@@ -202,6 +202,10 @@ def load(source) -> ScenarioConfig:
     default_planner = _merge({}, defaults.get("planner", {}), "defaults.planner")
     default_cost = _merge({}, defaults.get("cost", {}), "defaults.cost")
     default_optimizer = _merge({}, defaults.get("optimizer", {}), "defaults.optimizer")
+    # each block must hold on its own, so a bad value is named where it is written
+    _planner_from_dict(default_planner, "defaults.planner")
+    _build("defaults.cost", CostParams, **default_cost)
+    _build("defaults.optimizer", OptimizerConfig, **default_optimizer)
 
     agents_block = doc.get("agents", [])
     if not isinstance(agents_block, list) or not agents_block:

@@ -161,10 +161,14 @@ class OccupancyGrid:
         iy = np.minimum(gy.astype(int), iy_last)
         fx = gx - ix
         fy = gy - iy
-        v00 = values[iy, ix]
-        v01 = values[iy, ix + dx1]
-        v10 = values[iy + dy1, ix]
-        v11 = values[iy + dy1, ix + dx1]
+        # the four corners by flat index into the row-major field
+        flat = values.ravel()
+        i00 = iy * self.width + ix
+        i10 = i00 + dy1 * self.width
+        v00 = flat.take(i00)
+        v01 = flat.take(i00 + dx1)
+        v10 = flat.take(i10)
+        v11 = flat.take(i10 + dx1)
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
 
 
@@ -365,7 +369,12 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
 def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
     """time_to_collision of points moving with velocities (vx, vy), each
     against the obstacle states at its index `t_idx` into a snapshot's
-    `tracks`; `d0` is the points' clearance (0 exactly where in contact)."""
+    `tracks`; `d0` is the points' clearance (0 exactly where in contact).
+
+    Every operation is elementwise per point, so a point's TTC does not
+    depend on the others in the call: `CostKernel.evaluate` makes one call
+    per evaluation, its segment queries followed by its terminal queries,
+    and the static grid is ray-marched once for all of them."""
     n = x.shape[0]
     best = np.full(n, math.inf)
     for radius, px, py, ovx, ovy in tracks:

@@ -289,6 +289,26 @@ def reference_rollout_step(pose: Pose, v_prev: float, w_prev: float, target: Pos
     return _advance_pose(pose, v, w, h), v, w
 
 
+def reference_sample_field(grid, values, xs, ys) -> np.ndarray:
+    """OccupancyGrid.sample_field_batch with 2-D fancy indexing in place of
+    its flat-index gather, and the stencil worked out here: the same
+    arithmetic, so the two agree bit for bit."""
+    w1, h1 = grid.width - 1, grid.height - 1
+    gx = np.minimum(np.maximum((np.asarray(xs) - grid.origin[0]) / grid.resolution - 0.5,
+                               0.0), w1)
+    gy = np.minimum(np.maximum((np.asarray(ys) - grid.origin[1]) / grid.resolution - 0.5,
+                               0.0), h1)
+    # a one-cell axis samples its one cell twice
+    ix = np.minimum(gx.astype(int), max(w1 - 1, 0))
+    iy = np.minimum(gy.astype(int), max(h1 - 1, 0))
+    ix1 = np.minimum(ix + 1, w1)
+    iy1 = np.minimum(iy + 1, h1)
+    fx = gx - ix
+    fy = gy - iy
+    return ((1 - fy) * ((1 - fx) * values[iy, ix] + fx * values[iy, ix1])
+            + fy * ((1 - fx) * values[iy1, ix] + fx * values[iy1, ix1]))
+
+
 def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
     """The grid march written against OccupancyGrid.sample_distance: arc
     length to the first sample within the robot radius, or None."""

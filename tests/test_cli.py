@@ -251,6 +251,26 @@ def test_landscape_of_an_agent_stopped_at_the_snapshot_starts_from_rest(tmp_path
     assert halt[5] == f"{expected.total:.9f}"
 
 
+def test_landscape_of_an_agent_resting_on_its_goal(tmp_path):
+    # t_corridor's blocker starts on its goal at rest: its halting candidate
+    # ends there with zero distance and speed, and scores a TTG of 0
+    out = tmp_path / "land"
+    assert main(["landscape", "t_corridor", "--agent", "blocker", "--t", "2",
+                 "--top", "0", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "landscape.csv").read_text().splitlines()[1:]]
+    halt = next(r for r in rows if r[1:5] == ["0.000000"] * 4)
+    assert halt[6] == "0"
+
+
+def test_landscape_draws_the_scripted_obstacles(tmp_path):
+    # the robot and pedestrian_hall's four pedestrians, whose world the
+    # candidates were scored in
+    out = tmp_path / "land"
+    assert main(["landscape", "pedestrian_hall", "--agent", "robot", "--t", "4",
+                 "--top", "0", "--out", str(out)]) == 0
+    assert (out / "landscape.svg").read_text().count("<circle") == 5
+
+
 def test_run_t_corridor_baseline_exits_1(tmp_path):
     code = main(["run", "t_corridor", "--mode", "mpepc",
                  "--out", str(tmp_path / "out")])

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dsmpepc import world as world_module
 from dsmpepc.cost import (
+    _P_C_SKIP,
     BASELINE_MPEPC,
     DS_MPEPC,
     CostKernel,
@@ -28,7 +30,7 @@ from dsmpepc.kinematics import (
     rollout_batch,
     step_times,
 )
-from dsmpepc.world import DynamicObstacle, OccupancyGrid, World
+from dsmpepc.world import DynamicObstacle, OccupancyGrid, World, _ttc_batch
 
 from agreement import assert_float_alone_equals_array
 from oracles import reference_trajectory_cost
@@ -135,6 +137,15 @@ def test_expected_time_to_goal():
     assert expected_time_to_goal(perpendicular, (4.0, 0.0), PARAMS) == math.inf
     at_goal = RobotState(pose=Pose(3.9, 0, 0), v=0.5)
     assert expected_time_to_goal(at_goal, (4.0, 0.0), PARAMS) == 0.0
+
+
+def test_expected_time_to_goal_at_rest_on_the_goal():
+    # d = 0 and v_goal = 0: no 0/0 warning (an error in this suite)
+    on_goal = RobotState(pose=Pose(4.0, 0.0, 0.3), v=0.0)
+    assert expected_time_to_goal(on_goal, (4.0, 0.0), PARAMS) == 0.0
+    rows = RobotState(pose=Pose(np.array([4.0, 0.0]), np.zeros(2), np.zeros(2)),
+                      v=np.zeros(2))
+    assert expected_time_to_goal(rows, (4.0, 0.0), PARAMS).tolist() == [0.0, math.inf]
 
 
 def test_terminal_ttc_cases():
@@ -478,3 +489,72 @@ def test_trajectory_cost_matches_scalar_reference():
             if j_terminal is not None:
                 assert math.isclose(breakdown.terminal.j_terminal, j_terminal,
                                     rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _marching_problem():
+    """A walled world with a moving disk and 64 rollouts among them, with
+    skipped, queried and in-contact segments and terminal rays that hit."""
+    rows = ["#" * 48] + ["#" + "." * 46 + "#"] * 8 + ["#" + "." * 20 + "#" * 5
+                                                      + "." * 21 + "#"] * 4
+    rows += ["#" + "." * 46 + "#"] * 10 + ["#" * 48]
+    world = World(grid=OccupancyGrid.from_ascii(rows, 0.25), robot_radius=0.35,
+                  obstacles=(DynamicObstacle(id="o", radius=0.4, position=(5.0, 4.0),
+                                             velocity=(-0.3, 0.1), epoch=0.5),))
+    start = RobotState(pose=Pose(2.0, 4.5, 0.3), v=0.4, omega=-0.1, t=1.0)
+    lo, hi = np.array([(0.0, 8.0), (-math.pi, math.pi), (-math.pi, math.pi), (0.0, 1.0)]).T
+    params = lo + np.random.default_rng(31).random((64, 4)) * (hi - lo)
+    return world, start, rollout_batch(start, params, CFG)
+
+
+def test_evaluate_marches_every_ttc_query_once(monkeypatch):
+    # one ds evaluation marches its segment and terminal rays together, and
+    # each row equals what separate segment and terminal queries give
+    world, start, states = _marching_problem()
+    xs, ys, hs, vs, _ = states
+    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), PARAMS, CFG, step_times(start.t, CFG))
+    marches = []
+
+    def counted(*args, _real=world_module._static_ray_arcs):
+        marches.append(args[1].size)
+        return _real(*args)
+
+    monkeypatch.setattr(world_module, "_static_ray_arcs", counted)
+    rows = kernel.evaluate(*states)
+    monkeypatch.undo()
+    assert len(marches) == 1
+
+    b, n = xs.shape[0], xs.shape[1] - 1
+    assert marches[0] > b  # the terminal rays and moving segment queries
+    tracks = kernel.snapshot.tracks
+    d = kernel.snapshot.clearance(xs, ys)
+    need = collision_probability(rows.segments[0], PARAMS) >= _P_C_SKIP
+    assert need.any() and not need.all()
+    rr, cols = np.nonzero(need)
+    pt = np.where(d[rr, cols] <= d[rr, cols + 1], cols, cols + 1)
+    pv, ph = vs[rr, pt], hs[rr, pt]
+    ttc = np.full((b, n), math.inf)
+    ttc[rr, cols] = _ttc_batch(world, xs[rr, pt], ys[rr, pt], pv * np.cos(ph),
+                               pv * np.sin(ph), pt, tracks, d[rr, pt])
+    heading = hs[:, -1]
+    ttc_n = _ttc_batch(world, xs[:, -1], ys[:, -1], CFG.v_limit * np.cos(heading),
+                       CFG.v_limit * np.sin(heading), np.full(b, n), tracks, d[:, -1])
+    np.testing.assert_array_equal(rows.segments[2], ttc)
+    np.testing.assert_array_equal(rows.terminal[1], ttc_n)
+    assert (ttc == 0.0).any() and (np.isfinite(ttc) & (ttc > 0.0)).any()
+    assert (np.isfinite(ttc_n) & (ttc_n > 0.0)).any()
+
+
+@pytest.mark.parametrize("params", [replace(PARAMS, mode=BASELINE_MPEPC),
+                                    replace(PARAMS, sigma_d=1e-3, include_terminal=False)])
+def test_evaluate_without_ttc_queries_makes_no_ttc_call(params, monkeypatch):
+    # baseline mode has no TTC; in ds mode without the terminal term, a batch
+    # whose segments are all below _P_C_SKIP queries nothing
+    world, start, states = _marching_problem()
+    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), params, CFG, step_times(start.t, CFG))
+    clear = kernel.snapshot.clearance(states[0], states[1]).min(axis=1) > 0.05
+    assert 0 < clear.sum() < clear.size
+    states = tuple(a[clear] for a in states)
+    monkeypatch.setattr("dsmpepc.cost._ttc_batch", lambda *a: pytest.fail("queried"))
+    rows = kernel.evaluate(*states)
+    ttc = rows.segments[2]
+    assert ttc is None if params.mode == BASELINE_MPEPC else (ttc == math.inf).all()

@@ -9,7 +9,8 @@ differently, a few ulps per operation, so each test states its tolerance.
 Unlike the golden digests, these checks do not depend on a platform's float
 rounding, and unlike a batch-versus-scalar comparison they catch a frame or
 timing error that every path shares: an obstacle predicted on the absolute
-clock fails the time shift, swapped axes or atan2 arguments fail the mirror.
+clock fails the time shift, swapped axes or atan2 arguments fail the mirror,
+a grid lookup that ignores the map origin fails the translation.
 An error that commutes with both transforms, such as a flipped sign of the
 TTC relative velocity, passes them; the TTC oracles in test_world catch it.
 """
@@ -62,8 +63,8 @@ def _params() -> np.ndarray:
 PARAMS = _params()
 
 
-def _score(rows, start, goal, obstacles, params=PARAMS):
-    world = World(grid=OccupancyGrid.from_ascii(rows, RES), obstacles=obstacles,
+def _score(rows, start, goal, obstacles, params=PARAMS, origin=(0.0, 0.0)):
+    world = World(grid=OccupancyGrid.from_ascii(rows, RES, origin), obstacles=obstacles,
                   robot_radius=0.35)
     kernel = CostKernel(world, goal, COST, CFG, step_times(start.t, CFG))
     cost_rows, _ = evaluate_batch(params, start, kernel)
@@ -129,4 +130,33 @@ def test_mirror():
     want = _score(ROWS, START, GOAL, (CV, SCRIPTED))
     got = _score(ROWS[::-1], replace(START, pose=pose(START.pose), omega=-START.omega),
                  pose(GOAL), mirrored, params)
+    _assert_rows_close(got, want, 1e-9)
+
+
+@pytest.mark.parametrize("cells", [(3, -5), (161, 83)])
+def test_translation(cells):
+    """Moving the map origin, the poses, the obstacles (waypoints too) and
+    the goal by a whole number of cells moves every rollout with them and
+    keeps every cell, so every cost term is unchanged.
+
+    Tolerance 1e-9: a shifted coordinate x + dx is rounded at the size of
+    dx, and the two rollouts, grid lookups and TTC rays then differ by a few
+    ulps per step. The shift stays at tens of meters because the terminal
+    TTG divides by the velocity toward the goal, which is near 0 on some
+    rows (TTGs of thousands of seconds): shifted by 1 km, the TTG rows
+    deviated by 3.3e-9 relative while every other term stayed below 1.1e-10.
+    """
+    dx, dy = cells[0] * RES, cells[1] * RES
+
+    def pose(p):
+        return Pose(p.x + dx, p.y + dy, p.heading)
+
+    moved = (
+        replace(CV, position=(CV.position[0] + dx, CV.position[1] + dy)),
+        replace(SCRIPTED, waypoints=tuple((t, x + dx, y + dy)
+                                          for t, x, y in SCRIPTED.waypoints)),
+    )
+    want = _score(ROWS, START, GOAL, (CV, SCRIPTED))
+    got = _score(ROWS, replace(START, pose=pose(START.pose)), pose(GOAL), moved,
+                 origin=(dx, dy))
     _assert_rows_close(got, want, 1e-9)

@@ -223,6 +223,24 @@ def test_unknown_key_is_a_scenario_error(path, key, named):
         load(json.dumps(doc))
 
 
+# (defaults block, its content, the error it must raise); these were named
+# under the first agent's block, where the defaults are merged in
+DEFAULTS_VALUE_ERRORS = [
+    ("planner", {"v_limit": -1}, "defaults.planner: v_limit must be positive and finite"),
+    ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
+    ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
+    ("optimizer", {"n_global_samples": 0}, "defaults.optimizer: n_global_samples must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("block,content,message", DEFAULTS_VALUE_ERRORS,
+                         ids=lambda v: repr(v))
+def test_defaults_value_error_names_the_defaults_block(block, content, message):
+    doc = dict(MINIMAL, defaults={block: content})
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}"):
+        load(json.dumps(doc))
+
+
 @pytest.mark.parametrize("key", ["position", "velocity", "epoch"])
 def test_waypoints_exclude_constant_velocity_keys(key):
     obstacle = {"id": "ped", "waypoints": [[0.0, 1.0, 1.0], [2.0, 3.0, 1.0]],

@@ -27,6 +27,7 @@ from oracles import (
     fine_step_first_contact,
     reference_navigation_field,
     reference_ray_arc,
+    reference_sample_field,
     reference_time_to_collision,
 )
 
@@ -122,6 +123,25 @@ def test_sample_distance_batch_matches_scalar():
     batch = grid.sample_distance_batch(xs, ys)
     for x, y, b in zip(xs, ys, batch):
         assert grid.sample_distance(x, y) == b
+
+
+@pytest.mark.parametrize("shape", [(17, 23), (1, 9), (9, 1), (1, 1)])
+def test_sample_field_batch_matches_2d_indexing(shape):
+    # the flat-index gather against 2-D indexing, on an arbitrary field and
+    # the distance field, off the origin, at points inside and outside
+    rng = np.random.default_rng(sum(shape))
+    occupied = rng.random(shape) < 0.2
+    occupied[-1, 0] = True
+    grid = OccupancyGrid(occupied, 0.3, origin=(-1.7, 2.4))
+    xmin, ymin, xmax, ymax = grid.extent
+    xs = rng.uniform(xmin - 1.0, xmax + 1.0, size=(40, 26))
+    ys = rng.uniform(ymin - 1.0, ymax + 1.0, size=(40, 26))
+    xs[0, :4] = [xmin, xmax, xmin, xmax]  # the box's corners
+    ys[0, :4] = [ymin, ymin, ymax, ymax]
+    for values in (rng.normal(size=shape), grid.distance_field):
+        got = grid.sample_field_batch(values, xs, ys)
+        assert got.shape == xs.shape
+        np.testing.assert_array_equal(got, reference_sample_field(grid, values, xs, ys))
 
 
 def test_sampled_field_is_lipschitz():
