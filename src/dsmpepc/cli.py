@@ -46,12 +46,13 @@ def _load_scenario(source: str, mode: str | None, seed: int | None) -> scen.Scen
         )
     if seed is not None:
         config = replace(config, seed=seed)
-    if mode is not None:
-        agents = tuple(
-            replace(a, cost=replace(a.cost, mode=mode)) for a in config.agents
-        )
-        config = replace(config, agents=agents)
-    return config
+    return config if mode is None else _with_mode(config, mode)
+
+
+def _with_mode(config: scen.ScenarioConfig, mode: str) -> scen.ScenarioConfig:
+    """`config` with every agent's cost mode set to `mode`."""
+    return replace(config, agents=tuple(replace(a, cost=replace(a.cost, mode=mode))
+                                        for a in config.agents))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -91,8 +92,8 @@ def _render_result(config: scen.ScenarioConfig, result: SimResult,
                     r.add_fan(line)
     final_t = max(s.trace[-1].t for s in result.agents)
     for obs in config.scripted_obstacles:
-        steps = max(2, int(final_t / 0.5) + 1)
-        pts = [predict_obstacle(obs, final_t * k / (steps - 1)) for k in range(steps)]
+        n_points = max(2, int(final_t / 0.5) + 1)
+        pts = [predict_obstacle(obs, final_t * k / (n_points - 1)) for k in range(n_points)]
         r.add_path(pts, color=OBSTACLE_COLOR, width=1.5)
         r.add_disk(*predict_obstacle(obs, final_t), obs.radius, OBSTACLE_COLOR)
     for spec, agent in zip(config.agents, result.agents):
@@ -121,38 +122,30 @@ def _metrics_json(config: scen.ScenarioConfig, result: SimResult,
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_scenario(args.scenario, _MODE_ALIASES.get(args.mode), args.seed)
-    except scen.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _load_scenario(args.scenario, _MODE_ALIASES.get(args.mode), args.seed)
     t0 = time.perf_counter()
     result = run(config, diag_every=25 if args.diag else None)
     wall = time.perf_counter() - t0
     out = args.out
     artifacts: list[str] = []
-    try:
-        if args.csv:
-            for agent in result.agents:
-                path = os.path.join(out, f"trace_{agent.id}.csv")
-                _write_text(path, _trace_csv(agent))
-                artifacts.append(path)
-        if args.diag:
-            for agent in result.agents:
-                path = os.path.join(out, f"diag_{agent.id}.csv")
-                _write_text(path, _diag_csv(agent))
-                artifacts.append(path)
-        if args.svg:
-            path = os.path.join(out, "scene.svg")
-            _write_text(path, _render_result(config, result, with_fans=args.diag))
+    if args.csv:
+        for agent in result.agents:
+            path = os.path.join(out, f"trace_{agent.id}.csv")
+            _write_text(path, _trace_csv(agent))
             artifacts.append(path)
-        _write_text(
-            os.path.join(out, "metrics.json"),
-            _metrics_json(config, result, wall, artifacts),
-        )
-    except OSError as exc:
-        print(f"error writing artifacts: {exc}", file=sys.stderr)
-        return 3
+    if args.diag:
+        for agent in result.agents:
+            path = os.path.join(out, f"diag_{agent.id}.csv")
+            _write_text(path, _diag_csv(agent))
+            artifacts.append(path)
+    if args.svg:
+        path = os.path.join(out, "scene.svg")
+        _write_text(path, _render_result(config, result, with_fans=args.diag))
+        artifacts.append(path)
+    _write_text(
+        os.path.join(out, "metrics.json"),
+        _metrics_json(config, result, wall, artifacts),
+    )
     for agent in result.agents:
         ttg = "-" if agent.time_to_goal is None else f"{agent.time_to_goal:.1f}s"
         clear = ("-" if math.isinf(agent.min_clearance)
@@ -170,13 +163,9 @@ def _compare_rows(config: scen.ScenarioConfig, n_seeds: int):
         stats = {"success": 0, "deadlock": 0, "collision": 0}
         ttgs: list[float] = []
         clearances: list[float] = []
+        moded = _with_mode(config, mode)
         for k in range(n_seeds):
-            agents = tuple(
-                replace(a, cost=replace(a.cost, mode=mode))
-                for a in config.agents
-            )
-            cfg = replace(config, agents=agents, seed=config.seed + k)
-            result = run(cfg)
+            result = run(replace(moded, seed=config.seed + k))
             stats["success"] += int(result.all_reached)
             stats["deadlock"] += int(
                 any(a.outcome == "deadlocked" for a in result.agents)
@@ -196,11 +185,7 @@ def _compare_rows(config: scen.ScenarioConfig, n_seeds: int):
 
 
 def cmd_compare(args) -> int:
-    try:
-        config = _load_scenario(args.scenario, None, args.seed)
-    except scen.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _load_scenario(args.scenario, None, args.seed)
     rows = _compare_rows(config, args.seeds)
     lines = ["mode,runs,success_rate,deadlock_rate,collision_rate,"
              "mean_time_to_goal,mean_min_clearance"]
@@ -209,11 +194,7 @@ def cmd_compare(args) -> int:
         clear_s = "" if math.isnan(clear) else f"{clear:.3f}"
         lines.append(f"{mode},{runs},{succ:.3f},{dead:.3f},{coll:.3f},{ttg_s},{clear_s}")
     table = "\n".join(lines) + "\n"
-    try:
-        _write_text(os.path.join(args.out, "compare.csv"), table)
-    except OSError as exc:
-        print(f"error writing artifacts: {exc}", file=sys.stderr)
-        return 3
+    _write_text(os.path.join(args.out, "compare.csv"), table)
     print(table, end="")
     return 0
 
@@ -244,19 +225,12 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
 
 
 def cmd_landscape(args) -> int:
-    try:
-        config = _load_scenario(args.scenario, _MODE_ALIASES.get(args.mode), args.seed)
-    except scen.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _load_scenario(args.scenario, _MODE_ALIASES.get(args.mode), args.seed)
     agent_ids = [a.id for a in config.agents]
     if args.agent not in agent_ids:
-        print(f"error: unknown agent {args.agent!r} (have {agent_ids})", file=sys.stderr)
-        return 2
+        raise scen.ScenarioError(f"unknown agent {args.agent!r} (have {agent_ids})")
     if not 0.0 <= args.t <= config.duration:
-        print(f"error: snapshot time {args.t} outside [0, {config.duration}]",
-              file=sys.stderr)
-        return 2
+        raise scen.ScenarioError(f"snapshot time {args.t} outside [0, {config.duration}]")
 
     spec = next(a for a in config.agents if a.id == args.agent)
     # the simulation's own step at the snapshot time, or its last step
@@ -289,12 +263,8 @@ def cmd_landscape(args) -> int:
             f"{i},{p.r:.6f},{p.theta:.6f},{p.delta:.6f},{p.v_max:.6f},"
             f"{row['cost']:.9f},{row['ttg']:.6g},{row['ttc']:.6g}"
         )
-    try:
-        _write_text(os.path.join(args.out, "landscape.svg"), renderer.to_svg())
-        _write_text(os.path.join(args.out, "landscape.csv"), "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error writing artifacts: {exc}", file=sys.stderr)
-        return 3
+    _write_text(os.path.join(args.out, "landscape.svg"), renderer.to_svg())
+    _write_text(os.path.join(args.out, "landscape.csv"), "\n".join(lines) + "\n")
     print(f"rendered {len(top)} of {len(rows)} candidates (rank={args.rank})")
     return 0
 
@@ -363,7 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except scen.ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error writing artifacts: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

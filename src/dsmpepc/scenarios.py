@@ -4,7 +4,8 @@ A scenario is a JSON document with keys
 `name, map{rows[], resolution, origin?}, defaults{planner, cost, optimizer},
 agents[], scripted_obstacles[], duration, seed`. Maps are ASCII rows
 ('#' occupied, '.' free, first row = top). Angles are radians, lengths
-meters, times seconds. Defaults merge under per-agent overrides.
+meters, times seconds. Each `defaults` block is built on its own; an agent's
+`planner`, `cost` and `optimizer` blocks then override its fields.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .cost import CostParams
-from .geometry import ControlGains, Pose
+from .geometry import Pose
 from .kinematics import PlannerConfig
 from .optimizer import OptimizerConfig
 from .simulator import AgentSpec
@@ -37,7 +38,6 @@ class ScenarioConfig:
     scripted_obstacles: tuple[DynamicObstacle, ...]
     duration: float
     seed: int
-    defaults: dict
 
     def to_dict(self) -> dict:
         ox, oy = self.grid.origin
@@ -48,7 +48,6 @@ class ScenarioConfig:
                 "resolution": self.grid.resolution,
                 "origin": [ox, oy],
             },
-            "defaults": self.defaults,
             "agents": [_agent_to_dict(a) for a in self.agents],
             "scripted_obstacles": [_obstacle_to_dict(o) for o in self.scripted_obstacles],
             "duration": self.duration,
@@ -80,24 +79,6 @@ def _obstacle_to_dict(o: DynamicObstacle) -> dict:
         out["position"] = list(o.position)
         out["velocity"] = list(o.velocity)
         out["epoch"] = o.epoch
-    return out
-
-
-# The dataclass whose fields a config block may set, by the block's key.
-_BLOCKS = {"cost": CostParams, "planner": PlannerConfig, "gains": ControlGains,
-           "optimizer": OptimizerConfig}
-
-
-def _merge(base: dict, override, path: str) -> dict:
-    """`override`, the config block at `path`, merged over `base`,
-    recursively. Its keys must be fields of the block's dataclass."""
-    block = _BLOCKS[path.rsplit(".", 1)[-1]]
-    out = dict(base)
-    for key, value in _object(override, path, tuple(f.name for f in fields(block))).items():
-        if key in _BLOCKS and isinstance(value, dict):
-            inner = out.get(key)
-            value = _merge(inner if isinstance(inner, dict) else {}, value, f"{path}.{key}")
-        out[key] = value
     return out
 
 
@@ -136,11 +117,13 @@ def _numbers(value, n: int, path: str) -> tuple[float, ...]:
     return tuple(_build(f"{path}[{k}]", float, v) for k, v in enumerate(value))
 
 
-def _planner_from_dict(d: dict, path: str) -> PlannerConfig:
-    d = dict(d)
-    gains = _build(f"{path}.gains", ControlGains,
-                   **_object(d.pop("gains", {}), f"{path}.gains"))
-    return _build(path, PlannerConfig, gains=gains, **d)
+def _block(base, value, path: str):
+    """`base`, a config dataclass, with the fields that `value`, the config
+    block at `path`, sets; a planner block's `gains` is a block of its own."""
+    changes = dict(_object(value, path, tuple(f.name for f in fields(base))))
+    if "gains" in changes:
+        changes["gains"] = _block(base.gains, changes["gains"], f"{path}.gains")
+    return _build(path, replace, base, **changes)
 
 
 def _pose(value, path: str) -> Pose:
@@ -199,13 +182,11 @@ def load(source) -> ScenarioConfig:
         raise ScenarioError("seed: must be an integer")
 
     defaults = _object(doc.get("defaults", {}), "defaults", ("planner", "cost", "optimizer"))
-    default_planner = _merge({}, defaults.get("planner", {}), "defaults.planner")
-    default_cost = _merge({}, defaults.get("cost", {}), "defaults.cost")
-    default_optimizer = _merge({}, defaults.get("optimizer", {}), "defaults.optimizer")
     # each block must hold on its own, so a bad value is named where it is written
-    _planner_from_dict(default_planner, "defaults.planner")
-    _build("defaults.cost", CostParams, **default_cost)
-    _build("defaults.optimizer", OptimizerConfig, **default_optimizer)
+    default_planner = _block(PlannerConfig(), defaults.get("planner", {}), "defaults.planner")
+    default_cost = _block(CostParams(), defaults.get("cost", {}), "defaults.cost")
+    default_optimizer = _block(OptimizerConfig(), defaults.get("optimizer", {}),
+                               "defaults.optimizer")
 
     agents_block = doc.get("agents", [])
     if not isinstance(agents_block, list) or not agents_block:
@@ -217,25 +198,19 @@ def load(source) -> ScenarioConfig:
                                       "cost", "optimizer"))
         if "id" not in entry or "start" not in entry or "goal" not in entry:
             raise ScenarioError(f"{path}: 'id', 'start' and 'goal' are required")
-        agent_id = str(entry["id"])
-        cost_dict = _merge(default_cost, entry.get("cost", {}), f"{path}.cost")
+        cost = _object(entry.get("cost", {}), f"{path}.cost")
         if "mode" in entry:
-            cost_dict["mode"] = entry["mode"]
+            cost = dict(cost, mode=entry["mode"])
         spec = _build(
             path, AgentSpec,
-            id=agent_id,
+            id=str(entry["id"]),
             start=_pose(entry["start"], f"{path}.start"),
             goal=_pose(entry["goal"], f"{path}.goal"),
             radius=_build(f"{path}.radius", float, entry.get("radius", 0.35)),
-            planner=_planner_from_dict(
-                _merge(default_planner, entry.get("planner", {}), f"{path}.planner"),
-                f"{path}.planner",
-            ),
-            cost=_build(f"{path}.cost", CostParams, **cost_dict),
-            optimizer=_build(
-                f"{path}.optimizer", OptimizerConfig,
-                **_merge(default_optimizer, entry.get("optimizer", {}), f"{path}.optimizer"),
-            ),
+            planner=_block(default_planner, entry.get("planner", {}), f"{path}.planner"),
+            cost=_block(default_cost, cost, f"{path}.cost"),
+            optimizer=_block(default_optimizer, entry.get("optimizer", {}),
+                             f"{path}.optimizer"),
         )
         agents.append(spec)
 
@@ -271,7 +246,6 @@ def load(source) -> ScenarioConfig:
         scripted_obstacles=tuple(obstacles),
         duration=duration,
         seed=seed,
-        defaults=defaults,
     )
     validate(config)
     return config
@@ -350,7 +324,6 @@ def _scenario(name, grid, agents, duration, seed=1, obstacles=()) -> ScenarioCon
         scripted_obstacles=tuple(obstacles),
         duration=duration,
         seed=seed,
-        defaults={},
     )
     validate(config)
     return config

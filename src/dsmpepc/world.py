@@ -393,7 +393,8 @@ def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
         s = np.where(ok & (s > 0.0), s, math.inf)
         best = np.minimum(best, s)
     speed = np.hypot(vx, vy)
-    movers = speed >= _SPEED_EPS
+    # a point in contact has TTC 0 whatever the grid holds ahead of it
+    movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
     if movers.any() and world.grid.has_occupied:
         mi = np.nonzero(movers)[0]
         sp = speed[mi]

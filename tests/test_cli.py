@@ -291,16 +291,34 @@ def test_compare_direction_on_deadlock_scenario(tmp_path):
     assert rates["ds_mpepc"] == 1.0
 
 
-def test_landscape_unknown_agent_exits_2(small_scenario, tmp_path):
-    code = main(["landscape", small_scenario, "--agent", "ghost",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
+COMMANDS = {"run": ["run"], "compare": ["compare", "--seeds", "1"],
+            "landscape": ["landscape", "--agent", "bot"]}
+# (command, whether its scenario file exists, further options, exit code)
+BAD_INPUTS = [
+    *(pytest.param(c, False, [], 2, id=f"{c}-missing-scenario") for c in COMMANDS),
+    *(pytest.param(c, True, [], 3, id=f"{c}-out-is-a-file") for c in COMMANDS),
+    pytest.param("landscape", True, ["--agent", "nobody"], 2, id="landscape-unknown-agent"),
+    pytest.param("landscape", True, ["--t", "99.0"], 2, id="landscape-t-past-duration"),
+]
 
 
-def test_landscape_bad_time_exits_2(small_scenario, tmp_path):
-    code = main(["landscape", small_scenario, "--agent", "bot", "--t", "99.0",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
+@pytest.mark.parametrize("command,exists,options,code", BAD_INPUTS)
+def test_bad_input_exit_code(command, exists, options, code, tmp_path, capsys):
+    # 2: the scenario or a command option is bad, nothing is written;
+    # 3: the artifacts cannot be written (here --out names a regular file)
+    path = tmp_path / "short.json"
+    if exists:
+        path.write_text(json.dumps(dict(SMALL_FIELD, duration=2.0)))
+    out = tmp_path / "out"
+    if code == 3:
+        out.write_text("a file, not a directory")
+    argv = [COMMANDS[command][0], str(path), *COMMANDS[command][1:], *options]
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and not out.exists()
+    else:
+        assert err.startswith("error writing artifacts: ")
 
 
 @pytest.mark.parametrize("argv", [

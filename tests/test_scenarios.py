@@ -55,6 +55,18 @@ def test_load_from_json_text_and_defaults_merge():
     assert a.optimizer.n_global_samples == 64
 
 
+def test_agent_blocks_override_fields_of_the_defaults():
+    # an agent's block replaces only the fields it names, also inside gains,
+    # and its "mode" applies together with its cost block
+    doc = dict(MINIMAL, defaults={"planner": {"horizon_T": 4.0, "gains": {"k1": 2.0}}})
+    doc["agents"] = [dict(MINIMAL["agents"][0], mode="baseline_mpepc", cost={"a": 0.2},
+                          planner={"v_limit": 0.6, "gains": {"k2": 5.0}})]
+    agent = load(doc).agents[0]
+    assert (agent.planner.gains.k1, agent.planner.gains.k2) == (2.0, 5.0)
+    assert (agent.planner.v_limit, agent.planner.horizon_T) == (0.6, 4.0)
+    assert (agent.cost.mode, agent.cost.a) == ("baseline_mpepc", 0.2)
+
+
 def test_load_rejects_malformed_json_with_location():
     with pytest.raises(ScenarioError, match="line"):
         load('{"name": "x",}')

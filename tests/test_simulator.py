@@ -31,7 +31,6 @@ def make_scenario(agents, rows=None, res=0.25, duration=20.0, seed=1, obstacles=
         scripted_obstacles=tuple(obstacles),
         duration=duration,
         seed=seed,
-        defaults={},
     )
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dsmpepc.world as world_module
 from dsmpepc.world import (
     DynamicObstacle,
     HorizonSnapshot,
@@ -13,6 +14,7 @@ from dsmpepc.world import (
     TTC_HORIZON,
     World,
     _static_ray_arcs,
+    _ttc_batch,
     distance_to_nearest,
     distance_to_nearest_batch,
     obstacle_states,
@@ -362,6 +364,29 @@ def test_ttc_zero_iff_contact():
             assert ttc == 0.0
         else:
             assert ttc > 0.0
+
+
+def test_ttc_marches_only_points_clear_of_contact(monkeypatch):
+    # a point in contact has TTC 0 whatever lies ahead, so its ray is not marched
+    rows = ["." * 30] * 29 + ["#" * 30]
+    world = World(grid=OccupancyGrid.from_ascii(rows, 0.2), robot_radius=0.3,
+                  obstacles=(DynamicObstacle(id="o", radius=0.5, position=(4.0, 3.0)),))
+    snapshot = HorizonSnapshot(world, [0.0])
+    x, y, vx, vy = np.random.default_rng(5).uniform(
+        [0.0, 0.0, -1.0, -1.0], [6.0, 6.0, 1.0, 1.0], (200, 4)).T
+    d0 = snapshot.clearance(x, y)
+    contact = d0 <= 0.0
+    assert 0 < contact.sum() < contact.size
+    marched = []
+
+    def counted(grid, mx, my, *rest, _real=world_module._static_ray_arcs):
+        marched.extend(zip(mx.tolist(), my.tolist()))
+        return _real(grid, mx, my, *rest)
+
+    monkeypatch.setattr(world_module, "_static_ray_arcs", counted)
+    ttc = _ttc_batch(world, x, y, vx, vy, np.zeros(x.size, dtype=int), snapshot.tracks, d0)
+    assert sorted(marched) == sorted(zip(x[~contact].tolist(), y[~contact].tolist()))
+    assert (ttc[contact] == 0.0).all() and (ttc[~contact] > 0.0).all()
 
 
 def test_ttc_static_wall_and_speed_scaling():
