@@ -300,11 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument("--out", default=_default_out(),
                        help="output directory (env DSMPEPC_OUT)")
+
+    def mode(p):
+        # not on compare, which always runs both modes
         p.add_argument("--mode", choices=sorted(_MODE_ALIASES),
                        default=None, help="force a cost mode on every agent")
 
     p_run = sub.add_parser("run", help="simulate a scenario and write artifacts")
     common(p_run)
+    mode(p_run)
     p_run.add_argument("--svg", action="store_true", help="render the scene to SVG")
     p_run.add_argument("--csv", action="store_true", help="write per-agent trace CSVs")
     p_run.add_argument("--diag", action="store_true",
@@ -319,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_land = sub.add_parser("landscape", help="render ranked candidate trajectories")
     common(p_land)
+    mode(p_land)
     p_land.add_argument("--agent", required=True, help="agent id to sample for")
     p_land.add_argument("--t", type=float, default=0.0, help="snapshot time (s)")
     p_land.add_argument("--rank", choices=("cost", "ttg", "ttc"), default="cost")

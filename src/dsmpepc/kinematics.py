@@ -4,6 +4,12 @@ A candidate trajectory is fully determined by a 4D parameter
 (r, theta, delta, v_max): the target pose it encodes acts as an attractor
 under the smooth control law, and the rollout simulates the closed loop over
 the receding horizon with velocity and acceleration limits applied.
+
+`rollout_batch` steps a whole batch of rollouts at once. Each step runs the
+array kernels of `geometry` and this module's arc step (`_advance_into`),
+writing every result into rows of buffers allocated once per call, so no
+step builds a `Pose` or another intermediate object. `advance_pose` is a
+thin wrapper over the same arc step for floats or arrays.
 """
 
 from __future__ import annotations
@@ -16,15 +22,19 @@ import numpy as np
 from .geometry import (
     ControlGains,
     Pose,
-    _velocity_modulation,
-    control_law_curvature,
-    egocentric_coords,
+    _ONE,
+    _arrays,
+    _curvature_into,
+    _egocentric_into,
+    _speed_into,
+    _unshaped,
+    _wrap_into,
     target_from_param,
-    wrap_angle,
 )
 
 # Angular rates below this are integrated as straight-line motion.
 OMEGA_STRAIGHT = 1e-9
+_OMEGA_STRAIGHT = np.array(OMEGA_STRAIGHT)
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,40 @@ class Trajectory:
         return self.states[-1]
 
 
+def _advance_into(position, heading, v, omega, dt, position1, heading1):
+    """`advance_pose` into (position1, heading1): `position` and `position1`
+    stack the x and y arrays, (2, ...); the other arrays have the trailing
+    shape, and no output shares memory with an input."""
+    straight = np.abs(omega) < _OMEGA_STRAIGHT
+    any_straight = np.count_nonzero(straight)
+    turned = np.multiply(omega, dt)
+    np.add(heading, turned, out=turned)
+    # (radius, -radius); a straight row divides by 1 and is overwritten below
+    radius = np.empty_like(position)
+    np.divide(v, np.where(straight, _ONE, omega) if any_straight else omega, out=radius[0])
+    np.negative(radius[0], out=radius[1])
+    # x + radius * (sin h1 - sin h0) and y - radius * (cos h1 - cos h0), the
+    # latter as y + -radius * (...), which rounds the same
+    trig1 = np.empty_like(position)
+    trig0 = np.empty_like(position)
+    np.sin(turned, out=trig1[0])
+    np.cos(turned, out=trig1[1])
+    np.sin(heading, out=trig0[0])
+    np.cos(heading, out=trig0[1])
+    step = np.subtract(trig1, trig0)
+    np.multiply(radius, step, out=step)
+    np.add(position, step, out=position1)
+    _wrap_into(turned, heading1)
+    if any_straight:
+        sin0, cos0 = trig0
+        np.multiply(v, dt, out=radius[0])
+        np.multiply(radius[0], cos0, out=trig1[0])
+        np.multiply(radius[0], sin0, out=trig1[1])
+        np.add(position, trig1, out=trig1)
+        np.copyto(position1, trig1, where=straight)
+        np.copyto(heading1, heading, where=straight)
+
+
 def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
     """Advance a unicycle pose by one step of constant (v, omega).
 
@@ -115,18 +159,12 @@ def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
     chord length never exceeds |v|*dt. Takes floats or arrays, like the
     `geometry` formulas.
     """
-    straight = np.abs(omega) < OMEGA_STRAIGHT
-    h0 = pose.heading
-    h1 = h0 + omega * dt
-    radius = v / np.where(straight, 1.0, omega)
-    cos0 = np.cos(h0)
-    sin0 = np.sin(h0)
-    step = v * dt
-    return Pose(
-        x=np.where(straight, pose.x + step * cos0, pose.x + radius * (np.sin(h1) - sin0))[()],
-        y=np.where(straight, pose.y + step * sin0, pose.y - radius * (np.cos(h1) - cos0))[()],
-        heading=np.where(straight, h0, wrap_angle(h1))[()],
-    )
+    (x, y, heading, v, omega), shape = _arrays(pose.x, pose.y, pose.heading, v, omega)
+    position1 = np.empty((2,) + x.shape)
+    heading1 = np.empty_like(x)
+    _advance_into(np.stack((x, y)), heading, v, omega, np.array(dt, dtype=float),
+                  position1, heading1)
+    return Pose(*(_unshaped(a, shape) for a in (*position1, heading1)))
 
 
 def step_times(t0: float, cfg: PlannerConfig) -> list[float]:
@@ -144,7 +182,7 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     state is not validated here (`rollout` does that).
 
     The target poses are fixed in the world frame at the start
-    (`target_from_param`). Each step is the model's own formulas over the
+    (`target_from_param`). Each step is the model's own kernels over the
     whole batch: `egocentric_coords`, `control_law_curvature`,
     `velocity_modulation` (its formula, without re-checking v_max on every
     step), then (v, omega) clamped to the configured limits and
@@ -154,46 +192,52 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     b = params.shape[0]
     n = cfg.n_steps
     gains = cfg.gains
-    # 0-d arrays, like the constants of `geometry.wrap_angle`: numpy takes
-    # them as they are instead of converting a Python float on every step
-    h, v_lo, v_hi, w_lo, w_hi, dv, dw = (np.array(c) for c in (
-        cfg.step_h, -cfg.v_limit, cfg.v_limit, -cfg.omega_limit, cfg.omega_limit,
-        cfg.accel_limit * cfg.step_h, cfg.alpha_limit * cfg.step_h))
+    # 0-d arrays, like the constants of `geometry`: numpy takes them as they
+    # are instead of converting a Python float on every step
+    h, k1, k2, beta, lam = (np.array(c) for c in (
+        cfg.step_h, gains.k1, gains.k2, gains.curvature_beta, gains.curvature_lambda))
+    # (v, omega) is one (2, B) array: its limits and rate limits are full
+    # arrays of that shape, since broadcasting a (2, 1) operand costs more
+    # than the two rows apart
+    limit, rate = (np.repeat([[c_v], [c_w]], b, axis=1) for c_v, c_w in (
+        (cfg.v_limit, cfg.omega_limit),
+        (cfg.accel_limit * cfg.step_h, cfg.alpha_limit * cfg.step_h)))
+    minus_limit = -limit
 
     r_z, th_z, dl_z, vmax_z = params.T
     target = target_from_param(start.pose, r_z, th_z, dl_z)
+    target_xy = np.stack((target.x, target.y))
+    vmax_z = np.ascontiguousarray(vmax_z)
 
-    xs = np.empty((b, n + 1))
-    ys = np.empty((b, n + 1))
-    hs = np.empty((b, n + 1))
-    vs = np.empty((b, n + 1))
-    ws = np.empty((b, n + 1))
-    xs[:, 0] = start.pose.x
-    ys[:, 0] = start.pose.y
-    hs[:, 0] = start.pose.heading
-    vs[:, 0] = start.v
-    ws[:, 0] = start.omega
-
-    pose = Pose(xs[:, 0].copy(), ys[:, 0].copy(), hs[:, 0].copy())
-    v_prev = vs[:, 0].copy()
-    w_prev = ws[:, 0].copy()
+    # One row per step: step i reads row i-1 and writes row i in place.
+    xys = np.empty((n + 1, 2, b))
+    hs = np.empty((n + 1, b))
+    vws = np.empty((n + 1, 2, b))
+    xys[0, 0] = start.pose.x
+    xys[0, 1] = start.pose.y
+    hs[0] = start.pose.heading
+    vws[0, 0] = start.v
+    vws[0, 1] = start.omega
+    r = np.empty(b)
+    angles = np.empty((2, b))
+    kappa = np.empty(b)
     for i in range(1, n + 1):
-        coords = egocentric_coords(pose, target)
-        kappa = control_law_curvature(coords, gains)
-        v = _velocity_modulation(kappa, vmax_z, coords.r, gains)
-        w = kappa * v
-        v = np.minimum(np.maximum(v, v_lo), v_hi)
-        w = np.minimum(np.maximum(w, w_lo), w_hi)
-        v = np.minimum(np.maximum(v, v_prev - dv), v_prev + dv)
-        w = np.minimum(np.maximum(w, w_prev - dw), w_prev + dw)
-        pose = advance_pose(pose, v, w, h)
-        xs[:, i] = pose.x
-        ys[:, i] = pose.y
-        hs[:, i] = pose.heading
-        vs[:, i] = v
-        ws[:, i] = w
-        v_prev, w_prev = v, w
-    return xs, ys, hs, vs, ws
+        near = _egocentric_into(xys[i - 1], target_xy, hs[i - 1], target.heading, r, angles)
+        _curvature_into(r, angles[0], angles[1], near, k1, k2, kappa)
+        vw = vws[i]
+        v, w = vw
+        _speed_into(kappa, vmax_z, r, beta, lam, v)
+        np.multiply(kappa, v, out=w)
+        np.maximum(vw, minus_limit, out=vw)
+        np.minimum(vw, limit, out=vw)
+        bound = np.subtract(vws[i - 1], rate)
+        np.maximum(vw, bound, out=vw)
+        np.add(vws[i - 1], rate, out=bound)
+        np.minimum(vw, bound, out=vw)
+        _advance_into(xys[i - 1], hs[i - 1], v, w, h, xys[i], hs[i])
+    xs, ys = xys.transpose(1, 2, 0).copy()
+    vs, ws = vws.transpose(1, 2, 0).copy()
+    return xs, ys, hs.T.copy(), vs, ws
 
 
 def trajectory(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,

@@ -4,6 +4,15 @@ The grid stores a precomputed Euclidean distance field (meters to the nearest
 occupied cell center). Dynamic obstacles are disks under a constant-velocity
 model or a piecewise-linear waypoint script. A World snapshot is immutable
 during one planning cycle; all queries are read-only.
+
+`OccupancyGrid.sample_field_batch` is the one bilinear sampler of the
+distance field and of the navigation field: the clearance, the TTC ray march
+and the progress term all read through it. Its constants (origin,
+resolution, clamps, corner offsets) are folded into 0-d arrays once per
+grid, and it works in place on a few arrays per call, since the march calls
+it once per lockstep iteration on few points. The march (`_static_ray_arcs`)
+keeps its rays compacted to the marching set and compacts again only once
+the live rays have halved; rays that ended meanwhile are sampled but masked.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from scipy.sparse.csgraph import dijkstra
 TTC_HORIZON = 100.0
 
 _SPEED_EPS = 1e-9
+
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
 
 
 class OccupancyGrid:
@@ -66,6 +77,14 @@ class OccupancyGrid:
         # leaves the fraction at exactly 0.
         self._stencil_x = _axis_stencil(self.width)
         self._stencil_y = _axis_stencil(self.height)
+        # The batch sampler's constants, folded once per grid into 0-d
+        # arrays: origin, resolution, clamps, row stride and the flat offsets
+        # of the upper-x, upper-y and far corners.
+        (w1, ix_last, dx1), (h1, iy_last, dy1) = self._stencil_x, self._stencil_y
+        self._folded = tuple(np.array(c, dtype=dtype) for c, dtype in (
+            (self.origin[0], float), (self.origin[1], float), (self.resolution, float),
+            (w1, float), (h1, float), (ix_last, int), (iy_last, int), (self.width, int),
+            (dx1, int), (dy1 * self.width, int), (dy1 * self.width + dx1, int)))
 
     @classmethod
     def from_ascii(
@@ -150,26 +169,44 @@ class OccupancyGrid:
 
     def sample_field_batch(self, values: np.ndarray, xs, ys) -> np.ndarray:
         """Bilinear sample of a per-cell field (shaped like the grid, values at
-        cell centers) at arrays of points; clamps outside points."""
-        w1, ix_last, dx1 = self._stencil_x
-        h1, iy_last, dy1 = self._stencil_y
-        gx = np.minimum(np.maximum(
-            (np.asarray(xs, dtype=float) - self.origin[0]) / self.resolution - 0.5, 0.0), w1)
-        gy = np.minimum(np.maximum(
-            (np.asarray(ys, dtype=float) - self.origin[1]) / self.resolution - 0.5, 0.0), h1)
-        ix = np.minimum(gx.astype(int), ix_last)
-        iy = np.minimum(gy.astype(int), iy_last)
-        fx = gx - ix
-        fy = gy - iy
-        # the four corners by flat index into the row-major field
+        cell centers) at arrays of points; clamps outside points.
+
+        The arithmetic of `sample_distance`, in place on a few arrays per
+        call, with the four corners gathered by flat index into the
+        row-major field."""
+        ox, oy, res, w1, h1, ix_last, iy_last, width, d01, d10, d11 = self._folded
+        shape = np.shape(xs)
+        gx = np.subtract(xs, ox, out=np.empty(shape or 1))
+        gy = np.subtract(ys, oy, out=np.empty(shape or 1))
+        cells = []
+        for g, last, g_max in ((gx, ix_last, w1), (gy, iy_last, h1)):
+            np.divide(g, res, out=g)
+            np.subtract(g, _HALF, out=g)
+            np.maximum(g, _ZERO, out=g)
+            np.minimum(g, g_max, out=g)
+            i = g.astype(int)
+            np.minimum(i, last, out=i)
+            # the fraction within the cell
+            np.subtract(g, i, out=g)
+            cells.append(i)
+        ix, iy = cells
+        # flat index of the lower corner, in place of iy
+        i00 = np.multiply(iy, width, out=iy)
+        np.add(i00, ix, out=i00)
         flat = values.ravel()
-        i00 = iy * self.width + ix
-        i10 = i00 + dy1 * self.width
-        v00 = flat.take(i00)
-        v01 = flat.take(i00 + dx1)
-        v10 = flat.take(i10)
-        v11 = flat.take(i10 + dx1)
-        return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
+        v00 = flat[i00]
+        v01, v10, v11 = (flat[np.add(i00, d, out=ix)] for d in (d01, d10, d11))
+        # (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
+        one_minus = np.subtract(_ONE, gx)
+        for lower, upper in ((v00, v01), (v10, v11)):
+            np.multiply(one_minus, lower, out=lower)
+            np.multiply(gx, upper, out=upper)
+            np.add(lower, upper, out=lower)
+        np.subtract(_ONE, gy, out=one_minus)
+        np.multiply(one_minus, v00, out=v00)
+        np.multiply(gy, v10, out=v10)
+        np.add(v00, v10, out=v00)
+        return v00 if shape else v00[0]
 
 
 def _axis_stencil(cells: int) -> tuple[int, int, int]:
@@ -328,6 +365,12 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     1-Lipschitz field allows steps of (df - radius), floored at resolution/2
     so the error stays within one cell. All rays march in lockstep, each
     until it hits or passes its end.
+
+    The rays' origins, directions, arcs and ends are kept compacted to the
+    marching set. A ray that ends is only masked out (it is still sampled,
+    and never recorded again, so each arc is its first hit); the arrays are
+    compacted again once the live rays are at most half of them. That bounds
+    the idle samples to the live ones while most iterations gather nothing.
     """
     n = x.shape[0]
     arcs = np.full(n, math.inf)
@@ -348,21 +391,34 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
         s0 = np.where(parallel, s0, np.maximum(s0, lo_t))
         s1 = np.where(parallel, s1, np.minimum(s1, hi_t))
     valid &= s1 >= s0
-    min_step = 0.5 * grid.resolution
+    min_step = np.array(0.5 * grid.resolution)
+    radius = np.array(robot_radius)
 
-    idx = np.nonzero(valid)[0]
-    s = s0[idx]
-    end = s1[idx]
-    while idx.size:
-        df = grid.sample_distance_batch(x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)
-        gap = df - robot_radius
-        hit = gap <= 0.0
-        arcs[idx[hit]] = s[hit]
-        s = s + np.maximum(min_step, gap)
-        alive = ~hit & (s <= end)
-        idx = idx[alive]
-        s = s[alive]
-        end = end[alive]
+    idx = np.flatnonzero(valid)
+    origin = np.stack((x[idx], y[idx]))
+    direction = np.stack((ux[idx], uy[idx]))
+    s, end = s0[idx], s1[idx]
+    live = np.ones(idx.size, dtype=bool)
+    n_live = idx.size
+    while n_live:
+        point = np.multiply(direction, s)
+        np.add(origin, point, out=point)
+        gap = grid.sample_distance_batch(*point)
+        np.subtract(gap, radius, out=gap)
+        hit = np.less_equal(gap, _ZERO)
+        np.logical_and(hit, live, out=hit)
+        if np.count_nonzero(hit):
+            arcs[idx[hit]] = s[hit]
+            np.logical_xor(live, hit, out=live)
+        np.maximum(min_step, gap, out=gap)
+        np.add(s, gap, out=s)
+        np.logical_and(live, np.less_equal(s, end), out=live)
+        n_live = np.count_nonzero(live)
+        if 2 * n_live <= idx.size:
+            keep = np.flatnonzero(live)
+            idx, s, end = idx[keep], s[keep], end[keep]
+            origin, direction = origin[:, keep], direction[:, keep]
+            live = np.ones(n_live, dtype=bool)
     return arcs
 
 

@@ -289,6 +289,70 @@ def reference_rollout_step(pose: Pose, v_prev: float, w_prev: float, target: Pos
     return _advance_pose(pose, v, w, h), v, w
 
 
+def _np_wrap_angle(angle):
+    w = angle - math.tau * np.rint(angle / math.tau)
+    return np.where(w <= -math.pi, math.pi, w)
+
+
+def reference_rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
+    """kinematics.rollout_batch as one plain numpy step loop: the same ufuncs
+    in the same order on every row, with each branch taken through np.where
+    over the whole batch and fresh arrays for every result. The same numpy
+    rounds both sides alike, so the two agree bit for bit at any dispatch
+    level. Returns the (xs, ys, headings, vs, omegas) arrays, each (B, N+1)."""
+    gains = cfg.gains
+    k1, k2 = gains.k1, gains.k2
+    h = cfg.step_h
+    r_z, th_z, dl_z, vmax_z = params.T
+    los = _np_wrap_angle(start.pose.heading - dl_z)
+    tx = start.pose.x + r_z * np.cos(los)
+    ty = start.pose.y + r_z * np.sin(los)
+    th = _np_wrap_angle(los + th_z)
+    b = params.shape[0]
+    x, y, hd, v_prev, w_prev = (np.full(b, float(c)) for c in (
+        start.pose.x, start.pose.y, start.pose.heading, start.v, start.omega))
+    states = [[a] for a in (x, y, hd, v_prev, w_prev)]
+    for _ in range(cfg.n_steps):
+        # egocentric coordinates of the targets
+        dx = tx - x
+        dy = ty - y
+        r = np.hypot(dx, dy)
+        los = np.where(r < R_EPSILON, hd, np.arctan2(dy, dx))
+        theta = _np_wrap_angle(th - los)
+        delta = _np_wrap_angle(hd - los)
+        # curvature, clamped below R_EPSILON
+        k1_theta = k1 * theta
+        minus_bracket = k2 * (np.arctan(-k1_theta) - delta)
+        minus_bracket = minus_bracket - (1.0 + k1 / (1.0 + k1_theta * k1_theta)) * np.sin(delta)
+        kappa = minus_bracket / np.maximum(r, R_EPSILON)
+        kappa = np.where(r < R_EPSILON, np.minimum(np.maximum(kappa, -KAPPA_MAX), KAPPA_MAX),
+                         kappa)
+        # velocity modulation, limits, rate limits
+        v = vmax_z / (1.0 + gains.curvature_beta
+                      * np.power(np.abs(kappa), gains.curvature_lambda))
+        v = v * np.minimum(1.0, r / R_SLOWDOWN)
+        w = kappa * v
+        v = np.minimum(np.maximum(v, -cfg.v_limit), cfg.v_limit)
+        w = np.minimum(np.maximum(w, -cfg.omega_limit), cfg.omega_limit)
+        dv = cfg.accel_limit * h
+        dw = cfg.alpha_limit * h
+        v = np.minimum(np.maximum(v, v_prev - dv), v_prev + dv)
+        w = np.minimum(np.maximum(w, w_prev - dw), w_prev + dw)
+        # one exact arc step, straight below OMEGA_STRAIGHT
+        straight = np.abs(w) < OMEGA_STRAIGHT
+        h1 = hd + w * h
+        radius = v / np.where(straight, 1.0, w)
+        cos0 = np.cos(hd)
+        sin0 = np.sin(hd)
+        x = np.where(straight, x + v * h * cos0, x + radius * (np.sin(h1) - sin0))
+        y = np.where(straight, y + v * h * sin0, y - radius * (np.cos(h1) - cos0))
+        hd = np.where(straight, hd, _np_wrap_angle(h1))
+        v_prev, w_prev = v, w
+        for column, a in zip(states, (x, y, hd, v, w)):
+            column.append(a)
+    return tuple(np.stack(column, axis=1) for column in states)
+
+
 def reference_sample_field(grid, values, xs, ys) -> np.ndarray:
     """OccupancyGrid.sample_field_batch with 2-D fancy indexing in place of
     its flat-index gather, and the stencil worked out here: the same

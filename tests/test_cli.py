@@ -321,6 +321,16 @@ def test_bad_input_exit_code(command, exists, options, code, tmp_path, capsys):
         assert err.startswith("error writing artifacts: ")
 
 
+def test_compare_does_not_offer_mode(tmp_path, capsys):
+    # compare always runs both modes, so forcing one is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "open_field", "--seeds", "1", "--mode", "mpepc",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode mpepc" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "open_field", "--seeds", "0"],
     ["compare", "open_field", "--seeds", "-1"],

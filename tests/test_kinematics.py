@@ -4,17 +4,24 @@ import random
 import numpy as np
 import pytest
 
-from dsmpepc.geometry import Pose, target_from_param, wrap_angle
+from dsmpepc.geometry import R_EPSILON, Pose, target_from_param, wrap_angle
 from dsmpepc.kinematics import (
+    OMEGA_STRAIGHT,
     PlannerConfig,
     RobotState,
     TrajectoryParam,
     advance_pose,
     rollout,
+    rollout_batch,
 )
 
 from agreement import assert_float_alone_equals_array
-from oracles import fine_rollout, integrate_recorded_controls, reference_rollout_step
+from oracles import (
+    fine_rollout,
+    integrate_recorded_controls,
+    reference_rollout_batch,
+    reference_rollout_step,
+)
 
 CFG = PlannerConfig()
 
@@ -156,6 +163,56 @@ def test_rollout_steps_match_composed_helpers():
             for got, want in ((s.pose.x, pose.x), (s.pose.y, pose.y), (s.v, v),
                               (s.omega, w)):
                 assert abs(got - want) <= 1e-12
+
+
+def _branch_batch():
+    """A start and a (B, 4) batch that take every branch of the step loop."""
+    # At rest, so that a row near its target stays near; heading -pi; a turn
+    # rate beyond omega_limit, twice the per-step rate limit: the first step
+    # holds it at one rate limit, and on rows turning the other way the
+    # second step takes it to exactly 0, where they move straight.
+    dw = CFG.alpha_limit * CFG.step_h
+    start = RobotState(pose=Pose(0.7, -0.4, -math.pi), v=0.0, omega=2.0 * dw, t=1.0)
+    rows = [
+        (0.0, 0.0, 0.0, 0.0),  # the halting candidate
+        # within R_EPSILON of the target, r = 0 included, at every step
+        (0.0, 0.7, -0.4, 0.8),
+        (0.0, -2.0, 1.0, 0.3),
+        (5e-7, 1.0, 0.5, 0.9),
+        (1e-9, -1.0, 0.0, 0.9),  # and turning slower than OMEGA_STRAIGHT
+        # target on the start's x axis, so the first step's heading minus
+        # line of sight is -pi exactly, the wrap's boundary
+        (2.0, 0.3, -math.pi, 0.7),
+        (3.0, 0.5, -0.2, 1.6),  # v_max above v_limit
+        # turn commands beyond omega_limit, either way
+        (3.0, 0.0, -0.5, 4.0),
+        (3.0, 0.0, 0.5, 4.0),
+    ]
+    rng = np.random.default_rng(12)
+    random_rows = rng.uniform([0.0, -math.pi, -math.pi, 0.0], [8.0, math.pi, math.pi, 1.0],
+                              (40, 4))
+    return start, np.concatenate((rows, random_rows))
+
+
+def test_rollout_batch_equals_reference_loop_bit_for_bit():
+    start, params = _branch_batch()
+    want = reference_rollout_batch(start, params, CFG)
+    xs, ys, hs, vs, ws = want
+    # the batch takes each branch: targets within R_EPSILON, straight steps,
+    # headings wrapped across +-pi, commands beyond both limits
+    target = target_from_param(start.pose, *params[:, :3].T)
+    r = np.hypot(target.x[:, None] - xs, target.y[:, None] - ys)
+    assert (r[1:5, :-1] < R_EPSILON).all() and (r[5:, 0] > R_EPSILON).all()
+    assert ((ws == 0.0) & (vs > 0.0)).any()
+    assert ((np.abs(ws) < OMEGA_STRAIGHT) & (ws != 0.0)).any()
+    assert (np.abs(np.diff(hs, axis=1)) > math.pi).any()
+    assert abs(start.omega) > CFG.omega_limit
+    assert (vs == CFG.v_limit).any()
+    assert (ws == CFG.omega_limit).any() and (ws == -CFG.omega_limit).any()
+    got = rollout_batch(start, params, CFG)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape == (len(params), CFG.n_steps + 1)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rollout_against_fine_integrator_sample():

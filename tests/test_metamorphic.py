@@ -11,8 +11,9 @@ rounding, and unlike a batch-versus-scalar comparison they catch a frame or
 timing error that every path shares: an obstacle predicted on the absolute
 clock fails the time shift, swapped axes or atan2 arguments fail the mirror,
 a grid lookup that ignores the map origin fails the translation.
-An error that commutes with both transforms, such as a flipped sign of the
-TTC relative velocity, passes them; the TTC oracles in test_world catch it.
+An error that commutes with the transforms, such as a flipped sign of the
+TTC relative velocity, passes them; the unreachable obstacle below and the
+TTC oracles in test_world catch it.
 """
 
 from dataclasses import replace
@@ -25,7 +26,7 @@ from dsmpepc.cost import CostKernel, CostParams
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, step_times
 from dsmpepc.optimizer import OptimizerConfig
-from dsmpepc.world import DynamicObstacle, OccupancyGrid, World
+from dsmpepc.world import TTC_HORIZON, DynamicObstacle, OccupancyGrid, World
 
 CFG = PlannerConfig()
 COST = CostParams()
@@ -160,3 +161,26 @@ def test_translation(cells):
     got = _score(ROWS, replace(START, pose=pose(START.pose)), pose(GOAL), moved,
                  origin=(dx, dy))
     _assert_rows_close(got, want, 1e-9)
+
+
+def test_unreachable_obstacle():
+    """An obstacle that is never the nearest to any rollout point and that no
+    TTC query reaches within TTC_HORIZON changes no row, exactly: clearance
+    and TTC are minima over the obstacles, and a minimum with a larger value
+    is the smaller one.
+
+    The obstacle starts 20 m left of the map and recedes at twice v_limit,
+    faster than any query (the rollout's speed or, for the terminal query,
+    v_limit), so every relative motion opens the gap. Being near enough for
+    a finite root if time ran backwards, it catches a TTC that accepts a
+    receding obstacle, such as one with the relative velocity's sign flipped.
+    """
+    receding = DynamicObstacle(id="far", radius=0.5, position=(-20.0, 3.0),
+                               velocity=(-2.0 * CFG.v_limit, 0.0), epoch=START.t)
+    # a receding gap of about 20 m at 1 to 3 m/s would be met within the horizon
+    assert 20.0 / CFG.v_limit < TTC_HORIZON
+    want = _score(ROWS, START, GOAL, (CV, SCRIPTED))
+    got = _score(ROWS, START, GOAL, (CV, SCRIPTED, receding))
+    for a, b in zip((got.total, *got.segments, *got.terminal),
+                    (want.total, *want.segments, *want.terminal), strict=True):
+        assert a.tobytes() == b.tobytes()

@@ -302,6 +302,15 @@ def test_horizon_snapshot_matches_per_time_queries():
                 assert (oxs[i], oys[i], ovxs[i], ovys[i], radius) == obstacle_states(w, t)[k]
 
 
+def _assert_arcs_match_reference(grid, rays, robot_radius):
+    x, y, ux, uy, max_arc = map(np.array, zip(*rays))
+    # all rays march in one lockstep batch, each as it would alone
+    arcs = _static_ray_arcs(grid, x, y, ux, uy, robot_radius, max_arc)
+    for ray, arc in zip(rays, arcs.tolist()):
+        expected = reference_ray_arc(grid, *ray[:4], robot_radius, ray[4])
+        assert arc == (math.inf if expected is None else expected)
+
+
 @pytest.mark.parametrize("shape", [(30, 30), (1, 30), (30, 1), (2, 2)])
 def test_static_ray_arc_matches_sampled_march(shape):
     rng = random.Random(sum(shape))
@@ -316,13 +325,49 @@ def test_static_ray_arc_matches_sampled_march(shape):
         ang = rng.choice([0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)])
         rays.append((x, y, math.cos(ang), math.sin(ang),
                      rng.choice([math.inf, rng.uniform(0.0, 8.0)])))
-    x, y, ux, uy, max_arc = map(np.array, zip(*rays))
     for rr in (0.05, rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4), 0.4):
-        # all rays march in one lockstep batch, each as it would alone
-        arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
-        for ray, arc in zip(rays, arcs.tolist()):
-            expected = reference_ray_arc(grid, *ray[:4], rr, ray[4])
-            assert arc == (math.inf if expected is None else expected)
+        _assert_arcs_match_reference(grid, rays, rr)
+
+
+def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
+    # Marches of one sample next to marches of dozens: the live rays halve
+    # several times, and the rays that ended are still sampled until they do.
+    rng = random.Random(31)
+    occupied = np.random.default_rng(31).random((40, 60)) < 0.01
+    grid = OccupancyGrid(occupied, 0.2, origin=(2.0, -3.0))
+    xmin, ymin, xmax, ymax = grid.extent
+    rays = []
+    for _ in range(300):
+        x = rng.uniform(xmin - 2.0, xmax + 2.0)
+        y = rng.uniform(ymin - 2.0, ymax + 2.0)
+        # axis-parallel rays, from outside the box too, and oblique ones
+        ang = rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2,
+                          rng.uniform(-math.pi, math.pi)])
+        rays.append((x, y, math.cos(ang), math.sin(ang),
+                     rng.choice([math.inf, 10 ** rng.uniform(-1.5, 1.5)])))
+    sampled = []
+
+    def counted(self, xs, ys, _real=OccupancyGrid.sample_distance_batch):
+        sampled.append(xs.size)
+        return _real(self, xs, ys)
+
+    def march_sizes(rays, rr):
+        """Points sampled per iteration of one lockstep march of `rays`."""
+        sampled.clear()
+        x, y, ux, uy, max_arc = map(np.array, zip(*rays))
+        _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+        return list(sampled)
+
+    monkeypatch.setattr(OccupancyGrid, "sample_distance_batch", counted)
+    for rr in (0.1, 0.25):
+        sizes = march_sizes(rays, rr)
+        steps = [len(march_sizes([ray], rr)) for ray in rays]
+        marched = [k for k in steps if k]
+        assert max(marched) >= 10 * min(marched)
+        live = [sum(k > i for k in steps) for i in range(len(sizes))]
+        assert len(set(sizes)) >= 4  # compacted three times or more
+        assert any(n > k for n, k in zip(sizes, live))  # ended rays still sampled
+        _assert_arcs_match_reference(grid, rays, rr)
 
 
 def test_ttc_head_on_static_disk():
