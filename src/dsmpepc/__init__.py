@@ -10,10 +10,8 @@ probability and a bounded terminal bonus that resolves deadlocks.
 from .cost import (
     BASELINE_MPEPC,
     DS_MPEPC,
-    CostBreakdown,
     CostParams,
-    SegmentEvaluation,
-    TerminalEvaluation,
+    CostRows,
     anticipatory_factor,
     collision_probability,
     expected_time_to_goal,
@@ -72,8 +70,8 @@ __all__ = [
     "BUILTINS",
     "ContactEvent",
     "ControlGains",
-    "CostBreakdown",
     "CostParams",
+    "CostRows",
     "DS_MPEPC",
     "DynamicObstacle",
     "EgocentricCoords",
@@ -86,10 +84,8 @@ __all__ = [
     "RobotState",
     "ScenarioConfig",
     "ScenarioError",
-    "SegmentEvaluation",
     "SimResult",
     "TTC_HORIZON",
-    "TerminalEvaluation",
     "Trajectory",
     "TrajectoryParam",
     "World",

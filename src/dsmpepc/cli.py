@@ -17,10 +17,9 @@ import time
 from dataclasses import replace
 
 from . import scenarios as scen
-from ._batch import evaluate_batch
 from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
 from .kinematics import TrajectoryParam, step_times, trajectory
-from .optimizer import candidate_pool
+from .optimizer import candidate_pool, evaluate_batch
 from .simulator import SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
 from .world import predict_obstacle
@@ -209,7 +208,6 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
     kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
                         step_times(state.t, agent_spec.planner), nav)
     rows, states = evaluate_batch(zs, state, kernel)
-    ttg, ttc = rows.terminal[:2]
     return [
         {
             "param": z,
@@ -220,7 +218,7 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
         }
         for k, (z, cost, g, c) in enumerate(zip(
             (TrajectoryParam(*row) for row in zs.tolist()),
-            rows.total.tolist(), ttg.tolist(), ttc.tolist()))
+            rows.total.tolist(), rows.ttg.tolist(), rows.ttc_terminal.tolist()))
     ]
 
 

@@ -75,47 +75,6 @@ class CostParams:
             raise ValueError(f"unknown cost mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class SegmentEvaluation:
-    """Hazard and cost terms of one trajectory segment.
-
-    p_c is the collision probability effective in the evaluated mode (the
-    modified one in ds mode); ttc is None in baseline mode. The j_* terms are
-    stored unweighted by survivability.
-    """
-
-    index: int
-    d_o: float
-    d_g: float
-    ttc: float | None
-    p_c: float
-    p_s: float
-    j_progress: float
-    j_action: float
-    j_collision: float
-
-
-@dataclass(frozen=True)
-class TerminalEvaluation:
-    """Terminal-state bonus: j_terminal = -p_s_N * C_TTG * C_TTC in [-1, 0]."""
-
-    ttg: float
-    ttc_terminal: float
-    c_ttg: float
-    c_ttc: float
-    p_s_N: float
-    j_terminal: float
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Per-segment evaluations, optional terminal evaluation, and the total."""
-
-    segments: tuple[SegmentEvaluation, ...]
-    terminal: TerminalEvaluation | None
-    total: float
-
-
 # The formulas below take floats or numpy arrays (elementwise, broadcasting)
 # and are the planner's own code: `CostKernel.evaluate` calls them on whole
 # batches of rows. A float input gives a float (numpy's float64).
@@ -226,17 +185,33 @@ def _goal_xy(goal) -> tuple[float, float]:
 
 
 class CostRows(NamedTuple):
-    """Per-candidate rows of a batched cost evaluation.
+    """The result of a cost evaluation, one row per candidate.
 
-    `total` is (B,). `segments` holds (B, N) arrays in SegmentEvaluation's
-    field order (d_o, d_g, ttc, p_c, p_s, j_progress, j_action); ttc is None
-    in baseline mode. `terminal` holds (B,) arrays in TerminalEvaluation's
-    field order, or is None without a terminal term.
+    From `CostKernel.evaluate`, `total` and the terminal fields are (B,)
+    arrays and the segment fields (B, N) arrays; from `trajectory_cost`,
+    floats and lists. Segment i runs from state i to state i+1: its
+    clearance d_o (at the closer endpoint), navigation distance d_g at its
+    end, ttc (None in baseline mode), collision probability p_c (the
+    modified one in ds mode), survivability p_s after it, and the progress
+    and effort terms, unweighted by survivability. The terminal fields are
+    None without a terminal term; otherwise j_terminal = -p_s_N * c_ttg *
+    c_ttc in [-1, 0].
     """
 
     total: np.ndarray
-    segments: tuple
-    terminal: tuple | None
+    d_o: np.ndarray
+    d_g: np.ndarray
+    ttc: np.ndarray | None
+    p_c: np.ndarray
+    p_s: np.ndarray
+    j_progress: np.ndarray
+    j_action: np.ndarray
+    ttg: np.ndarray | None
+    ttc_terminal: np.ndarray | None
+    c_ttg: np.ndarray | None
+    c_ttc: np.ndarray | None
+    p_s_N: np.ndarray | None
+    j_terminal: np.ndarray | None
 
 
 class CostKernel:
@@ -248,7 +223,7 @@ class CostKernel:
     times `ts` (`snapshot`), the weights and the planner config. `evaluate`
     then scores any number of rollouts given as (B, N+1) state arrays. It is
     the one cost implementation: `plan()` builds one kernel per problem and
-    every batch it evaluates (`_batch.evaluate_batch`) goes through it, and
+    every batch it evaluates (`optimizer.evaluate_batch`) goes through it, and
     `trajectory_cost` scores a single trajectory as a batch of one.
     """
 
@@ -331,7 +306,7 @@ class CostKernel:
         totals = np.cumsum(
             p_s * j_prog + j_act + (1.0 - p_s) * params.c_collision, axis=1)[:, -1]
 
-        terminal = None
+        terminal = (None,) * 6
         if with_terminal:
             ttg = expected_time_to_goal(
                 RobotState(Pose(xs[:, -1], ys[:, -1], hs[:, -1]), vs[:, -1]),
@@ -340,7 +315,7 @@ class CostKernel:
             c_ttg, c_ttc, j_term = terminal_bonus(p_s_n, ttg, ttc_n, params)
             totals = totals + j_term
             terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
-        return CostRows(totals, (d_seg, nf[:, 1:], ttc, p_c, p_s, j_prog, j_act), terminal)
+        return CostRows(totals, d_seg, nf[:, 1:], ttc, p_c, p_s, j_prog, j_act, *terminal)
 
 
 def trajectory_cost(
@@ -350,12 +325,12 @@ def trajectory_cost(
     params: CostParams,
     cfg: PlannerConfig,
     nav: NavigationField | None = None,
-) -> CostBreakdown:
+) -> CostRows:
     """Evaluate a rolled-out trajectory under the configured cost mode.
 
     Scores the trajectory's states as a batch of one through a `CostKernel`
     built for its timestamps (see `CostKernel.evaluate` for the model) and
-    wraps the row into per-segment and terminal breakdown objects.
+    returns that row as floats and lists.
     """
     states = traj.states
     if len(states) < 2:
@@ -366,18 +341,5 @@ def trajectory_cost(
     if not np.isfinite(columns[:2]).all():
         raise ValueError("trajectory contains non-finite states")
     kernel = CostKernel(world, goal, params, cfg, [s.t for s in states], nav)
-    result = kernel.evaluate(*(c[None] for c in columns))
-    d_o, d_g, ttc, p_c, p_s, j_progress, j_action = (
-        None if a is None else a[0].tolist() for a in result.segments)
-    segments = tuple(
-        SegmentEvaluation(
-            index=i + 1, d_o=d_o[i], d_g=d_g[i], ttc=None if ttc is None else ttc[i],
-            p_c=p_c[i], p_s=p_s[i], j_progress=j_progress[i], j_action=j_action[i],
-            j_collision=params.c_collision,
-        )
-        for i in range(len(states) - 1)
-    )
-    terminal = None
-    if result.terminal is not None:
-        terminal = TerminalEvaluation(*(float(a[0]) for a in result.terminal))
-    return CostBreakdown(segments=segments, terminal=terminal, total=float(result.total[0]))
+    rows = kernel.evaluate(*(c[None] for c in columns))
+    return CostRows._make(None if a is None else a[0].tolist() for a in rows)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from ._batch import evaluate_batch
-from .cost import CostBreakdown, CostKernel, CostParams, trajectory_cost
+from .cost import CostKernel, CostParams, CostRows, trajectory_cost
 from .geometry import Pose, egocentric_coords, wrap_angle
 from .kinematics import (
     PlannerConfig,
@@ -26,6 +25,7 @@ from .kinematics import (
     Trajectory,
     TrajectoryParam,
     rollout,
+    rollout_batch,
     step_times,
     trajectory,
 )
@@ -107,7 +107,7 @@ def evaluate_candidate(
     planner_cfg: PlannerConfig,
     cost_params: CostParams,
     nav: NavigationField | None = None,
-) -> tuple[Trajectory, CostBreakdown]:
+) -> tuple[Trajectory, CostRows]:
     """Roll out one candidate and evaluate its cost.
 
     Both steps are batches of one through the planner's own evaluation path,
@@ -115,8 +115,23 @@ def evaluate_candidate(
     problem exactly.
     """
     traj = rollout(current, z, planner_cfg)
-    breakdown = trajectory_cost(traj, goal, world, cost_params, planner_cfg, nav=nav)
-    return traj, breakdown
+    return traj, trajectory_cost(traj, goal, world, cost_params, planner_cfg, nav=nav)
+
+
+def evaluate_batch(params: np.ndarray, current: RobotState, kernel: CostKernel):
+    """Score the (B, 4) parameter rows `params` rolled out from `current`:
+    the planner's one evaluation path.
+
+    Returns (`cost.CostRows`, states), states being the rollouts' (xs, ys,
+    headings, vs, omegas) arrays, each (B, N+1). `kernel` holds the problem;
+    its snapshot must be predicted at `step_times(current.t, cfg)`. A
+    candidate's row depends only on that candidate (the rollout, the
+    clearances, the TTC queries and the cost terms are elementwise or run
+    along the row), so a candidate scored alone through `rollout` and
+    `trajectory_cost` equals its entry in any batch, bit for bit.
+    """
+    states = rollout_batch(current, params, kernel.cfg)
+    return kernel.evaluate(*states), states
 
 
 def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:

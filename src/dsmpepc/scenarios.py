@@ -151,6 +151,9 @@ def load(source) -> ScenarioConfig:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
+            if text is source and not source.lstrip().startswith("{"):
+                raise ScenarioError(f"cannot read {source!r}: no such file, "
+                                    f"and not JSON text") from exc
             raise ScenarioError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc

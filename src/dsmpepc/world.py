@@ -49,11 +49,13 @@ class OccupancyGrid:
         resolution: float,
         origin: tuple[float, float] = (0.0, 0.0),
     ):
-        occupied = np.asarray(occupied, dtype=bool)
+        # a read-only copy: the distance field and has_occupied derive from it
+        occupied = np.array(occupied, dtype=bool)
         if occupied.ndim != 2 or occupied.size == 0:
             raise ValueError("grid must be a non-empty 2D array")
         if not 0 < resolution < math.inf:
             raise ValueError("resolution must be positive and finite")
+        occupied.flags.writeable = False
         self.occupied = occupied
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))

@@ -6,11 +6,14 @@ heap-driven Dijkstra, and scalar, one-state-at-a-time versions of the
 planner's batched rollout step, grid ray march, time-to-collision and
 trajectory cost. The model's formulas are written again below with `math`,
 one value at a time, so these cross-checks do not compare the library's
-formulas with themselves. They are slow and simple on purpose.
+formulas with themselves; the clearance, the obstacle prediction and the
+grid lookups behind the TTC and cost oracles are this module's own too.
+They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -19,7 +22,7 @@ import numpy as np
 from dsmpepc.cost import DS_MPEPC
 from dsmpepc.geometry import KAPPA_MAX, R_EPSILON, R_SLOWDOWN, ControlGains, Pose
 from dsmpepc.kinematics import OMEGA_STRAIGHT, PlannerConfig, RobotState, TrajectoryParam
-from dsmpepc.world import TTC_HORIZON, NavigationField, distance_to_nearest, obstacle_states
+from dsmpepc.world import TTC_HORIZON
 
 
 def _wrap_angle(angle: float) -> float:
@@ -373,9 +376,53 @@ def reference_sample_field(grid, values, xs, ys) -> np.ndarray:
             + fy * ((1 - fx) * values[iy1, ix] + fx * values[iy1, ix1]))
 
 
+@functools.lru_cache(maxsize=8)
+def _distance_field(grid) -> np.ndarray:
+    return brute_force_distance_field(grid.occupied, grid.resolution)
+
+
+def _sample_distance(grid, x: float, y: float) -> float:
+    """OccupancyGrid.sample_distance from the brute-force distance field."""
+    if not grid.occupied.any():
+        return math.inf
+    return float(reference_sample_field(grid, _distance_field(grid), np.array([x]),
+                                        np.array([y]))[0])
+
+
+def _obstacle_state(obstacle, t: float) -> tuple[float, float, float, float]:
+    """(x, y, vx, vy) of an obstacle at time t: constant velocity from its
+    epoch, or its waypoint script interpolated linearly and held still
+    before the first waypoint and from the last one on."""
+    wps = obstacle.waypoints
+    if wps is None:
+        (x, y), (vx, vy) = obstacle.position, obstacle.velocity
+        dt = t - obstacle.epoch
+        return x + vx * dt, y + vy * dt, vx, vy
+    if t < wps[0][0] or t >= wps[-1][0]:
+        _, x, y = wps[0] if t < wps[0][0] else wps[-1]
+        return x, y, 0.0, 0.0
+    i = 1
+    while wps[i][0] <= t:  # the waypoint interval [t0, t1) holding t
+        i += 1
+    (t0, x0, y0), (t1, x1, y1) = wps[i - 1], wps[i]
+    f = (t - t0) / (t1 - t0)
+    return (x0 + f * (x1 - x0), y0 + f * (y1 - y0),
+            (x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
+
+
+def _clearance(world, x: float, y: float, t: float) -> float:
+    """distance_to_nearest: the grid and every disk at time t, less the
+    robot radius, floored at 0."""
+    d = _sample_distance(world.grid, x, y)
+    for obs in world.obstacles:
+        ox, oy, _, _ = _obstacle_state(obs, t)
+        d = min(d, math.hypot(x - ox, y - oy) - obs.radius)
+    return max(0.0, d - world.robot_radius)
+
+
 def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
-    """The grid march written against OccupancyGrid.sample_distance: arc
-    length to the first sample within the robot radius, or None."""
+    """The grid march written against a scalar sample of the distance field:
+    arc length to the first sample within the robot radius, or None."""
     xmin, ymin, xmax, ymax = grid.extent
     s, s_end = 0.0, math.inf
     for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
@@ -389,7 +436,7 @@ def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
         return None
     s_end = min(s_end, max_arc)
     while s <= s_end:
-        gap = grid.sample_distance(x + ux * s, y + uy * s) - robot_radius
+        gap = _sample_distance(grid, x + ux * s, y + uy * s) - robot_radius
         if gap <= 0.0:
             return s
         s += max(gap, 0.5 * grid.resolution)
@@ -402,16 +449,17 @@ def reference_time_to_collision(world, position, velocity, t0: float) -> float:
     +inf beyond TTC_HORIZON."""
     x, y = position
     vx, vy = velocity
-    if distance_to_nearest(world, (x, y), t0) <= 0.0:
+    if _clearance(world, x, y, t0) <= 0.0:
         return 0.0
     best = math.inf
-    for ox, oy, ovx, ovy, radius in obstacle_states(world, t0):
+    for obs in world.obstacles:
+        ox, oy, ovx, ovy = _obstacle_state(obs, t0)
         dpx, dpy = ox - x, oy - y
         dvx, dvy = ovx - vx, ovy - vy
         a = dvx * dvx + dvy * dvy
         if a < 1e-18:
             continue
-        r_sum = world.robot_radius + radius
+        r_sum = world.robot_radius + obs.radius
         b = 2.0 * (dpx * dvx + dpy * dvy)
         c = dpx * dpx + dpy * dpy - r_sum * r_sum
         disc = b * b - 4.0 * a * c
@@ -420,7 +468,7 @@ def reference_time_to_collision(world, position, velocity, t0: float) -> float:
             if s > 0.0:
                 best = min(best, s)
     speed = math.hypot(vx, vy)
-    if speed >= 1e-9 and world.grid.has_occupied:
+    if speed >= 1e-9 and world.grid.occupied.any():
         arc = reference_ray_arc(world.grid, x, y, vx / speed, vy / speed,
                                 world.robot_radius, min(best, TTC_HORIZON) * speed)
         if arc is not None:
@@ -431,9 +479,16 @@ def reference_time_to_collision(world, position, velocity, t0: float) -> float:
 def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfig):
     """The trajectory cost one segment at a time from the formulas above.
     Returns (total, [(d_o, p_c, p_s), ...], terminal j or None)."""
-    nav = NavigationField(world.grid, (goal.x, goal.y))
     states = traj.states
-    point_d = [distance_to_nearest(world, (s.pose.x, s.pose.y), s.t) for s in states]
+    grid = world.grid
+    xs = np.array([s.pose.x for s in states])
+    ys = np.array([s.pose.y for s in states])
+    if grid.occupied.any():
+        nav = reference_sample_field(grid, reference_navigation_field(grid, (goal.x, goal.y)),
+                                     xs, ys).tolist()
+    else:
+        nav = [math.hypot(s.pose.x - goal.x, s.pose.y - goal.y) for s in states]
+    point_d = [_clearance(world, s.pose.x, s.pose.y, s.t) for s in states]
     ds_mode = params.mode == DS_MPEPC
     total, p_s, rows = 0.0, 1.0, []
     for i in range(1, len(states)):
@@ -449,8 +504,7 @@ def reference_trajectory_cost(traj, goal: Pose, world, params, cfg: PlannerConfi
             ttc = reference_time_to_collision(world, (s.pose.x, s.pose.y), velocity, s.t)
             p_c = _modified_collision_probability(d_o, ttc, params)
         p_s *= 1.0 - p_c
-        a, b = states[i - 1].pose, states[i].pose
-        j_progress = params.w_progress * (nav.distance(b.x, b.y) - nav.distance(a.x, a.y))
+        j_progress = params.w_progress * (nav[i] - nav[i - 1])
         j_action = cfg.step_h * (params.w_action_v * states[i].v ** 2
                                  + params.w_action_w * states[i].omega ** 2)
         total += p_s * j_progress + j_action + (1.0 - p_s) * params.c_collision

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from dsmpepc._batch import evaluate_batch
 from dsmpepc.cost import (
     BASELINE_MPEPC,
     CostKernel,
@@ -33,7 +32,7 @@ from dsmpepc.kinematics import (
     rollout,
     step_times,
 )
-from dsmpepc.optimizer import OptimizerConfig, plan
+from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, plan
 from dsmpepc.scenarios import builtin
 from dsmpepc.simulator import run
 from dsmpepc.world import (
@@ -132,11 +131,10 @@ def test_c1_probability_bounds():
         assert (1.0 - PARAMS.a) * p_c <= p_mod * (1.0 + REL)
         assert p_mod <= p_c * (1.0 + REL)
     for _, ds, base in TRAJECTORY_SET:
-        for seg_ds, seg_base in zip(ds.segments, base.segments):
-            p_c = seg_base.p_c
-            assert (1.0 - PARAMS.a) * p_c <= seg_ds.p_c * (1.0 + REL)
-            assert seg_ds.p_c <= p_c * (1.0 + REL)
-            assert seg_ds.p_s * (1.0 + REL) >= seg_base.p_s
+        for p_c_ds, p_c, p_s_ds, p_s_base in zip(ds.p_c, base.p_c, ds.p_s, base.p_s):
+            assert (1.0 - PARAMS.a) * p_c <= p_c_ds * (1.0 + REL)
+            assert p_c_ds <= p_c * (1.0 + REL)
+            assert p_s_ds * (1.0 + REL) >= p_s_base
 
 
 @criterion(2, "in-contact first segment zeroes survivability")
@@ -160,10 +158,10 @@ def test_c2_contact_zeroes_survivability():
             _, z = random_state_param(rng)
             traj = rollout(start, z, CFG)
             for mode_params in (PARAMS, replace(PARAMS, mode=BASELINE_MPEPC)):
-                breakdown = trajectory_cost(
+                rows = trajectory_cost(
                     traj, Pose(12, 12, 0), world, mode_params, CFG
                 )
-                assert all(seg.p_s == 0.0 for seg in breakdown.segments)
+                assert all(p_s == 0.0 for p_s in rows.p_s)
 
 
 @criterion(3, "in-contact start halts: modes agree, planner picks null")
@@ -180,7 +178,7 @@ def test_c3_contact_start_halts():
         traj = rollout(start, z, CFG)
         ds = trajectory_cost(traj, goal, world, PARAMS, CFG)
         base = trajectory_cost(traj, goal, world, base_params, CFG)
-        assert ds.terminal.j_terminal == 0.0
+        assert ds.j_terminal == 0.0
         assert ds.total == base.total
     opt = OptimizerConfig(n_global_samples=96, n_refine_seeds=1,
                           refine_max_evals=10)
@@ -196,8 +194,8 @@ def test_c3_contact_start_halts():
 @criterion(4, "survivability monotone; per-segment displacement bound")
 def test_c4_monotonicity_and_displacement():
     for traj, ds, base in TRAJECTORY_SET:
-        for breakdown in (ds, base):
-            p_s = [seg.p_s for seg in breakdown.segments]
+        for rows in (ds, base):
+            p_s = rows.p_s
             assert all(b <= a for a, b in zip(p_s, p_s[1:]))
         for a, b in zip(traj.states, traj.states[1:]):
             step = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)

@@ -181,7 +181,7 @@ def test_trajectory_terminal_ttc_matches_terminal_ttc():
         traj = rollout(start, z, CFG)
         last = traj.states[-1]
         expected = terminal_ttc(last, world, last.t, CFG.v_limit)
-        assert trajectory_cost(traj, goal, world, PARAMS, CFG).terminal.ttc_terminal == expected
+        assert trajectory_cost(traj, goal, world, PARAMS, CFG).ttc_terminal == expected
         ends[name] = expected
     assert ends["contact"] == 0.0
     assert 0.0 < ends["clear"] < math.inf
@@ -282,15 +282,15 @@ def test_kernel_rows_keep_the_paper_bounds():
     ds = CostKernel(world, goal, PARAMS, CFG, ts).evaluate(*states)
     base = CostKernel(world, goal, replace(PARAMS, mode=BASELINE_MPEPC), CFG,
                       ts).evaluate(*states)
-    assert (ds.segments[0] == base.segments[0]).all()
-    p_c, p_mod = base.segments[3], ds.segments[3]
+    assert (ds.d_o == base.d_o).all()
+    p_c, p_mod = base.p_c, ds.p_c
     assert ((1 - PARAMS.a) * p_c <= p_mod).all()
     assert (p_mod <= p_c).all()
     # both bounds are exercised: contact (ttc = 0) and a discounted hazard
-    ttc = ds.segments[2]
+    ttc = ds.ttc
     assert ((ttc == 0.0) & (p_mod == 1.0)).any()
     assert ((p_c > 0.1) & (p_mod < p_c)).any()
-    j_terminal = ds.terminal[5]
+    j_terminal = ds.j_terminal
     assert ((-1.0 <= j_terminal) & (j_terminal <= 0.0)).all()
     assert (j_terminal < -0.5).any() and (j_terminal == 0.0).any()
 
@@ -306,13 +306,13 @@ def test_cost_params_validation():
         CostParams(w_progress=-1.0)
 
 
-def total_from_segments(breakdown):
+def total_from_segments(rows, params):
     """Straight-line re-evaluation of the cost sum from stored fields."""
     total = 0.0
-    for seg in breakdown.segments:
-        total += seg.p_s * seg.j_progress + seg.j_action + (1 - seg.p_s) * seg.j_collision
-    if breakdown.terminal is not None:
-        total += breakdown.terminal.j_terminal
+    for p_s, j_progress, j_action in zip(rows.p_s, rows.j_progress, rows.j_action):
+        total += p_s * j_progress + j_action + (1 - p_s) * params.c_collision
+    if rows.j_terminal is not None:
+        total += rows.j_terminal
     return total
 
 
@@ -321,22 +321,22 @@ def test_obstacle_free_straight_run():
     start = RobotState(pose=Pose(4.0, 7.5, 0.0))
     traj = rollout(start, TrajectoryParam(9.0, 0.0, 0.0, 1.0), CFG)
     goal = Pose(13.0, 7.5, 0.0)
-    breakdown = trajectory_cost(traj, goal, world, PARAMS, CFG)
-    for seg in breakdown.segments:
-        assert seg.p_s == pytest.approx(1.0, abs=1e-12)
-    assert breakdown.total < 0.0
-    assert breakdown.terminal is not None
+    rows = trajectory_cost(traj, goal, world, PARAMS, CFG)
+    for p_s in rows.p_s:
+        assert p_s == pytest.approx(1.0, abs=1e-12)
+    assert rows.total < 0.0
+    assert rows.j_terminal is not None
 
 
 def test_baseline_mode_shape():
     world = open_world()
     start = RobotState(pose=Pose(4.0, 7.5, 0.0))
     traj = rollout(start, TrajectoryParam(5.0, 0.3, -0.2, 0.8), CFG)
-    breakdown = trajectory_cost(
+    rows = trajectory_cost(
         traj, Pose(12.0, 7.5, 0.0), world, replace(PARAMS, mode=BASELINE_MPEPC), CFG
     )
-    assert breakdown.terminal is None
-    assert all(seg.ttc is None for seg in breakdown.segments)
+    assert rows.j_terminal is None
+    assert rows.ttc is None
 
 
 def test_total_self_consistency_randomized():
@@ -348,9 +348,9 @@ def test_total_self_consistency_randomized():
         goal = Pose(rng.uniform(2, 10), rng.uniform(2, 10), 0.0)
         for mode in (DS_MPEPC, BASELINE_MPEPC):
             params = replace(PARAMS, mode=mode)
-            breakdown = trajectory_cost(traj, goal, world, params, CFG)
-            assert breakdown.total == total_from_segments(breakdown)
-            assert len(breakdown.segments) == CFG.n_steps
+            rows = trajectory_cost(traj, goal, world, params, CFG)
+            assert rows.total == total_from_segments(rows, params)
+            assert len(rows.p_s) == CFG.n_steps
 
 
 def test_stored_segment_fields_reproduce_p_c():
@@ -360,9 +360,9 @@ def test_stored_segment_fields_reproduce_p_c():
         start, z = random_state_param(rng)
         traj = rollout(start, z, CFG)
         goal = Pose(6.0, 6.0, 0.0)
-        breakdown = trajectory_cost(traj, goal, world, PARAMS, CFG)
-        for seg in breakdown.segments:
-            assert seg.p_c == modified_collision_probability(seg.d_o, seg.ttc, PARAMS)
+        rows = trajectory_cost(traj, goal, world, PARAMS, CFG)
+        for d_o, ttc, p_c in zip(rows.d_o, rows.ttc, rows.p_c):
+            assert p_c == modified_collision_probability(d_o, ttc, PARAMS)
 
 
 def test_discount_bounds_on_trajectories():
@@ -374,12 +374,12 @@ def test_discount_bounds_on_trajectories():
         goal = Pose(6.0, 6.0, 0.0)
         ds = trajectory_cost(traj, goal, world, PARAMS, CFG)
         base = trajectory_cost(traj, goal, world, replace(PARAMS, mode=BASELINE_MPEPC), CFG)
-        for seg_ds, seg_b in zip(ds.segments, base.segments):
-            assert seg_ds.d_o == seg_b.d_o
-            p_c = seg_b.p_c
-            assert (1 - PARAMS.a) * p_c <= seg_ds.p_c * (1 + 1e-12)
-            assert seg_ds.p_c <= p_c * (1 + 1e-12)
-            assert seg_ds.p_s * (1 + 1e-12) >= seg_b.p_s
+        for i in range(CFG.n_steps):
+            assert ds.d_o[i] == base.d_o[i]
+            p_c = base.p_c[i]
+            assert (1 - PARAMS.a) * p_c <= ds.p_c[i] * (1 + 1e-12)
+            assert ds.p_c[i] <= p_c * (1 + 1e-12)
+            assert ds.p_s[i] * (1 + 1e-12) >= base.p_s[i]
 
 
 def test_contact_start_zeroes_survivability_exactly():
@@ -390,12 +390,12 @@ def test_contact_start_zeroes_survivability_exactly():
     for z in (TrajectoryParam(0, 0, 0, 0), TrajectoryParam(4, 0.4, -0.3, 1.0)):
         traj = rollout(start, z, CFG)
         for mode in (DS_MPEPC, BASELINE_MPEPC):
-            breakdown = trajectory_cost(
+            rows = trajectory_cost(
                 traj, Pose(9, 5, 0), world, replace(PARAMS, mode=mode), CFG
             )
-            assert breakdown.segments[0].p_c == 1.0
-            for seg in breakdown.segments:
-                assert seg.p_s == 0.0
+            assert rows.p_c[0] == 1.0
+            for p_s in rows.p_s:
+                assert p_s == 0.0
 
 
 def test_in_contact_modes_agree_exactly():
@@ -410,7 +410,7 @@ def test_in_contact_modes_agree_exactly():
         traj = rollout(start, z, CFG)
         ds = trajectory_cost(traj, goal, world, PARAMS, CFG)
         base = trajectory_cost(traj, goal, world, replace(PARAMS, mode=BASELINE_MPEPC), CFG)
-        assert ds.terminal.j_terminal == 0.0
+        assert ds.j_terminal == 0.0
         assert ds.total == base.total
 
 
@@ -425,7 +425,7 @@ def test_mode_consistency_a_zero_no_terminal():
         goal = Pose(6.0, 6.0, 0.0)
         ds = trajectory_cost(traj, goal, world, params_ds, CFG)
         base = trajectory_cost(traj, goal, world, params_base, CFG)
-        assert ds.terminal is None
+        assert ds.j_terminal is None
         assert ds.total == base.total
 
 
@@ -435,8 +435,7 @@ def test_segment_survivability_non_increasing():
         world = random_world(rng)
         start, z = random_state_param(rng)
         traj = rollout(start, z, CFG)
-        breakdown = trajectory_cost(traj, Pose(6, 6, 0), world, PARAMS, CFG)
-        p_s = [seg.p_s for seg in breakdown.segments]
+        p_s = trajectory_cost(traj, Pose(6, 6, 0), world, PARAMS, CFG).p_s
         assert all(b <= a for a, b in zip(p_s, p_s[1:]))
         assert all(0.0 <= p <= 1.0 for p in p_s)
 
@@ -454,7 +453,7 @@ def test_terminal_rows_of_a_halting_robot():
     world = open_world()
     start = RobotState(pose=Pose(6, 6, 0), t=5.0)
     traj = rollout(start, TrajectoryParam(0.0, 0.0, 0.0, 0.0), CFG)
-    ev = trajectory_cost(traj, Pose(12.0, 6.0, 0.0), world, PARAMS, CFG).terminal
+    ev = trajectory_cost(traj, Pose(12.0, 6.0, 0.0), world, PARAMS, CFG)
     # stopped far from the goal facing open space: full bonus
     assert ev.ttg == math.inf
     assert ev.ttc_terminal == math.inf
@@ -463,31 +462,35 @@ def test_terminal_rows_of_a_halting_robot():
 
 
 def test_trajectory_cost_matches_scalar_reference():
-    # the batched cost against a one-segment-at-a-time evaluation from the
-    # public scalar helpers, in both modes, among walls and moving disks;
-    # numpy's exp and the rollout's trig round within ulps of math's
+    # the batched cost against a one-segment-at-a-time evaluation from
+    # formulas written again in the oracle, in both modes, among walls,
+    # constant-velocity disks and a scripted disk (whose interpolation the
+    # oracle predicts on its own); numpy's exp and the rollout's trig round
+    # within ulps of math's
     rows = ["#" * 48] + ["#" + "." * 46 + "#"] * 8 + ["#" + "." * 20 + "#" * 5
                                                       + "." * 21 + "#"] * 4
     rows += ["#" + "." * 46 + "#"] * 10 + ["#" * 48]
     grid = OccupancyGrid.from_ascii(rows, 0.25)
+    scripted = DynamicObstacle(id="wp", radius=0.3, waypoints=(
+        (0.3, 3.0, 1.2), (2.7, 7.5, 3.6), (4.9, 9.5, 1.4)))
     rng = random.Random(19)
     for _ in range(12):
-        obstacles = random_world(rng, n_obstacles=2).obstacles
+        obstacles = random_world(rng, n_obstacles=2).obstacles + (scripted,)
         world = World(grid=grid, obstacles=obstacles, robot_radius=0.35)
         start, z = random_state_param(rng, center=(6.0, 2.5))
         traj = rollout(start, z, CFG)
         goal = Pose(rng.uniform(2, 10), rng.uniform(1.0, 2.5), 0.0)
         for params in (PARAMS, replace(PARAMS, mode=BASELINE_MPEPC)):
-            breakdown = trajectory_cost(traj, goal, world, params, CFG)
+            rows = trajectory_cost(traj, goal, world, params, CFG)
             total, segments, j_terminal = reference_trajectory_cost(
                 traj, goal, world, params, CFG)
-            assert math.isclose(breakdown.total, total, rel_tol=1e-9, abs_tol=1e-9)
-            for seg, (d_o, p_c, p_s) in zip(breakdown.segments, segments):
-                assert math.isclose(seg.d_o, d_o, abs_tol=1e-12)
-                assert math.isclose(seg.p_c, p_c, rel_tol=1e-9, abs_tol=1e-12)
-                assert math.isclose(seg.p_s, p_s, rel_tol=1e-9, abs_tol=1e-12)
+            assert math.isclose(rows.total, total, rel_tol=1e-9, abs_tol=1e-9)
+            for i, (d_o, p_c, p_s) in enumerate(segments):
+                assert math.isclose(rows.d_o[i], d_o, abs_tol=1e-12)
+                assert math.isclose(rows.p_c[i], p_c, rel_tol=1e-9, abs_tol=1e-12)
+                assert math.isclose(rows.p_s[i], p_s, rel_tol=1e-9, abs_tol=1e-12)
             if j_terminal is not None:
-                assert math.isclose(breakdown.terminal.j_terminal, j_terminal,
+                assert math.isclose(rows.j_terminal, j_terminal,
                                     rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -527,7 +530,7 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
     assert marches[0] > b  # the terminal rays and moving segment queries
     tracks = kernel.snapshot.tracks
     d = kernel.snapshot.clearance(xs, ys)
-    need = collision_probability(rows.segments[0], PARAMS) >= _P_C_SKIP
+    need = collision_probability(rows.d_o, PARAMS) >= _P_C_SKIP
     assert need.any() and not need.all()
     rr, cols = np.nonzero(need)
     pt = np.where(d[rr, cols] <= d[rr, cols + 1], cols, cols + 1)
@@ -538,8 +541,8 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
     heading = hs[:, -1]
     ttc_n = _ttc_batch(world, xs[:, -1], ys[:, -1], CFG.v_limit * np.cos(heading),
                        CFG.v_limit * np.sin(heading), np.full(b, n), tracks, d[:, -1])
-    np.testing.assert_array_equal(rows.segments[2], ttc)
-    np.testing.assert_array_equal(rows.terminal[1], ttc_n)
+    np.testing.assert_array_equal(rows.ttc, ttc)
+    np.testing.assert_array_equal(rows.ttc_terminal, ttc_n)
     assert (ttc == 0.0).any() and (np.isfinite(ttc) & (ttc > 0.0)).any()
     assert (np.isfinite(ttc_n) & (ttc_n > 0.0)).any()
 
@@ -556,5 +559,5 @@ def test_evaluate_without_ttc_queries_makes_no_ttc_call(params, monkeypatch):
     states = tuple(a[clear] for a in states)
     monkeypatch.setattr("dsmpepc.cost._ttc_batch", lambda *a: pytest.fail("queried"))
     rows = kernel.evaluate(*states)
-    ttc = rows.segments[2]
+    ttc = rows.ttc
     assert ttc is None if params.mode == BASELINE_MPEPC else (ttc == math.inf).all()

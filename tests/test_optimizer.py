@@ -138,12 +138,12 @@ def test_warm_start_monotone_for_frozen_robot():
 def test_evaluate_candidate_null_from_rest():
     world = open_world()
     start = RobotState(pose=Pose(10, 10, 0))
-    traj, breakdown = evaluate_candidate(
+    traj, rows = evaluate_candidate(
         TrajectoryParam(0, 0, 0, 0), start, Pose(13, 10, 0), world, CFG, PARAMS
     )
     assert all(s.v == 0.0 for s in traj.states)
-    assert all(seg.j_progress == 0.0 for seg in breakdown.segments)
-    assert all(seg.j_action == 0.0 for seg in breakdown.segments)
+    assert all(j == 0.0 for j in rows.j_progress)
+    assert all(j == 0.0 for j in rows.j_action)
 
 
 def test_evaluate_candidate_deterministic_and_consistent():
@@ -179,8 +179,8 @@ def test_plan_beats_coarse_grid_sample():
     best_grid = math.inf
     for r, th, dl, v in itertools.product(*axes):
         z = TrajectoryParam(float(r), float(th), float(dl), float(v))
-        _, breakdown = evaluate_candidate(z, start, goal, world, cfg, PARAMS, nav=nav)
-        best_grid = min(best_grid, breakdown.total)
+        _, rows = evaluate_candidate(z, start, goal, world, cfg, PARAMS, nav=nav)
+        best_grid = min(best_grid, rows.total)
     assert result.best_cost <= best_grid + 1e-6
 
 

@@ -2,7 +2,7 @@
 
 plan() keeps its candidates as rows of one (M, 4) parameter array. Every
 row, in the sweep and in each batched refinement round, is scored through
-`_batch.evaluate_batch`, and a row of a batch does not depend on the rest of
+`optimizer.evaluate_batch`, and a row of a batch does not depend on the rest of
 the batch; so every entry of `evaluated` (the rows as `TrajectoryParam`
 objects, with their costs) rescores exactly through `evaluate_candidate`, a
 batch of one, and the argmin is the entry of least (cost, r, v_max, theta,
@@ -29,11 +29,10 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
 from dsmpepc import builtin, run
-from dsmpepc._batch import evaluate_batch
-from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams
+from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams, CostRows, trajectory_cost
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout, step_times
-from dsmpepc.optimizer import OptimizerConfig, evaluate_candidate, plan
+from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
 CFG = PlannerConfig()
@@ -173,8 +172,8 @@ def test_refinement_entries_rescore_exactly(name):
     start, goal, world, cost, _ = PROBLEMS[name]
     # sweep and refinement alike: each cost is its candidate's batch of one
     for z, c in result.evaluated:
-        _, breakdown = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
-        assert c == breakdown.total
+        _, rows = evaluate_candidate(z, start, goal, world, CFG, cost, nav=nav)
+        assert c == rows.total
     # the argmin: lowest cost, ties broken on r, v_max, theta, delta in turn
     ranked = min(result.evaluated, key=lambda e: (e[1], e[0].r, e[0].v_max, e[0].theta,
                                                   e[0].delta))
@@ -187,15 +186,18 @@ def test_refinement_entries_rescore_exactly(name):
 
 def _rows(rows, states, k):
     """Everything a batch returns for its k-th candidate, as lists."""
-    parts = [rows.total[k]] + [a[k] for a in rows.segments if a is not None]
-    parts += [a[k] for a in rows.terminal or ()] + [a[k] for a in states]
+    parts = [a[k] for a in rows if a is not None] + [a[k] for a in states]
     return [np.asarray(a).tolist() for a in parts]
 
 
-@pytest.mark.parametrize("name", ["ds_walled_mixed", "baseline_walled_mixed", "ds_empty_cv"])
+@pytest.mark.parametrize("name", ["ds_walled_mixed", "baseline_walled_mixed", "ds_empty_cv",
+                                  "ds_no_terminal"])
 def test_batch_rows_do_not_depend_on_the_batch(name):
     # exact rescoring rests on this: a candidate's row in a sub-slice of a
-    # batch, down to a batch of one, equals its row in the whole batch
+    # batch, down to a batch of one, equals its row in the whole batch; and
+    # trajectory_cost of the candidate's rollout is that row, field by field,
+    # with the same fields None (ttc in baseline mode, the terminal fields
+    # without a terminal term)
     start, goal, world, cost, _ = PROBLEMS[name]
     kernel = CostKernel(world, goal, cost, CFG, step_times(start.t, CFG))
     rng = np.random.default_rng(3)
@@ -208,6 +210,15 @@ def test_batch_rows_do_not_depend_on_the_batch(name):
             part = evaluate_batch(params[first:first + size], start, kernel)
             for k in range(size):
                 assert _rows(*part, k) == _rows(*full, first + k)
+    rows = full[0]
+    for k, z in enumerate(params.tolist()):
+        single = trajectory_cost(rollout(start, TrajectoryParam(*z), CFG), goal, world, cost,
+                                 CFG)
+        for field in CostRows._fields:
+            got, want = getattr(single, field), getattr(rows, field)
+            assert (got is None) == (want is None), field
+            if want is not None:
+                assert got == want[k].tolist(), field
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -68,8 +68,9 @@ def test_agent_blocks_override_fields_of_the_defaults():
 
 
 def test_load_rejects_malformed_json_with_location():
-    with pytest.raises(ScenarioError, match="line"):
-        load('{"name": "x",}')
+    for text in ('{"name": "x",}', '\n  {"name": "x",}'):
+        with pytest.raises(ScenarioError, match="line"):
+            load(text)
 
 
 def test_agent_in_wall_is_named():
@@ -140,6 +141,10 @@ def test_unreadable_path_is_a_scenario_error(tmp_path):
                       .encode("latin-1"))
     with pytest.raises(ScenarioError, match="cannot read"):
         load(str(latin))
+    # a string that is neither a file nor JSON text is named as a path
+    for source in ("no_such.json", str(tmp_path / "gone.json")):
+        with pytest.raises(ScenarioError, match=f"cannot read {re.escape(repr(source))}"):
+            load(source)
 
 
 def test_script_times_within_duration():

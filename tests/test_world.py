@@ -48,6 +48,19 @@ def test_from_ascii_and_back():
     assert grid.occupied[0, 0] and grid.occupied[2, 0]
 
 
+def test_grid_keeps_its_own_read_only_copy():
+    # the distance field and has_occupied derive from the cells, so the
+    # caller's array must not be able to change them afterwards
+    occ = np.zeros((5, 5), dtype=bool)
+    grid = OccupancyGrid(occ, 1.0)
+    occ[2, 2] = True
+    assert not grid.occupied[2, 2]
+    assert not grid.has_occupied
+    assert grid.sample_distance(2.5, 2.5) == math.inf
+    with pytest.raises(ValueError):
+        grid.occupied[2, 2] = True
+
+
 def test_from_ascii_validation():
     with pytest.raises(ValueError):
         OccupancyGrid.from_ascii([], 0.5)
