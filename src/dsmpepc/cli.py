@@ -16,9 +16,11 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from . import scenarios as scen
 from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
-from .kinematics import TrajectoryParam, step_times, trajectory
+from .kinematics import step_times
 from .optimizer import candidate_pool, evaluate_batch
 from .simulator import SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
@@ -199,27 +201,16 @@ def cmd_compare(args) -> int:
 
 
 def _landscape_candidates(config, agent_spec, state, world, nav):
-    """Score the planner's sweep (`candidate_pool`, without a warm start) at
-    one state and world, in one batch, under the ds cost with its terminal
-    term (whose TTG and TTC the ranks read)."""
+    """The planner's sweep (`candidate_pool`, without a warm start) at one
+    state and world, scored in one batch under the ds cost with its terminal
+    term (whose TTG and TTC the ranks read): its (M, 4) parameters, their
+    `CostRows` and their rollouts' state arrays."""
     params = replace(agent_spec.cost, mode=DS_MPEPC, include_terminal=True)
     opt = replace(agent_spec.optimizer, n_refine_seeds=0, seed=config.seed)
     zs, _ = candidate_pool(state, agent_spec.goal, agent_spec.planner, opt)
     kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
                         step_times(state.t, agent_spec.planner), nav)
-    rows, states = evaluate_batch(zs, state, kernel)
-    return [
-        {
-            "param": z,
-            "trajectory": trajectory(state, z, agent_spec.planner, *(a[k] for a in states)),
-            "cost": cost,
-            "ttg": g,
-            "ttc": c,
-        }
-        for k, (z, cost, g, c) in enumerate(zip(
-            (TrajectoryParam(*row) for row in zs.tolist()),
-            rows.total.tolist(), rows.ttg.tolist(), rows.ttc_terminal.tolist()))
-    ]
+    return (zs, *evaluate_batch(zs, state, kernel))
 
 
 def cmd_landscape(args) -> int:
@@ -236,16 +227,17 @@ def cmd_landscape(args) -> int:
     for step in steps(config):
         if step.cycle == cycles:
             break
-    rows = _landscape_candidates(config, spec, step.states[spec.id],
-                                 step.worlds[spec.id], step.navs[spec.id])
+    zs, rows, (xs, ys, *_) = _landscape_candidates(
+        config, spec, step.states[spec.id], step.worlds[spec.id], step.navs[spec.id])
 
-    sign = -1.0 if args.rank == "ttc" else 1.0  # terminal TTC ranks descending
-    ranked = sorted(rows, key=lambda row: (sign * row[args.rank], row["param"].as_tuple()))
+    # terminal TTC ranks descending; ties go by (r, theta, delta, v_max)
+    key = {"cost": rows.total, "ttg": rows.ttg, "ttc": -rows.ttc_terminal}[args.rank]
+    ranked = np.lexsort((*zs[:, ::-1].T, key))
     top = ranked[: args.top]
 
     renderer = SceneRenderer(config.grid)
-    for row in top:
-        renderer.add_fan([(s.pose.x, s.pose.y) for s in row["trajectory"].states])
+    for k in top:
+        renderer.add_fan(list(zip(xs[k].tolist(), ys[k].tolist())))
     for other in config.agents:
         st = step.states[other.id]
         color = AGENT_COLOR if other.id == spec.id else OBSTACLE_COLOR
@@ -255,15 +247,14 @@ def cmd_landscape(args) -> int:
     renderer.add_goal_marker(spec.goal.x, spec.goal.y)
 
     lines = ["rank,r,theta,delta,v_max,cost,ttg,ttc"]
-    for i, row in enumerate(ranked):
-        p = row["param"]
+    table = np.column_stack((zs, rows.total, rows.ttg, rows.ttc_terminal))[ranked]
+    for i, (r, theta, delta, v_max, cost, ttg, ttc) in enumerate(table.tolist()):
         lines.append(
-            f"{i},{p.r:.6f},{p.theta:.6f},{p.delta:.6f},{p.v_max:.6f},"
-            f"{row['cost']:.9f},{row['ttg']:.6g},{row['ttc']:.6g}"
+            f"{i},{r:.6f},{theta:.6f},{delta:.6f},{v_max:.6f},{cost:.9f},{ttg:.6g},{ttc:.6g}"
         )
     _write_text(os.path.join(args.out, "landscape.svg"), renderer.to_svg())
     _write_text(os.path.join(args.out, "landscape.csv"), "\n".join(lines) + "\n")
-    print(f"rendered {len(top)} of {len(rows)} candidates (rank={args.rank})")
+    print(f"rendered {len(top)} of {len(zs)} candidates (rank={args.rank})")
     return 0
 
 
@@ -295,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("scenario", help="scenario JSON path or built-in name")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="override scenario seed")
         p.add_argument("--out", default=_default_out(),
                        help="output directory (env DSMPEPC_OUT)")
 

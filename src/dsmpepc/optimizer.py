@@ -64,6 +64,8 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_global_samples < 1:
             raise ValueError("n_global_samples must be >= 1")
         if not 0 <= self.n_refine_seeds <= self.n_global_samples:

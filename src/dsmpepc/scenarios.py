@@ -22,7 +22,7 @@ from .cost import CostParams
 from .geometry import Pose
 from .kinematics import PlannerConfig
 from .optimizer import OptimizerConfig
-from .simulator import AgentSpec
+from .simulator import AgentSpec, detect_collision
 from .world import DynamicObstacle, OccupancyGrid
 
 
@@ -265,25 +265,34 @@ def validate(config: ScenarioConfig) -> None:
             raise ScenarioError("agents and scripted_obstacles: id 'grid' names the map")
         if ident in ids[:k]:
             raise ScenarioError(f"agents and scripted_obstacles: duplicate id {ident!r}")
+    if config.seed < 0:
+        raise ScenarioError("seed: must be >= 0")
+    radii = {a.id: a.radius for a in config.agents}
+
+    def near_map(agent_id: str, label: str, x: float, y: float) -> ScenarioError:
+        return ScenarioError(
+            f"agent {agent_id!r}: {label} too close to static obstacles (clearance "
+            f"{grid.sample_distance(x, y):.3f} m <= radius {radii[agent_id]:g} m)"
+        )
+
     for agent in config.agents:
         for label, pose in (("start", agent.start), ("goal", agent.goal)):
             if not (xmin <= pose.x <= xmax and ymin <= pose.y <= ymax):
                 raise ScenarioError(
                     f"agent {agent.id!r}: {label} ({pose.x:g}, {pose.y:g}) outside the map"
                 )
-            clearance = grid.sample_distance(pose.x, pose.y)
-            if clearance < agent.radius:
-                raise ScenarioError(
-                    f"agent {agent.id!r}: {label} too close to static obstacles "
-                    f"(clearance {clearance:.3f} m < radius {agent.radius:g} m)"
-                )
-    for i, a in enumerate(config.agents):
-        for b in config.agents[i + 1:]:
-            d = math.hypot(a.start.x - b.start.x, a.start.y - b.start.y)
-            if d < a.radius + b.radius:
-                raise ScenarioError(
-                    f"agents {a.id!r} and {b.id!r}: overlapping starts ({d:.3f} m apart)"
-                )
+        # the grid rule of detect_collision
+        if grid.sample_distance(agent.goal.x, agent.goal.y) - agent.radius <= 0.0:
+            raise near_map(agent.id, "goal", agent.goal.x, agent.goal.y)
+    # the starts must pass the contact test of the simulation's first step
+    starts = {a.id: (a.start.x, a.start.y) for a in config.agents}
+    for aid, other in detect_collision(grid, starts, radii, config.scripted_obstacles, 0.0):
+        if other == "grid":
+            raise near_map(aid, "start", *starts[aid])
+        if other in starts:
+            raise ScenarioError(f"agents {aid!r} and {other!r}: overlapping starts "
+                                f"({math.dist(starts[aid], starts[other]):.3f} m apart)")
+        raise ScenarioError(f"agent {aid!r}: start overlaps obstacle {other!r} at t = 0")
     step = config.agents[0].planner.step_h
     for agent in config.agents:
         if abs(agent.planner.step_h - step) > 1e-12:

@@ -154,22 +154,17 @@ class SimResult:
         }
 
 
-def detect_deadlock(
-    trace,
-    goal_tolerance: float = 0.3,
-    speed_threshold: float = DEADLOCK_SPEED,
-    window_s: float = DEADLOCK_WINDOW,
-) -> bool:
-    """True iff the agent stays below speed_threshold for a contiguous
-    window_s while its goal distance exceeds goal_tolerance."""
+def detect_deadlock(trace, goal_tolerance: float = 0.3) -> bool:
+    """True iff the agent stays below DEADLOCK_SPEED for a contiguous
+    DEADLOCK_WINDOW while its goal distance exceeds goal_tolerance."""
     if not trace:
         raise ValueError("trace must be non-empty")
     run_start: float | None = None
     for sample in trace:
-        if abs(sample.v) < speed_threshold and sample.nf_distance > goal_tolerance:
+        if abs(sample.v) < DEADLOCK_SPEED and sample.nf_distance > goal_tolerance:
             if run_start is None:
                 run_start = sample.t
-            if sample.t - run_start >= window_s:
+            if sample.t - run_start >= DEADLOCK_WINDOW:
                 return True
         else:
             run_start = None

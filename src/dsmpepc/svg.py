@@ -13,6 +13,8 @@ from .world import OccupancyGrid
 AGENT_COLOR = "#1f4fd8"
 OBSTACLE_COLOR = "#d82f2f"
 FAN_COLOR = "#9a9a9a"
+# pixels per meter
+SCALE = 50.0
 
 
 def _fmt(v: float) -> str:
@@ -22,20 +24,19 @@ def _fmt(v: float) -> str:
 class SceneRenderer:
     """Accumulates drawing primitives in world coordinates (meters, y up)."""
 
-    def __init__(self, grid: OccupancyGrid, scale: float = 50.0):
+    def __init__(self, grid: OccupancyGrid):
         self.grid = grid
-        self.scale = scale
         xmin, ymin, xmax, ymax = grid.extent
         self._xmin = xmin
         self._ymax = ymax
-        self.width = (xmax - xmin) * scale
-        self.height = (ymax - ymin) * scale
+        self.width = (xmax - xmin) * SCALE
+        self.height = (ymax - ymin) * SCALE
         self._fans: list[str] = []
         self._paths: list[str] = []
         self._disks: list[str] = []
 
     def _pt(self, x: float, y: float) -> tuple[float, float]:
-        return ((x - self._xmin) * self.scale, (self._ymax - y) * self.scale)
+        return ((x - self._xmin) * SCALE, (self._ymax - y) * SCALE)
 
     def _polyline(self, points, color: str, width: float, opacity: float) -> str:
         coords = " ".join(
@@ -54,24 +55,19 @@ class SceneRenderer:
         if len(points) >= 2:
             self._paths.append(self._polyline(points, color, width, 1.0))
 
-    def add_disk(self, x: float, y: float, r: float, color: str,
-                 fill: bool = True) -> None:
+    def add_disk(self, x: float, y: float, r: float, color: str) -> None:
         px, py = self._pt(x, y)
-        style = (
-            f'fill="{color}"' if fill
-            else f'fill="none" stroke="{color}" stroke-width="1.50"'
-        )
         self._disks.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r * self.scale)}" {style}/>'
+            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r * SCALE)}" fill="{color}"/>'
         )
 
-    def add_goal_marker(self, x: float, y: float, color: str = AGENT_COLOR) -> None:
+    def add_goal_marker(self, x: float, y: float) -> None:
         px, py = self._pt(x, y)
-        s = 0.18 * self.scale
+        s = 0.18 * SCALE
         self._disks.append(
             f'<path d="M {_fmt(px - s)} {_fmt(py)} L {_fmt(px + s)} {_fmt(py)} '
             f'M {_fmt(px)} {_fmt(py - s)} L {_fmt(px)} {_fmt(py + s)}" '
-            f'stroke="{color}" stroke-width="1.50" fill="none"/>'
+            f'stroke="{AGENT_COLOR}" stroke-width="1.50" fill="none"/>'
         )
 
     def _map_rects(self) -> list[str]:
@@ -92,8 +88,8 @@ class SceneRenderer:
                 px, py = self._pt(ox + ix * res, oy + (iy + 1) * res)
                 rects.append(
                     f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
-                    f'width="{_fmt((run - ix) * res * self.scale)}" '
-                    f'height="{_fmt(res * self.scale)}" fill="#000000"/>'
+                    f'width="{_fmt((run - ix) * res * SCALE)}" '
+                    f'height="{_fmt(res * SCALE)}" fill="#000000"/>'
                 )
                 ix = run
         return rects

@@ -294,19 +294,6 @@ class World:
             raise ValueError("robot_radius must be positive and finite")
 
 
-# Per obstacle at one time: (x, y, vx, vy, radius), from predict_obstacle and
-# obstacle_velocity.
-ObstacleStates = tuple[tuple[float, float, float, float, float], ...]
-
-
-def obstacle_states(world: World, t: float) -> ObstacleStates:
-    """Position, velocity and radius of every obstacle at time t."""
-    return tuple(
-        predict_obstacle(obs, t) + obstacle_velocity(obs, t) + (obs.radius,)
-        for obs in world.obstacles
-    )
-
-
 def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
     """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration).
 
@@ -315,8 +302,9 @@ def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> f
     """
     x, y = point
     d = world.grid.sample_distance(x, y)
-    for ox, oy, _, _, radius in obstacle_states(world, t):
-        d = min(d, math.hypot(x - ox, y - oy) - radius)
+    for obs in world.obstacles:
+        ox, oy = predict_obstacle(obs, t)
+        d = min(d, math.hypot(x - ox, y - oy) - obs.radius)
     return max(0.0, d - world.robot_radius)
 
 
@@ -326,29 +314,27 @@ class HorizonSnapshot:
     Built once per planning problem (or per trajectory_cost or
     time_to_collision call); every batch the optimizer evaluates shares one,
     through one `CostKernel`, so nothing re-predicts an obstacle. `tracks`
-    holds one (radius, xs, ys, vxs, vys) tuple of arrays per obstacle over
-    the times: the `predict_obstacle`/`obstacle_velocity` values. Every
-    planning-time clearance (`clearance`) and TTC reads them, so both see
-    the same obstacle centers.
+    is a (K, T, 4) array: per obstacle of `world.obstacles` and step time,
+    the `predict_obstacle` center and the `obstacle_velocity`. Every
+    planning-time clearance (`clearance`) and TTC reads it, so both see the
+    same obstacle centers.
     """
 
     __slots__ = ("world", "tracks")
 
     def __init__(self, world: World, ts):
         self.world = world
-        states = np.array([obstacle_states(world, t) for t in ts], dtype=float).reshape(
-            len(ts), len(world.obstacles), 5)
-        self.tracks = [
-            (obs.radius, *states[:, k, :4].T) for k, obs in enumerate(world.obstacles)
-        ]
+        self.tracks = np.array(
+            [[predict_obstacle(obs, t) + obstacle_velocity(obs, t) for t in ts]
+             for obs in world.obstacles], dtype=float).reshape(len(world.obstacles), len(ts), 4)
 
     def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Clearance d_o at points whose last axis runs over the step times;
         any leading axes (a batch of rollouts) broadcast."""
         world = self.world
         d = world.grid.sample_distance_batch(xs, ys)
-        for radius, ox, oy, _, _ in self.tracks:
-            d = np.minimum(d, np.hypot(xs - ox, ys - oy) - radius)
+        for obs, (ox, oy, _, _) in zip(world.obstacles, self.tracks.transpose(0, 2, 1)):
+            d = np.minimum(d, np.hypot(xs - ox, ys - oy) - obs.radius)
         return np.maximum(0.0, d - world.robot_radius)
 
 
@@ -426,8 +412,9 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
 
 def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
     """time_to_collision of points moving with velocities (vx, vy), each
-    against the obstacle states at its index `t_idx` into a snapshot's
-    `tracks`; `d0` is the points' clearance (0 exactly where in contact).
+    against the obstacle states at its index `t_idx` into the `tracks` of a
+    snapshot of `world`; `d0` is the points' clearance (0 exactly where in
+    contact).
 
     Every operation is elementwise per point, so a point's TTC does not
     depend on the others in the call: `CostKernel.evaluate` makes one call
@@ -435,13 +422,13 @@ def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
     and the static grid is ray-marched once for all of them."""
     n = x.shape[0]
     best = np.full(n, math.inf)
-    for radius, px, py, ovx, ovy in tracks:
+    for obs, (px, py, ovx, ovy) in zip(world.obstacles, tracks.transpose(0, 2, 1)):
         dpx = px[t_idx] - x
         dpy = py[t_idx] - y
         dvx = ovx[t_idx] - vx
         dvy = ovy[t_idx] - vy
         a = dvx * dvx + dvy * dvy
-        r_sum = world.robot_radius + radius
+        r_sum = world.robot_radius + obs.radius
         bq = 2.0 * (dpx * dvx + dpy * dvy)
         c = dpx * dpx + dpy * dpy - r_sum * r_sum
         disc = bq * bq - 4.0 * a * c

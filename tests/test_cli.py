@@ -113,6 +113,16 @@ def test_run_obstacle_sharing_an_agent_id_exits_2(tmp_path, capsys):
     assert "duplicate id 'b'" in capsys.readouterr().err
 
 
+def test_run_start_in_contact_exits_2(tmp_path, capsys):
+    # the simulation would stop the robot at t = 0, so the loader rejects it
+    doc = dict(SMALL_FIELD, scripted_obstacles=[{"id": "p", "radius": 0.3,
+                                                 "position": [3.2, 5.0]}])
+    path = tmp_path / "contact.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "start overlaps obstacle 'p'" in capsys.readouterr().err
+
+
 def test_run_nonreached_exits_1(tmp_path):
     doc = dict(SMALL_FIELD)
     doc["duration"] = 2.0  # timeout before reaching
@@ -210,13 +220,12 @@ def test_landscape_ttc_rank_steers_into_free_half_plane():
     spec = next(a for a in cfg.agents if a.id == "mover")
     blocker = next(a for a in cfg.agents if a.id == "blocker")
     step = next(s for s in steps(cfg) if s.cycle == 30)  # t = 6.0
-    rows = _landscape_candidates(cfg, spec, step.states[spec.id], step.worlds[spec.id],
-                                 step.navs[spec.id])
-    top = sorted(rows, key=lambda r: (-r["ttc"], r["param"].as_tuple()))[:50]
+    zs, rows, (_, ys, hs, *_) = _landscape_candidates(
+        cfg, spec, step.states[spec.id], step.worlds[spec.id], step.navs[spec.id])
+    top = sorted(range(len(zs)), key=lambda k: (-rows.ttc_terminal[k], tuple(zs[k])))[:50]
     into_free_half = 0
-    for row in top:
-        term = row["trajectory"].terminal.pose
-        probe_y = term.y + math.sin(term.heading)
+    for k in top:
+        probe_y = ys[k, -1] + math.sin(hs[k, -1])
         if probe_y > blocker.start.y:
             into_free_half += 1
     assert into_free_half >= 40
@@ -335,9 +344,10 @@ def test_compare_does_not_offer_mode(tmp_path, capsys):
     ["compare", "open_field", "--seeds", "0"],
     ["compare", "open_field", "--seeds", "-1"],
     ["landscape", "open_field", "--agent", "bot", "--top", "-5"],
+    ["landscape", "t_corridor", "--agent", "mover", "--t", "0", "--seed", "-1", "--top", "0"],
 ])
 def test_count_below_minimum_exits_2(argv, tmp_path, capsys):
-    # a count out of range is a usage error, caught before any run starts
+    # a count or a seed out of range is a usage error, caught before any run starts
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2

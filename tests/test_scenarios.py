@@ -99,6 +99,25 @@ def test_overlapping_starts_rejected():
         load(doc)
 
 
+# starts the simulation's first step would find in contact (and stop): two
+# agents that touch exactly, and a scripted obstacle over a start
+START_CONTACTS = [
+    pytest.param([{"id": "a", "start": [3.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0], "radius": 0.5},
+                  {"id": "b", "start": [4.0, 5.0, 0.0], "goal": [8.0, 7.0, 0.0], "radius": 0.5}],
+                 [], "agents 'a' and 'b': overlapping starts", id="touching-agents"),
+    pytest.param([{"id": "a", "start": [3.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0]}],
+                 [{"id": "p", "radius": 0.3, "position": [3.2, 5.0]}],
+                 "agent 'a': start overlaps obstacle 'p' at t = 0", id="obstacle-over-start"),
+]
+
+
+@pytest.mark.parametrize("agents,obstacles,message", START_CONTACTS)
+def test_starts_in_contact_at_t0_rejected(agents, obstacles, message):
+    doc = dict(MINIMAL, agents=agents, scripted_obstacles=obstacles)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load(doc)
+
+
 def test_refine_budget_below_simplex_rejected_with_path():
     doc = dict(MINIMAL)
     doc["agents"] = [{"id": "bot", "start": [2.0, 5.0, 0.0], "goal": [8.0, 5.0, 0.0],
@@ -167,6 +186,7 @@ MALFORMED = [
     (("seed",), "x"),
     (("seed",), 1.5),
     (("seed",), True),
+    (("seed",), -1),
     (("agents", 0, "radius"), "big"),
     (("agents", 0, "radius"), math.nan),
     (("agents", 0, "start"), [2.0, 5.0]),
@@ -183,6 +203,8 @@ MALFORMED = [
     (("defaults",), {"optimizer": {"bounds": [[0, 1], [0, 1], [0, 1], [0, math.inf]]}}),
     (("defaults",), {"optimizer": {"n_global_samples": 50.5}}),
     (("defaults",), {"optimizer": {"seed": True}}),
+    (("defaults",), {"optimizer": {"seed": -5}}),
+    (("agents", 0, "optimizer"), {"seed": -5}),
     (("agents", 0, "planner"), "fast"),
     (("scripted_obstacles",), 5),
     (("scripted_obstacles",), [{"id": "ped", "waypoints": [[0.0, 1.0, 1.0], [2.0, 3.0]]}]),

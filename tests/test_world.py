@@ -17,7 +17,6 @@ from dsmpepc.world import (
     _ttc_batch,
     distance_to_nearest,
     distance_to_nearest_batch,
-    obstacle_states,
     obstacle_velocity,
     predict_obstacle,
     time_to_collision,
@@ -304,15 +303,12 @@ def test_horizon_snapshot_matches_per_time_queries():
             assert snapshot.clearance(row_x, row_y).tolist() == row.tolist()
         for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys)):
             assert d == pytest.approx(distance_to_nearest(w, (x, y), t), abs=1e-12)
-        assert len(snapshot.tracks) == len(w.obstacles)
-        # the arrays hold exactly the predicted states
-        for k, (obs, (radius, oxs, oys, ovxs, ovys)) in enumerate(
-                zip(w.obstacles, snapshot.tracks)):
-            assert radius == obs.radius
-            for i, t in enumerate(ts):
-                assert (oxs[i], oys[i]) == predict_obstacle(obs, t)
-                assert (ovxs[i], ovys[i]) == obstacle_velocity(obs, t)
-                assert (oxs[i], oys[i], ovxs[i], ovys[i], radius) == obstacle_states(w, t)[k]
+        assert snapshot.tracks.shape == (len(w.obstacles), len(ts), 4)
+        # the array holds exactly the predicted states
+        for obs, track in zip(w.obstacles, snapshot.tracks.tolist()):
+            for (ox, oy, ovx, ovy), t in zip(track, ts, strict=True):
+                assert (ox, oy) == predict_obstacle(obs, t)
+                assert (ovx, ovy) == obstacle_velocity(obs, t)
 
 
 def _assert_arcs_match_reference(grid, rays, robot_radius):
