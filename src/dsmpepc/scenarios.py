@@ -84,8 +84,7 @@ def _obstacle_to_dict(o: DynamicObstacle) -> dict:
 
 def _build(path: str, builder, /, *args, **payload):
     """builder(*args, **payload), with a failure reported as a ScenarioError
-    naming the document path; also coerces single fields (`_build(path,
-    float, value)`)."""
+    naming the document path."""
     try:
         return builder(*args, **payload)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -109,20 +108,42 @@ def _list(value, path: str) -> list:
     return list(value)
 
 
+# the JSON types a document's values are checked against, most specific
+# first: a bool is also an int in Python, and no JSON number is a boolean
+_JSON_TYPES = ((bool, "a boolean"), (str, "a string"), (numbers.Real, "a number"))
+
+
+def _typed(value, like, path: str):
+    """`value`, which must have the JSON type of `like`."""
+    kind, name = next(t for t in _JSON_TYPES if isinstance(like, t[0]))
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ScenarioError(f"{path}: expected {name}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    """`value`, which must be a JSON number, as a float."""
+    return _build(path, float, _typed(value, 0.0, path))
+
+
 def _numbers(value, n: int, path: str) -> tuple[float, ...]:
     """A list of exactly n numbers, coerced to floats."""
     value = _list(value, path)
     if len(value) != n:
         raise ScenarioError(f"{path}: expected {n} numbers, got {len(value)}")
-    return tuple(_build(f"{path}[{k}]", float, v) for k, v in enumerate(value))
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
 def _block(base, value, path: str):
     """`base`, a config dataclass, with the fields that `value`, the config
-    block at `path`, sets; a planner block's `gains` is a block of its own."""
+    block at `path`, sets; each value must have the JSON type of the field's
+    default, and a planner block's `gains` is a block of its own."""
     changes = dict(_object(value, path, tuple(f.name for f in fields(base))))
-    if "gains" in changes:
-        changes["gains"] = _block(base.gains, changes["gains"], f"{path}.gains")
+    for key, field_value in changes.items():
+        if key == "gains":
+            changes[key] = _block(base.gains, field_value, f"{path}.gains")
+        else:
+            _typed(field_value, getattr(base, key), f"{path}.{key}")
     return _build(path, replace, base, **changes)
 
 
@@ -173,11 +194,11 @@ def load(source) -> ScenarioConfig:
         raise ScenarioError("map.rows: expected a list of strings")
     grid = _build(
         "map", OccupancyGrid.from_ascii, rows,
-        _build("map.resolution", float, map_block.get("resolution", 0.0)),
+        _number(map_block.get("resolution", 0.0), "map.resolution"),
         _numbers(map_block.get("origin", (0.0, 0.0)), 2, "map.origin"),
     )
 
-    duration = _build("duration", float, doc.get("duration", 60.0))
+    duration = _number(doc.get("duration", 60.0), "duration")
     if not 0 < duration < math.inf:
         raise ScenarioError("duration: must be positive and finite")
     seed = doc.get("seed", 0)
@@ -206,10 +227,10 @@ def load(source) -> ScenarioConfig:
             cost = dict(cost, mode=entry["mode"])
         spec = _build(
             path, AgentSpec,
-            id=str(entry["id"]),
+            id=_typed(entry["id"], "", f"{path}.id"),
             start=_pose(entry["start"], f"{path}.start"),
             goal=_pose(entry["goal"], f"{path}.goal"),
-            radius=_build(f"{path}.radius", float, entry.get("radius", 0.35)),
+            radius=_number(entry.get("radius", 0.35), f"{path}.radius"),
             planner=_block(default_planner, entry.get("planner", {}), f"{path}.planner"),
             cost=_block(default_cost, cost, f"{path}.cost"),
             optimizer=_block(default_optimizer, entry.get("optimizer", {}),
@@ -226,8 +247,8 @@ def load(source) -> ScenarioConfig:
             raise ScenarioError(f"{path}: 'waypoints' excludes 'position', 'velocity' "
                                 "and 'epoch'")
         payload = {
-            "id": str(entry.get("id", f"obstacle_{i}")),
-            "radius": _build(f"{path}.radius", float, entry.get("radius", 0.3)),
+            "id": _typed(entry.get("id", f"obstacle_{i}"), "", f"{path}.id"),
+            "radius": _number(entry.get("radius", 0.3), f"{path}.radius"),
         }
         if "waypoints" in entry:
             waypoints = _list(entry["waypoints"], f"{path}.waypoints")
@@ -239,11 +260,11 @@ def load(source) -> ScenarioConfig:
                                            f"{path}.position")
             payload["velocity"] = _numbers(entry.get("velocity", (0.0, 0.0)), 2,
                                            f"{path}.velocity")
-            payload["epoch"] = _build(f"{path}.epoch", float, entry.get("epoch", 0.0))
+            payload["epoch"] = _number(entry.get("epoch", 0.0), f"{path}.epoch")
         obstacles.append(_build(path, DynamicObstacle, **payload))
 
     config = ScenarioConfig(
-        name=str(doc.get("name", "scenario")),
+        name=_typed(doc.get("name", "scenario"), "", "name"),
         grid=grid,
         agents=tuple(agents),
         scripted_obstacles=tuple(obstacles),
@@ -300,6 +321,11 @@ def validate(config: ScenarioConfig) -> None:
                 f"agent {agent.id!r}: step_h {agent.planner.step_h:g} differs from "
                 f"{step:g}; all agents must share one step"
             )
+    # the rule PlannerConfig applies to horizon_T: a run is a whole number of steps
+    n_steps = config.duration / step
+    if abs(n_steps - round(n_steps)) > 1e-9:
+        raise ScenarioError(f"duration: {config.duration:g} s is not an integer multiple "
+                            f"of step_h {step:g} s")
     for obs in config.scripted_obstacles:
         if obs.waypoints is not None:
             t0, t1 = obs.waypoints[0][0], obs.waypoints[-1][0]

@@ -10,9 +10,7 @@ distance field and of the navigation field: the clearance, the TTC ray march
 and the progress term all read through it. Its constants (origin,
 resolution, clamps, corner offsets) are folded into 0-d arrays once per
 grid, and it works in place on a few arrays per call, since the march calls
-it once per lockstep iteration on few points. The march (`_static_ray_arcs`)
-keeps its rays compacted to the marching set and compacts again only once
-the live rays have halved; rays that ended meanwhile are sampled but masked.
+it once per lockstep iteration on few points.
 """
 
 from __future__ import annotations
@@ -178,8 +176,8 @@ class OccupancyGrid:
         row-major field."""
         ox, oy, res, w1, h1, ix_last, iy_last, width, d01, d10, d11 = self._folded
         shape = np.shape(xs)
-        gx = np.subtract(xs, ox, out=np.empty(shape or 1))
-        gy = np.subtract(ys, oy, out=np.empty(shape or 1))
+        gx = np.subtract(xs, ox, out=np.empty(shape))
+        gy = np.subtract(ys, oy, out=np.empty(shape))
         cells = []
         for g, last, g_max in ((gx, ix_last, w1), (gy, iy_last, h1)):
             np.divide(g, res, out=g)
@@ -208,7 +206,7 @@ class OccupancyGrid:
         np.multiply(one_minus, v00, out=v00)
         np.multiply(gy, v10, out=v10)
         np.add(v00, v10, out=v00)
-        return v00 if shape else v00[0]
+        return v00
 
 
 def _axis_stencil(cells: int) -> tuple[int, int, int]:
@@ -352,13 +350,8 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     Sphere-tracing march from where each ray enters the grid box: the
     1-Lipschitz field allows steps of (df - radius), floored at resolution/2
     so the error stays within one cell. All rays march in lockstep, each
-    until it hits or passes its end.
-
-    The rays' origins, directions, arcs and ends are kept compacted to the
-    marching set. A ray that ends is only masked out (it is still sampled,
-    and never recorded again, so each arc is its first hit); the arrays are
-    compacted again once the live rays are at most half of them. That bounds
-    the idle samples to the live ones while most iterations gather nothing.
+    until it hits or passes its end; each iteration samples only the rays
+    still marching.
     """
     n = x.shape[0]
     arcs = np.full(n, math.inf)
@@ -379,34 +372,18 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
         s0 = np.where(parallel, s0, np.maximum(s0, lo_t))
         s1 = np.where(parallel, s1, np.minimum(s1, hi_t))
     valid &= s1 >= s0
-    min_step = np.array(0.5 * grid.resolution)
-    radius = np.array(robot_radius)
+    min_step = 0.5 * grid.resolution
 
     idx = np.flatnonzero(valid)
-    origin = np.stack((x[idx], y[idx]))
-    direction = np.stack((ux[idx], uy[idx]))
     s, end = s0[idx], s1[idx]
-    live = np.ones(idx.size, dtype=bool)
-    n_live = idx.size
-    while n_live:
-        point = np.multiply(direction, s)
-        np.add(origin, point, out=point)
-        gap = grid.sample_distance_batch(*point)
-        np.subtract(gap, radius, out=gap)
-        hit = np.less_equal(gap, _ZERO)
-        np.logical_and(hit, live, out=hit)
-        if np.count_nonzero(hit):
-            arcs[idx[hit]] = s[hit]
-            np.logical_xor(live, hit, out=live)
-        np.maximum(min_step, gap, out=gap)
-        np.add(s, gap, out=s)
-        np.logical_and(live, np.less_equal(s, end), out=live)
-        n_live = np.count_nonzero(live)
-        if 2 * n_live <= idx.size:
-            keep = np.flatnonzero(live)
-            idx, s, end = idx[keep], s[keep], end[keep]
-            origin, direction = origin[:, keep], direction[:, keep]
-            live = np.ones(n_live, dtype=bool)
+    while idx.size:
+        df = grid.sample_distance_batch(x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)
+        gap = df - robot_radius
+        hit = gap <= 0.0
+        arcs[idx[hit]] = s[hit]
+        s = s + np.maximum(min_step, gap)
+        alive = ~hit & (s <= end)
+        idx, s, end = idx[alive], s[alive], end[alive]
     return arcs
 
 

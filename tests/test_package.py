@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import dsmpepc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_star_import_binds_every_export():
@@ -8,3 +13,15 @@ def test_star_import_binds_every_export():
     for name in dsmpepc.__all__:
         assert namespace[name] is getattr(dsmpepc, name)
     assert len(set(dsmpepc.__all__)) == len(dsmpepc.__all__)
+
+
+def test_readme_library_example_runs_as_commented():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(code, f"{README.name} (## Library)", "exec"), namespace)
+    result, rows = namespace["result"], namespace["rows"]
+    assert rows.total == result.best_cost
+    assert len(rows.p_s) == 25
+    assert -1.0 <= rows.j_terminal <= 0.0
+    assert len(result.best_trajectory.states) == 26

@@ -210,6 +210,20 @@ MALFORMED = [
     (("scripted_obstacles",), [{"id": "ped", "waypoints": [[0.0, 1.0, 1.0], [2.0, 3.0]]}]),
     (("scripted_obstacles",), [dict(_PED, radius=math.nan)]),
     (("scripted_obstacles",), [dict(_PED, velocity=[math.nan, 0.0])]),
+    # wrongly typed JSON values, which loaded coerced or as they were
+    (("defaults",), {"cost": {"include_terminal": "no"}}),
+    (("defaults",), {"planner": {"v_limit": True}}),
+    (("duration",), True),
+    (("agents", 0, "radius"), "0.4"),
+    (("agents", 0, "start"), [True, "1.5", 0]),
+    (("name",), None),
+    (("agents", 0, "id"), None),
+    (("map", "resolution"), "0.5"),
+    (("scripted_obstacles",), [dict(_PED, id=None)]),
+    (("scripted_obstacles",), [dict(_PED, velocity=["0.1", 0.0])]),
+    # not a whole number of 0.2 s planner steps
+    (("duration",), 0.5),
+    (("duration",), 1.5),
 ]
 
 
