@@ -40,7 +40,7 @@ from .kinematics import (
     rollout,
 )
 from .optimizer import OptimizerConfig, PlanResult, evaluate_candidate, plan
-from .scenarios import BUILTINS, ScenarioConfig, ScenarioError, builtin, load, validate
+from .scenarios import BUILTINS, ScenarioConfig, ScenarioError, builtin, load
 from .simulator import (
     AgentResult,
     AgentSpec,
@@ -112,7 +112,6 @@ __all__ = [
     "terminal_ttc",
     "time_to_collision",
     "trajectory_cost",
-    "validate",
     "velocity_modulation",
     "wrap_angle",
 ]

@@ -89,6 +89,8 @@ class PlannerConfig:
         n = self.horizon_T / self.step_h
         if abs(n - round(n)) > 1e-9:
             raise ValueError("horizon_T must be an integer multiple of step_h")
+        if round(n) < 1:
+            raise ValueError("horizon_T must be at least one step_h")
 
     @property
     def n_steps(self) -> int:

@@ -1,4 +1,4 @@
-"""Scenario schema, loader/validator, and the built-in benchmark suite.
+"""Scenario schema, loader, and the built-in benchmark suite.
 
 A scenario is a JSON document with keys
 `name, map{rows[], resolution, origin?}, defaults{planner, cost, optimizer},
@@ -6,6 +6,10 @@ agents[], scripted_obstacles[], duration, seed`. Maps are ASCII rows
 ('#' occupied, '.' free, first row = top). Angles are radians, lengths
 meters, times seconds. Each `defaults` block is built on its own; an agent's
 `planner`, `cost` and `optimizer` blocks then override its fields.
+
+`ScenarioConfig` checks the scenario rules when it is built, so they hold
+for every scenario: loaded, built-in, constructed or `dataclasses.replace`d.
+The loader checks only what a document adds: JSON types, keys and paths.
 """
 
 from __future__ import annotations
@@ -32,12 +36,87 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario that a run can start from; a broken rule is a ScenarioError
+    that names the field, agent or obstacle."""
+
     name: str
     grid: OccupancyGrid
     agents: tuple[AgentSpec, ...]
     scripted_obstacles: tuple[DynamicObstacle, ...]
     duration: float
     seed: int
+
+    def __post_init__(self) -> None:
+        for name in ("agents", "scripted_obstacles"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ScenarioError(f"{name}: expected a tuple")
+        if not self.agents:
+            raise ScenarioError("agents: a scenario needs at least one agent")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ScenarioError("seed: must be an integer")
+        if self.seed < 0:
+            raise ScenarioError("seed: must be >= 0")
+        # a contact names the other party by its id, or "grid" for the map
+        ids = [a.id for a in self.agents] + [o.id for o in self.scripted_obstacles]
+        for k, ident in enumerate(ids):
+            if ident == "grid":
+                raise ScenarioError("agents and scripted_obstacles: id 'grid' names the map")
+            if ident in ids[:k]:
+                raise ScenarioError(f"agents and scripted_obstacles: duplicate id {ident!r}")
+        step = self.agents[0].planner.step_h
+        for agent in self.agents:
+            if abs(agent.planner.step_h - step) > 1e-12:
+                raise ScenarioError(
+                    f"agent {agent.id!r}: step_h {agent.planner.step_h:g} differs from "
+                    f"{step:g}; all agents must share one step"
+                )
+        if not 0 < self.duration < math.inf:
+            raise ScenarioError("duration: must be positive and finite")
+        # the rule PlannerConfig applies to horizon_T: a run is a whole number of steps
+        n_steps = self.duration / step
+        if abs(n_steps - round(n_steps)) > 1e-9:
+            raise ScenarioError(f"duration: {self.duration:g} s is not an integer multiple "
+                                f"of step_h {step:g} s")
+        if round(n_steps) < 1:
+            raise ScenarioError(f"duration: {self.duration:g} s is shorter than one "
+                                f"step_h {step:g} s")
+        for obs in self.scripted_obstacles:
+            if obs.waypoints is not None:
+                t0, t1 = obs.waypoints[0][0], obs.waypoints[-1][0]
+                if t0 < 0 or t1 > self.duration:
+                    raise ScenarioError(
+                        f"obstacle {obs.id!r}: script times [{t0:g}, {t1:g}] outside "
+                        f"[0, {self.duration:g}]"
+                    )
+        # starts and goals lie on the map, and none is in contact by the
+        # simulator's own test; the starts as a run's first step finds them
+        grid = self.grid
+        xmin, ymin, xmax, ymax = grid.extent
+        radii = {a.id: a.radius for a in self.agents}
+
+        def near_map(agent_id: str, label: str, x: float, y: float) -> ScenarioError:
+            return ScenarioError(
+                f"agent {agent_id!r}: {label} too close to static obstacles (clearance "
+                f"{grid.sample_distance(x, y):.3f} m <= radius {radii[agent_id]:g} m)"
+            )
+
+        for agent in self.agents:
+            for label, pose in (("start", agent.start), ("goal", agent.goal)):
+                if not (xmin <= pose.x <= xmax and ymin <= pose.y <= ymax):
+                    raise ScenarioError(
+                        f"agent {agent.id!r}: {label} ({pose.x:g}, {pose.y:g}) outside the map"
+                    )
+            goal = {agent.id: (agent.goal.x, agent.goal.y)}
+            if detect_collision(grid, goal, radii, (), 0.0):
+                raise near_map(agent.id, "goal", *goal[agent.id])
+        starts = {a.id: (a.start.x, a.start.y) for a in self.agents}
+        for aid, other in detect_collision(grid, starts, radii, self.scripted_obstacles, 0.0):
+            if other == "grid":
+                raise near_map(aid, "start", *starts[aid])
+            if other in starts:
+                raise ScenarioError(f"agents {aid!r} and {other!r}: overlapping starts "
+                                    f"({math.dist(starts[aid], starts[other]):.3f} m apart)")
+            raise ScenarioError(f"agent {aid!r}: start overlaps obstacle {other!r} at t = 0")
 
     def to_dict(self) -> dict:
         ox, oy = self.grid.origin
@@ -148,7 +227,7 @@ def _block(base, value, path: str):
 
 
 def _pose(value, path: str) -> Pose:
-    """[x, y, heading]; x and y outside the map are rejected by validate()."""
+    """[x, y, heading]; x and y outside the map are rejected by ScenarioConfig."""
     x, y, heading = _numbers(value, 3, path)
     if not math.isfinite(heading):
         raise ScenarioError(f"{path}: heading must be finite")
@@ -156,7 +235,7 @@ def _pose(value, path: str) -> Pose:
 
 
 def load(source) -> ScenarioConfig:
-    """Load and validate a scenario from a dict, a JSON string, or a file path."""
+    """Load a scenario from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
         doc = source
     elif isinstance(source, (str, os.PathLike)):
@@ -198,13 +277,6 @@ def load(source) -> ScenarioConfig:
         _numbers(map_block.get("origin", (0.0, 0.0)), 2, "map.origin"),
     )
 
-    duration = _number(doc.get("duration", 60.0), "duration")
-    if not 0 < duration < math.inf:
-        raise ScenarioError("duration: must be positive and finite")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ScenarioError("seed: must be an integer")
-
     defaults = _object(doc.get("defaults", {}), "defaults", ("planner", "cost", "optimizer"))
     # each block must hold on its own, so a bad value is named where it is written
     default_planner = _block(PlannerConfig(), defaults.get("planner", {}), "defaults.planner")
@@ -212,19 +284,17 @@ def load(source) -> ScenarioConfig:
     default_optimizer = _block(OptimizerConfig(), defaults.get("optimizer", {}),
                                "defaults.optimizer")
 
-    agents_block = doc.get("agents", [])
-    if not isinstance(agents_block, list) or not agents_block:
-        raise ScenarioError("agents: expected a non-empty list")
     agents = []
-    for i, entry in enumerate(agents_block):
+    for i, entry in enumerate(_list(doc.get("agents", []), "agents")):
         path = f"agents[{i}]"
         entry = _object(entry, path, ("id", "start", "goal", "radius", "mode", "planner",
                                       "cost", "optimizer"))
         if "id" not in entry or "start" not in entry or "goal" not in entry:
             raise ScenarioError(f"{path}: 'id', 'start' and 'goal' are required")
-        cost = _object(entry.get("cost", {}), f"{path}.cost")
+        cost = _block(default_cost, entry.get("cost", {}), f"{path}.cost")
         if "mode" in entry:
-            cost = dict(cost, mode=entry["mode"])
+            mode = _typed(entry["mode"], "", f"{path}.mode")
+            cost = _build(f"{path}.mode", replace, cost, mode=mode)
         spec = _build(
             path, AgentSpec,
             id=_typed(entry["id"], "", f"{path}.id"),
@@ -232,7 +302,7 @@ def load(source) -> ScenarioConfig:
             goal=_pose(entry["goal"], f"{path}.goal"),
             radius=_number(entry.get("radius", 0.35), f"{path}.radius"),
             planner=_block(default_planner, entry.get("planner", {}), f"{path}.planner"),
-            cost=_block(default_cost, cost, f"{path}.cost"),
+            cost=cost,
             optimizer=_block(default_optimizer, entry.get("optimizer", {}),
                              f"{path}.optimizer"),
         )
@@ -263,77 +333,14 @@ def load(source) -> ScenarioConfig:
             payload["epoch"] = _number(entry.get("epoch", 0.0), f"{path}.epoch")
         obstacles.append(_build(path, DynamicObstacle, **payload))
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name=_typed(doc.get("name", "scenario"), "", "name"),
         grid=grid,
         agents=tuple(agents),
         scripted_obstacles=tuple(obstacles),
-        duration=duration,
-        seed=seed,
+        duration=_number(doc.get("duration", 60.0), "duration"),
+        seed=doc.get("seed", 0),
     )
-    validate(config)
-    return config
-
-
-def validate(config: ScenarioConfig) -> None:
-    """Raise ScenarioError on geometric or schema-level inconsistencies."""
-    grid = config.grid
-    xmin, ymin, xmax, ymax = grid.extent
-    # a contact names the other party by its id, or "grid" for the map
-    ids = [a.id for a in config.agents] + [o.id for o in config.scripted_obstacles]
-    for k, ident in enumerate(ids):
-        if ident == "grid":
-            raise ScenarioError("agents and scripted_obstacles: id 'grid' names the map")
-        if ident in ids[:k]:
-            raise ScenarioError(f"agents and scripted_obstacles: duplicate id {ident!r}")
-    if config.seed < 0:
-        raise ScenarioError("seed: must be >= 0")
-    radii = {a.id: a.radius for a in config.agents}
-
-    def near_map(agent_id: str, label: str, x: float, y: float) -> ScenarioError:
-        return ScenarioError(
-            f"agent {agent_id!r}: {label} too close to static obstacles (clearance "
-            f"{grid.sample_distance(x, y):.3f} m <= radius {radii[agent_id]:g} m)"
-        )
-
-    for agent in config.agents:
-        for label, pose in (("start", agent.start), ("goal", agent.goal)):
-            if not (xmin <= pose.x <= xmax and ymin <= pose.y <= ymax):
-                raise ScenarioError(
-                    f"agent {agent.id!r}: {label} ({pose.x:g}, {pose.y:g}) outside the map"
-                )
-        # the grid rule of detect_collision
-        if grid.sample_distance(agent.goal.x, agent.goal.y) - agent.radius <= 0.0:
-            raise near_map(agent.id, "goal", agent.goal.x, agent.goal.y)
-    # the starts must pass the contact test of the simulation's first step
-    starts = {a.id: (a.start.x, a.start.y) for a in config.agents}
-    for aid, other in detect_collision(grid, starts, radii, config.scripted_obstacles, 0.0):
-        if other == "grid":
-            raise near_map(aid, "start", *starts[aid])
-        if other in starts:
-            raise ScenarioError(f"agents {aid!r} and {other!r}: overlapping starts "
-                                f"({math.dist(starts[aid], starts[other]):.3f} m apart)")
-        raise ScenarioError(f"agent {aid!r}: start overlaps obstacle {other!r} at t = 0")
-    step = config.agents[0].planner.step_h
-    for agent in config.agents:
-        if abs(agent.planner.step_h - step) > 1e-12:
-            raise ScenarioError(
-                f"agent {agent.id!r}: step_h {agent.planner.step_h:g} differs from "
-                f"{step:g}; all agents must share one step"
-            )
-    # the rule PlannerConfig applies to horizon_T: a run is a whole number of steps
-    n_steps = config.duration / step
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ScenarioError(f"duration: {config.duration:g} s is not an integer multiple "
-                            f"of step_h {step:g} s")
-    for obs in config.scripted_obstacles:
-        if obs.waypoints is not None:
-            t0, t1 = obs.waypoints[0][0], obs.waypoints[-1][0]
-            if t0 < 0 or t1 > config.duration:
-                raise ScenarioError(
-                    f"obstacle {obs.id!r}: script times [{t0:g}, {t1:g}] outside "
-                    f"[0, {config.duration:g}]"
-                )
 
 
 # --------------------------------------------------------------------------
@@ -352,19 +359,6 @@ def _carved_grid(width_m: float, height_m: float, resolution: float, free_fn) ->
             if free_fn((ix + 0.5) * resolution, cy):
                 occupied[iy, ix] = False
     return OccupancyGrid(occupied, resolution)
-
-
-def _scenario(name, grid, agents, duration, seed=1, obstacles=()) -> ScenarioConfig:
-    config = ScenarioConfig(
-        name=name,
-        grid=grid,
-        agents=tuple(agents),
-        scripted_obstacles=tuple(obstacles),
-        duration=duration,
-        seed=seed,
-    )
-    validate(config)
-    return config
 
 
 # Benchmark scenarios use a lighter search budget than the library default
@@ -389,7 +383,7 @@ def open_field(mode: str = "ds_mpepc", size: float = 20.0, goal_distance: float 
     mid = size / 2.0
     x0 = (size - goal_distance) / 2.0
     agent = _agent("robot", Pose(x0, mid, 0.0), Pose(x0 + goal_distance, mid, 0.0), mode)
-    return _scenario("open_field", grid, [agent], duration=20.0, seed=seed)
+    return ScenarioConfig("open_field", grid, (agent,), (), duration=20.0, seed=seed)
 
 
 def t_corridor(mode: str = "ds_mpepc", corridor_width: float = 2.2,
@@ -416,7 +410,7 @@ def t_corridor(mode: str = "ds_mpepc", corridor_width: float = 2.2,
     # distance-only cost still prefers halting.
     blocker_pos = Pose(5.6, bar_lo + 0.7, 0.0)
     blocker = _agent("blocker", blocker_pos, blocker_pos, mode)
-    return _scenario("t_corridor", grid, [mover, blocker], duration=60.0, seed=seed)
+    return ScenarioConfig("t_corridor", grid, (mover, blocker), (), duration=60.0, seed=seed)
 
 
 def narrow_corridor(mode: str = "ds_mpepc", width: float = 2.1, length: float = 10.0,
@@ -448,7 +442,8 @@ def narrow_corridor(mode: str = "ds_mpepc", width: float = 2.1, length: float = 
         Pose(1.0 + 0.8, mid + bias, math.pi),
         mode, radius=robot_radius,
     )
-    return _scenario("narrow_corridor", grid, [east, west], duration=60.0, seed=seed)
+    return ScenarioConfig("narrow_corridor", grid, (east, west), (), duration=60.0,
+                          seed=seed)
 
 
 def circle(mode: str = "ds_mpepc", n: int = 4, radius: float = 4.0,
@@ -475,7 +470,7 @@ def circle(mode: str = "ds_mpepc", n: int = 4, radius: float = 4.0,
             _agent(f"agent_{k}", Pose(sx, sy, heading), Pose(gx, gy, heading),
                    mode, radius=robot_radius)
         )
-    return _scenario(f"circle_{n}", grid, agents, duration=45.0, seed=seed)
+    return ScenarioConfig(f"circle_{n}", grid, tuple(agents), (), duration=45.0, seed=seed)
 
 
 def pedestrian_hall(mode: str = "ds_mpepc", resolution: float = 0.25,
@@ -517,8 +512,7 @@ def pedestrian_hall(mode: str = "ds_mpepc", resolution: float = 0.25,
             waypoints=((0.0, 14.5, 5.5), (16.0, 2.5, 5.5), (32.0, 14.5, 5.5)),
         ),
     )
-    return _scenario("pedestrian_hall", grid, [agent], duration=40.0, seed=seed,
-                     obstacles=peds)
+    return ScenarioConfig("pedestrian_hall", grid, (agent,), peds, duration=40.0, seed=seed)
 
 
 BUILTINS = {

@@ -46,6 +46,9 @@ def random_case(rng):
 def test_planner_config_requires_integer_steps():
     with pytest.raises(ValueError):
         PlannerConfig(horizon_T=1.0, step_h=0.3)
+    # 5e-10 steps passes the 1e-9 whole-step rule, but a rollout needs a step
+    with pytest.raises(ValueError, match="^horizon_T must be at least one step_h$"):
+        PlannerConfig(horizon_T=1e-10)
     assert PlannerConfig(horizon_T=5.0, step_h=0.2).n_steps == 25
 
 

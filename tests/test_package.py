@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import dsmpepc
+from dsmpepc import load
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +26,12 @@ def test_readme_library_example_runs_as_commented():
     assert len(rows.p_s) == 25
     assert -1.0 <= rows.j_terminal <= 0.0
     assert len(result.best_trajectory.states) == 26
+
+
+def test_readme_scenario_document_loads_and_round_trips():
+    files = README.read_text(encoding="utf-8").split("\n## Scenario files\n", 1)[1]
+    document = re.search(r"```json\n(.*?)```", files, re.DOTALL).group(1)
+    config = load(document)
+    assert [a.id for a in config.agents] == ["bot"]
+    assert [o.id for o in config.scripted_obstacles] == ["ped"]
+    assert load(config.to_json()).to_dict() == config.to_dict()

@@ -2,11 +2,16 @@ import copy
 import json
 import math
 import re
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
+from dsmpepc.geometry import Pose
+from dsmpepc.kinematics import PlannerConfig
 from dsmpepc.scenarios import (
     BUILTINS,
+    ScenarioConfig,
     ScenarioError,
     builtin,
     load,
@@ -224,6 +229,11 @@ MALFORMED = [
     # not a whole number of 0.2 s planner steps
     (("duration",), 0.5),
     (("duration",), 1.5),
+    # an agent-level mode, named where it is written, not under its cost block
+    (("agents", 0, "mode"), 5),
+    (("agents", 0, "mode"), "fast"),
+    # within the whole-step rule of 0.2 s steps, but no step
+    (("agents", 0, "planner"), {"horizon_T": 1e-10}),
 ]
 
 
@@ -235,8 +245,13 @@ def test_malformed_field_is_a_scenario_error(path, value):
         target = target[key]
     target[path[-1]] = value
     # JSON text carries NaN and Infinity as the literals json.loads accepts
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as raised:
         load(json.dumps(doc))
+    # the error names the value's path, a block that holds it or a field in it
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+    named = str(raised.value).split(": ", 1)[0]
+    inner, outer = sorted((named, where), key=len)
+    assert outer == inner or outer.startswith((inner + ".", inner + "["))
 
 
 # (path into the document, misspelt key, the path the error must name). The
@@ -280,6 +295,7 @@ def test_unknown_key_is_a_scenario_error(path, key, named):
 # under the first agent's block, where the defaults are merged in
 DEFAULTS_VALUE_ERRORS = [
     ("planner", {"v_limit": -1}, "defaults.planner: v_limit must be positive and finite"),
+    ("planner", {"horizon_T": 1e-10}, "defaults.planner: horizon_T must be at least one step_h"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
     ("optimizer", {"n_global_samples": 0}, "defaults.optimizer: n_global_samples must be >= 1"),
@@ -301,6 +317,61 @@ def test_waypoints_exclude_constant_velocity_keys(key):
     doc = dict(MINIMAL, scripted_obstacles=[obstacle])
     with pytest.raises(ScenarioError, match=r"^scripted_obstacles\[0\]: 'waypoints' excludes"):
         load(doc)
+
+
+# t_corridor, whose map has walls, and its two agents
+T_CORRIDOR = builtin("t_corridor")
+MOVER, BLOCKER = T_CORRIDOR.agents
+
+# (the fields a fault changes in T_CORRIDOR, the error every path raises)
+SCENARIO_FAULTS = [
+    pytest.param({"duration": 0.5},
+                 "duration: 0.5 s is not an integer multiple of step_h 0.2 s", id="off-step"),
+    pytest.param({"duration": 1e-10},
+                 "duration: 1e-10 s is shorter than one step_h 0.2 s", id="under-one-step"),
+    pytest.param({"seed": -3}, "seed: must be >= 0", id="negative-seed"),
+    pytest.param({"agents": (replace(MOVER, goal=Pose(-5.0, 10.0, 0.0)), BLOCKER)},
+                 "agent 'mover': goal (-5, 10) outside the map", id="goal-off-map"),
+    pytest.param({"agents": (replace(MOVER, start=Pose(0.5, 0.5, 0.0)), BLOCKER)},
+                 "agent 'mover': start too close to static obstacles (clearance 0.000 m "
+                 "<= radius 0.35 m)", id="start-in-wall"),
+    pytest.param({"agents": ()}, "agents: a scenario needs at least one agent",
+                 id="no-agents"),
+    pytest.param({"agents": (MOVER, replace(BLOCKER, planner=PlannerConfig(step_h=0.1)))},
+                 "agent 'blocker': step_h 0.1 differs from 0.2; all agents must share one step",
+                 id="mismatched-step"),
+]
+
+
+def _with(changes: dict) -> dict:
+    """The fields of T_CORRIDOR with `changes`."""
+    return {f.name: getattr(T_CORRIDOR, f.name) for f in fields(ScenarioConfig)} | changes
+
+
+# the ways to build a scenario; no ScenarioConfig can hold a fault, so the
+# document is written by to_dict from the bare fields
+BUILDERS = {
+    "load": lambda changes: load(
+        json.dumps(ScenarioConfig.to_dict(SimpleNamespace(**_with(changes))))),
+    "constructor": lambda changes: ScenarioConfig(**_with(changes)),
+    "replace": lambda changes: replace(builtin("t_corridor"), **changes),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("changes,message", SCENARIO_FAULTS)
+def test_every_build_path_rejects_the_same_faults(changes, message, build):
+    with pytest.raises(ScenarioError) as raised:
+        BUILDERS[build](changes)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("name", ["agents", "scripted_obstacles"])
+def test_scenario_sequences_are_tuples(name):
+    # a checked scenario cannot change afterwards
+    config = builtin("pedestrian_hall")
+    with pytest.raises(ScenarioError, match=rf"^{name}: expected a tuple$"):
+        replace(config, **{name: list(getattr(config, name))})
 
 
 def test_round_trip_serialization():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dsmpepc.cost import BASELINE_MPEPC, CostParams
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig
 from dsmpepc.optimizer import OptimizerConfig
-from dsmpepc.scenarios import ScenarioConfig, _agent_to_dict
+from dsmpepc.scenarios import ScenarioConfig, ScenarioError, _agent_to_dict
 from dsmpepc.simulator import (
     AgentSpec,
     TraceSample,
@@ -122,17 +123,24 @@ def test_single_agent_open_field_bounds():
 
 
 def test_agent_spawned_in_contact_freezes():
-    rows = ["#" * 40] + ["#" + "." * 38 + "#"] * 38 + ["#" * 40]
+    # a disk drives onto the agent's start by t = 0.6 s, faster than the agent
+    # can leave it, while a second agent keeps the run going; a start already
+    # in contact is rejected when the scenario is built (tests/test_scenarios.py)
+    ram = DynamicObstacle(id="ram", radius=0.5,
+                          waypoints=((0.0, 5.0, 13.0), (0.6, 5.0, 10.0)))
     scenario = make_scenario(
-        [spec("bot", Pose(0.6, 5.0, 0.0), Pose(8.0, 5.0, 0.0), radius=0.5)],
-        rows=rows, duration=5.0,
+        [spec("bot", Pose(5.0, 10.0, 0.0), Pose(12.0, 10.0, 0.0), radius=0.5),
+         spec("far", Pose(15.0, 3.0, math.pi / 2), Pose(15.0, 17.0, math.pi / 2))],
+        duration=5.0, obstacles=(ram,),
     )
     result = run(scenario)
     bot = result.agent("bot")
     assert bot.outcome == "collided"
-    xs = {s.x for s in bot.trace}
-    ys = {s.y for s in bot.trace}
-    assert len(xs) == 1 and len(ys) == 1
+    hit = min(c.t for c in result.contacts if c.agent_id == "bot")
+    assert 0.0 < hit < 1.0
+    after = [s for s in bot.trace if s.t >= hit]
+    assert len(after) > 1
+    assert len({(s.x, s.y) for s in after}) == 1
 
 
 def test_two_agent_head_on_ds():
@@ -200,9 +208,9 @@ def test_mismatched_step_rejected():
     a = spec("a", Pose(5, 5, 0), Pose(10, 5, 0))
     b = spec("b", Pose(5, 8, 0), Pose(10, 8, 0),
              planner=PlannerConfig(step_h=0.1, horizon_T=5.0))
-    scenario = make_scenario([a, b])
-    with pytest.raises(ValueError, match="share the same planner step"):
-        run(scenario)
+    with pytest.raises(ScenarioError, match=re.escape(
+            "agent 'b': step_h 0.1 differs from 0.2; all agents must share one step")):
+        make_scenario([a, b])
 
 
 def test_scripted_obstacle_participates():
