@@ -40,22 +40,15 @@ from .kinematics import (
     rollout,
 )
 from .optimizer import OptimizerConfig, PlanResult, evaluate_candidate, plan
-from .scenarios import BUILTINS, ScenarioConfig, ScenarioError, builtin, load
-from .simulator import (
-    AgentResult,
-    AgentSpec,
-    ContactEvent,
-    SimResult,
-    detect_collision,
-    detect_deadlock,
-    run,
-)
+from .scenarios import AgentSpec, BUILTINS, ScenarioConfig, ScenarioError, builtin, load
+from .simulator import AgentResult, ContactEvent, SimResult, detect_deadlock, run
 from .world import (
     DynamicObstacle,
     NavigationField,
     OccupancyGrid,
     TTC_HORIZON,
     World,
+    detect_collision,
     distance_to_nearest,
     predict_obstacle,
     time_to_collision,

@@ -32,10 +32,6 @@ _MODE_ALIASES = {"ds": DS_MPEPC, "mpepc": BASELINE_MPEPC,
                  DS_MPEPC: DS_MPEPC, BASELINE_MPEPC: BASELINE_MPEPC}
 
 
-def _default_out() -> str:
-    return os.environ.get("DSMPEPC_OUT", "runs")
-
-
 def _load_scenario(source: str, mode: str | None, seed: int | None) -> scen.ScenarioConfig:
     if os.path.exists(source):
         config = scen.load(source)
@@ -288,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON path or built-in name")
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override scenario seed")
-        p.add_argument("--out", default=_default_out(),
-                       help="output directory (env DSMPEPC_OUT)")
+        p.add_argument("--out", default="runs", help="output directory")
 
     def mode(p):
         # not on compare, which always runs both modes

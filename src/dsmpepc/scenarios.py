@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,12 +26,35 @@ from .cost import CostParams
 from .geometry import Pose
 from .kinematics import PlannerConfig
 from .optimizer import OptimizerConfig
-from .simulator import AgentSpec, detect_collision
-from .world import DynamicObstacle, OccupancyGrid
+from .world import DynamicObstacle, OccupancyGrid, detect_collision
 
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
+
+
+@dataclass(frozen=True)
+class AgentSpec:
+    """One robot in a scenario: endpoints, footprint, and configs.
+
+    The cost mode lives in `cost.mode`; `mode` reads it.
+    """
+
+    id: str
+    start: Pose
+    goal: Pose
+    radius: float = 0.35
+    planner: PlannerConfig = field(default_factory=PlannerConfig)
+    cost: CostParams = field(default_factory=CostParams)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def __post_init__(self) -> None:
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"agent {self.id!r}: radius must be positive and finite")
+
+    @property
+    def mode(self) -> str:
+        return self.cost.mode
 
 
 @dataclass(frozen=True)
@@ -89,7 +112,7 @@ class ScenarioConfig:
                         f"[0, {self.duration:g}]"
                     )
         # starts and goals lie on the map, and none is in contact by the
-        # simulator's own test; the starts as a run's first step finds them
+        # contact test of a run's steps; the starts as the first step finds them
         grid = self.grid
         xmin, ymin, xmax, ymax = grid.extent
         radii = {a.id: a.radius for a in self.agents}
@@ -107,10 +130,11 @@ class ScenarioConfig:
                         f"agent {agent.id!r}: {label} ({pose.x:g}, {pose.y:g}) outside the map"
                     )
             goal = {agent.id: (agent.goal.x, agent.goal.y)}
-            if detect_collision(grid, goal, radii, (), 0.0):
+            if detect_collision(grid, goal, radii, (), 0.0)[0]:
                 raise near_map(agent.id, "goal", *goal[agent.id])
         starts = {a.id: (a.start.x, a.start.y) for a in self.agents}
-        for aid, other in detect_collision(grid, starts, radii, self.scripted_obstacles, 0.0):
+        contacts, _ = detect_collision(grid, starts, radii, self.scripted_obstacles, 0.0)
+        for aid, other in contacts:
             if other == "grid":
                 raise near_map(aid, "start", *starts[aid])
             if other in starts:

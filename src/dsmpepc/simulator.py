@@ -1,12 +1,13 @@
 """Closed-loop multi-agent simulation with receding-horizon replanning.
 
-One loop (`steps`) builds one scene per step. A step records contacts and
-goal arrivals and stops the agents that finished; stopped agents stay in
-the world as static disks. It then builds every agent's disk once and every
-agent's `World` once: the others as constant-velocity disks, plus the
-scripted obstacles. The trace's clearance and that step's plans read those
-worlds, and all active agents execute the first control of their plans at
-once. `run()` summarises the steps; the CLI's landscape reads one. The loop
+One loop (`steps`) builds one scene per step. A step makes one contact
+pass (`world.detect_collision`), which gives its contacts and every agent's
+trace clearance; it records goal arrivals and stops the agents that
+finished; stopped agents stay in the world as static disks. It then builds
+every agent's disk once and every agent's `World` once: the others as
+constant-velocity disks, plus the scripted obstacles. That step's plans read
+those worlds, and all active agents execute the first control of their plans
+at once. `run()` summarises the steps; the CLI's landscape reads one. The loop
 is deterministic for a fixed scenario and seed.
 """
 
@@ -14,26 +15,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import CostParams
-from .geometry import Pose
-from .kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout_batch
-from .optimizer import OptimizerConfig, PlanResult, plan
-from .world import (
-    DynamicObstacle,
-    NavigationField,
-    OccupancyGrid,
-    World,
-    distance_to_nearest,
-    predict_obstacle,
-)
-
-if TYPE_CHECKING:
-    from .scenarios import ScenarioConfig
+from .kinematics import RobotState, TrajectoryParam, rollout_batch
+from .optimizer import PlanResult, plan
+from .scenarios import ScenarioConfig
+from .world import DynamicObstacle, NavigationField, World, detect_collision
 
 # An agent slower than this for DEADLOCK_WINDOW seconds while still away from
 # its goal counts as deadlocked.
@@ -44,30 +33,6 @@ OUTCOME_REACHED = "reached"
 OUTCOME_DEADLOCKED = "deadlocked"
 OUTCOME_COLLIDED = "collided"
 OUTCOME_TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """One robot in a scenario: endpoints, footprint, and configs.
-
-    The cost mode lives in `cost.mode`; `mode` reads it.
-    """
-
-    id: str
-    start: Pose
-    goal: Pose
-    radius: float = 0.35
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    cost: CostParams = field(default_factory=CostParams)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"agent {self.id!r}: radius must be positive and finite")
-
-    @property
-    def mode(self) -> str:
-        return self.cost.mode
 
 
 @dataclass(frozen=True)
@@ -171,36 +136,6 @@ def detect_deadlock(trace, goal_tolerance: float = 0.3) -> bool:
     return False
 
 
-def detect_collision(
-    grid: OccupancyGrid,
-    agents: dict[str, tuple[float, float]],
-    radii: dict[str, float],
-    obstacles: tuple[DynamicObstacle, ...],
-    t: float,
-) -> list[tuple[str, str]]:
-    """Contact pairs (agent, other) at time t; agent-agent pairs reported once.
-
-    `other` is "grid", an obstacle id, or another agent id.
-    """
-    events: list[tuple[str, str]] = []
-    ids = list(agents)
-    for aid in ids:
-        x, y = agents[aid]
-        if grid.has_occupied and grid.sample_distance(x, y) - radii[aid] <= 0.0:
-            events.append((aid, "grid"))
-        for obs in obstacles:
-            ox, oy = predict_obstacle(obs, t)
-            if math.hypot(x - ox, y - oy) - obs.radius - radii[aid] <= 0.0:
-                events.append((aid, obs.id))
-    for i, aid in enumerate(ids):
-        for bid in ids[i + 1:]:
-            ax, ay = agents[aid]
-            bx, by = agents[bid]
-            if math.hypot(ax - bx, ay - by) - radii[aid] - radii[bid] <= 0.0:
-                events.append((aid, bid))
-    return events
-
-
 def _cycle_seed(base_seed: int, agent_index: int, cycle: int) -> int:
     return (base_seed * 1_000_003 + agent_index * 8_191 + cycle * 131 + 7) % (2**31)
 
@@ -223,16 +158,18 @@ class Step:
     plans: dict[str, PlanResult]
 
 
-def steps(scenario: "ScenarioConfig") -> Iterator[Step]:
+def steps(scenario: ScenarioConfig) -> Iterator[Step]:
     """The recorded steps of a simulation, from t = 0 until every agent has
     stopped or the duration is spent.
 
-    A step stops the active agents in contact or at their goal, then builds
-    every agent's disk once (at its constant velocity, at rest once stopped)
-    and every agent's world once: the grid, the scripted obstacles and the
-    other agents' disks. The samples' d_o read these worlds, and so do the
-    plans every active agent makes before the next step; all of them then
-    execute the first control of their plans at once. The scenario keeps its
+    A step makes one contact pass, which gives its contacts and the samples'
+    d_o, and stops the active agents in contact or at their goal. It then
+    builds every agent's disk once (at its constant velocity, at rest once
+    stopped) and every agent's world once: the grid, the scripted obstacles
+    and the other agents' disks. A sample's d_o is its agent's
+    `distance_to_nearest` in that world. The plans every active agent makes
+    before the next step read these worlds; all of them then execute the
+    first control of their plans at once. The scenario keeps its
     rules, as every `ScenarioConfig` does: at least one agent, one shared
     step, and a whole number of steps in the duration.
     """
@@ -250,7 +187,7 @@ def steps(scenario: "ScenarioConfig") -> Iterator[Step]:
         t = cycle * h
         found = dict(states)
         xy = {aid: (s.pose.x, s.pose.y) for aid, s in found.items()}
-        events = detect_collision(grid, xy, radii, scenario.scripted_obstacles, t)
+        events, d_o = detect_collision(grid, xy, radii, scenario.scripted_obstacles, t)
         hit = {aid for pair in events for aid in pair}
         nf = {a.id: navs[a.id].distance(*xy[a.id]) for a in specs}
         stopped = {}
@@ -276,8 +213,7 @@ def steps(scenario: "ScenarioConfig") -> Iterator[Step]:
         }
         samples = {
             aid: TraceSample(t=t, x=s.pose.x, y=s.pose.y, heading=s.pose.heading, v=s.v,
-                             omega=s.omega, d_o=distance_to_nearest(worlds[aid], xy[aid], t),
-                             nf_distance=nf[aid])
+                             omega=s.omega, d_o=d_o[aid], nf_distance=nf[aid])
             for aid, s in found.items()
         }
         contacts = tuple(ContactEvent(t=t, agent_id=aid, other_id=o) for aid, o in events)
@@ -298,7 +234,7 @@ def steps(scenario: "ScenarioConfig") -> Iterator[Step]:
             states[aid] = result.best_trajectory.states[1]
 
 
-def run(scenario: "ScenarioConfig", diag_every: int | None = None) -> SimResult:
+def run(scenario: ScenarioConfig, diag_every: int | None = None) -> SimResult:
     """Simulate a scenario to completion or timeout and collect metrics.
 
     The result summarises `steps`: every step's trace samples, contacts and

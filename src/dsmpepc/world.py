@@ -11,6 +11,9 @@ and the progress term all read through it. Its constants (origin,
 resolution, clamps, corner offsets) are folded into 0-d arrays once per
 grid, and it works in place on a few arrays per call, since the march calls
 it once per lockstep iteration on few points.
+
+The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
+it for every agent of a simulation step, `distance_to_nearest` for one point.
 """
 
 from __future__ import annotations
@@ -292,18 +295,60 @@ class World:
             raise ValueError("robot_radius must be positive and finite")
 
 
-def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
-    """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration).
+def _gaps(grid: OccupancyGrid, x: float, y: float, radius: float, disks) -> list[float]:
+    """The contact rule: the gaps between a robot's disk of `radius` at
+    (x, y) and the map, then each of `disks` ((x, y, radius) triples), each
+    their distance less both radii. A gap of 0 or less is contact, and the
+    robot's clearance d_o is max(0, least gap)."""
+    gaps = [grid.sample_distance(x, y) - radius]
+    for dx, dy, r in disks:
+        gaps.append(math.hypot(x - dx, y - dy) - r - radius)
+    return gaps
 
-    Minimum over the static field and all obstacle disks predicted at t, with
-    the robot radius deducted.
-    """
+
+def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
+    """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration):
+    the least gap of the robot's disk to the grid and to every obstacle disk
+    predicted at t, at least 0."""
     x, y = point
-    d = world.grid.sample_distance(x, y)
-    for obs in world.obstacles:
-        ox, oy = predict_obstacle(obs, t)
-        d = min(d, math.hypot(x - ox, y - oy) - obs.radius)
-    return max(0.0, d - world.robot_radius)
+    disks = [(*predict_obstacle(obs, t), obs.radius) for obs in world.obstacles]
+    return max(0.0, min(_gaps(world.grid, x, y, world.robot_radius, disks)))
+
+
+def detect_collision(
+    grid: OccupancyGrid,
+    agents: dict[str, tuple[float, float]],
+    radii: dict[str, float],
+    obstacles: tuple[DynamicObstacle, ...],
+    t: float,
+) -> tuple[list[tuple[str, str]], dict[str, float]]:
+    """Contact pairs (agent, other) at time t, agent-agent pairs reported
+    once, and each agent's clearance d_o.
+
+    `other` is "grid", an obstacle id, or another agent id. One table holds
+    every gap of the contact rule: each obstacle is predicted once and each
+    agent's point sampled once, and an agent's row holds its gaps to the map,
+    each obstacle and each agent (its own entry +inf). Its clearance is
+    max(0, least gap), the `distance_to_nearest` of a world holding the
+    obstacles and the other agents' disks where they stand at t. Agent a's
+    gap to b subtracts b's radius first; pair (a, b), a listed first, reads
+    b's gap to a, so it subtracts a's radius first. The two orders can
+    differ in the last bit, and each result keeps its own.
+    """
+    ids = list(agents)
+    first_agent = 1 + len(obstacles)
+    disks = [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
+    disks += [(*agents[aid], radii[aid]) for aid in ids]
+    gaps = {}
+    for i, aid in enumerate(ids):
+        gaps[aid] = _gaps(grid, *agents[aid], radii[aid], disks)
+        gaps[aid][first_agent + i] = math.inf
+    others = ["grid", *(obs.id for obs in obstacles)]
+    events = [(aid, other) for aid in ids
+              for other, gap in zip(others, gaps[aid]) if gap <= 0.0]
+    events += [(aid, bid) for i, aid in enumerate(ids) for bid in ids[i + 1:]
+               if gaps[bid][first_agent + i] <= 0.0]
+    return events, {aid: max(0.0, min(row)) for aid, row in gaps.items()}
 
 
 class HorizonSnapshot:

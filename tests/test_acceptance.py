@@ -368,7 +368,8 @@ def test_c7_scenarios():
               f"{min_pair:.3f} m")
 
     # (d) ablation: disabling the TTC factor and the terminal bonus inside
-    # ds mode restores the deadlock
+    # ds mode restores the deadlock; at a = 0 the anticipatory factor is
+    # exactly 1, so the ablated run is the baseline run of (a), bit for bit
     cfg = builtin("t_corridor", mode="ds_mpepc")
     ablated = replace(
         cfg,
@@ -379,6 +380,7 @@ def test_c7_scenarios():
     )
     result = run(ablated)
     assert result.agent("mover").outcome == "deadlocked"
+    assert result.agents == base.agents
     print("  7d ablation (a=0, terminal off): deadlocked")
 
 

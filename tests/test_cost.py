@@ -429,6 +429,39 @@ def test_mode_consistency_a_zero_no_terminal():
         assert ds.total == base.total
 
 
+def test_baseline_is_ds_without_either_contribution():
+    # at a = 0 the anticipatory factor is exactly 1, so ds with the terminal
+    # term off scores every row as the baseline does, bit for bit: rows among
+    # walls and moving disks, and rows that start in contact with a wall or a
+    # disk (p_c = 1, p_s = 0 from the first segment)
+    rows = ["#" * 48] + ["#" + "." * 46 + "#"] * 8 + ["#" + "." * 20 + "#" * 5
+                                                      + "." * 21 + "#"] * 4
+    rows += ["#" + "." * 46 + "#"] * 10 + ["#" * 48]
+    rng = random.Random(29)
+    obstacles = random_world(rng, n_obstacles=4).obstacles + (
+        DynamicObstacle(id="touch", radius=0.4, position=(8.0, 2.0), velocity=(0.1, 0.2)),)
+    world = World(grid=OccupancyGrid.from_ascii(rows, 0.25), robot_radius=0.35,
+                  obstacles=obstacles)
+    lo, hi = np.array([(0.0, 8.0), (-math.pi, math.pi), (-math.pi, math.pi), (0.0, 1.0)]).T
+    draws = np.random.default_rng(29)
+    goal = Pose(10.0, 4.0, 0.0)
+    ablated = replace(PARAMS, a=0.0, include_terminal=False)
+    baseline = replace(PARAMS, mode=BASELINE_MPEPC)
+    starts = (Pose(2.0, 4.5, 0.3), Pose(8.2, 2.1, 1.0), Pose(0.4, 3.0, 0.0))
+    for k, pose in enumerate(starts):
+        start = RobotState(pose=pose, v=0.4, omega=-0.1, t=1.0)
+        states = rollout_batch(start, lo + draws.random((200, 4)) * (hi - lo), CFG)
+        ts = step_times(start.t, CFG)
+        ds = CostKernel(world, goal, ablated, CFG, ts).evaluate(*states)
+        base = CostKernel(world, goal, baseline, CFG, ts).evaluate(*states)
+        assert ds.j_terminal is None
+        for name in ("total", "p_c", "p_s"):
+            assert np.array_equal(getattr(ds, name), getattr(base, name)), name
+        # the first start is clear of everything; the others touch a disk and a wall
+        assert (ds.p_s[:, 0] == 0.0).all() == (k > 0)
+        assert (ds.ttc > 0.0).any() and (ds.p_c < 1.0).any()
+
+
 def test_segment_survivability_non_increasing():
     rng = random.Random(17)
     for _ in range(30):

@@ -1,10 +1,12 @@
+import ast
 import re
 from pathlib import Path
 
 import dsmpepc
 from dsmpepc import load
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_binds_every_export():
@@ -35,3 +37,17 @@ def test_readme_scenario_document_loads_and_round_trips():
     assert [a.id for a in config.agents] == ["bot"]
     assert [o.id for o in config.scripted_obstacles] == ["ped"]
     assert load(config.to_json()).to_dict() == config.to_dict()
+
+
+def test_scenarios_does_not_import_the_simulator():
+    # a scenario is data and its rules; the simulator reads scenarios, not
+    # the other way round
+    tree = ast.parse((ROOT / "src" / "dsmpepc" / "scenarios.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert imported and not any("simulator" in name for name in imported)

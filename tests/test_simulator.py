@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from dsmpepc.cost import BASELINE_MPEPC, CostParams
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig
 from dsmpepc.optimizer import OptimizerConfig
-from dsmpepc.scenarios import ScenarioConfig, ScenarioError, _agent_to_dict
-from dsmpepc.simulator import (
-    AgentSpec,
-    TraceSample,
+from dsmpepc.scenarios import AgentSpec, ScenarioConfig, ScenarioError, _agent_to_dict, builtin
+from dsmpepc.simulator import TraceSample, detect_deadlock, run
+from dsmpepc.world import (
+    DynamicObstacle,
+    OccupancyGrid,
+    World,
     detect_collision,
-    detect_deadlock,
-    run,
+    distance_to_nearest,
 )
-from dsmpepc.world import DynamicObstacle, OccupancyGrid
+
+from oracles import _clearance, _obstacle_state
 
 FAST_OPT = OptimizerConfig(n_global_samples=96, n_refine_seeds=1, refine_max_evals=15)
 
@@ -74,37 +77,101 @@ def test_detect_collision_pairs():
     grid = OccupancyGrid(np.zeros((10, 10), dtype=bool), 0.5)
     agents = {"a": (1.0, 1.0), "b": (1.0 + 0.69, 1.0), "c": (4.0, 4.0)}
     radii = {"a": 0.35, "b": 0.35, "c": 0.35}
-    events = detect_collision(grid, agents, radii, (), 0.0)
+    events, clearance = detect_collision(grid, agents, radii, (), 0.0)
     assert ("a", "b") in events
     assert all("c" not in e for e in events)
+    assert clearance["a"] == clearance["b"] == 0.0 < clearance["c"]
     apart = {"a": (1.0, 1.0), "b": (2.0, 1.0)}
-    assert detect_collision(grid, apart, radii, (), 0.0) == []
+    events, clearance = detect_collision(grid, apart, radii, (), 0.0)
+    assert events == []
+    assert clearance == {"a": (1.0 - 0.35) - 0.35, "b": (1.0 - 0.35) - 0.35}
+    # alone on a map with no occupied cell, nothing bounds the clearance
+    assert detect_collision(grid, {"a": (1.0, 1.0)}, radii, (), 0.0) == ([], {"a": math.inf})
 
 
 def test_detect_collision_matches_brute_force():
+    # contacts in their order and clearances exactly, against the contact
+    # rule written out with the oracle's own obstacle prediction and
+    # clearance, among walls, constant-velocity and scripted disks at t > 0
     rng = np.random.default_rng(12)
     rows = ["#" * 20] + ["#" + "." * 18 + "#"] * 18 + ["#" * 20]
     grid = OccupancyGrid.from_ascii(rows, 0.5)
-    for _ in range(50):
-        agents = {
-            f"a{i}": (float(rng.uniform(0.5, 9.5)), float(rng.uniform(0.5, 9.5)))
-            for i in range(5)
-        }
+    contacts = set()
+    for _ in range(60):
+        t = float(rng.uniform(0.5, 10.0))
+        scripted = (
+            DynamicObstacle(id="cv", radius=float(rng.uniform(0.2, 0.6)),
+                            position=tuple(rng.uniform(0.5, 9.5, 2).tolist()),
+                            velocity=tuple(rng.uniform(-0.8, 0.8, 2).tolist()),
+                            epoch=float(rng.uniform(0.0, 2.0))),
+            DynamicObstacle(id="wp", radius=float(rng.uniform(0.2, 0.6)), waypoints=tuple(
+                (float(k), *rng.uniform(0.5, 9.5, 2).tolist()) for k in range(0, 12, 3))),
+        )
+        agents = {f"a{i}": tuple(rng.uniform(0.5, 9.5, 2).tolist()) for i in range(5)}
         radii = {k: float(rng.uniform(0.2, 0.5)) for k in agents}
-        events = set(detect_collision(grid, agents, radii, (), 0.0))
-        expected = set()
+        events, clearance = detect_collision(grid, agents, radii, scripted, t)
+        expected = []
         ids = list(agents)
         for aid in ids:
             x, y = agents[aid]
             if grid.sample_distance(x, y) - radii[aid] <= 0:
-                expected.add((aid, "grid"))
+                expected.append((aid, "grid"))
+            for obs in scripted:
+                ox, oy, _, _ = _obstacle_state(obs, t)
+                if math.hypot(x - ox, y - oy) - obs.radius - radii[aid] <= 0:
+                    expected.append((aid, obs.id))
         for i, aid in enumerate(ids):
             for bid in ids[i + 1:]:
                 ax, ay = agents[aid]
                 bx, by = agents[bid]
                 if math.hypot(ax - bx, ay - by) - radii[aid] - radii[bid] <= 0:
-                    expected.add((aid, bid))
+                    expected.append((aid, bid))
         assert events == expected
+        contacts.update(other for _, other in events)
+        for aid in ids:
+            # the other agents as the step's disks: moving, with epoch t
+            disks = tuple(DynamicObstacle(id=bid, radius=radii[bid], position=agents[bid],
+                                          velocity=(0.3, -0.2), epoch=t)
+                          for bid in ids if bid != aid)
+            world = World(grid=grid, obstacles=scripted + disks, robot_radius=radii[aid])
+            assert clearance[aid] == _clearance(world, *agents[aid], t)
+    # every kind of contact occurred
+    assert {"grid", "cv", "wp"} <= contacts and contacts & set(agents)
+
+
+def test_detect_collision_keeps_both_pair_orders():
+    # 0.49000000000000005 m apart, disks of radii 0.21 and 0.28 touch when
+    # 0.21 is subtracted first and not when 0.28 is. The pair test subtracts
+    # the first-listed agent's radius first; an agent's clearance subtracts
+    # the other's radius first, as distance_to_nearest does.
+    h = 0.49000000000000005
+    assert (h - 0.21) - 0.28 <= 0.0 < (h - 0.28) - 0.21
+    grid = OccupancyGrid(np.zeros((4, 4), dtype=bool), 0.5)
+    radii = {"a": 0.21, "b": 0.28}
+    where = {"a": (0.0, 0.0), "b": (h, 0.0)}
+    for order in (("a", "b"), ("b", "a")):
+        events, clearance = detect_collision(grid, {k: where[k] for k in order}, radii, (),
+                                             0.0)
+        assert events == ([("a", "b")] if order[0] == "a" else [])
+        assert clearance == {"a": (h - 0.28) - 0.21, "b": 0.0}
+
+
+@pytest.mark.parametrize("scenario", [
+    builtin("pedestrian_hall"),
+    replace(builtin("circle", n=4), duration=6.0),
+], ids=["pedestrian_hall", "circle_4"])
+def test_step_clearance_is_distance_to_nearest_in_its_world(scenario):
+    # the step's one contact pass gives each sample's d_o: exactly the
+    # agent's distance_to_nearest in the world the step built for it
+    obstacle_bound = 0
+    for step in simulator.steps(scenario):
+        for a in scenario.agents:
+            s = step.samples[a.id]
+            world = step.worlds[a.id]
+            assert s.d_o == distance_to_nearest(world, (s.x, s.y), step.t)
+            obstacle_bound += s.d_o < max(0.0, world.grid.sample_distance(s.x, s.y) - a.radius)
+    # an obstacle or another agent, not the map, set some of them
+    assert obstacle_bound > 0
 
 
 def test_single_agent_open_field_bounds():
