@@ -187,8 +187,9 @@ def cmd_compare(args) -> int:
     lines = ["mode,runs,success_rate,deadlock_rate,collision_rate,"
              "mean_time_to_goal,mean_min_clearance"]
     for mode, runs, succ, dead, coll, ttg, clear in rows:
-        ttg_s = "" if math.isnan(ttg) else f"{ttg:.3f}"
-        clear_s = "" if math.isnan(clear) else f"{clear:.3f}"
+        # no value (NaN) and an unbounded clearance (inf; null in metrics.json)
+        # are empty cells
+        ttg_s, clear_s = (f"{x:.3f}" if math.isfinite(x) else "" for x in (ttg, clear))
         lines.append(f"{mode},{runs},{succ:.3f},{dead:.3f},{coll:.3f},{ttg_s},{clear_s}")
     table = "\n".join(lines) + "\n"
     _write_text(os.path.join(args.out, "compare.csv"), table)

@@ -5,7 +5,9 @@ sweep over the parameter box (always including the halting candidate, the
 previous cycle's solution, and the direct-to-goal parameter), then a few
 rounds of batched local search around the best seeds (`minimize`). The cost
 surface contains minima over obstacles and infinity sentinels, so nothing
-here assumes smoothness.
+here assumes smoothness. The sweep's scrambled Sobol points are drawn here
+(`_scrambled_sobol`), in integer arithmetic, and equal scipy's
+`Sobol(d=4, scramble=True, seed=seed).random_base2(m)` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .cost import CostKernel, CostParams, CostRows, trajectory_cost
 from .geometry import Pose, egocentric_coords, wrap_angle
@@ -42,6 +43,71 @@ _FIRST_SPREAD = np.array([0.5, 0.25, 0.25, 0.15])
 # Variance added to every seed's sampling covariance after each round, so it
 # stays positive definite.
 _COV_FLOOR = np.diag(np.square(1e-3 * _FIRST_SPREAD))
+
+# Sobol points have 30 bits, so at most 2^30 can be drawn.
+_SOBOL_BITS = 30
+# Joe & Kuo's primitive polynomials and initial direction numbers m_1..m_s of
+# Sobol dimensions 1-4 ("Constructing Sobol sequences with better
+# two-dimensional projections", SIAM J. Sci. Comput. 2008). Dimension 1 has
+# every m_j = 1.
+_SOBOL_POLY = (1, 3, 7, 11)
+_SOBOL_INIT = ((1,), (1,), (1, 3), (1, 3, 1))
+# Bit positions, most significant first.
+_SOBOL_MSB = np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def _direction_numbers() -> np.ndarray:
+    """The (4, 30) direction numbers v[d, j] = m_j 2^(29 - j), m_j from
+    Bratley and Fox's recurrence over the polynomial's coefficients."""
+    v = np.ones((4, _SOBOL_BITS), dtype=np.int64)
+    for d, (poly, init) in enumerate(zip(_SOBOL_POLY, _SOBOL_INIT)):
+        s = poly.bit_length() - 1
+        if s == 0:
+            continue
+        m = list(init)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        v[d] = m
+    return v << _SOBOL_MSB
+
+
+_SOBOL_V = _direction_numbers()
+
+
+def _scrambled_sobol(m: int, seed: int) -> np.ndarray:
+    """The first 2^m points in [0, 1)^4 of the Sobol sequence scrambled by
+    `seed`: Matousek's linear matrix scrambling plus a digital shift ("On the
+    L2-discrepancy for anchored boxes", J. Complexity 1998), in Gray-code
+    order.
+
+    Bit for bit the points of scipy's
+    `Sobol(d=4, scramble=True, seed=seed).random_base2(m)`: the same
+    draws from `np.random.default_rng(seed)` in the same order (the shift,
+    then the lower-triangular matrices), all in integer arithmetic, scaled by
+    2^-30, which is exact.
+    """
+    if m > _SOBOL_BITS:
+        raise ValueError(f"at most 2^{_SOBOL_BITS} Sobol points can be drawn; got m={m}")
+    rng = np.random.default_rng(seed)
+    shift = (rng.integers(2, size=(4, _SOBOL_BITS), dtype=np.uint32)
+             @ (1 << np.arange(_SOBOL_BITS)))
+    ltm = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # each matrix times each direction number's bit column, over GF(2)
+    bits = (_SOBOL_V[:, :, None] >> _SOBOL_MSB) & 1
+    v = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << _SOBOL_MSB)
+    # point i is point i - 1 with the direction number at i's lowest set bit
+    # XORed in; point 0 is the shift
+    low = np.zeros(1 << m, dtype=np.intp)
+    for k in range(m):
+        low[1 << k::2 << k] = k
+    steps = v[:, low].T
+    steps[0] = shift
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
 
 
 @dataclass(frozen=True)
@@ -235,8 +301,8 @@ def candidate_pool(current: RobotState, goal: Pose, planner_cfg: PlannerConfig,
         given.insert(0, warm_start.as_tuple())
     n_sobol = max(0, opt_cfg.n_global_samples - 1 - len(given))
     n_refine = opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals
-    sampler = qmc.Sobol(d=4, scramble=True, seed=opt_cfg.seed)
-    unit = sampler.random_base2(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))))
+    unit = _scrambled_sobol(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))),
+                            opt_cfg.seed)
     lo, hi = np.array(bounds).T
     pool = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds),
                            lo + unit[:n_sobol] * (hi - lo)))

@@ -26,8 +26,12 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-# Time-to-collision values beyond this horizon are reported as +inf; the
-# anticipatory cost factor is within 1e-6 of its asymptote there.
+# Time-to-collision values beyond this horizon are reported as +inf, so a
+# TTC past it jumps to the cost's asymptotes. At the default CostParams
+# (a = 0.7, sigma_inv_ttc = 0.5) that jump is small but not nil: at the
+# horizon the anticipatory factor is 2.8e-4 above its asymptote 1 - a and
+# C_TTC is 4.0e-4 below 1. The factor comes within 1e-6 of its asymptote
+# only at about 1,700 s.
 TTC_HORIZON = 100.0
 
 _SPEED_EPS = 1e-9

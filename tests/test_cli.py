@@ -300,6 +300,18 @@ def test_compare_direction_on_deadlock_scenario(tmp_path):
     assert rates["ds_mpepc"] == 1.0
 
 
+def test_compare_writes_an_unbounded_clearance_as_an_empty_cell(tmp_path):
+    # open_field has no obstacle and one agent, so nothing bounds its
+    # clearance: metrics.json writes null, compare.csv an empty cell
+    assert main(["run", "open_field", "--out", str(tmp_path / "run")]) == 0
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert [a["min_clearance"] for a in metrics["result"]["agents"]] == [None]
+    assert main(["compare", "open_field", "--seeds", "1", "--out", str(tmp_path / "cmp")]) == 0
+    rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["ds_mpepc", "baseline_mpepc"]
+    assert [row.split(",")[-1] for row in rows] == ["", ""]
+
+
 COMMANDS = {"run": ["run"], "compare": ["compare", "--seeds", "1"],
             "landscape": ["landscape", "--agent", "bot"]}
 # (command, whether its scenario file exists, further options, exit code)

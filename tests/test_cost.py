@@ -87,6 +87,15 @@ def test_anticipatory_factor_limits():
         assert 1.0 - PARAMS.a <= f <= 1.0
 
 
+def test_ttc_horizon_gap_is_as_stated():
+    # the gaps to the asymptotes that world.TTC_HORIZON's comment states, at
+    # the default CostParams
+    factor_gap = anticipatory_factor(world_module.TTC_HORIZON, PARAMS) - (1.0 - PARAMS.a)
+    _, c_ttc, _ = terminal_bonus(1.0, math.inf, world_module.TTC_HORIZON, PARAMS)
+    assert f"{factor_gap:.1e}" == "2.8e-04"
+    assert f"{1.0 - c_ttc:.1e}" == "4.0e-04"
+
+
 def test_modified_probability_examples():
     for d in (0.0, 0.1, 0.5, 2.0):
         p = collision_probability(d, PARAMS)

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from dsmpepc.cost import CostParams, trajectory_cost
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
-from dsmpepc.optimizer import OptimizerConfig, evaluate_candidate, plan
+from dsmpepc.optimizer import OptimizerConfig, _scrambled_sobol, evaluate_candidate, plan
+from dsmpepc.simulator import _cycle_seed
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
 CFG = PlannerConfig()
@@ -48,6 +50,24 @@ def test_refine_budget_edges_accepted(evals):
     result = plan(start, goal, world, CFG, PARAMS, opt)
     sweep = plan(start, goal, world, CFG, PARAMS, replace(opt, n_refine_seeds=0))
     assert len(result.evaluated) == len(sweep.evaluated) + evals
+
+
+def test_scrambled_sobol_equals_scipy():
+    # the sweep's points are scipy's scrambled Sobol points, bit for bit: at
+    # small seeds, the largest seed and seeds a simulation gives its cycles
+    seeds = [*range(64), 2**31 - 1,
+             *(_cycle_seed(*key) for key in ((0, 0, 0), (1, 2, 3), (7, 1, 150), (12345, 5, 99)))]
+    for seed in seeds:
+        for m in range(12):
+            expected = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m)
+            got = _scrambled_sobol(m, seed)
+            assert got.dtype == expected.dtype, (seed, m)
+            assert np.array_equal(got, expected), (seed, m)
+
+
+def test_scrambled_sobol_keeps_the_30_bit_limit():
+    with pytest.raises(ValueError, match="2\\^30"):
+        _scrambled_sobol(31, 0)
 
 
 def test_plan_progresses_toward_goal_in_open_world():

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dsmpepc
@@ -51,3 +54,11 @@ def test_scenarios_does_not_import_the_simulator():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
     assert imported and not any("simulator" in name for name in imported)
+
+
+def test_import_does_not_load_scipy_stats():
+    # the planner draws its Sobol points itself; scipy.stats is the heaviest
+    # module it could pull in, and every CLI command would pay for it
+    code = "import sys, dsmpepc, dsmpepc.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
