@@ -14,6 +14,11 @@ it once per lockstep iteration on few points.
 
 The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
 it for every agent of a simulation step, `distance_to_nearest` for one point.
+
+scipy serves only grids with an occupied cell, and is imported where they
+need it: `scipy.ndimage` for the distance transform of such a grid and
+`scipy.sparse.csgraph` for the Dijkstra of a navigation field over one. A
+process whose maps are all open never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 # Time-to-collision values beyond this horizon are reported as +inf, so a
 # TTC past it jumps to the cost's asymptotes. At the default CostParams
@@ -74,6 +76,8 @@ class OccupancyGrid:
         )
         self.has_occupied = bool(occupied.any())
         if self.has_occupied:
+            from scipy import ndimage
+
             # Exact EDT on cell indices, scaled to meters afterwards.
             self.distance_field = ndimage.distance_transform_edt(~occupied) * self.resolution
         else:
@@ -522,6 +526,9 @@ class NavigationField:
             self._values = self._dijkstra()
 
     def _dijkstra(self) -> np.ndarray:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         grid = self.grid
         res = grid.resolution
         gx, gy = grid.cell_of(*self.goal)

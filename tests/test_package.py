@@ -62,3 +62,25 @@ def test_import_does_not_load_scipy_stats():
     code = "import sys, dsmpepc, dsmpepc.cli; sys.exit('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_scipy_loads_only_for_a_map_with_walls():
+    # scipy serves only a grid with an occupied cell (its distance transform)
+    # and a navigation field over one (Dijkstra); an open map never loads it
+    code = """if True:
+        import sys, dsmpepc, dsmpepc.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        dsmpepc.run(dsmpepc.builtin("open_field"))
+        print(scipy_modules())
+        grid = dsmpepc.OccupancyGrid.from_ascii(["#...", "...."], 0.5)
+        print("scipy.ndimage" in sys.modules, "scipy.sparse.csgraph" in sys.modules)
+        dsmpepc.NavigationField(grid, (1.75, 0.25))
+        print("scipy.sparse.csgraph" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True False", "True"]
