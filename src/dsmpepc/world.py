@@ -562,9 +562,8 @@ class NavigationField:
         return np.where(np.isfinite(dist), dist, ceiling)
 
     def distance(self, x: float, y: float) -> float:
-        if self._values is None:
-            return math.hypot(x - self.goal[0], y - self.goal[1])
-        return float(self.grid.sample_field_batch(self._values, [x], [y])[0])
+        """`distance_batch` of one point."""
+        return float(self.distance_batch([x], [y])[0])
 
     def distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
