@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import dsmpepc
@@ -67,19 +68,15 @@ def test_import_does_not_load_scipy_stats():
 def test_scipy_loads_only_for_a_map_with_walls():
     # scipy serves only a grid with an occupied cell (its distance transform)
     # and a navigation field over one (Dijkstra); an open map never loads it
-    code = """if True:
+    code = textwrap.dedent("""
         import sys, dsmpepc, dsmpepc.cli
-
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
         dsmpepc.run(dsmpepc.builtin("open_field"))
-        print(scipy_modules())
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         grid = dsmpepc.OccupancyGrid.from_ascii(["#...", "...."], 0.5)
         print("scipy.ndimage" in sys.modules, "scipy.sparse.csgraph" in sys.modules)
         dsmpepc.NavigationField(grid, (1.75, 0.25))
         print("scipy.sparse.csgraph" in sys.modules)
-    """
+    """)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -549,8 +549,9 @@ def test_navigation_goal_in_wall_rejected():
 def test_navigation_field_batch_matches_scalar():
     rng = np.random.default_rng(1)
     # a 1-tall and a 1-wide grid sample their one cell row or column twice;
-    # an open grid's field is the Euclidean distance, whose scalar and numpy
-    # hypot can differ in the last bit, so it takes many points
+    # an open grid's field is the Euclidean distance, where math.hypot and
+    # np.hypot differ in the last bit on about 0.6 % of points, so it takes
+    # many points
     for rows, n in ((["......", "..##..", "..##..", "......"], 100), (["#....."], 100),
                     (["#", ".", ".", "."], 100), (["......"] * 4, 2000)):
         grid = OccupancyGrid.from_ascii(rows, 0.5)
