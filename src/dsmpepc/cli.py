@@ -61,9 +61,11 @@ def _write_text(path: str, text: str) -> None:
 def _trace_csv(result_agent) -> str:
     lines = ["t,x,y,heading,v,omega,d_o,nf_distance"]
     for s in result_agent.trace:
+        # an unbounded clearance (inf; null in metrics.json) is an empty cell
+        d_o = f"{s.d_o:.6f}" if math.isfinite(s.d_o) else ""
         lines.append(
             f"{s.t:.3f},{s.x:.6f},{s.y:.6f},{s.heading:.6f},"
-            f"{s.v:.6f},{s.omega:.6f},{s.d_o:.6f},{s.nf_distance:.6f}"
+            f"{s.v:.6f},{s.omega:.6f},{d_o},{s.nf_distance:.6f}"
         )
     return "\n".join(lines) + "\n"
 

@@ -188,7 +188,7 @@ def steps(scenario: ScenarioConfig) -> Iterator[Step]:
         found = dict(states)
         xy = {aid: (s.pose.x, s.pose.y) for aid, s in found.items()}
         events, d_o = detect_collision(grid, xy, radii, scenario.scripted_obstacles, t)
-        hit = {aid for pair in events for aid in pair}
+        hit = {aid for aid, _ in events}
         nf = {a.id: navs[a.id].distance(*xy[a.id]) for a in specs}
         stopped = {}
         for a in specs:

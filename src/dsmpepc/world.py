@@ -14,6 +14,9 @@ it once per lockstep iteration on few points.
 
 The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
 it for every agent of a simulation step, `distance_to_nearest` for one point.
+It measures a disk as `HorizonSnapshot.clearance` does, with numpy's
+`hypot`, so the scalar and the planner's clearance are equal. One lookup
+(`_motion`) gives an obstacle's center and velocity at a time.
 
 scipy serves only grids with an occupied cell, and is imported where they
 need it: `scipy.ndimage` for the distance transform of such a grid and
@@ -245,10 +248,14 @@ class DynamicObstacle:
     def __post_init__(self) -> None:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"obstacle {self.id!r}: radius must be positive and finite")
+        if len(self.position) != 2 or len(self.velocity) != 2:
+            raise ValueError(f"obstacle {self.id!r}: position and velocity must be (x, y) pairs")
         numbers = (*self.position, *self.velocity, self.epoch)
         if self.waypoints is not None:
             if len(self.waypoints) == 0:
                 raise ValueError(f"obstacle {self.id!r}: empty waypoint script")
+            if any(len(w) != 3 for w in self.waypoints):
+                raise ValueError(f"obstacle {self.id!r}: each waypoint must be a (t, x, y) triple")
             times = [w[0] for w in self.waypoints]
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError(f"obstacle {self.id!r}: waypoint times must strictly increase")
@@ -257,37 +264,31 @@ class DynamicObstacle:
             raise ValueError(f"obstacle {self.id!r}: motion model must be finite")
 
 
-def predict_obstacle(obstacle: DynamicObstacle, t: float) -> tuple[float, float]:
-    """Obstacle center at time t under its motion model."""
+def _motion(obstacle: DynamicObstacle, t: float) -> tuple[float, float, float, float]:
+    """Obstacle center and velocity (x, y, vx, vy) at time t under its motion
+    model. A script rests at its first waypoint before its first time and at
+    its last waypoint from its last time on; in between, t lies on the one
+    segment [t0, t1) that holds it."""
     wps = obstacle.waypoints
     if wps is None:
+        (x, y), (vx, vy) = obstacle.position, obstacle.velocity
         dt = t - obstacle.epoch
-        return (
-            obstacle.position[0] + obstacle.velocity[0] * dt,
-            obstacle.position[1] + obstacle.velocity[1] * dt,
-        )
-    if t <= wps[0][0]:
-        return (wps[0][1], wps[0][2])
-    if t >= wps[-1][0]:
-        return (wps[-1][1], wps[-1][2])
-    for (t0, x0, y0), (t1, x1, y1) in zip(wps, wps[1:]):
-        if t <= t1:
-            f = (t - t0) / (t1 - t0)
-            return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
-    return (wps[-1][1], wps[-1][2])
-
-
-def obstacle_velocity(obstacle: DynamicObstacle, t: float) -> tuple[float, float]:
-    """Instantaneous obstacle velocity at time t (segment slope for scripts)."""
-    wps = obstacle.waypoints
-    if wps is None:
-        return obstacle.velocity
-    if t < wps[0][0] or t >= wps[-1][0]:
-        return (0.0, 0.0)
+        return (x + vx * dt, y + vy * dt, vx, vy)
+    if t < wps[0][0]:
+        _, x, y = wps[0]
+        return (x, y, 0.0, 0.0)
     for (t0, x0, y0), (t1, x1, y1) in zip(wps, wps[1:]):
         if t < t1:
-            return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
-    return (0.0, 0.0)
+            f = (t - t0) / (t1 - t0)
+            return (x0 + f * (x1 - x0), y0 + f * (y1 - y0),
+                    (x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
+    _, x, y = wps[-1]
+    return (x, y, 0.0, 0.0)
+
+
+def predict_obstacle(obstacle: DynamicObstacle, t: float) -> tuple[float, float]:
+    """Obstacle center at time t under its motion model."""
+    return _motion(obstacle, t)[:2]
 
 
 @dataclass(frozen=True)
@@ -306,11 +307,12 @@ class World:
 def _gaps(grid: OccupancyGrid, x: float, y: float, radius: float, disks) -> list[float]:
     """The contact rule: the gaps between a robot's disk of `radius` at
     (x, y) and the map, then each of `disks` ((x, y, radius) triples), each
-    their distance less both radii. A gap of 0 or less is contact, and the
-    robot's clearance d_o is max(0, least gap)."""
+    their distance less the disk's radius, then the robot's. A gap of 0 or
+    less is contact, and the robot's clearance d_o is max(0, least gap). The
+    arithmetic is `HorizonSnapshot.clearance`'s, so the two agree exactly."""
     gaps = [grid.sample_distance(x, y) - radius]
     for dx, dy, r in disks:
-        gaps.append(math.hypot(x - dx, y - dy) - r - radius)
+        gaps.append(float(np.hypot(x - dx, y - dy)) - r - radius)
     return gaps
 
 
@@ -330,33 +332,26 @@ def detect_collision(
     obstacles: tuple[DynamicObstacle, ...],
     t: float,
 ) -> tuple[list[tuple[str, str]], dict[str, float]]:
-    """Contact pairs (agent, other) at time t, agent-agent pairs reported
-    once, and each agent's clearance d_o.
+    """Each agent's contacts (agent, other) at time t, and its clearance d_o.
 
-    `other` is "grid", an obstacle id, or another agent id. One table holds
-    every gap of the contact rule: each obstacle is predicted once and each
-    agent's point sampled once, and an agent's row holds its gaps to the map,
-    each obstacle and each agent (its own entry +inf). Its clearance is
+    `other` is "grid", an obstacle id, or another agent id. Each obstacle is
+    predicted once, and each agent reads its own row of the contact rule: its
+    gaps to the map, each obstacle and each other agent. Its contacts are the
+    parties whose gap is 0 or less, in that order, and its clearance is
     max(0, least gap), the `distance_to_nearest` of a world holding the
-    obstacles and the other agents' disks where they stand at t. Agent a's
-    gap to b subtracts b's radius first; pair (a, b), a listed first, reads
-    b's gap to a, so it subtracts a's radius first. The two orders can
-    differ in the last bit, and each result keeps its own.
+    obstacles and the other agents' disks where they stand at t. An agent is
+    thus in contact exactly when its d_o is 0, and neither result depends on
+    the order of `agents` or `obstacles`.
     """
-    ids = list(agents)
-    first_agent = 1 + len(obstacles)
     disks = [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
-    disks += [(*agents[aid], radii[aid]) for aid in ids]
-    gaps = {}
-    for i, aid in enumerate(ids):
-        gaps[aid] = _gaps(grid, *agents[aid], radii[aid], disks)
-        gaps[aid][first_agent + i] = math.inf
-    others = ["grid", *(obs.id for obs in obstacles)]
-    events = [(aid, other) for aid in ids
-              for other, gap in zip(others, gaps[aid]) if gap <= 0.0]
-    events += [(aid, bid) for i, aid in enumerate(ids) for bid in ids[i + 1:]
-               if gaps[bid][first_agent + i] <= 0.0]
-    return events, {aid: max(0.0, min(row)) for aid, row in gaps.items()}
+    parties = ["grid", *(obs.id for obs in obstacles)]
+    events, clearance = [], {}
+    for aid, (x, y) in agents.items():
+        others = [bid for bid in agents if bid != aid]
+        gaps = _gaps(grid, x, y, radii[aid], disks + [(*agents[b], radii[b]) for b in others])
+        events += [(aid, other) for other, gap in zip(parties + others, gaps) if gap <= 0.0]
+        clearance[aid] = max(0.0, min(gaps))
+    return events, clearance
 
 
 class HorizonSnapshot:
@@ -366,7 +361,7 @@ class HorizonSnapshot:
     time_to_collision call); every batch the optimizer evaluates shares one,
     through one `CostKernel`, so nothing re-predicts an obstacle. `tracks`
     is a (K, T, 4) array: per obstacle of `world.obstacles` and step time,
-    the `predict_obstacle` center and the `obstacle_velocity`. Every
+    its center and velocity, from one `_motion` lookup. Every
     planning-time clearance (`clearance`) and TTC reads it, so both see the
     same obstacle centers.
     """
@@ -376,8 +371,8 @@ class HorizonSnapshot:
     def __init__(self, world: World, ts):
         self.world = world
         self.tracks = np.array(
-            [[predict_obstacle(obs, t) + obstacle_velocity(obs, t) for t in ts]
-             for obs in world.obstacles], dtype=float).reshape(len(world.obstacles), len(ts), 4)
+            [[_motion(obs, t) for t in ts] for obs in world.obstacles],
+            dtype=float).reshape(len(world.obstacles), len(ts), 4)
 
     def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Clearance d_o at points whose last axis runs over the step times;

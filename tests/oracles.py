@@ -412,11 +412,12 @@ def _obstacle_state(obstacle, t: float) -> tuple[float, float, float, float]:
 
 def _clearance(world, x: float, y: float, t: float) -> float:
     """distance_to_nearest: the grid and every disk at time t, less the
-    robot radius, floored at 0."""
+    robot radius, floored at 0. A disk's distance is numpy's hypot, the
+    model's arithmetic (math.hypot can round a last bit differently)."""
     d = _sample_distance(world.grid, x, y)
     for obs in world.obstacles:
         ox, oy, _, _ = _obstacle_state(obs, t)
-        d = min(d, math.hypot(x - ox, y - oy) - obs.radius)
+        d = min(d, float(np.hypot(x - ox, y - oy)) - obs.radius)
     return max(0.0, d - world.robot_radius)
 
 

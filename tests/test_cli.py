@@ -302,10 +302,14 @@ def test_compare_direction_on_deadlock_scenario(tmp_path):
 
 def test_compare_writes_an_unbounded_clearance_as_an_empty_cell(tmp_path):
     # open_field has no obstacle and one agent, so nothing bounds its
-    # clearance: metrics.json writes null, compare.csv an empty cell
-    assert main(["run", "open_field", "--out", str(tmp_path / "run")]) == 0
+    # clearance: metrics.json writes null, the trace CSV and compare.csv an
+    # empty cell
+    assert main(["run", "open_field", "--csv", "--out", str(tmp_path / "run")]) == 0
     metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert [a["min_clearance"] for a in metrics["result"]["agents"]] == [None]
+    header, *rows = (tmp_path / "run" / "trace_robot.csv").read_text().splitlines()
+    d_o = header.split(",").index("d_o")
+    assert rows and {row.split(",")[d_o] for row in rows} == {""}
     assert main(["compare", "open_field", "--seeds", "1", "--out", str(tmp_path / "cmp")]) == 0
     rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["ds_mpepc", "baseline_mpepc"]

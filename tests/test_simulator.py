@@ -14,6 +14,7 @@ from dsmpepc.scenarios import AgentSpec, ScenarioConfig, ScenarioError, _agent_t
 from dsmpepc.simulator import TraceSample, detect_deadlock, run
 from dsmpepc.world import (
     DynamicObstacle,
+    HorizonSnapshot,
     OccupancyGrid,
     World,
     detect_collision,
@@ -89,61 +90,68 @@ def test_detect_collision_pairs():
     assert detect_collision(grid, {"a": (1.0, 1.0)}, radii, (), 0.0) == ([], {"a": math.inf})
 
 
+def _random_scene(rng):
+    """A constant-velocity and a scripted obstacle, agents and their radii,
+    and a time t > 0, drawn inside a 10 m square."""
+    t = float(rng.uniform(0.5, 10.0))
+    scripted = (
+        DynamicObstacle(id="cv", radius=float(rng.uniform(0.2, 0.6)),
+                        position=tuple(rng.uniform(0.5, 9.5, 2).tolist()),
+                        velocity=tuple(rng.uniform(-0.8, 0.8, 2).tolist()),
+                        epoch=float(rng.uniform(0.0, 2.0))),
+        DynamicObstacle(id="wp", radius=float(rng.uniform(0.2, 0.6)), waypoints=tuple(
+            (float(k), *rng.uniform(0.5, 9.5, 2).tolist()) for k in range(0, 12, 3))),
+    )
+    agents = {f"a{i}": tuple(rng.uniform(0.5, 9.5, 2).tolist()) for i in range(5)}
+    radii = {k: float(rng.uniform(0.2, 0.5)) for k in agents}
+    return scripted, agents, radii, t
+
+
+WALLED = ["#" * 20] + ["#" + "." * 18 + "#"] * 18 + ["#" * 20]
+
+
 def test_detect_collision_matches_brute_force():
     # contacts in their order and clearances exactly, against the contact
-    # rule written out with the oracle's own obstacle prediction and
-    # clearance, among walls, constant-velocity and scripted disks at t > 0
+    # rule written out per agent with the oracle's own obstacle prediction
+    # and clearance, among walls, constant-velocity and scripted disks at t > 0;
+    # a disk's distance is numpy's hypot, as in the oracle
     rng = np.random.default_rng(12)
-    rows = ["#" * 20] + ["#" + "." * 18 + "#"] * 18 + ["#" * 20]
-    grid = OccupancyGrid.from_ascii(rows, 0.5)
+    grid = OccupancyGrid.from_ascii(WALLED, 0.5)
     contacts = set()
     for _ in range(60):
-        t = float(rng.uniform(0.5, 10.0))
-        scripted = (
-            DynamicObstacle(id="cv", radius=float(rng.uniform(0.2, 0.6)),
-                            position=tuple(rng.uniform(0.5, 9.5, 2).tolist()),
-                            velocity=tuple(rng.uniform(-0.8, 0.8, 2).tolist()),
-                            epoch=float(rng.uniform(0.0, 2.0))),
-            DynamicObstacle(id="wp", radius=float(rng.uniform(0.2, 0.6)), waypoints=tuple(
-                (float(k), *rng.uniform(0.5, 9.5, 2).tolist()) for k in range(0, 12, 3))),
-        )
-        agents = {f"a{i}": tuple(rng.uniform(0.5, 9.5, 2).tolist()) for i in range(5)}
-        radii = {k: float(rng.uniform(0.2, 0.5)) for k in agents}
+        scripted, agents, radii, t = _random_scene(rng)
         events, clearance = detect_collision(grid, agents, radii, scripted, t)
         expected = []
-        ids = list(agents)
-        for aid in ids:
-            x, y = agents[aid]
+        for aid, (x, y) in agents.items():
+            # the agent's own row: the map, the obstacles, then the others
             if grid.sample_distance(x, y) - radii[aid] <= 0:
                 expected.append((aid, "grid"))
             for obs in scripted:
                 ox, oy, _, _ = _obstacle_state(obs, t)
-                if math.hypot(x - ox, y - oy) - obs.radius - radii[aid] <= 0:
+                if float(np.hypot(x - ox, y - oy)) - obs.radius - radii[aid] <= 0:
                     expected.append((aid, obs.id))
-        for i, aid in enumerate(ids):
-            for bid in ids[i + 1:]:
-                ax, ay = agents[aid]
-                bx, by = agents[bid]
-                if math.hypot(ax - bx, ay - by) - radii[aid] - radii[bid] <= 0:
+            for bid, (bx, by) in agents.items():
+                gap = float(np.hypot(x - bx, y - by)) - radii[bid] - radii[aid]
+                if bid != aid and gap <= 0:
                     expected.append((aid, bid))
         assert events == expected
         contacts.update(other for _, other in events)
-        for aid in ids:
+        for aid in agents:
             # the other agents as the step's disks: moving, with epoch t
             disks = tuple(DynamicObstacle(id=bid, radius=radii[bid], position=agents[bid],
                                           velocity=(0.3, -0.2), epoch=t)
-                          for bid in ids if bid != aid)
+                          for bid in agents if bid != aid)
             world = World(grid=grid, obstacles=scripted + disks, robot_radius=radii[aid])
             assert clearance[aid] == _clearance(world, *agents[aid], t)
     # every kind of contact occurred
     assert {"grid", "cv", "wp"} <= contacts and contacts & set(agents)
 
 
-def test_detect_collision_keeps_both_pair_orders():
+def test_detect_collision_is_the_same_in_both_pair_orders():
     # 0.49000000000000005 m apart, disks of radii 0.21 and 0.28 touch when
-    # 0.21 is subtracted first and not when 0.28 is. The pair test subtracts
-    # the first-listed agent's radius first; an agent's clearance subtracts
-    # the other's radius first, as distance_to_nearest does.
+    # 0.21 is subtracted first and not when 0.28 is. Each agent reads its own
+    # row, which subtracts the other's radius first, as distance_to_nearest
+    # does: b touches a, a does not touch b, in either listing.
     h = 0.49000000000000005
     assert (h - 0.21) - 0.28 <= 0.0 < (h - 0.28) - 0.21
     grid = OccupancyGrid(np.zeros((4, 4), dtype=bool), 0.5)
@@ -152,8 +160,30 @@ def test_detect_collision_keeps_both_pair_orders():
     for order in (("a", "b"), ("b", "a")):
         events, clearance = detect_collision(grid, {k: where[k] for k in order}, radii, (),
                                              0.0)
-        assert events == ([("a", "b")] if order[0] == "a" else [])
+        assert events == [("b", "a")]
         assert clearance == {"a": (h - 0.28) - 0.21, "b": 0.0}
+
+
+def test_detect_collision_does_not_depend_on_order():
+    # permuting the agents and the obstacles leaves the set of contacts and
+    # every clearance as they were, and an agent is listed first in a
+    # contact exactly when its clearance is 0
+    rng = np.random.default_rng(21)
+    grid = OccupancyGrid.from_ascii(WALLED, 0.5)
+    touching = 0
+    for _ in range(60):
+        scripted, agents, radii, t = _random_scene(rng)
+        events, clearance = detect_collision(grid, agents, radii, scripted, t)
+        assert {aid for aid, _ in events} == {aid for aid, d in clearance.items() if d == 0.0}
+        touching += sum(other in agents for _, other in events)
+        for _ in range(3):
+            ids = rng.permutation(list(agents)).tolist()
+            obstacles = tuple(scripted[k] for k in rng.permutation(len(scripted)))
+            moved, moved_clearance = detect_collision(
+                grid, {aid: agents[aid] for aid in ids}, radii, obstacles, t)
+            assert sorted(moved) == sorted(events)
+            assert moved_clearance == clearance
+    assert touching > 0
 
 
 @pytest.mark.parametrize("scenario", [
@@ -162,13 +192,16 @@ def test_detect_collision_keeps_both_pair_orders():
 ], ids=["pedestrian_hall", "circle_4"])
 def test_step_clearance_is_distance_to_nearest_in_its_world(scenario):
     # the step's one contact pass gives each sample's d_o: exactly the
-    # agent's distance_to_nearest in the world the step built for it
+    # agent's distance_to_nearest in the world the step built for it, and
+    # the planner's clearance (its HorizonSnapshot) of that point there
     obstacle_bound = 0
     for step in simulator.steps(scenario):
         for a in scenario.agents:
             s = step.samples[a.id]
             world = step.worlds[a.id]
             assert s.d_o == distance_to_nearest(world, (s.x, s.y), step.t)
+            snapshot = HorizonSnapshot(world, [step.t])
+            assert s.d_o == snapshot.clearance(np.array([s.x]), np.array([s.y])).item()
             obstacle_bound += s.d_o < max(0.0, world.grid.sample_distance(s.x, s.y) - a.radius)
     # an obstacle or another agent, not the map, set some of them
     assert obstacle_bound > 0

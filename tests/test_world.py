@@ -13,11 +13,11 @@ from dsmpepc.world import (
     OccupancyGrid,
     TTC_HORIZON,
     World,
+    _motion,
     _static_ray_arcs,
     _ttc_batch,
     distance_to_nearest,
     distance_to_nearest_batch,
-    obstacle_velocity,
     predict_obstacle,
     time_to_collision,
 )
@@ -202,8 +202,40 @@ def test_predict_obstacle_script():
     assert predict_obstacle(obs, 1.0) == (2.0, 0.0)
     assert predict_obstacle(obs, -5.0) == (0.0, 0.0)
     assert predict_obstacle(obs, 99.0) == (4.0, 0.0)
-    assert obstacle_velocity(obs, 1.0) == (2.0, 0.0)
-    assert obstacle_velocity(obs, 99.0) == (0.0, 0.0)
+    assert _motion(obs, 1.0)[2:] == (2.0, 0.0)
+    assert _motion(obs, 99.0)[2:] == (0.0, 0.0)
+
+
+def test_motion_boundaries():
+    # one lookup gives center and velocity: a constant-velocity disk moves
+    # from its epoch at all times; a script rests at its first waypoint
+    # before its first time, lies on the segment [t0, t1) holding t, and
+    # rests at its last waypoint from its last time on
+    cv = DynamicObstacle(id="cv", radius=0.3, position=(1.0, -2.0), velocity=(0.5, 0.25),
+                         epoch=2.0)
+    assert _motion(cv, 0.0) == (0.0, -2.5, 0.5, 0.25)
+    assert _motion(cv, 2.0) == (1.0, -2.0, 0.5, 0.25)
+    assert _motion(cv, 6.0) == (3.0, -1.0, 0.5, 0.25)
+    # waypoints whose interior point is not x0 + 1.0 * (x1 - x0) in floats
+    script = DynamicObstacle(id="wp", radius=0.3, waypoints=(
+        (1.0, 0.7, 0.0), (3.0, 0.1, 2.0), (5.0, 0.1, 0.0)))
+    assert 0.7 + 1.0 * (0.1 - 0.7) != 0.1
+    expected = {
+        0.0: (0.7, 0.0, 0.0, 0.0),                         # before its first time
+        1.0: (0.7, 0.0, (0.1 - 0.7) / 2.0, 1.0),           # at its first time
+        2.0: (0.7 + 0.5 * (0.1 - 0.7), 1.0, (0.1 - 0.7) / 2.0, 1.0),  # inside
+        3.0: (0.1, 2.0, 0.0, -1.0),                        # at an interior waypoint
+        4.0: (0.1, 1.0, 0.0, -1.0),
+        5.0: (0.1, 0.0, 0.0, 0.0),                         # at its last time
+        9.0: (0.1, 0.0, 0.0, 0.0),                         # after it
+    }
+    for t, state in expected.items():
+        assert _motion(script, t) == state
+        assert predict_obstacle(script, t) == state[:2]
+    # a one-waypoint script rests there at every time
+    still = DynamicObstacle(id="one", radius=0.3, waypoints=((2.0, 4.0, 5.0),))
+    for t in (0.0, 2.0, 7.0):
+        assert _motion(still, t) == (4.0, 5.0, 0.0, 0.0)
 
 
 def test_script_validation():
@@ -211,6 +243,13 @@ def test_script_validation():
         DynamicObstacle(id="bad", radius=0.3, waypoints=((1.0, 0, 0), (1.0, 1, 1)))
     with pytest.raises(ValueError):
         DynamicObstacle(id="bad", radius=-1.0)
+    # a position or velocity that is not a pair, or a waypoint that is not a
+    # (t, x, y) triple, fails at construction, naming the obstacle
+    for shape in ({"waypoints": ((0.0, 1.0), (2.0, 3.0))},
+                  {"waypoints": ((0.0, 1.0, 2.0, 9.0),)},
+                  {"position": (1.0,)}, {"velocity": (1.0, 2.0, 3.0)}):
+        with pytest.raises(ValueError, match="obstacle 'w'"):
+            DynamicObstacle(id="w", radius=0.3, **shape)
 
 
 def test_distance_to_nearest_lone_obstacle():
@@ -267,12 +306,13 @@ def test_distance_batch_matches_scalar():
         ),
         robot_radius=0.35,
     )
-    xs = rng.uniform(0, 7.5, size=150)
-    ys = rng.uniform(0, 7.5, size=150)
-    ts = rng.uniform(0, 6, size=150)
-    batch = distance_to_nearest_batch(world, xs, ys, ts)
-    for x, y, t, b in zip(xs, ys, ts, batch):
-        assert distance_to_nearest(world, (x, y), t) == pytest.approx(b, abs=1e-12)
+    # enough points that math.hypot would round some disk gap a bit apart
+    xs = rng.uniform(0, 7.5, size=20_000).tolist()
+    ys = rng.uniform(0, 7.5, size=20_000).tolist()
+    ts = rng.uniform(0, 6, size=20_000).tolist()
+    batch = distance_to_nearest_batch(world, np.array(xs), np.array(ys), np.array(ts))
+    scalar = [distance_to_nearest(world, (x, y), t) for x, y, t in zip(xs, ys, ts)]
+    assert scalar == batch.tolist()
 
 
 def test_horizon_snapshot_matches_per_time_queries():
@@ -302,13 +342,12 @@ def test_horizon_snapshot_matches_per_time_queries():
         for row_x, row_y, row in zip(stack_x, stack_y, stacked):
             assert snapshot.clearance(row_x, row_y).tolist() == row.tolist()
         for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys)):
-            assert d == pytest.approx(distance_to_nearest(w, (x, y), t), abs=1e-12)
+            assert d == distance_to_nearest(w, (x, y), t)
         assert snapshot.tracks.shape == (len(w.obstacles), len(ts), 4)
         # the array holds exactly the predicted states
         for obs, track in zip(w.obstacles, snapshot.tracks.tolist()):
-            for (ox, oy, ovx, ovy), t in zip(track, ts, strict=True):
-                assert (ox, oy) == predict_obstacle(obs, t)
-                assert (ovx, ovy) == obstacle_velocity(obs, t)
+            for state, t in zip(track, ts, strict=True):
+                assert tuple(state) == _motion(obs, t)
 
 
 def _assert_arcs_match_reference(grid, rays, robot_radius):
