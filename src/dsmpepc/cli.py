@@ -20,9 +20,8 @@ import numpy as np
 
 from . import scenarios as scen
 from .cost import BASELINE_MPEPC, DS_MPEPC, CostKernel
-from .kinematics import step_times
 from .optimizer import candidate_pool, evaluate_batch
-from .simulator import SimResult, run, steps
+from .simulator import OUTCOME_DEADLOCKED, SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
 from .world import predict_obstacle
 
@@ -112,7 +111,7 @@ def _metrics_json(config: scen.ScenarioConfig, result: SimResult,
         "modes": {a.id: a.mode for a in config.agents},
         "result": result.to_dict(),
         "parameters": {
-            "agents": [scen._agent_to_dict(a) for a in config.agents],
+            "agents": config.to_dict()["agents"],
         },
         "wall_clock_s": round(wall_clock_s, 3),
         "artifacts": artifacts,
@@ -167,7 +166,7 @@ def _compare_rows(config: scen.ScenarioConfig, n_seeds: int):
             result = run(replace(moded, seed=config.seed + k))
             stats["success"] += int(result.all_reached)
             stats["deadlock"] += int(
-                any(a.outcome == "deadlocked" for a in result.agents)
+                any(a.outcome == OUTCOME_DEADLOCKED for a in result.agents)
             )
             stats["collision"] += int(bool(result.contacts))
             ttgs.extend(
@@ -207,9 +206,8 @@ def _landscape_candidates(config, agent_spec, state, world, nav):
     params = replace(agent_spec.cost, mode=DS_MPEPC, include_terminal=True)
     opt = replace(agent_spec.optimizer, n_refine_seeds=0, seed=config.seed)
     zs, _ = candidate_pool(state, agent_spec.goal, agent_spec.planner, opt)
-    kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner,
-                        step_times(state.t, agent_spec.planner), nav)
-    return (zs, *evaluate_batch(zs, state, kernel))
+    kernel = CostKernel(world, agent_spec.goal, params, agent_spec.planner, state, nav)
+    return (zs, *evaluate_batch(zs, kernel))
 
 
 def cmd_landscape(args) -> int:

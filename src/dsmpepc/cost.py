@@ -17,17 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Pose
-from .kinematics import PlannerConfig, RobotState, Trajectory
-from .world import (
-    HorizonSnapshot,
-    NavigationField,
-    World,
-    _ttc_batch,
-    time_to_collision,
-)
+from .kinematics import PlannerConfig, RobotState, Trajectory, step_times
+from .world import HorizonSnapshot, NavigationField, World, time_to_collision
 # unused here; bench/tracing.py wraps these names on the cost module
-from .world import _ttc_batch as _ttc_assuming_clear  # noqa: F401
 from .world import distance_to_nearest_batch  # noqa: F401
+_ttc_assuming_clear = HorizonSnapshot.ttc
 
 BASELINE_MPEPC = "baseline_mpepc"
 DS_MPEPC = "ds_mpepc"
@@ -217,19 +211,19 @@ class CostRows(NamedTuple):
 class CostKernel:
     """The trajectory cost of one planning problem, over batches of rollouts.
 
-    Everything shared by the problem's candidates is prepared once: the
-    navigation field (`nav`, which must be built for `goal` over the
-    world's grid, or one built here), the obstacles predicted at the step
-    times `ts` (`snapshot`), the weights and the planner config. `evaluate`
-    then scores any number of rollouts given as (B, N+1) state arrays. It is
-    the one cost implementation: `plan()` builds one kernel per problem and
-    every batch it evaluates (`optimizer.evaluate_batch`) goes through it, and
-    `trajectory_cost` scores a single trajectory as a batch of one.
+    The problem is a `start` state, a goal and a world. Everything shared by
+    its candidates is prepared once: the navigation field (`nav`, which must
+    be built for `goal` over the world's grid, or one built here), the
+    obstacles predicted at the step times `step_times(start.t, cfg)`
+    (`snapshot`), the weights and the planner config. `evaluate` then scores
+    any number of rollouts from `start`, given as (B, N+1) state arrays. It
+    is the one cost implementation: `plan()` builds one kernel per problem
+    and every batch it evaluates (`optimizer.evaluate_batch`) goes through
+    it, and `trajectory_cost` scores a single trajectory as a batch of one.
     """
 
     def __init__(self, world: World, goal, params: CostParams, cfg: PlannerConfig,
-                 ts: list[float], nav: NavigationField | None = None):
-        self.world = world
+                 start: RobotState, nav: NavigationField | None = None):
         self.goal = _goal_xy(goal)
         if nav is not None and nav.goal != self.goal:
             raise ValueError(f"nav was built for goal {nav.goal}, not for {self.goal}")
@@ -242,7 +236,8 @@ class CostKernel:
         self.nav = NavigationField(world.grid, self.goal) if nav is None else nav
         self.params = params
         self.cfg = cfg
-        self.snapshot = HorizonSnapshot(world, ts)
+        self.start = start
+        self.snapshot = HorizonSnapshot(world, step_times(start.t, cfg))
 
     def evaluate(self, xs, ys, hs, vs, ws) -> CostRows:
         """The `CostRows` of the rollouts whose states at the step times are
@@ -258,18 +253,16 @@ class CostKernel:
         anticipatory factor (so an in-contact endpoint forces probability 1
         exactly). A segment whose distance-based probability is below
         _P_C_SKIP gets ttc = +inf without a query. All TTC queries of an
-        evaluation go to one `_ttc_batch` call, so the grid is ray-marched
-        once: the segments' queries first, then the terminal queries (each
-        last state at v_limit along its heading). Baseline mode uses the
-        distance-only probability and no terminal term. Every operation is
-        elementwise or runs along a row, so a row does not depend on the rest
-        of the batch, and the segment terms are summed in order, as a loop
-        over the segments would.
+        evaluation go to one `HorizonSnapshot.ttc` call, so the grid is
+        ray-marched once: the segments' queries first, then the terminal
+        queries (each last state at v_limit along its heading). Baseline mode
+        uses the distance-only probability and no terminal term. Every
+        operation is elementwise or runs along a row, so a row does not
+        depend on the rest of the batch, and the segment terms are summed in
+        order, as a loop over the segments would.
         """
         params = self.params
-        world = self.world
         cfg = self.cfg
-        tracks = self.snapshot.tracks
         b, n = xs.shape[0], xs.shape[1] - 1
         d = self.snapshot.clearance(xs, ys)
         nf = self.nav.distance_batch(xs, ys)
@@ -292,8 +285,8 @@ class CostKernel:
             q_ttc = np.empty(0)
             if qr.size:
                 qh = hs[qr, qt]
-                q_ttc = _ttc_batch(world, xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
-                                   speed * np.sin(qh), qt, tracks, d[qr, qt])
+                q_ttc = self.snapshot.ttc(xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
+                                          speed * np.sin(qh), qt, d[qr, qt])
             ttc = np.full((b, n), math.inf)
             ttc[rr, cols] = q_ttc[:rr.size]
             ttc_n = q_ttc[rr.size:]
@@ -329,17 +322,20 @@ def trajectory_cost(
     """Evaluate a rolled-out trajectory under the configured cost mode.
 
     Scores the trajectory's states as a batch of one through a `CostKernel`
-    built for its timestamps (see `CostKernel.evaluate` for the model) and
-    returns that row as floats and lists.
+    built from its first state (see `CostKernel.evaluate` for the model) and
+    returns that row as floats and lists. The trajectory must be a rollout
+    under `cfg`: its timestamps `step_times(states[0].t, cfg)`.
     """
     states = traj.states
-    if len(states) < 2:
-        raise ValueError("trajectory must contain at least two states")
+    times = [s.t for s in states]
+    if not times or times != step_times(times[0], cfg):
+        raise ValueError(
+            f"trajectory timestamps are not the {cfg.n_steps + 1} step times of cfg")
     # one contiguous (1, N+1) array per state component, as a batch row
     columns = np.array([(s.pose.x, s.pose.y, s.pose.heading, s.v, s.omega)
                         for s in states], dtype=float).T.copy()
     if not np.isfinite(columns[:2]).all():
         raise ValueError("trajectory contains non-finite states")
-    kernel = CostKernel(world, goal, params, cfg, [s.t for s in states], nav)
+    kernel = CostKernel(world, goal, params, cfg, states[0], nav)
     rows = kernel.evaluate(*(c[None] for c in columns))
     return CostRows._make(None if a is None else a[0].tolist() for a in rows)

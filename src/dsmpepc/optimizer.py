@@ -27,7 +27,6 @@ from .kinematics import (
     TrajectoryParam,
     rollout,
     rollout_batch,
-    step_times,
     trajectory,
 )
 from .world import NavigationField, World
@@ -145,7 +144,8 @@ class OptimizerConfig:
                 f"parameters; got {self.refine_max_evals}"
             )
 
-    def resolved_bounds(self, planner_cfg: PlannerConfig) -> Bounds:
+    @staticmethod
+    def resolved_bounds(planner_cfg: PlannerConfig) -> Bounds:
         """The parameter box: r in [0, r_max], angles in [-pi, pi], v_max in
         [0, v_limit]."""
         return (
@@ -186,19 +186,18 @@ def evaluate_candidate(
     return traj, trajectory_cost(traj, goal, world, cost_params, planner_cfg, nav=nav)
 
 
-def evaluate_batch(params: np.ndarray, current: RobotState, kernel: CostKernel):
-    """Score the (B, 4) parameter rows `params` rolled out from `current`:
-    the planner's one evaluation path.
+def evaluate_batch(params: np.ndarray, kernel: CostKernel):
+    """Score the (B, 4) parameter rows `params` rolled out from the start
+    state of the problem `kernel`: the planner's one evaluation path.
 
     Returns (`cost.CostRows`, states), states being the rollouts' (xs, ys,
-    headings, vs, omegas) arrays, each (B, N+1). `kernel` holds the problem;
-    its snapshot must be predicted at `step_times(current.t, cfg)`. A
-    candidate's row depends only on that candidate (the rollout, the
-    clearances, the TTC queries and the cost terms are elementwise or run
-    along the row), so a candidate scored alone through `rollout` and
-    `trajectory_cost` equals its entry in any batch, bit for bit.
+    headings, vs, omegas) arrays, each (B, N+1). A candidate's row depends
+    only on that candidate (the rollout, the clearances, the TTC queries and
+    the cost terms are elementwise or run along the row), so a candidate
+    scored alone through `rollout` and `trajectory_cost` equals its entry in
+    any batch, bit for bit.
     """
-    states = rollout_batch(current, params, kernel.cfg)
+    states = rollout_batch(kernel.start, params, kernel.cfg)
     return kernel.evaluate(*states), states
 
 
@@ -225,10 +224,11 @@ def _ranking(params: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return np.lexsort((params[:, 2], params[:, 1], params[:, 3], params[:, 0], costs))
 
 
-def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
-             kernel: CostKernel, bounds: Bounds, budget: int, unit: np.ndarray):
+def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budget: int,
+             unit: np.ndarray):
     """Batched local search from each row of the (S, 4) array `seeds`,
-    whose costs are `seed_costs`.
+    whose costs are `seed_costs`, over the problem `kernel` and inside its
+    planner config's parameter box (`OptimizerConfig.resolved_bounds`).
 
     Each seed spends `budget` evaluations over ceil(sqrt(budget) / 2)
     rounds, or fewer when a round would drop below _MIN_ROUND probes: a
@@ -247,6 +247,7 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
     costs and their rollouts' (xs, ys, headings, vs, omegas).
     """
     n = len(seeds)
+    bounds = OptimizerConfig.resolved_bounds(kernel.cfg)
     rounds = min(math.ceil(math.sqrt(budget) / 2), budget // _MIN_ROUND)
     unit = 2.0 * unit[:budget * n] - 1.0
     center = np.array(seeds, dtype=float)
@@ -265,7 +266,7 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, current: RobotState,
         moved = step.any(axis=1)
         x[moved, 0] = center[moved] + step[moved]
         x = _canonical(x.reshape(-1, 4), bounds)
-        rows, states = evaluate_batch(x, current, kernel)
+        rows, states = evaluate_batch(x, kernel)
         evaluated.append((x, rows.total, *states))
         x = x.reshape(n, k, 4)
         costs = rows.total.reshape(n, k)
@@ -325,13 +326,13 @@ def plan(
     Deterministic for fixed inputs and seed. The halting candidate is always
     evaluated, so a result always exists; ties are broken lexicographically on
     (cost, r, v_max, theta, delta). The problem is built once, as one
-    `CostKernel` (navigation field, weights, and the obstacles predicted at
-    the step times in one `HorizonSnapshot`; `nav` defaults to a field built
-    for the goal). The candidates stay rows of one (M, 4) array, costs
-    beside it, up to the argmin; the sweep (`candidate_pool`) and every
-    refinement round score theirs through the kernel (`evaluate_batch`), so
-    every cost in `evaluated` is bit-identical to
-    `evaluate_candidate(z, ...).total`.
+    `CostKernel` (the start state, navigation field, weights, and the
+    obstacles predicted at the step times in one `HorizonSnapshot`; `nav`
+    defaults to a field built for the goal). The candidates stay rows of one
+    (M, 4) array, costs beside it, up to the argmin; the sweep
+    (`candidate_pool`) and every refinement round score theirs through the
+    kernel (`evaluate_batch`), so every cost in `evaluated` is bit-identical
+    to `evaluate_candidate(z, ...).total`.
     `best_param` is the argmin's object in `evaluated`, the only
     `TrajectoryParam`s built, and `best_trajectory` is its own rollout.
     """
@@ -341,15 +342,13 @@ def plan(
         raise ValueError("plan requires a finite goal")
     if warm_start is not None and not all(map(math.isfinite, warm_start.as_tuple())):
         raise ValueError("plan requires a finite warm_start")
-    bounds = opt_cfg.resolved_bounds(planner_cfg)
-    kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg,
-                        step_times(current.t, planner_cfg), nav)
+    kernel = CostKernel(world, (goal.x, goal.y), cost_params, planner_cfg, current, nav)
     params, unit = candidate_pool(current, goal, planner_cfg, opt_cfg, warm_start)
-    rows, states = evaluate_batch(params, current, kernel)
+    rows, states = evaluate_batch(params, kernel)
     parts = [(params, rows.total, *states)]
     if opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals > 0:
         seeds = _ranking(params, rows.total)[:opt_cfg.n_refine_seeds]
-        parts += minimize(params[seeds], rows.total[seeds], current, kernel, bounds,
+        parts += minimize(params[seeds], rows.total[seeds], kernel,
                           opt_cfg.refine_max_evals, unit)
     params, costs, *states = (np.concatenate(a) for a in zip(*parts))
 

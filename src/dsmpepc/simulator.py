@@ -144,7 +144,7 @@ def _cycle_seed(base_seed: int, agent_index: int, cycle: int) -> int:
 class Step:
     """One recorded step of a run, at t = cycle * step_h: every agent as the
     step found it (`samples`), the agents it stopped (id -> outcome) and the
-    states after that, and each agent's world (`steps`). `plans` are the
+    states after that, and each agent's world (`worlds`). `plans` are the
     plans made at the step before, which moved the active agents here."""
 
     cycle: int

@@ -362,8 +362,8 @@ class HorizonSnapshot:
     through one `CostKernel`, so nothing re-predicts an obstacle. `tracks`
     is a (K, T, 4) array: per obstacle of `world.obstacles` and step time,
     its center and velocity, from one `_motion` lookup. Every
-    planning-time clearance (`clearance`) and TTC reads it, so both see the
-    same obstacle centers.
+    planning-time clearance (`clearance`) and TTC (`ttc`) reads it, so both
+    see the same obstacle centers.
     """
 
     __slots__ = ("world", "tracks")
@@ -382,6 +382,49 @@ class HorizonSnapshot:
         for obs, (ox, oy, _, _) in zip(world.obstacles, self.tracks.transpose(0, 2, 1)):
             d = np.minimum(d, np.hypot(xs - ox, ys - oy) - obs.radius)
         return np.maximum(0.0, d - world.robot_radius)
+
+    def ttc(self, x, y, vx, vy, t_idx, d0) -> np.ndarray:
+        """`time_to_collision` of points moving with velocities (vx, vy),
+        each against the obstacles at its index `t_idx` into the step times;
+        `d0` is the points' clearance (0 exactly where in contact).
+
+        Every operation is elementwise per point, so a point's TTC does not
+        depend on the others in the call: `CostKernel.evaluate` makes one
+        call per evaluation, its segment queries followed by its terminal
+        queries, and the static grid is ray-marched once for all of them."""
+        world = self.world
+        n = x.shape[0]
+        best = np.full(n, math.inf)
+        for obs, (px, py, ovx, ovy) in zip(world.obstacles, self.tracks.transpose(0, 2, 1)):
+            dpx = px[t_idx] - x
+            dpy = py[t_idx] - y
+            dvx = ovx[t_idx] - vx
+            dvy = ovy[t_idx] - vy
+            a = dvx * dvx + dvy * dvy
+            r_sum = world.robot_radius + obs.radius
+            bq = 2.0 * (dpx * dvx + dpy * dvy)
+            c = dpx * dpx + dpy * dpy - r_sum * r_sum
+            disc = bq * bq - 4.0 * a * c
+            ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
+            s = np.where(ok & (s > 0.0), s, math.inf)
+            best = np.minimum(best, s)
+        speed = np.hypot(vx, vy)
+        # a point in contact has TTC 0 whatever the grid holds ahead of it
+        movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
+        if movers.any() and world.grid.has_occupied:
+            mi = np.nonzero(movers)[0]
+            sp = speed[mi]
+            arcs = _static_ray_arcs(
+                world.grid,
+                x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
+                world.robot_radius,
+                np.minimum(best[mi], TTC_HORIZON) * sp,
+            )
+            best[mi] = np.minimum(best[mi], arcs / sp)
+        best = np.where(best > TTC_HORIZON, math.inf, best)
+        return np.where(d0 <= 0.0, 0.0, best)
 
 
 def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
@@ -435,50 +478,6 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     return arcs
 
 
-def _ttc_batch(world: World, x, y, vx, vy, t_idx, tracks, d0) -> np.ndarray:
-    """time_to_collision of points moving with velocities (vx, vy), each
-    against the obstacle states at its index `t_idx` into the `tracks` of a
-    snapshot of `world`; `d0` is the points' clearance (0 exactly where in
-    contact).
-
-    Every operation is elementwise per point, so a point's TTC does not
-    depend on the others in the call: `CostKernel.evaluate` makes one call
-    per evaluation, its segment queries followed by its terminal queries,
-    and the static grid is ray-marched once for all of them."""
-    n = x.shape[0]
-    best = np.full(n, math.inf)
-    for obs, (px, py, ovx, ovy) in zip(world.obstacles, tracks.transpose(0, 2, 1)):
-        dpx = px[t_idx] - x
-        dpy = py[t_idx] - y
-        dvx = ovx[t_idx] - vx
-        dvy = ovy[t_idx] - vy
-        a = dvx * dvx + dvy * dvy
-        r_sum = world.robot_radius + obs.radius
-        bq = 2.0 * (dpx * dvx + dpy * dvy)
-        c = dpx * dpx + dpy * dpy - r_sum * r_sum
-        disc = bq * bq - 4.0 * a * c
-        ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
-        s = np.where(ok & (s > 0.0), s, math.inf)
-        best = np.minimum(best, s)
-    speed = np.hypot(vx, vy)
-    # a point in contact has TTC 0 whatever the grid holds ahead of it
-    movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
-    if movers.any() and world.grid.has_occupied:
-        mi = np.nonzero(movers)[0]
-        sp = speed[mi]
-        arcs = _static_ray_arcs(
-            world.grid,
-            x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
-            world.robot_radius,
-            np.minimum(best[mi], TTC_HORIZON) * sp,
-        )
-        best[mi] = np.minimum(best[mi], arcs / sp)
-    best = np.where(best > TTC_HORIZON, math.inf, best)
-    return np.where(d0 <= 0.0, 0.0, best)
-
-
 def time_to_collision(
     world: World, position: tuple[float, float], velocity: tuple[float, float], t0: float
 ) -> float:
@@ -487,14 +486,13 @@ def time_to_collision(
     Returns 0 exactly when already in contact (d_o = 0), +inf when no contact
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
     the relative-motion quadratic; the static grid is ray-marched. A batch of
-    one point through the planner's own TTC (`_ttc_batch`).
+    one point through the planner's own TTC (`HorizonSnapshot.ttc`).
     """
     snapshot = HorizonSnapshot(world, [t0])
     x = np.array([float(position[0])])
     y = np.array([float(position[1])])
-    ttc = _ttc_batch(world, x, y, np.array([float(velocity[0])]),
-                     np.array([float(velocity[1])]), np.zeros(1, dtype=int),
-                     snapshot.tracks, snapshot.clearance(x, y))
+    ttc = snapshot.ttc(x, y, np.array([float(velocity[0])]), np.array([float(velocity[1])]),
+                       np.zeros(1, dtype=int), snapshot.clearance(x, y))
     return float(ttc[0])
 
 

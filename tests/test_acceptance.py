@@ -30,7 +30,6 @@ from dsmpepc.kinematics import (
     RobotState,
     TrajectoryParam,
     rollout,
-    step_times,
 )
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, plan
 from dsmpepc.scenarios import builtin
@@ -306,11 +305,10 @@ def test_c6_oracles():
         result = plan(start, goal, world, short_cfg, PARAMS,
                       replace(search, seed=idx), nav=nav)
         best_grid = math.inf
-        kernel = CostKernel(world, goal, PARAMS, short_cfg,
-                            step_times(start.t, short_cfg), nav)
+        kernel = CostKernel(world, goal, PARAMS, short_cfg, start, nav)
         for lo in range(0, len(grid_points), 8192):
             chunk = grid_points[lo:lo + 8192]
-            rows, _ = evaluate_batch(chunk, start, kernel)
+            rows, _ = evaluate_batch(chunk, kernel)
             best_grid = min(best_grid, float(rows.total.min()))
         assert result.best_cost <= best_grid + 1e-6
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dsmpepc.cli import main
-from dsmpepc.scenarios import builtin
+from dsmpepc.scenarios import builtin, load
 
 SMALL_FIELD = {
     "name": "small_field",
@@ -59,6 +60,20 @@ def test_run_writes_artifacts_and_exit_zero(small_scenario, tmp_path):
     svg_path = os.path.join(out, "scene.svg")
     tree = ET.parse(svg_path)  # well-formed XML
     assert tree.getroot().tag.endswith("svg")
+    # one diag row per replan: one per cycle before the agent reached its goal
+    with open(trace_path) as f:
+        trace = list(csv.DictReader(f))
+    with open(os.path.join(out, "diag_bot.csv")) as f:
+        diag = list(csv.DictReader(f))
+    assert [row["t"] for row in diag] == [row["t"] for row in trace[:-1]]
+    # a fan of every candidate evaluated at every 25th cycle (step_h 0.2 s)
+    fanned = sum(int(row["n_evaluated"]) for row in diag
+                 if round(float(row["t"]) / 0.2) % 25 == 0)
+    polylines = [e for e in tree.iter() if e.tag.endswith("polyline")]
+    assert fanned > 0
+    assert sum(e.get("stroke") == "#9a9a9a" for e in polylines) == fanned
+    agents = load(small_scenario).to_dict()["agents"]
+    assert metrics["parameters"]["agents"] == json.loads(json.dumps(agents))
 
 
 def test_run_missing_file_exits_2(tmp_path):

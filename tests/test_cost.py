@@ -28,9 +28,8 @@ from dsmpepc.kinematics import (
     TrajectoryParam,
     rollout,
     rollout_batch,
-    step_times,
 )
-from dsmpepc.world import DynamicObstacle, OccupancyGrid, World, _ttc_batch
+from dsmpepc.world import DynamicObstacle, HorizonSnapshot, OccupancyGrid, World
 
 from agreement import assert_float_alone_equals_array
 from oracles import reference_trajectory_cost
@@ -286,11 +285,10 @@ def test_kernel_rows_keep_the_paper_bounds():
     lo, hi = np.array([(0.0, 8.0), (-math.pi, math.pi), (-math.pi, math.pi), (0.0, 1.0)]).T
     params = lo + np.random.default_rng(23).random((300, 4)) * (hi - lo)
     states = rollout_batch(start, params, CFG)
-    ts = step_times(start.t, CFG)
     goal = Pose(10.0, 4.0, 0.0)
-    ds = CostKernel(world, goal, PARAMS, CFG, ts).evaluate(*states)
+    ds = CostKernel(world, goal, PARAMS, CFG, start).evaluate(*states)
     base = CostKernel(world, goal, replace(PARAMS, mode=BASELINE_MPEPC), CFG,
-                      ts).evaluate(*states)
+                      start).evaluate(*states)
     assert (ds.d_o == base.d_o).all()
     p_c, p_mod = base.p_c, ds.p_c
     assert ((1 - PARAMS.a) * p_c <= p_mod).all()
@@ -460,9 +458,8 @@ def test_baseline_is_ds_without_either_contribution():
     for k, pose in enumerate(starts):
         start = RobotState(pose=pose, v=0.4, omega=-0.1, t=1.0)
         states = rollout_batch(start, lo + draws.random((200, 4)) * (hi - lo), CFG)
-        ts = step_times(start.t, CFG)
-        ds = CostKernel(world, goal, ablated, CFG, ts).evaluate(*states)
-        base = CostKernel(world, goal, baseline, CFG, ts).evaluate(*states)
+        ds = CostKernel(world, goal, ablated, CFG, start).evaluate(*states)
+        base = CostKernel(world, goal, baseline, CFG, start).evaluate(*states)
         assert ds.j_terminal is None
         for name in ("total", "p_c", "p_s"):
             assert np.array_equal(getattr(ds, name), getattr(base, name)), name
@@ -489,6 +486,16 @@ def test_trajectory_cost_rejects_short_trajectory():
                      target=Pose(1, 0, 0))
     with pytest.raises(ValueError):
         trajectory_cost(bad, Pose(1, 0, 0), open_world(), PARAMS, CFG)
+
+
+@pytest.mark.parametrize("other", [replace(CFG, step_h=CFG.step_h / 2),
+                                   replace(CFG, horizon_T=CFG.horizon_T - CFG.step_h)])
+def test_trajectory_cost_rejects_a_rollout_under_another_config(other):
+    # scored at its own times, such a trajectory would still take CFG's
+    # step_h in its effort term
+    traj = rollout(RobotState(pose=Pose(6, 6, 0), t=1.0), TrajectoryParam(3, 0, 0, 1), other)
+    with pytest.raises(ValueError, match="step times"):
+        trajectory_cost(traj, Pose(12, 6, 0), open_world(), PARAMS, CFG)
 
 
 def test_terminal_rows_of_a_halting_robot():
@@ -556,7 +563,7 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
     # each row equals what separate segment and terminal queries give
     world, start, states = _marching_problem()
     xs, ys, hs, vs, _ = states
-    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), PARAMS, CFG, step_times(start.t, CFG))
+    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), PARAMS, CFG, start)
     marches = []
 
     def counted(*args, _real=world_module._static_ray_arcs):
@@ -570,19 +577,19 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
 
     b, n = xs.shape[0], xs.shape[1] - 1
     assert marches[0] > b  # the terminal rays and moving segment queries
-    tracks = kernel.snapshot.tracks
-    d = kernel.snapshot.clearance(xs, ys)
+    snapshot = kernel.snapshot
+    d = snapshot.clearance(xs, ys)
     need = collision_probability(rows.d_o, PARAMS) >= _P_C_SKIP
     assert need.any() and not need.all()
     rr, cols = np.nonzero(need)
     pt = np.where(d[rr, cols] <= d[rr, cols + 1], cols, cols + 1)
     pv, ph = vs[rr, pt], hs[rr, pt]
     ttc = np.full((b, n), math.inf)
-    ttc[rr, cols] = _ttc_batch(world, xs[rr, pt], ys[rr, pt], pv * np.cos(ph),
-                               pv * np.sin(ph), pt, tracks, d[rr, pt])
+    ttc[rr, cols] = snapshot.ttc(xs[rr, pt], ys[rr, pt], pv * np.cos(ph), pv * np.sin(ph),
+                                 pt, d[rr, pt])
     heading = hs[:, -1]
-    ttc_n = _ttc_batch(world, xs[:, -1], ys[:, -1], CFG.v_limit * np.cos(heading),
-                       CFG.v_limit * np.sin(heading), np.full(b, n), tracks, d[:, -1])
+    ttc_n = snapshot.ttc(xs[:, -1], ys[:, -1], CFG.v_limit * np.cos(heading),
+                         CFG.v_limit * np.sin(heading), np.full(b, n), d[:, -1])
     np.testing.assert_array_equal(rows.ttc, ttc)
     np.testing.assert_array_equal(rows.ttc_terminal, ttc_n)
     assert (ttc == 0.0).any() and (np.isfinite(ttc) & (ttc > 0.0)).any()
@@ -595,11 +602,11 @@ def test_evaluate_without_ttc_queries_makes_no_ttc_call(params, monkeypatch):
     # baseline mode has no TTC; in ds mode without the terminal term, a batch
     # whose segments are all below _P_C_SKIP queries nothing
     world, start, states = _marching_problem()
-    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), params, CFG, step_times(start.t, CFG))
+    kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), params, CFG, start)
     clear = kernel.snapshot.clearance(states[0], states[1]).min(axis=1) > 0.05
     assert 0 < clear.sum() < clear.size
     states = tuple(a[clear] for a in states)
-    monkeypatch.setattr("dsmpepc.cost._ttc_batch", lambda *a: pytest.fail("queried"))
+    monkeypatch.setattr(HorizonSnapshot, "ttc", lambda *a: pytest.fail("queried"))
     rows = kernel.evaluate(*states)
     ttc = rows.ttc
     assert ttc is None if params.mode == BASELINE_MPEPC else (ttc == math.inf).all()

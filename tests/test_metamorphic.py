@@ -13,8 +13,12 @@ clock fails the time shift, swapped axes or atan2 arguments fail the mirror,
 a grid lookup that ignores the map origin fails the translation.
 An error that commutes with the transforms, such as a flipped sign of the
 TTC relative velocity, passes them; the unreachable obstacle below and the
-TTC oracles in test_world catch it. An added obstacle, last, checks the
+TTC oracles in test_world catch it. An added obstacle checks the
 relations that follow from clearance and TTC being minima over obstacles.
+
+The last tests compare two whole runs (`simulator.run`) of one small scenario
+on one build, exactly: two agents crossing an open map past a
+constant-velocity disk and a waypoint-scripted disk.
 """
 
 from dataclasses import replace
@@ -24,14 +28,17 @@ import pytest
 
 from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams
 from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, step_times
+from dsmpepc.kinematics import PlannerConfig, RobotState
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch
+from dsmpepc.scenarios import AgentSpec, ScenarioConfig
+from dsmpepc.simulator import run
 from dsmpepc.world import (
     TTC_HORIZON,
     DynamicObstacle,
     NavigationField,
     OccupancyGrid,
     World,
+    distance_to_nearest,
     predict_obstacle,
     time_to_collision,
 )
@@ -76,8 +83,8 @@ def _score(rows, start, goal, obstacles, params=PARAMS, origin=(0.0, 0.0), cost=
            nav=None):
     world = World(grid=OccupancyGrid.from_ascii(rows, RES, origin), obstacles=obstacles,
                   robot_radius=0.35)
-    kernel = CostKernel(world, goal, cost, CFG, step_times(start.t, CFG), nav)
-    cost_rows, _ = evaluate_batch(params, start, kernel)
+    kernel = CostKernel(world, goal, cost, CFG, start, nav)
+    cost_rows, _ = evaluate_batch(params, kernel)
     return cost_rows
 
 
@@ -248,3 +255,48 @@ def test_added_obstacle():
     assert rose == set()
     # the disks move every quantity, so each relation is put to the test
     assert fell == set(want)
+
+
+_RUN_OPT = OptimizerConfig(n_global_samples=64, n_refine_seeds=2, refine_max_evals=20)
+CROSSING = ScenarioConfig(
+    "crossing", OccupancyGrid(np.zeros((24, 32), dtype=bool), RES),
+    (AgentSpec("a", Pose(1.0, 1.5, 0.5), Pose(7.0, 4.5, 0.0), optimizer=_RUN_OPT),
+     AgentSpec("b", Pose(1.0, 4.5, -0.5), Pose(7.0, 1.5, 0.0), optimizer=_RUN_OPT)),
+    (DynamicObstacle(id="cv", radius=0.3, position=(6.5, 3.0), velocity=(-0.6, 0.0)),
+     DynamicObstacle(id="wp", radius=0.3, waypoints=((0.0, 4.0, 5.8), (4.0, 4.0, 0.2)))),
+    duration=4.0, seed=2)
+
+
+@pytest.fixture(scope="module")
+def crossing_run():
+    return run(CROSSING)
+
+
+def test_each_obstacle_bounds_a_crossing_clearance(crossing_run):
+    # each scripted disk is the nearest party of some trace sample, near
+    # enough to weigh in the cost, so the run-level checks below compare runs
+    # that both disks steer
+    for obs in CROSSING.scripted_obstacles:
+        assert any(
+            0.0 < s.d_o < 1.0
+            and s.d_o == distance_to_nearest(World(CROSSING.grid, (obs,), spec.radius),
+                                             (s.x, s.y), s.t)
+            for spec, agent in zip(CROSSING.agents, crossing_run.agents)
+            for s in agent.trace
+        ), obs.id
+
+
+def test_run_ignores_the_order_of_scripted_obstacles(crossing_run):
+    reversed_run = run(replace(CROSSING, scripted_obstacles=CROSSING.scripted_obstacles[::-1]))
+    assert reversed_run.agents == crossing_run.agents
+
+
+def test_run_ignores_a_far_receding_obstacle(crossing_run):
+    # the run-level twin of test_unreachable_obstacle: about 35 m away and
+    # receding at three times v_limit, near enough for a finite root if time
+    # ran backwards
+    far = DynamicObstacle(id="far", radius=0.5, position=(40.0, 3.0),
+                          velocity=(3.0 * CFG.v_limit, 0.0))
+    assert 35.0 / CFG.v_limit < TTC_HORIZON
+    added = CROSSING.scripted_obstacles + (far,)
+    assert run(replace(CROSSING, scripted_obstacles=added)).agents == crossing_run.agents

@@ -31,7 +31,7 @@ except ImportError:  # numpy < 2
 from dsmpepc import builtin, run
 from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams, CostRows, trajectory_cost
 from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout, step_times
+from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
@@ -199,15 +199,15 @@ def test_batch_rows_do_not_depend_on_the_batch(name):
     # with the same fields None (ttc in baseline mode, the terminal fields
     # without a terminal term)
     start, goal, world, cost, _ = PROBLEMS[name]
-    kernel = CostKernel(world, goal, cost, CFG, step_times(start.t, CFG))
+    kernel = CostKernel(world, goal, cost, CFG, start)
     rng = np.random.default_rng(3)
     lo, hi = np.array(OPT.resolved_bounds(CFG)).T
     params = lo + rng.random((64, 4)) * (hi - lo)
     params[5] = 0.0
-    full = evaluate_batch(params, start, kernel)
+    full = evaluate_batch(params, kernel)
     for size in (1, 3, 7, 13):
         for first in range(0, 64 - size + 1, size):
-            part = evaluate_batch(params[first:first + size], start, kernel)
+            part = evaluate_batch(params[first:first + size], kernel)
             for k in range(size):
                 assert _rows(*part, k) == _rows(*full, first + k)
     rows = full[0]

@@ -15,7 +15,6 @@ from dsmpepc.world import (
     World,
     _motion,
     _static_ray_arcs,
-    _ttc_batch,
     distance_to_nearest,
     distance_to_nearest_batch,
     predict_obstacle,
@@ -476,7 +475,7 @@ def test_ttc_marches_only_points_clear_of_contact(monkeypatch):
         return _real(grid, mx, my, *rest)
 
     monkeypatch.setattr(world_module, "_static_ray_arcs", counted)
-    ttc = _ttc_batch(world, x, y, vx, vy, np.zeros(x.size, dtype=int), snapshot.tracks, d0)
+    ttc = snapshot.ttc(x, y, vx, vy, np.zeros(x.size, dtype=int), d0)
     assert sorted(marched) == sorted(zip(x[~contact].tolist(), y[~contact].tolist()))
     assert (ttc[contact] == 0.0).all() and (ttc[~contact] > 0.0).all()
 
