@@ -6,6 +6,19 @@ per-segment non-collision probabilities). The ds mode scales the distance-
 based collision probability by an anticipatory factor driven by
 time-to-collision and adds a bounded terminal bonus in [-1, 0] that prefers
 safe re-orientations, which is what resolves deadlocks.
+
+Each formula is written once, as a guard-free array core
+(`_collision_probability`, `_anticipatory_factor`, `_survivability`,
+`_time_to_goal`, `_terminal_bonus`, built on `_bell`). Its public function
+(`collision_probability`, `anticipatory_factor`, `survivability`,
+`expected_time_to_goal`, `terminal_bonus`) checks the arguments whose
+domain the formula restricts, so that a negative or NaN distance, TTC or
+TTG and a probability outside [0, 1] are a ValueError, and runs the core
+under `np.errstate`. The formulas reach
+their limits through exact float extremes (1/0 = inf, 1/inf = 0,
+exp(-inf) = 0, overflow to inf, a 0/0 that a mask discards), which are not
+errors. `CostKernel.evaluate` calls the cores on the arrays it builds
+itself, inside one `np.errstate`, without re-checking them.
 """
 
 from __future__ import annotations
@@ -69,9 +82,15 @@ class CostParams:
             raise ValueError(f"unknown cost mode {self.mode!r}")
 
 
-# The formulas below take floats or numpy arrays (elementwise, broadcasting)
-# and are the planner's own code: `CostKernel.evaluate` calls them on whole
-# batches of rows. A float input gives a float (numpy's float64).
+# The floating-point state of the formulas' cores (see the module docstring).
+# The public functions take floats or numpy arrays (elementwise,
+# broadcasting); a float input gives a float (numpy's float64).
+_EXTREMES = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
+def _nonnegative(x) -> bool:
+    """Whether every value is >= 0 (NaN is not)."""
+    return bool((np.asarray(x) >= 0.0).all())
 
 
 def _probabilities(p) -> bool:
@@ -80,25 +99,27 @@ def _probabilities(p) -> bool:
     return bool(((0.0 <= p) & (p <= 1.0)).all())
 
 
-def _inverse(values):
-    """1/value elementwise, with the exact conventions 1/inf = 0 and 1/0 = inf."""
-    values = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(values == 0.0, math.inf, np.where(np.isinf(values), 0.0, 1.0 / values))
-
-
 def _bell(x, sigma: float):
-    """exp(-x^2 / sigma^2): 1 exactly at x = 0, 0 exactly at x = inf (and
-    where x^2 overflows to inf)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(-(x * x) / (sigma * sigma))
+    """exp(-x^2 / sigma^2): 1 exactly at x = 0, 0 exactly at x = +-inf (and
+    where x^2 overflows to inf). Of x = 1/t for a t >= 0, it is 0 exactly
+    at t = 0 (1/0 = inf) and 1 exactly at t = inf (1/inf = 0)."""
+    return np.exp(-(x * x) / (sigma * sigma))
+
+
+def _collision_probability(d_o, params: CostParams):
+    return _bell(d_o, params.sigma_d)
 
 
 def collision_probability(d_o, params: CostParams):
     """Bell-shaped distance-based collision probability exp(-d_o^2 / sigma_d^2)."""
-    if np.any(np.less(d_o, 0.0)):
+    if not _nonnegative(d_o):
         raise ValueError("d_o must be >= 0")
-    return _bell(d_o, params.sigma_d)
+    with np.errstate(**_EXTREMES):
+        return _collision_probability(d_o, params)
+
+
+def _anticipatory_factor(ttc, params: CostParams):
+    return 1.0 - params.a * _bell(1.0 / ttc, params.sigma_inv_ttc)
 
 
 def anticipatory_factor(ttc, params: CostParams):
@@ -107,9 +128,10 @@ def anticipatory_factor(ttc, params: CostParams):
     Equals 1 exactly at ttc = 0 (contact: no discount) and 1 - a exactly at
     ttc = +inf (motion that never collides earns the full discount).
     """
-    if np.any(np.less(ttc, 0.0)):
+    if not _nonnegative(ttc):
         raise ValueError("ttc must be >= 0")
-    return 1.0 - params.a * _bell(_inverse(ttc), params.sigma_inv_ttc)
+    with np.errstate(**_EXTREMES):
+        return _anticipatory_factor(np.asarray(ttc, dtype=float), params)
 
 
 def modified_collision_probability(d_o, ttc, params: CostParams):
@@ -120,14 +142,29 @@ def modified_collision_probability(d_o, ttc, params: CostParams):
     return collision_probability(d_o, params) * anticipatory_factor(ttc, params)
 
 
+def _survivability(p_c):
+    return np.cumprod(1.0 - p_c, axis=-1)
+
+
 def survivability(p_c_sequence):
     """Running products prod_{k<=i} (1 - p_c_k) along the last axis; index 0
     of the result is survivability after the first segment. A sequence gives
     a list, an array an array."""
     if not _probabilities(p_c_sequence):
         raise ValueError("collision probabilities must lie in [0, 1]")
-    p_s = np.cumprod(1.0 - np.asarray(p_c_sequence, dtype=float), axis=-1)
+    p_s = _survivability(np.asarray(p_c_sequence, dtype=float))
     return p_s if isinstance(p_c_sequence, np.ndarray) else p_s.tolist()
+
+
+def _time_to_goal(x, y, heading, v, goal: tuple[float, float], params: CostParams):
+    dx = goal[0] - x
+    dy = goal[1] - y
+    d = np.hypot(dx, dy)
+    toward = np.cos(heading) * dx + np.sin(heading) * dy
+    v_goal = v * toward / np.where(d > 0.0, d, 1.0)
+    # d = v_goal = 0 (at rest on the goal) divides 0 by 0; the tolerance masks it
+    return np.where(d <= params.goal_tolerance, 0.0,
+                    np.where(v_goal > params.v_epsilon, d / v_goal, math.inf))
 
 
 def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
@@ -138,15 +175,8 @@ def expected_time_to_goal(terminal: RobotState, goal: tuple[float, float],
     (nearly) stopped or moving with no component toward the goal.
     """
     pose = terminal.pose
-    dx = goal[0] - pose.x
-    dy = goal[1] - pose.y
-    d = np.hypot(dx, dy)
-    toward = np.cos(pose.heading) * dx + np.sin(pose.heading) * dy
-    v_goal = terminal.v * toward / np.where(d > 0.0, d, 1.0)
-    # d = v_goal = 0 (at rest on the goal) divides 0 by 0; the tolerance masks it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d <= params.goal_tolerance, 0.0,
-                        np.where(v_goal > params.v_epsilon, d / v_goal, math.inf))[()]
+    with np.errstate(**_EXTREMES):
+        return _time_to_goal(pose.x, pose.y, pose.heading, terminal.v, goal, params)[()]
 
 
 def terminal_ttc(terminal: RobotState, world: World, t_N: float, v_limit: float) -> float:
@@ -159,6 +189,12 @@ def terminal_ttc(terminal: RobotState, world: World, t_N: float, v_limit: float)
     return time_to_collision(world, (terminal.pose.x, terminal.pose.y), velocity, t_N)
 
 
+def _terminal_bonus(p_s_N, ttg, ttc, params: CostParams):
+    c_ttg = _bell(1.0 / ttg, params.sigma_inv_ttg)
+    c_ttc = _bell(1.0 / ttc, params.sigma_inv_ttc)
+    return (c_ttg, c_ttc, np.where(p_s_N == 0.0, 0.0, -(p_s_N * c_ttg * c_ttc)))
+
+
 def terminal_bonus(p_s_N, ttg, ttc, params: CostParams):
     """(C_TTG, C_TTC, j_terminal) with j_terminal = -p_s_N * C_TTG * C_TTC.
 
@@ -167,9 +203,12 @@ def terminal_bonus(p_s_N, ttg, ttc, params: CostParams):
     """
     if not _probabilities(p_s_N):
         raise ValueError("p_s_N must lie in [0, 1]")
-    c_ttg = _bell(_inverse(ttg), params.sigma_inv_ttg)
-    c_ttc = _bell(_inverse(ttc), params.sigma_inv_ttc)
-    return (c_ttg, c_ttc, np.where(p_s_N == 0.0, 0.0, -(p_s_N * c_ttg * c_ttc))[()])
+    if not (_nonnegative(ttg) and _nonnegative(ttc)):
+        raise ValueError("ttg and ttc must be >= 0")
+    with np.errstate(**_EXTREMES):
+        c_ttg, c_ttc, j_terminal = _terminal_bonus(
+            p_s_N, np.asarray(ttg, dtype=float), np.asarray(ttc, dtype=float), params)
+    return (c_ttg, c_ttc, j_terminal[()])
 
 
 def _goal_xy(goal) -> tuple[float, float]:
@@ -244,10 +283,12 @@ class CostKernel:
         the rows of these (B, N+1) arrays: each one's total cost, and its
         per-segment and terminal terms.
 
-        The terms are the module's formulas applied to whole rows:
-        `collision_probability` and `anticipatory_factor` per segment,
-        `survivability` along each row, and `expected_time_to_goal` and
-        `terminal_bonus` at the last states. Segment hazards are evaluated
+        The terms are the cores of the module's formulas applied to whole
+        rows, inside one `np.errstate` and without the public functions'
+        argument checks, since the kernel builds every argument itself: the
+        cores of `collision_probability` and `anticipatory_factor` per
+        segment, `survivability` along each row, and `expected_time_to_goal`
+        and `terminal_bonus` at the last states. Segment hazards are evaluated
         at both endpoints against obstacles predicted at the matching times;
         the closer endpoint defines the segment's d_o, and its TTC feeds the
         anticipatory factor (so an in-contact endpoint forces probability 1
@@ -269,45 +310,44 @@ class CostKernel:
 
         left = d[:, :-1] <= d[:, 1:]
         d_seg = np.where(left, d[:, :-1], d[:, 1:])
-        p_c = collision_probability(d_seg, params)
-
         ds_mode = params.mode == DS_MPEPC
         with_terminal = ds_mode and params.include_terminal
         ttc = None
-        if ds_mode:
-            rr, cols = np.nonzero(p_c >= _P_C_SKIP)
-            qr, qt = rr, np.where(left[rr, cols], cols, cols + 1)
-            speed = vs[qr, qt]
-            if with_terminal:
-                qr = np.concatenate((qr, np.arange(b)))
-                qt = np.concatenate((qt, np.full(b, n)))
-                speed = np.concatenate((speed, np.full(b, cfg.v_limit)))
-            q_ttc = np.empty(0)
-            if qr.size:
-                qh = hs[qr, qt]
-                q_ttc = self.snapshot.ttc(xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
-                                          speed * np.sin(qh), qt, d[qr, qt])
-            ttc = np.full((b, n), math.inf)
-            ttc[rr, cols] = q_ttc[:rr.size]
-            ttc_n = q_ttc[rr.size:]
-            p_c = p_c * anticipatory_factor(ttc, params)
-
-        p_s = survivability(p_c)
-        j_prog = params.w_progress * np.diff(nf, axis=1)
-        j_act = cfg.step_h * (params.w_action_v * vs[:, 1:] ** 2
-                              + params.w_action_w * ws[:, 1:] ** 2)
-        totals = np.cumsum(
-            p_s * j_prog + j_act + (1.0 - p_s) * params.c_collision, axis=1)[:, -1]
-
         terminal = (None,) * 6
-        if with_terminal:
-            ttg = expected_time_to_goal(
-                RobotState(Pose(xs[:, -1], ys[:, -1], hs[:, -1]), vs[:, -1]),
-                self.goal, params)
-            p_s_n = p_s[:, -1]
-            c_ttg, c_ttc, j_term = terminal_bonus(p_s_n, ttg, ttc_n, params)
-            totals = totals + j_term
-            terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
+        with np.errstate(**_EXTREMES):
+            p_c = _collision_probability(d_seg, params)
+            if ds_mode:
+                rr, cols = np.nonzero(p_c >= _P_C_SKIP)
+                qr, qt = rr, np.where(left[rr, cols], cols, cols + 1)
+                speed = vs[qr, qt]
+                if with_terminal:
+                    qr = np.concatenate((qr, np.arange(b)))
+                    qt = np.concatenate((qt, np.full(b, n)))
+                    speed = np.concatenate((speed, np.full(b, cfg.v_limit)))
+                q_ttc = np.empty(0)
+                if qr.size:
+                    qh = hs[qr, qt]
+                    q_ttc = self.snapshot.ttc(xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
+                                              speed * np.sin(qh), qt, d[qr, qt])
+                ttc = np.full((b, n), math.inf)
+                ttc[rr, cols] = q_ttc[:rr.size]
+                ttc_n = q_ttc[rr.size:]
+                p_c = p_c * _anticipatory_factor(ttc, params)
+
+            p_s = _survivability(p_c)
+            j_prog = params.w_progress * np.diff(nf, axis=1)
+            j_act = cfg.step_h * (params.w_action_v * vs[:, 1:] ** 2
+                                  + params.w_action_w * ws[:, 1:] ** 2)
+            totals = np.cumsum(
+                p_s * j_prog + j_act + (1.0 - p_s) * params.c_collision, axis=1)[:, -1]
+
+            if with_terminal:
+                ttg = _time_to_goal(xs[:, -1], ys[:, -1], hs[:, -1], vs[:, -1], self.goal,
+                                    params)
+                p_s_n = p_s[:, -1]
+                c_ttg, c_ttc, j_term = _terminal_bonus(p_s_n, ttg, ttc_n, params)
+                totals = totals + j_term
+                terminal = (ttg, ttc_n, c_ttg, c_ttc, p_s_n, j_term)
         return CostRows(totals, d_seg, nf[:, 1:], ttc, p_c, p_s, j_prog, j_act, *terminal)
 
 

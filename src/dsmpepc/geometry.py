@@ -9,14 +9,17 @@ linear velocity. All angles are radians wrapped to (-pi, pi].
 
 Each formula is written once, as an array kernel (`_wrap_into`,
 `_egocentric_into`, `_curvature_into`, `_speed_into`) that writes its
-result into arrays the caller owns. `kinematics.rollout_batch` calls the
-kernels on a whole batch of rollouts per step, into buffers it allocates
-once per call. The public functions (`wrap_angle`, `egocentric_coords`,
-`control_law_curvature`, `velocity_modulation`) are thin wrappers that take
-floats or numpy arrays (elementwise, broadcasting) and run the same
-kernels; a float input gives a float (numpy's float64). A branch that only
-a few rows take (a target within R_EPSILON, the -pi boundary of the wrap)
-is written into its rows with `np.copyto(..., where=mask)`, and its extra
+result and its intermediates into arrays the caller owns; the egocentric
+kernel takes them from a `_Workspace`, the arrays and row views of one
+shape. `kinematics.rollout_batch` calls the kernels on a whole batch of
+rollouts per step, with one workspace made per call for all its steps, so
+no step allocates an array or builds a view. The public functions
+(`wrap_angle`, `egocentric_coords`, `control_law_curvature`,
+`velocity_modulation`) are thin wrappers that take floats or numpy arrays
+(elementwise, broadcasting) and run the same kernels on scratch of their
+own; a float input gives a float (numpy's float64). A branch that only a
+few rows take (a target within R_EPSILON, the -pi boundary of the wrap) is
+written into its rows with `np.copyto(..., where=mask)`, and its extra
 work runs only when a row takes it.
 """
 
@@ -58,21 +61,50 @@ def _unshaped(a, shape):
     return a.reshape(shape)[()]
 
 
-def _wrap_into(angle, out):
-    """`wrap_angle` of the array `angle` into `out`, which may be `angle`."""
-    turns = np.divide(angle, _TAU)
+def _wrap_into(angle, out, turns, beyond):
+    """`wrap_angle` of the array `angle` into `out`, which may be `angle`;
+    `turns` (float) and `beyond` (bool) are scratch arrays of its shape."""
+    np.divide(angle, _TAU, out=turns)
     np.rint(turns, out=turns)
     np.multiply(_TAU, turns, out=turns)
     np.subtract(angle, turns, out=out)
     # cheaper than testing for the rare row first
-    np.copyto(out, _PI, where=out <= _MINUS_PI)
+    np.less_equal(out, _MINUS_PI, out=beyond)
+    np.copyto(out, _PI, where=beyond)
     return out
 
 
 def wrap_angle(angle):
     """Wrap an angle to (-pi, pi]."""
     a = np.array(angle, dtype=float, ndmin=1)
-    return _unshaped(_wrap_into(a, a), np.shape(angle))
+    _wrap_into(a, a, np.empty_like(a), np.empty(a.shape, dtype=bool))
+    return _unshaped(a, np.shape(angle))
+
+
+class _Workspace:
+    """The arrays the step kernels write, for one shape; each (2, ...)
+    pair comes with its rows, as views made here.
+
+    `_egocentric_into` writes the egocentric coordinates into `r` and
+    `angles` (rows `theta`, `delta`) and the mask of targets within
+    R_EPSILON into `near`. The rest is scratch, dead once its kernel
+    returns: `offset` (rows `offset_x`, `offset_y`), the wrap's `turns` and
+    `beyond` (with their first rows, for a single row of angles), and
+    `tmp_a`, `tmp_b` for the kernels that take scratch arrays.
+    """
+
+    __slots__ = ("r", "angles", "theta", "delta", "near", "offset", "offset_x", "offset_y",
+                 "turns", "turns_row", "beyond", "beyond_row", "tmp_a", "tmp_b")
+
+    def __init__(self, shape):
+        pair = (2,) + shape
+        self.r, self.tmp_a, self.tmp_b = (np.empty(shape) for _ in range(3))
+        self.near = np.empty(shape, dtype=bool)
+        self.angles, self.offset, self.turns = (np.empty(pair) for _ in range(3))
+        self.beyond = np.empty(pair, dtype=bool)
+        self.theta, self.delta = self.angles
+        self.offset_x, self.offset_y = self.offset
+        self.turns_row, self.beyond_row = self.turns[0], self.beyond[0]
 
 
 @dataclass(frozen=True)
@@ -122,25 +154,26 @@ class ControlGains:
             raise ValueError("curvature_lambda must be finite and >= 1")
 
 
-def _egocentric_into(position, target, heading, target_heading, r, angles):
-    """`egocentric_coords` of targets from robots: `position` and `target`
-    stack the x and y arrays, (2, ...); the headings, `r` and each row of
-    `angles` are arrays of the trailing shape. Writes r into `r` and
-    (theta, delta) into the rows of `angles`, which are wrapped in one pass.
-    Returns the mask of rows with r < R_EPSILON, or None when there is none.
+def _egocentric_into(position, target, heading, target_heading, work):
+    """`egocentric_coords` of targets from robots into the workspace
+    `work`: r into `work.r` and (theta, delta) into `work.angles`, which are
+    wrapped in one pass. `position` and `target` stack the x and y arrays,
+    (2, ...); the headings are arrays of the trailing shape, the shape of
+    `work`. Returns the mask of rows with r < R_EPSILON (`work.near`), or
+    None when there is none.
     """
-    d = np.subtract(target, position)
-    dx, dy = d
-    np.hypot(dx, dy, out=r)
+    dx, dy = work.offset_x, work.offset_y
+    np.subtract(target, position, out=work.offset)
+    np.hypot(dx, dy, out=work.r)
     los = np.arctan2(dy, dx, out=dx)
-    near = r < _R_EPSILON
+    near = np.less(work.r, _R_EPSILON, out=work.near)
     if not np.count_nonzero(near):
         near = None
     else:
         np.copyto(los, heading, where=near)
-    np.subtract(target_heading, los, out=angles[0])
-    np.subtract(heading, los, out=angles[1])
-    _wrap_into(angles, angles)
+    np.subtract(target_heading, los, out=work.theta)
+    np.subtract(heading, los, out=work.delta)
+    _wrap_into(work.angles, work.angles, work.turns, work.beyond)
     return near
 
 
@@ -154,10 +187,9 @@ def egocentric_coords(robot: Pose, target: Pose) -> EgocentricCoords:
     """
     (x, y, heading, tx, ty, th), shape = _arrays(robot.x, robot.y, robot.heading,
                                                  target.x, target.y, target.heading)
-    r = np.empty_like(x)
-    angles = np.empty((2,) + r.shape)
-    _egocentric_into(np.stack((x, y)), np.stack((tx, ty)), heading, th, r, angles)
-    return EgocentricCoords(*(_unshaped(a, shape) for a in (r, *angles)))
+    work = _Workspace(x.shape)
+    _egocentric_into(np.stack((x, y)), np.stack((tx, ty)), heading, th, work)
+    return EgocentricCoords(*(_unshaped(a, shape) for a in (work.r, work.theta, work.delta)))
 
 
 def target_from_param(robot: Pose, r, theta, delta) -> Pose:
@@ -172,13 +204,14 @@ def target_from_param(robot: Pose, r, theta, delta) -> Pose:
     )
 
 
-def _curvature_into(r, theta, delta, near, k1, k2, out):
+def _curvature_into(r, theta, delta, near, k1, k2, out, k1_theta, t):
     """`control_law_curvature` into `out`; `near` is the mask of rows with
-    r < R_EPSILON or None (`_egocentric_into`), k1 and k2 the gains."""
-    k1_theta = np.multiply(k1, theta)
+    r < R_EPSILON or None (`_egocentric_into`), k1 and k2 the gains, and
+    `k1_theta` and `t` scratch arrays of the shape of `out`."""
+    np.multiply(k1, theta, out=k1_theta)
     # -[...] built directly: rounding is symmetric under negation, so this
     # is exactly the negated bracket
-    t = np.negative(k1_theta)
+    np.negative(k1_theta, out=t)
     np.arctan(t, out=t)
     np.subtract(t, delta, out=t)
     np.multiply(k2, t, out=out)
@@ -190,9 +223,12 @@ def _curvature_into(r, theta, delta, near, k1, k2, out):
     np.multiply(k1_theta, t, out=t)
     np.subtract(out, t, out=out)
     if near is not None:
-        np.divide(out, np.maximum(r, _R_EPSILON), out=out)
-        clamped = np.minimum(np.maximum(out, _MINUS_KAPPA_MAX), _KAPPA_MAX)
-        np.copyto(out, clamped, where=near)
+        np.maximum(r, _R_EPSILON, out=t)
+        np.divide(out, t, out=out)
+        # the clamped curvature, for the near rows
+        np.maximum(out, _MINUS_KAPPA_MAX, out=t)
+        np.minimum(t, _KAPPA_MAX, out=t)
+        np.copyto(out, t, where=near)
     else:
         # every r is at least R_EPSILON
         np.divide(out, r, out=out)
@@ -208,7 +244,8 @@ def control_law_curvature(coords: EgocentricCoords, gains: ControlGains):
     (r, theta, delta), shape = _arrays(coords.r, coords.theta, coords.delta)
     near = r < _R_EPSILON
     kappa = _curvature_into(r, theta, delta, near if near.any() else None,
-                            np.array(gains.k1), np.array(gains.k2), np.empty_like(r))
+                            np.array(gains.k1), np.array(gains.k2),
+                            *(np.empty_like(r) for _ in range(3)))
     return _unshaped(kappa, shape)
 
 
@@ -223,15 +260,16 @@ def velocity_modulation(kappa, z_vmax, r, gains: ControlGains):
         raise ValueError("z_vmax must be >= 0")
     (kappa, z_vmax, r), shape = _arrays(kappa, z_vmax, r)
     v = _speed_into(kappa, z_vmax, r, np.array(gains.curvature_beta),
-                    np.array(gains.curvature_lambda), np.empty_like(r))
+                    np.array(gains.curvature_lambda), *(np.empty_like(r) for _ in range(2)))
     return _unshaped(v, shape)
 
 
-def _speed_into(kappa, z_vmax, r, beta, lam, out):
+def _speed_into(kappa, z_vmax, r, beta, lam, out, t):
     """The formula of `velocity_modulation` into `out`, without its z_vmax
     check, which `rollout_batch` would otherwise repeat on the same v_max
-    rows every step; beta and lam are the gains' curvature shape."""
-    t = np.abs(kappa)
+    rows every step; beta and lam are the gains' curvature shape and `t` a
+    scratch array of the shape of `out`."""
+    np.absolute(kappa, out=t)
     # np.power, not **: numpy's float64 scalar ** rounds squares differently
     np.power(t, lam, out=t)
     np.multiply(beta, t, out=t)

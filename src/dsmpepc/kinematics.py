@@ -6,10 +6,15 @@ under the smooth control law, and the rollout simulates the closed loop over
 the receding horizon with velocity and acceleration limits applied.
 
 `rollout_batch` steps a whole batch of rollouts at once. Each step runs the
-array kernels of `geometry` and this module's arc step (`_advance_into`),
-writing every result into rows of buffers allocated once per call, so no
-step builds a `Pose` or another intermediate object. `advance_pose` is a
-thin wrapper over the same arc step for floats or arrays.
+array kernels of `geometry` and this module's arc step (`_advance_into`).
+Everything a step writes besides the state rows is in one workspace
+(`_StepWorkspace`) made per call, the egocentric coordinates and every
+kernel's scratch, or in the curvature and rate-limit arrays beside it.
+These and the per-step views of the state buffers are made before the
+first step, so no step allocates an array or builds a view or a `Pose`.
+The workspace is dropped when the call returns, and the arrays the call
+returns are copies that own their data. `advance_pose` is a thin wrapper
+over the same arc step for floats or arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .geometry import (
     ControlGains,
     Pose,
     _ONE,
+    _Workspace,
     _arrays,
     _curvature_into,
     _egocentric_into,
@@ -119,35 +125,61 @@ class Trajectory:
         return self.states[-1]
 
 
-def _advance_into(position, heading, v, omega, dt, position1, heading1):
-    """`advance_pose` into (position1, heading1): `position` and `position1`
-    stack the x and y arrays, (2, ...); the other arrays have the trailing
-    shape, and no output shares memory with an input."""
-    straight = np.abs(omega) < _OMEGA_STRAIGHT
+class _StepWorkspace(_Workspace):
+    """A `geometry._Workspace` plus the arrays of the arc step: `straight`,
+    the mask of straight rows, and the pairs `radius` (rows `radius_x`,
+    `radius_y`), `trig0` (rows `sin0`, `cos0`) and `trig1` (rows `sin1`,
+    `cos1`), all scratch of `_advance_into`."""
+
+    __slots__ = ("straight", "radius", "radius_x", "radius_y", "trig0", "sin0", "cos0",
+                 "trig1", "sin1", "cos1")
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.straight = np.empty(shape, dtype=bool)
+        self.radius, self.trig0, self.trig1 = (np.empty((2,) + shape) for _ in range(3))
+        self.radius_x, self.radius_y = self.radius
+        self.sin0, self.cos0 = self.trig0
+        self.sin1, self.cos1 = self.trig1
+
+
+def _advance_into(position, heading, v, omega, dt, position1, heading1, work):
+    """`advance_pose` into (position1, heading1) with the scratch of the
+    `_StepWorkspace` `work`: `position` and `position1` stack the x and y
+    arrays, (2, ...); the other arrays have the trailing shape, the shape
+    of `work`, and no output shares memory with an input."""
+    straight, turned = work.straight, work.tmp_a
+    np.absolute(omega, out=turned)
+    np.less(turned, _OMEGA_STRAIGHT, out=straight)
     any_straight = np.count_nonzero(straight)
-    turned = np.multiply(omega, dt)
+    np.multiply(omega, dt, out=turned)
     np.add(heading, turned, out=turned)
     # (radius, -radius); a straight row divides by 1 and is overwritten below
-    radius = np.empty_like(position)
-    np.divide(v, np.where(straight, _ONE, omega) if any_straight else omega, out=radius[0])
-    np.negative(radius[0], out=radius[1])
-    # x + radius * (sin h1 - sin h0) and y - radius * (cos h1 - cos h0), the
-    # latter as y + -radius * (...), which rounds the same
-    trig1 = np.empty_like(position)
-    trig0 = np.empty_like(position)
-    np.sin(turned, out=trig1[0])
-    np.cos(turned, out=trig1[1])
-    np.sin(heading, out=trig0[0])
-    np.cos(heading, out=trig0[1])
-    step = np.subtract(trig1, trig0)
-    np.multiply(radius, step, out=step)
-    np.add(position, step, out=position1)
-    _wrap_into(turned, heading1)
+    radius, radius_x, radius_y = work.radius, work.radius_x, work.radius_y
     if any_straight:
-        sin0, cos0 = trig0
-        np.multiply(v, dt, out=radius[0])
-        np.multiply(radius[0], cos0, out=trig1[0])
-        np.multiply(radius[0], sin0, out=trig1[1])
+        np.copyto(radius_y, omega)
+        np.copyto(radius_y, _ONE, where=straight)
+        np.divide(v, radius_y, out=radius_x)
+    else:
+        np.divide(v, omega, out=radius_x)
+    np.negative(radius_x, out=radius_y)
+    # x + radius * (sin h1 - sin h0) and y - radius * (cos h1 - cos h0), the
+    # latter as y + -radius * (...), which rounds the same; the step is
+    # built in trig1
+    trig1, trig0 = work.trig1, work.trig0
+    np.sin(turned, out=work.sin1)
+    np.cos(turned, out=work.cos1)
+    np.sin(heading, out=work.sin0)
+    np.cos(heading, out=work.cos0)
+    np.subtract(trig1, trig0, out=trig1)
+    np.multiply(radius, trig1, out=trig1)
+    np.add(position, trig1, out=position1)
+    _wrap_into(turned, heading1, work.turns_row, work.beyond_row)
+    if any_straight:
+        # the straight step (v dt cos h0, v dt sin h0), again built in trig1
+        np.multiply(v, dt, out=radius_x)
+        np.multiply(radius_x, work.cos0, out=work.sin1)
+        np.multiply(radius_x, work.sin0, out=work.cos1)
         np.add(position, trig1, out=trig1)
         np.copyto(position1, trig1, where=straight)
         np.copyto(heading1, heading, where=straight)
@@ -165,7 +197,7 @@ def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
     position1 = np.empty((2,) + x.shape)
     heading1 = np.empty_like(x)
     _advance_into(np.stack((x, y)), heading, v, omega, np.array(dt, dtype=float),
-                  position1, heading1)
+                  position1, heading1, _StepWorkspace(x.shape))
     return Pose(*(_unshaped(a, shape) for a in (*position1, heading1)))
 
 
@@ -220,23 +252,27 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     hs[0] = start.pose.heading
     vws[0, 0] = start.v
     vws[0, 1] = start.omega
-    r = np.empty(b)
-    angles = np.empty((2, b))
+    # the workspace of every step, and each step's rows, made once
+    work = _StepWorkspace((b,))
+    r, theta, delta, tmp_a, tmp_b = work.r, work.theta, work.delta, work.tmp_a, work.tmp_b
     kappa = np.empty(b)
+    bound = np.empty((2, b))
+    xy, hd, vw = list(xys), list(hs), list(vws)
+    v_rows, w_rows = list(vws[:, 0]), list(vws[:, 1])
+    target_h = target.heading
     for i in range(1, n + 1):
-        near = _egocentric_into(xys[i - 1], target_xy, hs[i - 1], target.heading, r, angles)
-        _curvature_into(r, angles[0], angles[1], near, k1, k2, kappa)
-        vw = vws[i]
-        v, w = vw
-        _speed_into(kappa, vmax_z, r, beta, lam, v)
+        near = _egocentric_into(xy[i - 1], target_xy, hd[i - 1], target_h, work)
+        _curvature_into(r, theta, delta, near, k1, k2, kappa, tmp_a, tmp_b)
+        vw1, v, w = vw[i], v_rows[i], w_rows[i]
+        _speed_into(kappa, vmax_z, r, beta, lam, v, tmp_a)
         np.multiply(kappa, v, out=w)
-        np.maximum(vw, minus_limit, out=vw)
-        np.minimum(vw, limit, out=vw)
-        bound = np.subtract(vws[i - 1], rate)
-        np.maximum(vw, bound, out=vw)
-        np.add(vws[i - 1], rate, out=bound)
-        np.minimum(vw, bound, out=vw)
-        _advance_into(xys[i - 1], hs[i - 1], v, w, h, xys[i], hs[i])
+        np.maximum(vw1, minus_limit, out=vw1)
+        np.minimum(vw1, limit, out=vw1)
+        np.subtract(vw[i - 1], rate, out=bound)
+        np.maximum(vw1, bound, out=vw1)
+        np.add(vw[i - 1], rate, out=bound)
+        np.minimum(vw1, bound, out=vw1)
+        _advance_into(xy[i - 1], hd[i - 1], v, w, h, xy[i], hd[i], work)
     xs, ys = xys.transpose(1, 2, 0).copy()
     vs, ws = vws.transpose(1, 2, 0).copy()
     return xs, ys, hs.T.copy(), vs, ws

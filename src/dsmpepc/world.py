@@ -410,19 +410,21 @@ class HorizonSnapshot:
                 s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
             s = np.where(ok & (s > 0.0), s, math.inf)
             best = np.minimum(best, s)
-        speed = np.hypot(vx, vy)
-        # a point in contact has TTC 0 whatever the grid holds ahead of it
-        movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
-        if movers.any() and world.grid.has_occupied:
-            mi = np.nonzero(movers)[0]
-            sp = speed[mi]
-            arcs = _static_ray_arcs(
-                world.grid,
-                x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
-                world.robot_radius,
-                np.minimum(best[mi], TTC_HORIZON) * sp,
-            )
-            best[mi] = np.minimum(best[mi], arcs / sp)
+        # only the grid march reads the speeds: an open map skips them
+        if world.grid.has_occupied:
+            speed = np.hypot(vx, vy)
+            # a point in contact has TTC 0 whatever the grid holds ahead of it
+            movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
+            if movers.any():
+                mi = np.nonzero(movers)[0]
+                sp = speed[mi]
+                arcs = _static_ray_arcs(
+                    world.grid,
+                    x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
+                    world.robot_radius,
+                    np.minimum(best[mi], TTC_HORIZON) * sp,
+                )
+                best[mi] = np.minimum(best[mi], arcs / sp)
         best = np.where(best > TTC_HORIZON, math.inf, best)
         return np.where(d0 <= 0.0, 0.0, best)
 

@@ -269,6 +269,16 @@ def test_array_formulas_keep_their_argument_checks():
         survivability(np.array([[0.1, 1.5]]))
     with pytest.raises(ValueError):
         terminal_bonus(np.array([0.5, math.nan]), 1.0, 1.0, PARAMS)
+    # NaN fails every check, and a negative ttg or ttc is rejected
+    for bad in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError):
+            collision_probability(bad, PARAMS)
+        with pytest.raises(ValueError):
+            anticipatory_factor(bad, PARAMS)
+    for ttg, ttc in ((math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0),
+                     (np.array([1.0, -0.5]), 1.0), (1.0, np.array([math.inf, math.nan]))):
+        with pytest.raises(ValueError):
+            terminal_bonus(0.5, ttg, ttc, PARAMS)
 
 
 def test_kernel_rows_keep_the_paper_bounds():

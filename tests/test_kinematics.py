@@ -218,6 +218,23 @@ def test_rollout_batch_equals_reference_loop_bit_for_bit():
         assert a.tobytes() == b.tobytes()
 
 
+def test_rollout_batch_workspace_lives_for_one_call():
+    # the arrays a call returns are its own: a later call on another start
+    # and batch size neither changes them nor shares memory with them, and
+    # the same call again gives them bit for bit
+    start, params = _branch_batch()
+    first = rollout_batch(start, params[:48], CFG)
+    kept = [a.copy() for a in first]
+    rng = np.random.default_rng(5)
+    other = rollout_batch(random_case(random.Random(5))[0],
+                          rng.uniform([0.0, -3.0, -3.0, 0.0], [8.0, 3.0, 3.0, 1.0], (7, 4)), CFG)
+    again = rollout_batch(start, params[:48], CFG)
+    for a, k, b, c in zip(first, kept, other, again, strict=True):
+        assert a.tobytes() == k.tobytes() == c.tobytes()
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+    assert not any(np.shares_memory(a, b) for a in first for b in first if a is not b)
+
+
 def test_rollout_against_fine_integrator_sample():
     # spot check of the 100x-substep re-integration (full sweep in acceptance)
     rng = random.Random(21)

@@ -29,7 +29,18 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
 from dsmpepc import builtin, run
-from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams, CostRows, trajectory_cost
+from dsmpepc.cost import (
+    BASELINE_MPEPC,
+    CostKernel,
+    CostParams,
+    CostRows,
+    anticipatory_factor,
+    collision_probability,
+    expected_time_to_goal,
+    survivability,
+    terminal_bonus,
+    trajectory_cost,
+)
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, evaluate_candidate, plan
@@ -219,6 +230,42 @@ def test_batch_rows_do_not_depend_on_the_batch(name):
             assert (got is None) == (want is None), field
             if want is not None:
                 assert got == want[k].tolist(), field
+
+
+def _equal(got, want) -> bool:
+    return np.shape(got) == np.shape(want) and bool((got == want).all())
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_kernel_rows_equal_the_public_formulas(name):
+    # the kernel runs the formulas' unguarded cores; the public, checked
+    # formulas on the kernel's own arrays give its rows exactly
+    start, goal, world, cost, _ = PROBLEMS[name]
+    kernel = CostKernel(world, goal, cost, CFG, start)
+    lo, hi = np.array(OPT.resolved_bounds(CFG)).T
+    params = lo + np.random.default_rng(11).random((48, 4)) * (hi - lo)
+    params[0] = 0.0
+    rows, (xs, ys, hs, vs, _) = evaluate_batch(params, kernel)
+    p_c = collision_probability(rows.d_o, cost)
+    if rows.ttc is not None:
+        p_c = p_c * anticipatory_factor(rows.ttc, cost)
+    assert _equal(p_c, rows.p_c)
+    assert _equal(survivability(rows.p_c), rows.p_s)
+    # both ends of the factors: a start touching a disk (each first segment
+    # at ttc 0, so p_s 0) and, on the open map, ttc = inf
+    if name == "ds_in_contact":
+        assert (rows.ttc[:, 0] == 0.0).all() and (rows.p_s == 0.0).all()
+    if name == "ds_empty_cv":
+        assert np.isinf(rows.ttc).any() and np.isinf(rows.ttc_terminal).any()
+    if rows.ttg is None:
+        return
+    ttg = expected_time_to_goal(RobotState(Pose(xs[:, -1], ys[:, -1], hs[:, -1]), vs[:, -1]),
+                                (goal.x, goal.y), cost)
+    assert _equal(ttg, rows.ttg)
+    assert _equal(rows.p_s_N, rows.p_s[:, -1])
+    c_ttg, c_ttc, j_terminal = terminal_bonus(rows.p_s_N, rows.ttg, rows.ttc_terminal, cost)
+    assert _equal(c_ttg, rows.c_ttg) and _equal(c_ttc, rows.c_ttc)
+    assert _equal(j_terminal, rows.j_terminal)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
