@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,12 +160,37 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class PlanResult:
     """Argmin parameter with its cost and trajectory, plus every evaluation
-    made during the search (for diagnostics and rendering)."""
+    made during the search (for diagnostics and rendering): the read-only
+    (M, 4) parameter rows `params` in evaluation order, their (M,) `costs`,
+    and `best_index`, the argmin's row.
+
+    `==` compares the argmin's parameter, cost, trajectory and index and the
+    two arrays (`np.array_equal`)."""
 
     best_param: TrajectoryParam
     best_cost: float
     best_trajectory: Trajectory
-    evaluated: tuple[tuple[TrajectoryParam, float], ...]
+    params: np.ndarray = field(compare=False)
+    costs: np.ndarray = field(compare=False)
+    best_index: int
+
+    def __eq__(self, other):
+        if not isinstance(other, PlanResult):
+            return NotImplemented
+        return ((self.best_param, self.best_cost, self.best_trajectory, self.best_index)
+                == (other.best_param, other.best_cost, other.best_trajectory,
+                    other.best_index)
+                and np.array_equal(self.params, other.params)
+                and np.array_equal(self.costs, other.costs))
+
+    @cached_property
+    def evaluated(self) -> tuple[tuple[TrajectoryParam, float], ...]:
+        """Every evaluation as a (`TrajectoryParam`, cost) pair, built on the
+        first read; the argmin's entry holds `best_param` itself."""
+        return tuple(
+            (self.best_param if i == self.best_index else TrajectoryParam(*row), cost)
+            for i, (row, cost) in enumerate(zip(self.params.tolist(), self.costs.tolist()))
+        )
 
 
 def evaluate_candidate(
@@ -217,11 +243,21 @@ def _canonical(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     ))
 
 
-def _ranking(params: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Stable order of the (M, 4) rows by (cost, r, v_max, theta, delta). A
-    row that ties with the halting candidate and is not it has r > 0 or
-    v_max > 0 (see `_canonical`), so the tie resolves to the halting one."""
-    return np.lexsort((params[:, 2], params[:, 1], params[:, 3], params[:, 0], costs))
+def _ranking(params: np.ndarray, costs: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the first n of the (M, 4) rows in the stable order by
+    (cost, r, v_max, theta, delta). A row that ties with the halting
+    candidate and is not it has r > 0 or v_max > 0 (see `_canonical`), so
+    the tie resolves to the halting one.
+
+    Only the rows whose cost is at most the n-th least cost are sorted; they
+    keep their relative order, so the stable tie-break is that of sorting
+    all M rows."""
+    rows = np.arange(len(costs))
+    if n < len(costs):
+        # `not >` keeps every row when the n-th least cost is NaN
+        rows = np.flatnonzero(~(costs > np.partition(costs, n - 1)[n - 1]))
+    p = params[rows]
+    return rows[np.lexsort((p[:, 2], p[:, 1], p[:, 3], p[:, 0], costs[rows]))[:n]]
 
 
 def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budget: int,
@@ -288,6 +324,19 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budg
     return evaluated
 
 
+def _distinct(given: np.ndarray, sobol: np.ndarray) -> np.ndarray:
+    """The rows of `given` (the halting, warm-start and to-goal rows) and then
+    of `sobol`, each first occurrence once, equality being float `==` per
+    entry (so -0.0 equals 0.0). The Sobol rows are pairwise distinct: the
+    first 2^m points of a scrambled Sobol net put one point in each 2^-m
+    interval of every coordinate, and theta's box is fixed. So only a given
+    row can repeat, and a Sobol row goes only when it equals a given one."""
+    same = (given[:, None] == given).all(axis=2)
+    first = ~np.tril(same, -1).any(axis=1)
+    repeated = (sobol[:, None] == given).all(axis=2).any(axis=1)
+    return np.concatenate((given[first], sobol[~repeated]))
+
+
 def candidate_pool(current: RobotState, goal: Pose, planner_cfg: PlannerConfig,
                    opt_cfg: OptimizerConfig, warm_start: TrajectoryParam | None = None):
     """The sweep's (M, 4) rows, each once: the halting candidate, the warm
@@ -305,10 +354,8 @@ def candidate_pool(current: RobotState, goal: Pose, planner_cfg: PlannerConfig,
     unit = _scrambled_sobol(max(1, math.ceil(math.log2(max(n_sobol, n_refine, 1)))),
                             opt_cfg.seed)
     lo, hi = np.array(bounds).T
-    pool = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds),
-                           lo + unit[:n_sobol] * (hi - lo)))
-    _, first = np.unique(pool, axis=0, return_index=True)
-    return pool[np.sort(first)], unit
+    given = np.concatenate((np.zeros((1, 4)), _canonical(np.array(given), bounds)))
+    return _distinct(given, lo + unit[:n_sobol] * (hi - lo)), unit
 
 
 def plan(
@@ -331,10 +378,11 @@ def plan(
     defaults to a field built for the goal). The candidates stay rows of one
     (M, 4) array, costs beside it, up to the argmin; the sweep
     (`candidate_pool`) and every refinement round score theirs through the
-    kernel (`evaluate_batch`), so every cost in `evaluated` is bit-identical
+    kernel (`evaluate_batch`), so every cost in `costs` is bit-identical
     to `evaluate_candidate(z, ...).total`.
-    `best_param` is the argmin's object in `evaluated`, the only
-    `TrajectoryParam`s built, and `best_trajectory` is its own rollout.
+    `best_param` is the only `TrajectoryParam` built (`PlanResult.evaluated`
+    builds the rest when read), and `best_trajectory` is its own rollout,
+    taken from the sweep's or the refinement round's states that hold it.
     """
     if not current.is_finite():
         raise ValueError("plan requires a finite current state")
@@ -347,19 +395,26 @@ def plan(
     rows, states = evaluate_batch(params, kernel)
     parts = [(params, rows.total, *states)]
     if opt_cfg.n_refine_seeds * opt_cfg.refine_max_evals > 0:
-        seeds = _ranking(params, rows.total)[:opt_cfg.n_refine_seeds]
+        seeds = _ranking(params, rows.total, opt_cfg.n_refine_seeds)
         parts += minimize(params[seeds], rows.total[seeds], kernel,
                           opt_cfg.refine_max_evals, unit)
-    params, costs, *states = (np.concatenate(a) for a in zip(*parts))
+    params = np.concatenate([part[0] for part in parts])
+    costs = np.concatenate([part[1] for part in parts])
+    params.flags.writeable = costs.flags.writeable = False
 
-    evaluated = tuple((TrajectoryParam(*row), cost)
-                      for row, cost in zip(params.tolist(), costs.tolist()))
-    best = _ranking(params, costs)[0]
-    best_param, best_cost = evaluated[best]
+    best = int(_ranking(params, costs, 1)[0])
+    row = best
+    for _, part_costs, *states in parts:
+        if row < len(part_costs):
+            break
+        row -= len(part_costs)
+    best_param = TrajectoryParam(*params[best].tolist())
     return PlanResult(
         best_param=best_param,
-        best_cost=best_cost,
+        best_cost=float(costs[best]),
         best_trajectory=trajectory(current, best_param, planner_cfg,
-                                   *(a[best] for a in states)),
-        evaluated=evaluated,
+                                   *(a[row] for a in states)),
+        params=params,
+        costs=costs,
+        best_index=best,
     )

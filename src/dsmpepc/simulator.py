@@ -17,8 +17,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .kinematics import RobotState, TrajectoryParam, rollout_batch
 from .optimizer import PlanResult, plan
 from .scenarios import ScenarioConfig
@@ -256,11 +254,10 @@ def run(scenario: ScenarioConfig, diag_every: int | None = None) -> SimResult:
                 continue
             replans[a.id].append(ReplanRecord(
                 t=prev.t, param=result.best_param, cost=result.best_cost,
-                n_evaluated=len(result.evaluated),
+                n_evaluated=len(result.costs),
             ))
             if fans is not None and prev.cycle % diag_every == 0:
-                params = np.array([z.as_tuple() for z, _ in result.evaluated])
-                xs, ys, *_ = rollout_batch(prev.states[a.id], params, a.planner)
+                xs, ys, *_ = rollout_batch(prev.states[a.id], result.params, a.planner)
                 fans[a.id].append((prev.t, tuple(
                     tuple(zip(x_row, y_row)) for x_row, y_row in zip(xs.tolist(), ys.tolist())
                 )))

@@ -395,21 +395,23 @@ class HorizonSnapshot:
         world = self.world
         n = x.shape[0]
         best = np.full(n, math.inf)
-        for obs, (px, py, ovx, ovy) in zip(world.obstacles, self.tracks.transpose(0, 2, 1)):
-            dpx = px[t_idx] - x
-            dpy = py[t_idx] - y
-            dvx = ovx[t_idx] - vx
-            dvy = ovy[t_idx] - vy
-            a = dvx * dvx + dvy * dvy
-            r_sum = world.robot_radius + obs.radius
-            bq = 2.0 * (dpx * dvx + dpy * dvy)
-            c = dpx * dpx + dpy * dpy - r_sum * r_sum
-            disc = bq * bq - 4.0 * a * c
-            ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # entered once, not per disk: each entry costs about 2 us
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for obs, (px, py, ovx, ovy) in zip(world.obstacles,
+                                               self.tracks.transpose(0, 2, 1)):
+                dpx = px[t_idx] - x
+                dpy = py[t_idx] - y
+                dvx = ovx[t_idx] - vx
+                dvy = ovy[t_idx] - vy
+                a = dvx * dvx + dvy * dvy
+                r_sum = world.robot_radius + obs.radius
+                bq = 2.0 * (dpx * dvx + dpy * dvy)
+                c = dpx * dpx + dpy * dpy - r_sum * r_sum
+                disc = bq * bq - 4.0 * a * c
+                ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
                 s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
-            s = np.where(ok & (s > 0.0), s, math.inf)
-            best = np.minimum(best, s)
+                s = np.where(ok & (s > 0.0), s, math.inf)
+                best = np.minimum(best, s)
         # only the grid march reads the speeds: an open map skips them
         if world.grid.has_occupied:
             speed = np.hypot(vx, vy)

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from dsmpepc import optimizer
 from dsmpepc.cost import CostParams, trajectory_cost
 from dsmpepc.geometry import Pose
 from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
-from dsmpepc.optimizer import OptimizerConfig, _scrambled_sobol, evaluate_candidate, plan
+from dsmpepc.optimizer import (
+    OptimizerConfig,
+    _distinct,
+    _ranking,
+    _scrambled_sobol,
+    candidate_pool,
+    evaluate_candidate,
+    plan,
+)
 from dsmpepc.simulator import _cycle_seed
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 
@@ -115,6 +124,9 @@ def test_plan_determinism():
     assert r1.best_cost == r2.best_cost
     assert r1.evaluated == r2.evaluated
     assert r1.best_trajectory.states == r2.best_trajectory.states
+    assert r1 == r2
+    assert r1 != replace(r1, costs=r1.costs + 1.0)
+    assert r1 != replace(r1, params=r1.params[::-1])
 
 
 def test_refinement_not_worse_than_global_best():
@@ -252,3 +264,101 @@ def test_navigation_field_over_another_grid_is_rejected():
     own = NavigationField(world.grid, (goal.x, goal.y))
     assert (plan(start, goal, world, CFG, PARAMS, small_opt(), nav=equal)
             == plan(start, goal, world, CFG, PARAMS, small_opt(), nav=own))
+
+
+def test_plan_result_keeps_the_candidates_as_arrays(monkeypatch):
+    # plan() builds best_param and no other TrajectoryParam; `evaluated`
+    # builds the rest on its first read and keeps them
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return TrajectoryParam(*args)
+
+    monkeypatch.setattr(optimizer, "TrajectoryParam", counted)
+    world = open_world((DynamicObstacle(id="o", radius=0.4, position=(11.0, 10.0),
+                                        velocity=(-0.2, 0.1)),))
+    start = RobotState(pose=Pose(8.0, 10.0, 0.0), v=0.3)
+    result = plan(start, Pose(13.0, 10.0, 0.0), world, CFG, PARAMS, small_opt(seed=7),
+                  warm_start=TrajectoryParam(2.0, 0.1, -0.2, 0.6))
+    assert len(built) == 1
+    m = len(result.costs)
+    assert result.params.shape == (m, 4) and result.costs.shape == (m,)
+    for array in (result.params, result.costs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    evaluated = result.evaluated
+    assert len(built) == m
+    assert result.evaluated is evaluated
+    assert len(evaluated) == m
+    for (z, c), row, cost in zip(evaluated, result.params.tolist(), result.costs.tolist()):
+        assert z.as_tuple() == tuple(row) and c == cost
+    assert evaluated[result.best_index][0] is result.best_param
+    assert evaluated[result.best_index][1] == result.best_cost
+
+
+def _full_ranking(params, costs):
+    """The order of sorting every row by (cost, r, v_max, theta, delta)."""
+    return np.lexsort((params[:, 2], params[:, 1], params[:, 3], params[:, 0], costs))
+
+
+def test_ranking_equals_the_full_sort():
+    rng = np.random.default_rng(11)
+    # few distinct values, so costs tie and each key in turn breaks ties
+    params = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(240, 4))
+    params[40:80] = params[:40]  # exact duplicate rows
+    costs = rng.choice([0.5, 1.0, 2.0, math.inf], size=240)
+    costs[40:80] = costs[:40]
+    pools = [
+        (params, costs),
+        (params, np.full(240, math.inf)),
+        (params, np.where(costs > 1.0, math.nan, costs)),
+        # ties on cost then r, v_max, theta and delta in turn
+        (np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, -1.0],
+                   [0.5, 1.0, 0.0, -1.0], [0.5, 1.0, 0.5, -1.0], [0.5, 1.0, 0.5, -1.0],
+                   [0.5, 1.0, -0.5, -1.0], [0.0, 0.0, 0.0, 0.0]]),
+         np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])),
+    ]
+    for p, c in pools:
+        full = _full_ranking(p, c)
+        for n in (1, 2, 3, 7, len(c) // 2, len(c) - 1, len(c)):
+            assert _ranking(p, c, n).tolist() == full[:n].tolist()
+
+
+def _unique_pool(given, sobol):
+    """Each row's first occurrence, found by sorting the whole pool."""
+    pool = np.concatenate((given, sobol))
+    _, first = np.unique(pool, axis=0, return_index=True)
+    return pool[np.sort(first)]
+
+
+def test_distinct_equals_the_unique_filter():
+    bounds = OptimizerConfig.resolved_bounds(CFG)
+    lo, hi = np.array(bounds).T
+    sobol = lo + _scrambled_sobol(7, 3)[:100] * (hi - lo)
+    halt = np.zeros(4)
+    warm = sobol[17]
+    givens = [
+        [halt, warm, [2.0, 0.3, -0.1, math.inf]],  # a warm start equal to a Sobol row
+        [halt, warm, warm],  # a to-goal row equal to the warm start
+        [halt, [-0.0, 0.0, -0.0, 0.0], [1.0, -0.0, 0.5, 0.7]],  # -0.0 against 0.0
+        [halt, [1.0, 0.0, 0.5, 0.7], [1.0, -0.0, 0.5, 0.7]],
+        [halt, halt],
+        [halt, [2.0, 0.3, -0.1, math.inf]],
+    ]
+    for given in givens:
+        given = np.array(given, dtype=float)
+        for part in (sobol, sobol[:0], np.concatenate((sobol[:5], [[1.0, 0.0, 0.5, 0.7]]))):
+            assert _distinct(given, part).tobytes() == _unique_pool(given, part).tobytes()
+
+
+def test_sweep_sobol_rows_are_pairwise_distinct():
+    # what `_distinct` relies on: no two Sobol rows of a sweep are equal,
+    # not even in theta alone
+    start = RobotState(pose=Pose(1.0, 2.0, 0.3))
+    for seed in range(48):
+        opt = OptimizerConfig(seed=seed)
+        pool, _ = candidate_pool(start, Pose(4.0, 3.0, 0.0), CFG, opt)
+        assert len(pool) == opt.n_global_samples
+        assert len(np.unique(pool[2:, 1])) == len(pool) - 2

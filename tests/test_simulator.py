@@ -360,6 +360,24 @@ def test_agent_cost_mode_reaches_plan(monkeypatch):
     assert doc["mode"] == doc["cost"]["mode"] == BASELINE_MPEPC
 
 
+def test_replans_count_the_plan_arrays(monkeypatch):
+    # run() reads a plan's arrays and never builds its `evaluated` pairs
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(real_plan(*args, **kwargs))
+        return results[-1]
+
+    real_plan = simulator.plan
+    monkeypatch.setattr(simulator, "plan", spy)
+    bot = spec("bot", Pose(5.0, 10.0, 0.0), Pose(15.0, 10.0, 0.0))
+    sim = run(make_scenario([bot], duration=0.6), diag_every=2)
+    assert [r.n_evaluated for r in sim.agents[0].replans] == [len(r.costs) for r in results]
+    assert [len(fan) for _, fan in sim.diag_fans["bot"]] == [len(results[0].params),
+                                                             len(results[2].params)]
+    assert not any("evaluated" in vars(r) for r in results)
+
+
 def test_one_world_and_one_disk_per_agent_per_step(monkeypatch):
     # each recorded step builds every agent's disk once and every agent's
     # world once, and that step's plans are made in those same worlds
