@@ -18,10 +18,12 @@ It measures a disk as `HorizonSnapshot.clearance` does, with numpy's
 `hypot`, so the scalar and the planner's clearance are equal. One lookup
 (`_motion`) gives an obstacle's center and velocity at a time.
 
-scipy serves only grids with an occupied cell, and is imported where they
-need it: `scipy.ndimage` for the distance transform of such a grid and
-`scipy.sparse.csgraph` for the Dijkstra of a navigation field over one. A
-process whose maps are all open never loads scipy.
+A grid with an occupied cell gets both of its fields from numpy alone, each
+exact: the distance field from a separable Euclidean distance transform
+(`_squared_edt`, after Meijster, Roerdink & Hesselink, 2000), and a
+navigation field from a frontier relaxation of the 8-connected moves (a
+label-correcting search in the spirit of Meyer & Sanders' delta-stepping)
+whose floats are those of a Dijkstra search.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class OccupancyGrid:
     Cells are indexed [iy, ix] with iy = 0 at the bottom; cell (0, 0) spans
     [origin, origin + resolution] in each axis. The distance field holds, per
     cell, the distance in meters to the nearest occupied cell center (+inf
-    when the grid has no occupied cell).
+    when the grid has no occupied cell): the square root of an exact integer
+    squared distance in cells (`_squared_edt`), times the resolution.
     """
 
     def __init__(
@@ -79,10 +82,7 @@ class OccupancyGrid:
         )
         self.has_occupied = bool(occupied.any())
         if self.has_occupied:
-            from scipy import ndimage
-
-            # Exact EDT on cell indices, scaled to meters afterwards.
-            self.distance_field = ndimage.distance_transform_edt(~occupied) * self.resolution
+            self.distance_field = np.sqrt(_squared_edt(occupied)) * self.resolution
         else:
             self.distance_field = np.full(occupied.shape, math.inf)
         # Per axis, the 2x2 bilinear stencil of both samplers: (last cell
@@ -226,6 +226,38 @@ class OccupancyGrid:
 def _axis_stencil(cells: int) -> tuple[int, int, int]:
     last = cells - 1
     return (last, last - 1, 1) if last > 0 else (0, 0, 0)
+
+
+def _squared_edt(occupied: np.ndarray) -> np.ndarray:
+    """Per cell, the squared distance in cells to the nearest occupied cell
+    center, exact in integers; the grid must have an occupied cell.
+
+    Separable, in O(H * W) memory: first, along each line of the longer
+    axis, the distance g to the line's nearest occupied cell, from the
+    running last and next occupied index; then, across lines, the least
+    g^2 + k^2 over shifts k. A shift no shorter than the largest distance
+    found so far can lower none, so the loop stops there.
+    """
+    swap = occupied.shape[0] > occupied.shape[1]
+    occ = occupied.T if swap else occupied
+    h, w = occ.shape
+    # a line with no occupied cell gets g >= h + w, so g^2 exceeds every
+    # squared distance on the grid until another line's cell replaces it
+    far = h + w
+    index = np.arange(w)
+    last = np.maximum.accumulate(np.where(occ, index, -far), axis=1)
+    upcoming = np.minimum.accumulate(np.where(occ, index, w + far)[:, ::-1], axis=1)[:, ::-1]
+    g = np.minimum(index - last, upcoming - index)
+    f = g * g
+    out = f.copy()
+    for k in range(1, h):
+        k2 = k * k
+        if k2 >= out.max():
+            break
+        np.minimum(out[k:], np.add(f[:-k], k2), out=out[k:])
+        np.minimum(out[:-k], np.add(f[k:], k2), out=out[:-k])
+    # row-major either way: the sampler gathers from the raveled field
+    return np.ascontiguousarray(out.T) if swap else out
 
 
 @dataclass(frozen=True)
@@ -500,7 +532,7 @@ def time_to_collision(
     return float(ttc[0])
 
 
-_DIJKSTRA_MOVES = (
+_MOVES = (
     (1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
     (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)),
     (-1, 1, math.sqrt(2.0)), (-1, -1, math.sqrt(2.0)),
@@ -512,51 +544,68 @@ class NavigationField:
 
     Falls back to plain Euclidean distance on grids with no occupied cell.
     Unreachable and occupied cells are assigned a large finite ceiling so
-    lookups near walls stay finite.
+    lookups near walls stay finite. The goal must be finite and, on a grid
+    with an occupied cell, lie within the grid's extent in a free cell.
+
+    Over a walled grid the field is the shortest 8-connected path (corners
+    cut, each move weighing its length, a path's length the running float
+    sum of its moves), found by a frontier relaxation: each round relaxes
+    the moves out of the cells the last round lowered, until none is
+    lowered. It ends at the least fixpoint of d[v] = min over u of
+    (d[u] + w), unique for weights of at least one resolution, so it is a
+    Dijkstra search's float field, bit for bit.
     """
 
     def __init__(self, grid: OccupancyGrid, goal: tuple[float, float]):
         self.grid = grid
         self.goal = (float(goal[0]), float(goal[1]))
+        if not all(map(math.isfinite, self.goal)):
+            raise ValueError(f"navigation goal {self.goal} must be finite")
         self._values: np.ndarray | None = None
         if grid.has_occupied:
-            self._values = self._dijkstra()
+            xmin, ymin, xmax, ymax = grid.extent
+            if not (xmin <= self.goal[0] <= xmax and ymin <= self.goal[1] <= ymax):
+                raise ValueError(
+                    f"navigation goal {self.goal} lies outside the grid extent {grid.extent}")
+            self._values = self._shortest_paths()
 
-    def _dijkstra(self) -> np.ndarray:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
+    def _shortest_paths(self) -> np.ndarray:
         grid = self.grid
         res = grid.resolution
         gx, gy = grid.cell_of(*self.goal)
         if grid.occupied[gy, gx]:
             raise ValueError("navigation goal lies in an occupied cell")
         w, h = grid.width, grid.height
-        # Graph of the free cells of the grid padded with a one-cell occupied
-        # border: every move is then a flat-index offset that stays inside the
-        # padded array. Node k is padded cell (k // stride, k % stride); row k
-        # of the CSR matrix lists the moves out of it, so only free cells have
-        # edges. Each edge weighs cost * res and a path's length is the running
-        # float sum of its steps, so the field is independent of visit order.
+        # The grid padded with a one-cell occupied border, flat, so every
+        # move is a flat-index offset that stays inside the padded array.
+        # Occupied cells hold -inf, which no candidate beats, so a search
+        # never enters them; free cells start at +inf.
         stride = w + 2
-        free = np.pad(~grid.occupied, 1).ravel()
-        cells = np.flatnonzero(free)
-        targets = cells[:, None] + np.array([my * stride + mx for mx, my, _ in _DIJKSTRA_MOVES])
-        edges = free[targets]
-        weights = np.array([cost * res for _, _, cost in _DIJKSTRA_MOVES])
-        indptr = np.zeros(free.size + 1, dtype=np.int64)
-        indptr[cells + 1] = edges.sum(axis=1)
-        graph = csr_matrix(
-            (np.broadcast_to(weights, edges.shape)[edges], targets[edges], np.cumsum(indptr)),
-            shape=(free.size, free.size),
-        )
-        dist = dijkstra(graph, indices=(gy + 1) * stride + gx + 1)
+        dist = np.full((h + 2, stride), -math.inf)
+        dist[1:-1, 1:-1] = np.where(grid.occupied, -math.inf, math.inf)
+        dist = dist.ravel()
+        offsets = np.array([my * stride + mx for mx, my, _ in _MOVES])
+        weights = np.array([cost * res for _, _, cost in _MOVES])
+        goal = (gy + 1) * stride + gx + 1
+        dist[goal] = 0.0
+        front = np.array([goal])
+        lowered = np.zeros(dist.size, dtype=bool)
+        while front.size:
+            targets = np.add.outer(front, offsets)
+            candidates = np.add.outer(dist[front], weights)
+            better = candidates < dist[targets]
+            targets = targets[better]
+            # a cell several moves reach keeps the least of their candidates
+            np.minimum.at(dist, targets, candidates[better])
+            lowered[targets] = True
+            front = lowered.nonzero()[0]
+            lowered[front] = False
         dist = dist.reshape(h + 2, stride)[1:-1, 1:-1]
-        finite = dist[np.isfinite(dist)]
-        ceiling = (finite.max() if finite.size else 0.0) + math.hypot(
-            w * res, h * res
-        )
-        return np.where(np.isfinite(dist), dist, ceiling)
+        # occupied (-inf) and unreachable (+inf) cells alike get the ceiling;
+        # the goal is always reached
+        reached = np.isfinite(dist)
+        ceiling = dist[reached].max() + math.hypot(w * res, h * res)
+        return np.where(reached, dist, ceiling)
 
     def distance(self, x: float, y: float) -> float:
         """`distance_batch` of one point."""

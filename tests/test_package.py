@@ -65,19 +65,17 @@ def test_import_does_not_load_scipy_stats():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_scipy_loads_only_for_a_map_with_walls():
-    # scipy serves only a grid with an occupied cell (its distance transform)
-    # and a navigation field over one (Dijkstra); an open map never loads it
+def test_no_scipy_module_loads_on_a_walled_map():
+    # numpy is the package's only dependency: a walled grid's distance
+    # transform, a navigation field over it and a corridor run load no scipy
     code = textwrap.dedent("""
         import sys, dsmpepc, dsmpepc.cli
-        dsmpepc.run(dsmpepc.builtin("open_field"))
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         grid = dsmpepc.OccupancyGrid.from_ascii(["#...", "...."], 0.5)
-        print("scipy.ndimage" in sys.modules, "scipy.sparse.csgraph" in sys.modules)
         dsmpepc.NavigationField(grid, (1.75, 0.25))
-        print("scipy.sparse.csgraph" in sys.modules)
+        dsmpepc.run(dsmpepc.builtin("narrow_corridor"))
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "True False", "True"]
+    assert out.splitlines() == ["[]"]

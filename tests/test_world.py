@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import dsmpepc.world as world_module
 from dsmpepc.world import (
@@ -111,6 +113,53 @@ def test_distance_field_matches_brute_force():
         grid = OccupancyGrid(occupied, 0.2)
         brute = brute_force_distance_field(occupied, 0.2)
         assert np.array_equal(grid.distance_field, brute)
+
+
+def _random_walls(shape, fraction, seed):
+    return np.random.default_rng(seed).random(shape) < fraction
+
+
+def _one_cell(shape, iy, ix):
+    occupied = np.zeros(shape, dtype=bool)
+    occupied[iy, ix] = True
+    return occupied
+
+
+# the separable transform's edge cases: one cell, one-cell-wide and one-tall
+# lines (either pass has a single line or a single shift), a lone occupied
+# cell far from most of the grid (lines with no occupied cell wait for the
+# other pass), both orientations of a non-square grid, and a large map
+EDT_CASES = {
+    "1x1": np.ones((1, 1), dtype=bool),
+    "1-wide": np.array([[False], [True], [False], [False], [True], [False]]),
+    "1-tall": np.array([[False, False, True, False, False, False, True]]),
+    "lone-cell-wide-grid": _one_cell((30, 50), 3, 41),
+    "lone-cell-tall-grid": _one_cell((50, 30), 41, 3),
+    "400x400": _random_walls((400, 400), 0.2, 400),
+}
+
+
+@pytest.mark.parametrize("name", EDT_CASES)
+def test_distance_field_matches_scipy_edt(name):
+    occupied = EDT_CASES[name]
+    grid = OccupancyGrid(occupied, 0.1)
+    assert np.array_equal(grid.distance_field,
+                          ndimage.distance_transform_edt(~occupied) * 0.1)
+    # the sampler gathers from the raveled field, which must not copy
+    assert grid.distance_field.flags.c_contiguous
+
+
+def test_distance_transform_memory_stays_linear():
+    # the separable passes keep a few grid-sized arrays; a one-shot
+    # (H, W, min(H, W)) broadcast would need 400 times the field's bytes
+    occupied = EDT_CASES["400x400"]
+    tracemalloc.start()
+    try:
+        grid = OccupancyGrid(occupied, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.distance_field.nbytes
 
 
 def test_sample_distance_matches_field_at_cell_centers():
@@ -640,6 +689,55 @@ def test_navigation_field_matches_reference_dijkstra():
     nav = NavigationField(pocket, pocket.cell_center(1, 1))
     reached = nav._values[1:4, 1:5][~pocket.occupied[1:4, 1:5]]
     assert nav._values[3, 6] == nav._values[0, 0] > reached.max()
+
+
+def test_navigation_field_matches_reference_dijkstra_on_edge_cases():
+    cases = []
+    for rows in (["#", ".", "."], [".", "#", ".", ".", "."], ["..#.."], ["#......"]):
+        line = OccupancyGrid.from_ascii(rows, 0.5)
+        cases += [(line, c) for c in _free_cell_centers(
+            line, np.ndindex(line.width, line.height))]
+    for name in ("lone-cell-wide-grid", "lone-cell-tall-grid"):
+        lone = OccupancyGrid(EDT_CASES[name], 0.2, (-3.0, 1.0))
+        cases += [(lone, lone.cell_center(0, 0)), (lone, lone.cell_center(4, 25))]
+    big = OccupancyGrid(EDT_CASES["400x400"], 0.1)
+    iy, ix = np.argwhere(~big.occupied)[80_000]  # a free cell mid-map
+    cases.append((big, big.cell_center(ix, iy)))
+    for grid, goal in cases:
+        assert np.array_equal(
+            NavigationField(grid, goal)._values, reference_navigation_field(grid, goal))
+
+
+def test_navigation_field_corrects_a_cells_first_label():
+    # The four diagonal moves up and round the wall reach cell (4, 2) first,
+    # at 4 sqrt(2); the five moves along the bottom row and up the right
+    # edge are shorter, so the cell's first label is not its last.
+    maze = OccupancyGrid.from_ascii([".##..", ".#.#.", "#..#.", "....#"], 1.0)
+    goal = maze.cell_center(0, 0)
+    nav = NavigationField(maze, goal)
+    diagonal = math.sqrt(2.0)
+    assert nav._values[2, 4] == 1.0 + 1.0 + 1.0 + diagonal + 1.0
+    assert nav._values[2, 4] < diagonal + diagonal + diagonal + diagonal
+    assert np.array_equal(nav._values, reference_navigation_field(maze, goal))
+
+
+@pytest.mark.parametrize("goal", [(math.nan, 0.25), (0.25, math.inf), (-math.inf, 0.0)])
+@pytest.mark.parametrize("rows", [["#...", "...."], ["....", "...."]])
+def test_navigation_goal_must_be_finite(rows, goal):
+    with pytest.raises(ValueError, match="goal"):
+        NavigationField(OccupancyGrid.from_ascii(rows, 0.5), goal)
+
+
+def test_navigation_goal_must_lie_on_a_walled_grid():
+    walled = OccupancyGrid.from_ascii(["#...", "...."], 0.5)
+    for goal in ((50.0, 0.25), (1.75, -0.01), (-1e-9, 0.75), (2.0 + 1e-9, 0.5)):
+        with pytest.raises(ValueError, match="goal"):
+            NavigationField(walled, goal)
+    # the extent's edges are on the grid
+    assert NavigationField(walled, (2.0, 0.0)).distance(2.0, 0.0) < walled.resolution
+    # an open grid measures straight to any finite goal
+    open_grid = OccupancyGrid.from_ascii(["....", "...."], 0.5)
+    assert NavigationField(open_grid, (50.0, 0.25)).distance(1.75, 0.25) == 48.25
 
 
 def test_ttc_matches_scalar_reference():
