@@ -21,23 +21,21 @@ from .cost import (
     terminal_ttc,
     trajectory_cost,
 )
-from .geometry import (
+from .kinematics import (
     ControlGains,
     EgocentricCoords,
-    Pose,
-    control_law_curvature,
-    egocentric_coords,
-    target_from_param,
-    velocity_modulation,
-    wrap_angle,
-)
-from .kinematics import (
     PlannerConfig,
+    Pose,
     RobotState,
     Trajectory,
     TrajectoryParam,
     advance_pose,
+    control_law_curvature,
+    egocentric_coords,
     rollout,
+    target_from_param,
+    velocity_modulation,
+    wrap_angle,
 )
 from .optimizer import OptimizerConfig, PlanResult, evaluate_candidate, plan
 from .scenarios import AgentSpec, BUILTINS, ScenarioConfig, ScenarioError, builtin, load

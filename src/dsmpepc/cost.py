@@ -29,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose
-from .kinematics import PlannerConfig, RobotState, Trajectory, step_times
+from .kinematics import PlannerConfig, Pose, RobotState, Trajectory, step_times
 from .world import HorizonSnapshot, NavigationField, World, time_to_collision
 # unused here; bench/tracing.py wraps these names on the cost module
 from .world import distance_to_nearest_batch  # noqa: F401

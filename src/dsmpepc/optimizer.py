@@ -20,15 +20,17 @@ from functools import cached_property
 import numpy as np
 
 from .cost import CostKernel, CostParams, CostRows, trajectory_cost
-from .geometry import Pose, egocentric_coords, wrap_angle
 from .kinematics import (
     PlannerConfig,
+    Pose,
     RobotState,
     Trajectory,
     TrajectoryParam,
+    egocentric_coords,
     rollout,
     rollout_batch,
     trajectory,
+    wrap_angle,
 )
 from .world import NavigationField, World
 

@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .cost import CostParams
-from .geometry import Pose
-from .kinematics import PlannerConfig
+from .kinematics import PlannerConfig, Pose
 from .optimizer import OptimizerConfig
 from .world import DynamicObstacle, OccupancyGrid, detect_collision
 

@@ -522,12 +522,15 @@ def time_to_collision(
     Returns 0 exactly when already in contact (d_o = 0), +inf when no contact
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
     the relative-motion quadratic; the static grid is ray-marched. A batch of
-    one point through the planner's own TTC (`HorizonSnapshot.ttc`).
+    one point through the planner's own TTC (`HorizonSnapshot.ttc`). Raises
+    ValueError for a non-finite position, velocity or t0.
     """
+    x, y, vx, vy, t0 = map(float, (position[0], position[1], velocity[0], velocity[1], t0))
+    if not all(map(math.isfinite, (x, y, vx, vy, t0))):
+        raise ValueError("time_to_collision requires a finite position, velocity and t0")
     snapshot = HorizonSnapshot(world, [t0])
-    x = np.array([float(position[0])])
-    y = np.array([float(position[1])])
-    ttc = snapshot.ttc(x, y, np.array([float(velocity[0])]), np.array([float(velocity[1])]),
+    x, y = np.array([x]), np.array([y])
+    ttc = snapshot.ttc(x, y, np.array([vx]), np.array([vy]),
                        np.zeros(1, dtype=int), snapshot.clearance(x, y))
     return float(ttc[0])
 

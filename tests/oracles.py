@@ -20,8 +20,17 @@ import math
 import numpy as np
 
 from dsmpepc.cost import DS_MPEPC
-from dsmpepc.geometry import KAPPA_MAX, R_EPSILON, R_SLOWDOWN, ControlGains, Pose
-from dsmpepc.kinematics import OMEGA_STRAIGHT, PlannerConfig, RobotState, TrajectoryParam
+from dsmpepc.kinematics import (
+    KAPPA_MAX,
+    OMEGA_STRAIGHT,
+    R_EPSILON,
+    R_SLOWDOWN,
+    ControlGains,
+    PlannerConfig,
+    Pose,
+    RobotState,
+    TrajectoryParam,
+)
 from dsmpepc.world import TTC_HORIZON
 
 

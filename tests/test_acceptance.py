@@ -24,12 +24,14 @@ from dsmpepc.cost import (
     terminal_bonus,
     trajectory_cost,
 )
-from dsmpepc.geometry import ControlGains, Pose, wrap_angle
 from dsmpepc.kinematics import (
+    ControlGains,
     PlannerConfig,
+    Pose,
     RobotState,
     TrajectoryParam,
     rollout,
+    wrap_angle,
 )
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, plan
 from dsmpepc.scenarios import builtin

@@ -252,8 +252,7 @@ def test_landscape_of_an_agent_stopped_at_the_snapshot_starts_from_rest(tmp_path
     from dataclasses import replace
     from dsmpepc import run
     from dsmpepc.cost import DS_MPEPC
-    from dsmpepc.geometry import Pose
-    from dsmpepc.kinematics import RobotState, TrajectoryParam
+    from dsmpepc.kinematics import Pose, RobotState, TrajectoryParam
     from dsmpepc.optimizer import evaluate_candidate
     from dsmpepc.world import World
 

@@ -21,13 +21,14 @@ from dsmpepc.cost import (
     terminal_ttc,
     trajectory_cost,
 )
-from dsmpepc.geometry import Pose, wrap_angle
 from dsmpepc.kinematics import (
     PlannerConfig,
+    Pose,
     RobotState,
     TrajectoryParam,
     rollout,
     rollout_batch,
+    wrap_angle,
 )
 from dsmpepc.world import DynamicObstacle, HorizonSnapshot, OccupancyGrid, World
 

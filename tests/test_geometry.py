@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from dsmpepc.geometry import (
+from dsmpepc.kinematics import (
     KAPPA_MAX,
     R_EPSILON,
     ControlGains,
@@ -209,3 +209,9 @@ def test_array_formulas_keep_their_argument_checks():
         velocity_modulation(np.zeros(2), np.array([0.5, -0.1]), np.ones(2), GAINS)
     with pytest.raises(ValueError):
         velocity_modulation(0.0, -0.1, 1.0, GAINS)
+    # NaN fails both checks
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            target_from_param(Pose(0, 0, 0), bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            velocity_modulation(0.0, bad, 1.0, GAINS)

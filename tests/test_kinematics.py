@@ -4,15 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from dsmpepc.geometry import R_EPSILON, Pose, target_from_param, wrap_angle
 from dsmpepc.kinematics import (
     OMEGA_STRAIGHT,
+    R_EPSILON,
     PlannerConfig,
+    Pose,
     RobotState,
     TrajectoryParam,
     advance_pose,
     rollout,
     rollout_batch,
+    target_from_param,
+    wrap_angle,
 )
 
 from agreement import assert_float_alone_equals_array
@@ -121,6 +124,15 @@ def test_rollout_rejects_nonfinite_start():
     bad = RobotState(pose=Pose(math.nan, 0, 0))
     with pytest.raises(ValueError):
         rollout(bad, TrajectoryParam(1, 0, 0, 1), CFG)
+    # a parameter outside the model: a non-finite entry, or a negative r or
+    # v_max (which would drive the robot backwards)
+    start = RobotState(pose=Pose(0, 0, 0))
+    for z in (TrajectoryParam(1, 0, 0, -1), TrajectoryParam(-1, 0, 0, 1),
+              TrajectoryParam(math.nan, 0, 0, 1), TrajectoryParam(1, math.nan, 0, 1),
+              TrajectoryParam(1, 0, math.inf, 1), TrajectoryParam(1, 0, 0, math.inf),
+              TrajectoryParam(1, 0, 0, math.nan)):
+        with pytest.raises(ValueError):
+            rollout(start, z, CFG)
 
 
 def test_rollout_determinism():

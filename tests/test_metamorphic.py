@@ -27,8 +27,7 @@ import numpy as np
 import pytest
 
 from dsmpepc.cost import BASELINE_MPEPC, CostKernel, CostParams
-from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState
+from dsmpepc.kinematics import PlannerConfig, Pose, RobotState
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch
 from dsmpepc.scenarios import AgentSpec, ScenarioConfig
 from dsmpepc.simulator import run

@@ -8,8 +8,7 @@ from scipy.stats import qmc
 
 from dsmpepc import optimizer
 from dsmpepc.cost import CostParams, trajectory_cost
-from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
+from dsmpepc.kinematics import PlannerConfig, Pose, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import (
     OptimizerConfig,
     _distinct,

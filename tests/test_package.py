@@ -11,6 +11,18 @@ from dsmpepc import load
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "dsmpepc"
+
+
+def _imported(path):
+    """Each (module, name) the file imports, name None for a plain
+    import; a relative module keeps its leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield from ((module, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((a.name, None) for a in node.names)
 
 
 def test_star_import_binds_every_export():
@@ -46,15 +58,26 @@ def test_readme_scenario_document_loads_and_round_trips():
 def test_scenarios_does_not_import_the_simulator():
     # a scenario is data and its rules; the simulator reads scenarios, not
     # the other way round
-    tree = ast.parse((ROOT / "src" / "dsmpepc" / "scenarios.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(a.name for a in node.names)
+    imported = {f"{m}.{n}" if n else m for m, n in _imported(PACKAGE / "scenarios.py")}
     assert imported and not any("simulator" in name for name in imported)
+    # and no package module imports another's private name: what two
+    # modules share is public, or belongs in one module
+    private = [(path.name, module, name) for path in sorted(PACKAGE.glob("*.py"))
+               for module, name in _imported(path)
+               if (module.startswith(".") or module.split(".")[0] == "dsmpepc")
+               and name is not None and name.startswith("_")]
+    assert private == []
+
+
+def test_readme_key_modules_are_the_package_modules():
+    # the architecture notes name each module of the package once, so a
+    # merged or split module cannot leave them stale
+    notes = README.read_text(encoding="utf-8").split("\nKey modules:\n", 1)[1]
+    notes = notes.split("\n## ", 1)[0]
+    listed = [name for line in notes.splitlines() if line.startswith("- ")
+              for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])]
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_import_does_not_load_scipy_stats():

@@ -41,8 +41,7 @@ from dsmpepc.cost import (
     terminal_bonus,
     trajectory_cost,
 )
-from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig, RobotState, TrajectoryParam, rollout
+from dsmpepc.kinematics import PlannerConfig, Pose, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import OptimizerConfig, evaluate_batch, evaluate_candidate, plan
 from dsmpepc.world import DynamicObstacle, NavigationField, OccupancyGrid, World
 

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig
+from dsmpepc.kinematics import PlannerConfig, Pose
 from dsmpepc.scenarios import (
     BUILTINS,
     ScenarioConfig,

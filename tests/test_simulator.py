@@ -7,8 +7,7 @@ import pytest
 
 from dsmpepc import simulator
 from dsmpepc.cost import BASELINE_MPEPC, CostParams
-from dsmpepc.geometry import Pose
-from dsmpepc.kinematics import PlannerConfig
+from dsmpepc.kinematics import PlannerConfig, Pose
 from dsmpepc.optimizer import OptimizerConfig
 from dsmpepc.scenarios import AgentSpec, ScenarioConfig, ScenarioError, _agent_to_dict, builtin
 from dsmpepc.simulator import TraceSample, detect_deadlock, run

@@ -8,6 +8,8 @@ import pytest
 from scipy import ndimage
 
 import dsmpepc.world as world_module
+from dsmpepc.cost import terminal_ttc
+from dsmpepc.kinematics import Pose, RobotState
 from dsmpepc.world import (
     DynamicObstacle,
     HorizonSnapshot,
@@ -483,6 +485,25 @@ def test_ttc_moving_away_is_infinite():
     )
     assert time_to_collision(world, (0.0, 0.0), (-1.0, 0.0), 0.0) == math.inf
     assert time_to_collision(world, (0.0, 0.0), (0.0, 0.0), 0.0) == math.inf
+
+
+def test_ttc_rejects_nonfinite_input():
+    # +inf means "never collides": a NaN or infinite query must not read so
+    world = World(
+        grid=OccupancyGrid.from_ascii(["....", "..#.", "...."], 0.5),
+        obstacles=(DynamicObstacle(id="o", radius=0.25, position=(1.0, 0.75)),),
+        robot_radius=0.1,
+    )
+    for position, velocity, t0 in (((1.0, 0.75), (math.nan, 0.0), 0.0),
+                                   ((0.25, 0.25), (1.0, math.inf), 0.0),
+                                   ((0.25, 0.25), (1.0, 0.0), math.nan),
+                                   ((math.nan, 0.25), (1.0, 0.0), 0.0),
+                                   ((0.25, -math.inf), (1.0, 0.0), 0.0)):
+        with pytest.raises(ValueError):
+            time_to_collision(world, position, velocity, t0)
+    terminal = RobotState(pose=Pose(0.25, 0.25, math.nan))
+    with pytest.raises(ValueError):
+        terminal_ttc(terminal, world, 0.0, 1.0)
 
 
 def test_ttc_zero_iff_contact():
