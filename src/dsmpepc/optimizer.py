@@ -116,7 +116,9 @@ def _scrambled_sobol(m: int, seed: int) -> np.ndarray:
 class OptimizerConfig:
     """Search budgets and RNG seed.
 
-    The sweep scores n_global_samples candidates; refinement then spends
+    The sweep scores n_global_samples candidates, but always the halting,
+    the direct-to-goal and the warm-start rows, so below 3 it scores 2, or 3
+    with a warm start (see `candidate_pool`). Refinement then spends
     refine_max_evals evaluations on each of the n_refine_seeds best, which is
     0 (no refinement) or at least 5 (see `minimize`). The parameter box
     (`resolved_bounds`) follows from the planner config.
@@ -262,15 +264,24 @@ def _ranking(params: np.ndarray, costs: np.ndarray, n: int) -> np.ndarray:
     return rows[np.lexsort((p[:, 2], p[:, 1], p[:, 3], p[:, 0], costs[rows]))[:n]]
 
 
+def _round_sizes(budget: int) -> tuple[int, ...]:
+    """Probes per seed in each of `minimize`'s rounds: `budget` split over
+    ceil(log2(budget) / 2) rounds, or fewer when a round would drop below
+    _MIN_ROUND probes, as evenly as it goes, the earlier rounds taking the
+    remainder. The rounds grow with the budget faster than their count does,
+    since each round pays a fixed `evaluate_batch` cost whatever its size."""
+    rounds = min(math.ceil(math.log2(budget) / 2), budget // _MIN_ROUND)
+    return tuple(budget // rounds + (r < budget % rounds) for r in range(rounds))
+
+
 def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budget: int,
              unit: np.ndarray):
     """Batched local search from each row of the (S, 4) array `seeds`,
     whose costs are `seed_costs`, over the problem `kernel` and inside its
     planner config's parameter box (`OptimizerConfig.resolved_bounds`).
 
-    Each seed spends `budget` evaluations over ceil(sqrt(budget) / 2)
-    rounds, or fewer when a round would drop below _MIN_ROUND probes: a
-    larger budget buys both more rounds and larger ones. All seeds share one
+    Each seed spends `budget` evaluations over ceil(log2(budget) / 2) rounds
+    (`_round_sizes`), 4 of 60 at the default 240. All seeds share one
     `evaluate_batch` call per round. A round draws each seed's probes from
     the low-discrepancy points `unit` (in [0, 1)^4, at least budget per
     seed), spread over the seed's sampling box (its covariance, started from
@@ -278,15 +289,14 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budg
     move once. When the round beats the seed's best cost, the seed moves to
     the round's best and its covariance becomes mostly that of the steps to
     the round's best third, doubled; otherwise the covariance shrinks to a
-    quarter. This is a cross-entropy search that keeps the best point
-    rather than the mean.
+    quarter. This is a cross-entropy search that keeps the best point rather
+    than the mean.
 
     Returns, per round in evaluation order, the arrays of its rows, their
     costs and their rollouts' (xs, ys, headings, vs, omegas).
     """
     n = len(seeds)
     bounds = OptimizerConfig.resolved_bounds(kernel.cfg)
-    rounds = min(math.ceil(math.sqrt(budget) / 2), budget // _MIN_ROUND)
     unit = 2.0 * unit[:budget * n] - 1.0
     center = np.array(seeds, dtype=float)
     best = np.array(seed_costs, dtype=float)
@@ -294,8 +304,7 @@ def minimize(seeds: np.ndarray, seed_costs: np.ndarray, kernel: CostKernel, budg
     step = np.zeros((n, 4))
     evaluated = []
     used = 0
-    for r in range(rounds):
-        k = budget // rounds + (r < budget % rounds)
+    for k in _round_sizes(budget):
         u = unit[used:used + n * k].reshape(n, k, 4)
         used += n * k
         # u is uniform in [-1, 1], variance 1/3 per axis
@@ -343,9 +352,11 @@ def candidate_pool(current: RobotState, goal: Pose, planner_cfg: PlannerConfig,
                    opt_cfg: OptimizerConfig, warm_start: TrajectoryParam | None = None):
     """The sweep's (M, 4) rows, each once: the halting candidate, the warm
     start, the direct-to-goal parameter and the first Sobol points over the
-    box (n_global_samples rows before duplicates go). Also the scrambled
-    Sobol points in [0, 1)^4 they came from, as many as refinement
-    (`minimize`) spreads around its seeds."""
+    box. The halting, to-goal and warm-start rows are always in the sweep,
+    and the Sobol points fill it up to n_global_samples rows before
+    duplicates go: below 3 there are none, and the sweep has 2 rows, or 3
+    with a warm start. Also the scrambled Sobol points in [0, 1)^4 they came
+    from, as many as refinement (`minimize`) spreads around its seeds."""
     bounds = opt_cfg.resolved_bounds(planner_cfg)
     to_goal = egocentric_coords(current.pose, goal)
     given = [(to_goal.r, to_goal.theta, to_goal.delta, math.inf)]

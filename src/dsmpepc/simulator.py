@@ -127,7 +127,10 @@ def detect_deadlock(trace, goal_tolerance: float = 0.3) -> bool:
         if abs(sample.v) < DEADLOCK_SPEED and sample.nf_distance > goal_tolerance:
             if run_start is None:
                 run_start = sample.t
-            if sample.t - run_start >= DEADLOCK_WINDOW:
+            # within 1e-9 s, the tolerance `PlannerConfig` gives whole steps:
+            # sample times are cycle * step_h, so a whole window can round
+            # short (81 * 0.2 - 56 * 0.2 = 4.999999999999998)
+            if sample.t - run_start >= DEADLOCK_WINDOW - 1e-9:
                 return True
         else:
             run_start = None

@@ -412,7 +412,8 @@ def test_c9_performance():
     )
     nav = NavigationField(scenario.grid, (spec.goal.x, spec.goal.y))
     start = RobotState(pose=spec.start)
-    default_budget = OptimizerConfig()  # 400 global + 3x240 refinement
+    # 400 global + 3x240 refinement: 4 rounds of 60 per seed
+    default_budget = OptimizerConfig()
     timings = []
     for i in range(5):
         t0 = time.perf_counter()

@@ -11,8 +11,10 @@ from dsmpepc.cost import CostParams, trajectory_cost
 from dsmpepc.kinematics import PlannerConfig, Pose, RobotState, TrajectoryParam, rollout
 from dsmpepc.optimizer import (
     OptimizerConfig,
+    _MIN_ROUND,
     _distinct,
     _ranking,
+    _round_sizes,
     _scrambled_sobol,
     candidate_pool,
     evaluate_candidate,
@@ -49,8 +51,10 @@ def test_refine_budget_below_simplex_rejected(evals):
         OptimizerConfig(refine_max_evals=evals)
 
 
-@pytest.mark.parametrize("evals", [0, 5])
+@pytest.mark.parametrize("evals", [0, 5, 36, 37, 240])
 def test_refine_budget_edges_accepted(evals):
+    # every evaluation is spent, also across 36 -> 37, where the rounds first
+    # differ from ceil(sqrt(budget) / 2)
     world = open_world()
     start = RobotState(pose=Pose(9.0, 9.0, 0.0))
     goal = Pose(14.0, 11.0, 0.0)
@@ -58,6 +62,19 @@ def test_refine_budget_edges_accepted(evals):
     result = plan(start, goal, world, CFG, PARAMS, opt)
     sweep = plan(start, goal, world, CFG, PARAMS, replace(opt, n_refine_seeds=0))
     assert len(result.evaluated) == len(sweep.evaluated) + evals
+
+
+def test_round_sizes():
+    # up to 36 (the suite's 30, every test digest's budget) the rounds are
+    # those of ceil(sqrt(budget) / 2), so those plans stay bit for bit
+    for budget in range(_MIN_ROUND, 37):
+        assert len(_round_sizes(budget)) == min(math.ceil(math.sqrt(budget) / 2),
+                                                budget // _MIN_ROUND), budget
+    for budget in range(_MIN_ROUND, 2000):
+        sizes = _round_sizes(budget)
+        assert min(sizes) >= _MIN_ROUND, budget
+        assert sum(sizes) == budget, budget
+    assert _round_sizes(240) == (60, 60, 60, 60)
 
 
 def test_scrambled_sobol_equals_scipy():

@@ -68,6 +68,12 @@ def test_detect_deadlock_short_pause():
     assert detect_deadlock(samples) is False
 
 
+def test_detect_deadlock_whole_window_of_rounded_step_times():
+    # 81 * 0.2 - 56 * 0.2 = 4.999999999999998: 25 steps still fill the window
+    assert detect_deadlock(trace([(c * 0.2, 0.0, 2.0) for c in range(56, 82)])) is True
+    assert detect_deadlock(trace([(c * 0.2, 0.0, 2.0) for c in range(56, 81)])) is False
+
+
 def test_detect_deadlock_near_goal_is_not_deadlock():
     samples = trace([(0.2 * i, 0.0, 0.1) for i in range(100)])
     assert detect_deadlock(samples) is False
