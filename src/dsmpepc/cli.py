@@ -42,13 +42,7 @@ def _load_scenario(source: str, mode: str | None, seed: int | None) -> scen.Scen
         )
     if seed is not None:
         config = replace(config, seed=seed)
-    return config if mode is None else _with_mode(config, mode)
-
-
-def _with_mode(config: scen.ScenarioConfig, mode: str) -> scen.ScenarioConfig:
-    """`config` with every agent's cost mode set to `mode`."""
-    return replace(config, agents=tuple(replace(a, cost=replace(a.cost, mode=mode))
-                                        for a in config.agents))
+    return config if mode is None else config.with_mode(mode)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -161,7 +155,7 @@ def _compare_rows(config: scen.ScenarioConfig, n_seeds: int):
         stats = {"success": 0, "deadlock": 0, "collision": 0}
         ttgs: list[float] = []
         clearances: list[float] = []
-        moded = _with_mode(config, mode)
+        moded = config.with_mode(mode)
         for k in range(n_seeds):
             result = run(replace(moded, seed=config.seed + k))
             stats["success"] += int(result.all_reached)

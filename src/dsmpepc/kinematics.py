@@ -340,6 +340,24 @@ class TrajectoryParam:
         return (self.r, self.theta, self.delta, self.v_max)
 
 
+def whole_steps(span: float, step_h: float, name: str) -> int:
+    """The number of steps of `step_h` in `span`, the field `name` (a
+    rollout's `horizon_T`, a run's `duration`): a whole number, within 1e-9
+    of a step, and at least one. Raises a ValueError that names the field."""
+    n = span / step_h
+    if not math.isfinite(n):
+        raise ValueError(f"{name}: {span:g} s is not a finite number of "
+                         f"step_h {step_h:g} s steps")
+    steps = round(n)
+    if abs(n - steps) > 1e-9:
+        raise ValueError(f"{name}: {span:g} s is not an integer multiple "
+                         f"of step_h {step_h:g} s")
+    if steps < 1:
+        raise ValueError(f"{name}: {span:g} s is shorter than one "
+                         f"step_h {step_h:g} s")
+    return steps
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Horizon, integration step, and actuation limits of the rollout."""
@@ -357,15 +375,11 @@ class PlannerConfig:
                      "alpha_limit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        n = self.horizon_T / self.step_h
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("horizon_T must be an integer multiple of step_h")
-        if round(n) < 1:
-            raise ValueError("horizon_T must be at least one step_h")
+        whole_steps(self.horizon_T, self.step_h, "horizon_T")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon_T / self.step_h))
+        return whole_steps(self.horizon_T, self.step_h, "horizon_T")
 
     @property
     def r_max(self) -> float:
@@ -375,12 +389,11 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """N+1 states at t = t0, t0+h, ..., t0+N*h plus the parameter and target
-    that generated them."""
+    """N+1 states at t = t0, t0+h, ..., t0+N*h plus the parameter that
+    generated them."""
 
     states: tuple[RobotState, ...]
     param: TrajectoryParam
-    target: Pose
 
     def __len__(self) -> int:
         return len(self.states)
@@ -534,8 +547,7 @@ def trajectory(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,
         RobotState(pose=Pose(xs[i], ys[i], hs[i]), v=vs[i], omega=ws[i], t=ts[i])
         for i in range(1, len(ts))
     ]
-    target = target_from_param(start.pose, z.r, z.theta, z.delta)
-    return Trajectory(states=tuple(states), param=z, target=target)
+    return Trajectory(states=tuple(states), param=z)
 
 
 def rollout(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig) -> Trajectory:

@@ -142,6 +142,14 @@ class OptimizerConfig:
             raise ValueError("n_refine_seeds must be in [0, n_global_samples]")
         if self.refine_max_evals < 0:
             raise ValueError("refine_max_evals must be >= 0")
+        # the sweep and refinement draw from one Sobol sequence of
+        # 2^ceil(log2(most points either needs)) points (`candidate_pool`)
+        if self.n_global_samples > 2 ** _SOBOL_BITS:
+            raise ValueError(f"n_global_samples must be <= 2^{_SOBOL_BITS}, the most "
+                             f"Sobol points the sweep can draw")
+        if self.n_refine_seeds * self.refine_max_evals > 2 ** _SOBOL_BITS:
+            raise ValueError(f"n_refine_seeds * refine_max_evals must be <= "
+                             f"2^{_SOBOL_BITS}, the most Sobol points refinement can draw")
         if 0 < self.refine_max_evals < _MIN_ROUND:
             raise ValueError(
                 f"refine_max_evals must be 0 (no refinement) or >= {_MIN_ROUND}, "

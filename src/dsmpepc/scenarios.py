@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .cost import CostParams
-from .kinematics import PlannerConfig, Pose
+from .kinematics import PlannerConfig, Pose, whole_steps
 from .optimizer import OptimizerConfig
 from .world import DynamicObstacle, OccupancyGrid, detect_collision
 
@@ -92,16 +92,10 @@ class ScenarioConfig:
                     f"agent {agent.id!r}: step_h {agent.planner.step_h:g} differs from "
                     f"{step:g}; all agents must share one step"
                 )
-        if not 0 < self.duration < math.inf:
-            raise ScenarioError("duration: must be positive and finite")
-        # the rule PlannerConfig applies to horizon_T: a run is a whole number of steps
-        n_steps = self.duration / step
-        if abs(n_steps - round(n_steps)) > 1e-9:
-            raise ScenarioError(f"duration: {self.duration:g} s is not an integer multiple "
-                                f"of step_h {step:g} s")
-        if round(n_steps) < 1:
-            raise ScenarioError(f"duration: {self.duration:g} s is shorter than one "
-                                f"step_h {step:g} s")
+        try:  # which also rejects a zero, negative or non-finite duration
+            whole_steps(self.duration, step, "duration")
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         for obs in self.scripted_obstacles:
             if obs.waypoints is not None:
                 t0, t1 = obs.waypoints[0][0], obs.waypoints[-1][0]
@@ -156,8 +150,10 @@ class ScenarioConfig:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    def with_mode(self, mode: str) -> ScenarioConfig:
+        """This scenario with every agent's cost mode set to `mode`."""
+        return replace(self, agents=tuple(replace(a, cost=replace(a.cost, mode=mode))
+                                          for a in self.agents))
 
 
 def _agent_to_dict(a: AgentSpec) -> dict:
@@ -236,6 +232,18 @@ def _numbers(value, n: int, path: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
+def _pair(value, path: str) -> tuple[float, float]:
+    return _numbers(value, 2, path)
+
+
+def _given(entry: dict, path: str, **readers) -> dict:
+    """The fields named by `readers` that `entry`, the object at `path`,
+    sets, each read by its reader at its own path; a field the entry does
+    not set keeps the default of the dataclass it is passed to."""
+    return {key: read(entry[key], f"{path}.{key}") for key, read in readers.items()
+            if key in entry}
+
+
 def _block(base, value, path: str):
     """`base`, a config dataclass, with the fields that `value`, the config
     block at `path`, sets; each value must have the JSON type of the field's
@@ -258,28 +266,19 @@ def _pose(value, path: str) -> Pose:
 
 
 def load(source) -> ScenarioConfig:
-    """Load a scenario from a dict, a JSON string, or a file path."""
+    """Load a scenario from a document (a dict) or the path of a JSON file."""
     if isinstance(source, dict):
         doc = source
     elif isinstance(source, (str, os.PathLike)):
-        text = source
-        if isinstance(source, os.PathLike) or (
-            len(str(source)) < 4096 and os.path.exists(source)
-        ):
-            try:
-                with open(source, "r", encoding="utf-8") as f:
-                    text = f.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ScenarioError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
         try:
-            doc = json.loads(text)
+            with open(source, "r", encoding="utf-8") as f:
+                doc = json.load(f)
         except json.JSONDecodeError as exc:
-            if text is source and not source.lstrip().startswith("{"):
-                raise ScenarioError(f"cannot read {source!r}: no such file, "
-                                    f"and not JSON text") from exc
             raise ScenarioError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
     else:
         raise ScenarioError(f"unsupported scenario source {type(source).__name__}")
     if not isinstance(doc, dict):
@@ -288,17 +287,15 @@ def load(source) -> ScenarioConfig:
                       "seed"))
 
     map_block = doc.get("map")
-    if not isinstance(map_block, dict) or "rows" not in map_block:
+    if not isinstance(map_block, dict) or not map_block.keys() >= {"rows", "resolution"}:
         raise ScenarioError("map: expected an object with 'rows' and 'resolution'")
     _object(map_block, "map", ("rows", "resolution", "origin"))
     rows = _list(map_block["rows"], "map.rows")
     if not all(isinstance(r, str) for r in rows):
         raise ScenarioError("map.rows: expected a list of strings")
-    grid = _build(
-        "map", OccupancyGrid.from_ascii, rows,
-        _number(map_block.get("resolution", 0.0), "map.resolution"),
-        _numbers(map_block.get("origin", (0.0, 0.0)), 2, "map.origin"),
-    )
+    grid = _build("map", OccupancyGrid.from_ascii, rows,
+                  _number(map_block["resolution"], "map.resolution"),
+                  **_given(map_block, "map", origin=_pair))
 
     defaults = _object(doc.get("defaults", {}), "defaults", ("planner", "cost", "optimizer"))
     # each block must hold on its own, so a bad value is named where it is written
@@ -323,7 +320,7 @@ def load(source) -> ScenarioConfig:
             id=_typed(entry["id"], "", f"{path}.id"),
             start=_pose(entry["start"], f"{path}.start"),
             goal=_pose(entry["goal"], f"{path}.goal"),
-            radius=_number(entry.get("radius", 0.35), f"{path}.radius"),
+            **_given(entry, path, radius=_number),
             planner=_block(default_planner, entry.get("planner", {}), f"{path}.planner"),
             cost=cost,
             optimizer=_block(default_optimizer, entry.get("optimizer", {}),
@@ -342,18 +339,13 @@ def load(source) -> ScenarioConfig:
         payload = {
             "id": _typed(entry.get("id", f"obstacle_{i}"), "", f"{path}.id"),
             "radius": _number(entry.get("radius", 0.3), f"{path}.radius"),
+            **_given(entry, path, position=_pair, velocity=_pair, epoch=_number),
         }
         if "waypoints" in entry:
             waypoints = _list(entry["waypoints"], f"{path}.waypoints")
             payload["waypoints"] = tuple(
                 _numbers(w, 3, f"{path}.waypoints[{k}]") for k, w in enumerate(waypoints)
             )
-        else:
-            payload["position"] = _numbers(entry.get("position", (0.0, 0.0)), 2,
-                                           f"{path}.position")
-            payload["velocity"] = _numbers(entry.get("velocity", (0.0, 0.0)), 2,
-                                           f"{path}.velocity")
-            payload["epoch"] = _number(entry.get("epoch", 0.0), f"{path}.epoch")
         obstacles.append(_build(path, DynamicObstacle, **payload))
 
     return ScenarioConfig(
@@ -392,25 +384,22 @@ _SUITE_OPTIMIZER = OptimizerConfig(n_global_samples=256, n_refine_seeds=2,
                                    refine_max_evals=30)
 
 
-def _agent(agent_id, start, goal, mode, radius=0.35, **overrides) -> AgentSpec:
-    overrides.setdefault("optimizer", _SUITE_OPTIMIZER)
-    overrides.setdefault("cost", CostParams(mode=mode))
-    return AgentSpec(id=agent_id, start=start, goal=goal, radius=radius, **overrides)
+def _agent(agent_id: str, start: Pose, goal: Pose, **spec) -> AgentSpec:
+    return AgentSpec(agent_id, start, goal, optimizer=_SUITE_OPTIMIZER, **spec)
 
 
-def open_field(mode: str = "ds_mpepc", size: float = 20.0, goal_distance: float = 5.0,
-               resolution: float = 0.25, seed: int = 1) -> ScenarioConfig:
+def open_field(size: float = 20.0, goal_distance: float = 5.0,
+               resolution: float = 0.25) -> ScenarioConfig:
     """Single agent in an empty square field with the goal straight ahead."""
     nx = int(round(size / resolution))
     grid = OccupancyGrid(np.zeros((nx, nx), dtype=bool), resolution)
     mid = size / 2.0
     x0 = (size - goal_distance) / 2.0
-    agent = _agent("robot", Pose(x0, mid, 0.0), Pose(x0 + goal_distance, mid, 0.0), mode)
-    return ScenarioConfig("open_field", grid, (agent,), (), duration=20.0, seed=seed)
+    agent = _agent("robot", Pose(x0, mid, 0.0), Pose(x0 + goal_distance, mid, 0.0))
+    return ScenarioConfig("open_field", grid, (agent,), (), duration=20.0, seed=1)
 
 
-def t_corridor(mode: str = "ds_mpepc", corridor_width: float = 2.2,
-               resolution: float = 0.2, seed: int = 1) -> ScenarioConfig:
+def t_corridor(corridor_width: float = 2.2, resolution: float = 0.2) -> ScenarioConfig:
     """T junction whose right arm is mostly blocked by a stationary agent.
 
     The moving agent comes up the stem and must squeeze through the one open
@@ -425,20 +414,17 @@ def t_corridor(mode: str = "ds_mpepc", corridor_width: float = 2.2,
         return in_stem or in_bar
 
     grid = _carved_grid(12.0, 10.0, resolution, free)
-    mover = _agent(
-        "mover", Pose(3.0, 1.5, math.pi / 2), Pose(10.6, bar_lo + w / 2, 0.0), mode
-    )
+    mover = _agent("mover", Pose(3.0, 1.5, math.pi / 2), Pose(10.6, bar_lo + w / 2, 0.0))
     # Offset so the one open gap (above the blocker) leaves ~0.22 m clearance:
     # enough for the anticipatory discount to make the pass pay off, while the
     # distance-only cost still prefers halting.
     blocker_pos = Pose(5.6, bar_lo + 0.7, 0.0)
-    blocker = _agent("blocker", blocker_pos, blocker_pos, mode)
-    return ScenarioConfig("t_corridor", grid, (mover, blocker), (), duration=60.0, seed=seed)
+    blocker = _agent("blocker", blocker_pos, blocker_pos)
+    return ScenarioConfig("t_corridor", grid, (mover, blocker), (), duration=60.0, seed=1)
 
 
-def narrow_corridor(mode: str = "ds_mpepc", width: float = 2.1, length: float = 10.0,
-                    resolution: float = 0.2, robot_radius: float = 0.35,
-                    seed: int = 1) -> ScenarioConfig:
+def narrow_corridor(width: float = 2.1, length: float = 10.0, resolution: float = 0.2,
+                    robot_radius: float = 0.35) -> ScenarioConfig:
     """Two agents traverse one corridor in opposing directions."""
     if width < 2.0 * robot_radius + resolution:
         raise ScenarioError(
@@ -457,21 +443,17 @@ def narrow_corridor(mode: str = "ds_mpepc", width: float = 2.1, length: float = 
     bias = 0.15
     east = _agent(
         "east", Pose(1.0 + 0.8, mid - bias, 0.0),
-        Pose(1.0 + length - 0.8, mid - bias, 0.0),
-        mode, radius=robot_radius,
+        Pose(1.0 + length - 0.8, mid - bias, 0.0), radius=robot_radius,
     )
     west = _agent(
         "west", Pose(1.0 + length - 0.8, mid + bias, math.pi),
-        Pose(1.0 + 0.8, mid + bias, math.pi),
-        mode, radius=robot_radius,
+        Pose(1.0 + 0.8, mid + bias, math.pi), radius=robot_radius,
     )
-    return ScenarioConfig("narrow_corridor", grid, (east, west), (), duration=60.0,
-                          seed=seed)
+    return ScenarioConfig("narrow_corridor", grid, (east, west), (), duration=60.0, seed=1)
 
 
-def circle(mode: str = "ds_mpepc", n: int = 4, radius: float = 4.0,
-           resolution: float = 0.25, robot_radius: float = 0.35,
-           seed: int = 1) -> ScenarioConfig:
+def circle(n: int = 4, radius: float = 4.0, resolution: float = 0.25,
+           robot_radius: float = 0.35) -> ScenarioConfig:
     """n agents on a circle, each heading to the diagonally opposite point."""
     if n < 2:
         raise ScenarioError("circle needs at least 2 agents")
@@ -491,13 +473,12 @@ def circle(mode: str = "ds_mpepc", n: int = 4, radius: float = 4.0,
         heading = math.atan2(gy - sy, gx - sx)
         agents.append(
             _agent(f"agent_{k}", Pose(sx, sy, heading), Pose(gx, gy, heading),
-                   mode, radius=robot_radius)
+                   radius=robot_radius)
         )
-    return ScenarioConfig(f"circle_{n}", grid, tuple(agents), (), duration=45.0, seed=seed)
+    return ScenarioConfig(f"circle_{n}", grid, tuple(agents), (), duration=45.0, seed=1)
 
 
-def pedestrian_hall(mode: str = "ds_mpepc", resolution: float = 0.25,
-                    seed: int = 1) -> ScenarioConfig:
+def pedestrian_hall(resolution: float = 0.25) -> ScenarioConfig:
     """Hall with pillars and scripted pedestrians crossing the robot's route.
 
     Stand-in for sensor-derived pedestrian traces: waypoint scripts in a hall
@@ -514,7 +495,7 @@ def pedestrian_hall(mode: str = "ds_mpepc", resolution: float = 0.25,
         return True
 
     grid = _carved_grid(16.0, 8.0, resolution, free)
-    agent = _agent("robot", Pose(1.5, 4.0, 0.0), Pose(14.5, 4.0, 0.0), mode)
+    agent = _agent("robot", Pose(1.5, 4.0, 0.0), Pose(14.5, 4.0, 0.0))
     peds = (
         DynamicObstacle(
             id="ped_0", radius=0.3,
@@ -535,7 +516,7 @@ def pedestrian_hall(mode: str = "ds_mpepc", resolution: float = 0.25,
             waypoints=((0.0, 14.5, 5.5), (16.0, 2.5, 5.5), (32.0, 14.5, 5.5)),
         ),
     )
-    return ScenarioConfig("pedestrian_hall", grid, (agent,), peds, duration=40.0, seed=seed)
+    return ScenarioConfig("pedestrian_hall", grid, (agent,), peds, duration=40.0, seed=1)
 
 
 BUILTINS = {
@@ -548,7 +529,9 @@ BUILTINS = {
 
 
 def builtin(name: str, **params) -> ScenarioConfig:
-    """Instantiate a named built-in benchmark scenario."""
+    """Instantiate a named built-in benchmark scenario; `params` are its
+    geometry. Every built-in runs the ds cost at seed 1, and is varied as
+    any scenario: `config.with_mode(mode)`, `replace(config, seed=s)`."""
     if name not in BUILTINS:
         known = ", ".join(sorted(BUILTINS))
         raise ScenarioError(f"unknown builtin scenario {name!r} (known: {known})")

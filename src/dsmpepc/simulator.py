@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .kinematics import RobotState, TrajectoryParam, rollout_batch
+from .kinematics import RobotState, TrajectoryParam, rollout_batch, whole_steps
 from .optimizer import PlanResult, plan
 from .scenarios import ScenarioConfig
 from .world import DynamicObstacle, NavigationField, World, detect_collision
@@ -177,7 +177,7 @@ def steps(scenario: ScenarioConfig) -> Iterator[Step]:
     grid = scenario.grid
     specs = scenario.agents
     h = specs[0].planner.step_h
-    n_cycles = int(round(scenario.duration / h))
+    n_cycles = whole_steps(scenario.duration, h, "duration")
 
     navs = {a.id: NavigationField(grid, (a.goal.x, a.goal.y)) for a in specs}
     radii = {a.id: a.radius for a in specs}

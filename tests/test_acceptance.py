@@ -330,22 +330,22 @@ def test_c6_oracles():
 def test_c7_scenarios():
     # (a) T-corridor: ds reaches within 60 s with zero contacts; the
     # reconstructed baseline raises the deadlock flag
-    ds = run(builtin("t_corridor", mode="ds_mpepc"))
+    ds = run(builtin("t_corridor"))
     mover = ds.agent("mover")
     assert mover.outcome == "reached"
     assert mover.time_to_goal <= 60.0
     assert not ds.contacts
-    base = run(builtin("t_corridor", mode="baseline_mpepc"))
+    base = run(builtin("t_corridor").with_mode("baseline_mpepc"))
     assert base.agent("mover").outcome == "deadlocked"
     print("\n  7a t_corridor: ds reached at "
           f"{mover.time_to_goal:.1f}s; baseline deadlocked")
 
     # (b) narrow corridor: both ds agents reach with zero contacts;
     # baseline outcome reported
-    narrow_ds = run(builtin("narrow_corridor", mode="ds_mpepc"))
+    narrow_ds = run(builtin("narrow_corridor"))
     assert all(a.outcome == "reached" for a in narrow_ds.agents)
     assert not narrow_ds.contacts
-    narrow_base = run(builtin("narrow_corridor", mode="baseline_mpepc"))
+    narrow_base = run(builtin("narrow_corridor").with_mode("baseline_mpepc"))
     outcomes = {a.id: a.outcome for a in narrow_base.agents}
     print(f"  7b narrow_corridor: ds both reached; baseline outcomes {outcomes}")
 
@@ -370,7 +370,7 @@ def test_c7_scenarios():
     # (d) ablation: disabling the TTC factor and the terminal bonus inside
     # ds mode restores the deadlock; at a = 0 the anticipatory factor is
     # exactly 1, so the ablated run is the baseline run of (a), bit for bit
-    cfg = builtin("t_corridor", mode="ds_mpepc")
+    cfg = builtin("t_corridor")
     ablated = replace(
         cfg,
         agents=tuple(

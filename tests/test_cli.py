@@ -97,6 +97,19 @@ def test_run_malformed_field_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes,field", [
+    ({"duration": 1e308}, "duration"),
+    ({"defaults": {"planner": {"step_h": 1e-320}}}, "horizon_T"),
+], ids=["duration", "step_h"])
+def test_run_step_count_overflow_exits_2(changes, field, tmp_path, capsys):
+    # a step count that overflows to inf is a scenario error, not a traceback
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(dict(SMALL_FIELD, **changes)))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{field}: " in err and "not a finite number" in err
+
+
 def test_run_unknown_key_exits_2(tmp_path, capsys):
     doc = copy.deepcopy(SMALL_FIELD)
     doc["agents"][0]["raduis"] = 0.5
@@ -231,7 +244,7 @@ def test_landscape_ttc_rank_steers_into_free_half_plane():
     from dsmpepc.cli import _landscape_candidates
     from dsmpepc.simulator import steps
 
-    cfg = builtin("t_corridor", mode="ds_mpepc")
+    cfg = builtin("t_corridor")
     spec = next(a for a in cfg.agents if a.id == "mover")
     blocker = next(a for a in cfg.agents if a.id == "blocker")
     step = next(s for s in steps(cfg) if s.cycle == 30)  # t = 6.0

@@ -493,8 +493,7 @@ def test_segment_survivability_non_increasing():
 def test_trajectory_cost_rejects_short_trajectory():
     from dsmpepc.kinematics import Trajectory
     start = RobotState(pose=Pose(0, 0, 0))
-    bad = Trajectory(states=(start,), param=TrajectoryParam(1, 0, 0, 1),
-                     target=Pose(1, 0, 0))
+    bad = Trajectory(states=(start,), param=TrajectoryParam(1, 0, 0, 1))
     with pytest.raises(ValueError):
         trajectory_cost(bad, Pose(1, 0, 0), open_world(), PARAMS, CFG)
 

@@ -50,8 +50,12 @@ def test_planner_config_requires_integer_steps():
     with pytest.raises(ValueError):
         PlannerConfig(horizon_T=1.0, step_h=0.3)
     # 5e-10 steps passes the 1e-9 whole-step rule, but a rollout needs a step
-    with pytest.raises(ValueError, match="^horizon_T must be at least one step_h$"):
+    with pytest.raises(ValueError,
+                       match="^horizon_T: 1e-10 s is shorter than one step_h 0.2 s$"):
         PlannerConfig(horizon_T=1e-10)
+    # 5 s / 1e-320 s overflows to an infinite step count
+    with pytest.raises(ValueError, match="^horizon_T: 5 s is not a finite number of step_h"):
+        PlannerConfig(step_h=1e-320)
     assert PlannerConfig(horizon_T=5.0, step_h=0.2).n_steps == 25
 
 
@@ -142,7 +146,6 @@ def test_rollout_determinism():
         t1 = rollout(start, z, CFG)
         t2 = rollout(start, z, CFG)
         assert t1.states == t2.states
-        assert t1.target == t2.target
 
 
 def test_rollout_displacement_and_rate_limits():
@@ -170,7 +173,6 @@ def test_rollout_steps_match_composed_helpers():
         start, z = random_case(rng)
         traj = rollout(start, z, CFG)
         target = target_from_param(start.pose, z.r, z.theta, z.delta)
-        assert traj.target == target
         for prev, s in zip(traj.states, traj.states[1:]):
             pose, v, w = reference_rollout_step(prev.pose, prev.v, prev.omega, target,
                                                 z.v_max, CFG)

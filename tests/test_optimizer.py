@@ -44,6 +44,16 @@ def test_config_validation():
         OptimizerConfig(n_refine_seeds=10, n_global_samples=5)
 
 
+def test_config_rejects_budgets_past_the_sobol_sequence():
+    # the sweep and refinement draw from one sequence of at most 2^30
+    # points; built only, never drawn from, as 2^30 points take tens of GB
+    OptimizerConfig(n_global_samples=2 ** 30, n_refine_seeds=2, refine_max_evals=2 ** 29)
+    with pytest.raises(ValueError, match="^n_global_samples must be <= 2"):
+        OptimizerConfig(n_global_samples=2 ** 30 + 1)
+    with pytest.raises(ValueError, match=r"^n_refine_seeds \* refine_max_evals must be <= 2"):
+        OptimizerConfig(n_refine_seeds=2, refine_max_evals=2 ** 29 + 1)
+
+
 @pytest.mark.parametrize("evals", [1, 2, 3, 4])
 def test_refine_budget_below_simplex_rejected(evals):
     # a refinement round needs 5 probes to span the four parameters

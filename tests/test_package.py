@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -49,10 +50,10 @@ def test_readme_library_example_runs_as_commented():
 def test_readme_scenario_document_loads_and_round_trips():
     files = README.read_text(encoding="utf-8").split("\n## Scenario files\n", 1)[1]
     document = re.search(r"```json\n(.*?)```", files, re.DOTALL).group(1)
-    config = load(document)
+    config = load(json.loads(document))
     assert [a.id for a in config.agents] == ["bot"]
     assert [o.id for o in config.scripted_obstacles] == ["ped"]
-    assert load(config.to_json()).to_dict() == config.to_dict()
+    assert load(config.to_dict()).to_dict() == config.to_dict()
 
 
 def test_scenarios_does_not_import_the_simulator():

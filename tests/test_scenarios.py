@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -38,7 +39,7 @@ def test_load_minimal_document():
     assert config.grid.resolution == 0.5
 
 
-def test_load_from_json_text_and_defaults_merge():
+def test_load_from_json_text_and_defaults_merge(tmp_path):
     doc = dict(MINIMAL)
     doc["defaults"] = {
         "planner": {"v_limit": 0.7},
@@ -50,7 +51,9 @@ def test_load_from_json_text_and_defaults_merge():
         {"id": "b", "start": [2, 7, 0], "goal": [8, 7, 0],
          "cost": {"a": 0.2}, "mode": "baseline_mpepc"},
     ]
-    config = load(json.dumps(doc))
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps(doc))
+    config = load(path)
     a, b = config.agents
     assert a.planner.v_limit == 0.7 and b.planner.v_limit == 0.7
     assert a.cost.a == 0.5
@@ -71,10 +74,28 @@ def test_agent_blocks_override_fields_of_the_defaults():
     assert (agent.cost.mode, agent.cost.a) == ("baseline_mpepc", 0.2)
 
 
-def test_load_rejects_malformed_json_with_location():
+def test_load_rejects_malformed_json_with_location(tmp_path):
+    path = tmp_path / "bad.json"
     for text in ('{"name": "x",}', '\n  {"name": "x",}'):
+        path.write_text(text)
         with pytest.raises(ScenarioError, match="line"):
-            load(text)
+            load(path)
+
+
+def test_load_reads_a_path_as_its_document(tmp_path):
+    path = tmp_path / "doc.json"
+    for doc in (MINIMAL, dict(MINIMAL, scripted_obstacles=[_PED]), *(
+            builtin(name).to_dict() for name in BUILTINS)):
+        path.write_text(json.dumps(doc))
+        assert load(path).to_dict() == load(str(path)).to_dict() == load(doc).to_dict()
+
+
+def test_load_takes_a_document_or_a_path_and_nothing_else():
+    # JSON text is no source: a str is always a path
+    with pytest.raises(ScenarioError, match="^cannot read '"):
+        load(json.dumps(MINIMAL))
+    with pytest.raises(ScenarioError, match="^unsupported scenario source bytes$"):
+        load(json.dumps(MINIMAL).encode())
 
 
 def test_agent_in_wall_is_named():
@@ -164,7 +185,7 @@ def test_unreadable_path_is_a_scenario_error(tmp_path):
                       .encode("latin-1"))
     with pytest.raises(ScenarioError, match="cannot read"):
         load(str(latin))
-    # a string that is neither a file nor JSON text is named as a path
+    # a string is a path, and a missing one is named
     for source in ("no_such.json", str(tmp_path / "gone.json")):
         with pytest.raises(ScenarioError, match=f"cannot read {re.escape(repr(source))}"):
             load(source)
@@ -237,15 +258,17 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("path,value", MALFORMED, ids=lambda v: repr(v))
-def test_malformed_field_is_a_scenario_error(path, value):
+def test_malformed_field_is_a_scenario_error(path, value, tmp_path):
     doc = copy.deepcopy(MINIMAL)
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    # JSON text carries NaN and Infinity as the literals json.loads accepts
+    # a JSON file carries NaN and Infinity as the literals json.load accepts
+    source = tmp_path / "doc.json"
+    source.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError) as raised:
-        load(json.dumps(doc))
+        load(source)
     # the error names the value's path, a block that holds it or a field in it
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
     named = str(raised.value).split(": ", 1)[0]
@@ -287,17 +310,26 @@ def test_unknown_key_is_a_scenario_error(path, key, named):
         target = target[step]
     target[key] = 1.0
     with pytest.raises(ScenarioError, match=rf"^{re.escape(named)}: unknown key"):
-        load(json.dumps(doc))
+        load(doc)
 
 
 # (defaults block, its content, the error it must raise); these were named
-# under the first agent's block, where the defaults are merged in
+# under the first agent's block, where the defaults are merged in. A
+# subnormal step_h overflowed the step count in an error that named no
+# field, and the last two budgets loaded and failed only inside plan()
 DEFAULTS_VALUE_ERRORS = [
     ("planner", {"v_limit": -1}, "defaults.planner: v_limit must be positive and finite"),
-    ("planner", {"horizon_T": 1e-10}, "defaults.planner: horizon_T must be at least one step_h"),
+    ("planner", {"horizon_T": 1e-10},
+     "defaults.planner: horizon_T: 1e-10 s is shorter than one step_h 0.2 s"),
+    ("planner", {"step_h": 1e-320},
+     "defaults.planner: horizon_T: 5 s is not a finite number of step_h"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
     ("optimizer", {"n_global_samples": 0}, "defaults.optimizer: n_global_samples must be >= 1"),
+    ("optimizer", {"n_global_samples": 2 ** 31},
+     "defaults.optimizer: n_global_samples must be <= 2^30"),
+    ("optimizer", {"n_refine_seeds": 2, "refine_max_evals": 2 ** 29 + 1},
+     "defaults.optimizer: n_refine_seeds * refine_max_evals must be <= 2^30"),
 ]
 
 
@@ -306,7 +338,7 @@ DEFAULTS_VALUE_ERRORS = [
 def test_defaults_value_error_names_the_defaults_block(block, content, message):
     doc = dict(MINIMAL, defaults={block: content})
     with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}"):
-        load(json.dumps(doc))
+        load(doc)
 
 
 @pytest.mark.parametrize("key", ["position", "velocity", "epoch"])
@@ -328,6 +360,9 @@ SCENARIO_FAULTS = [
                  "duration: 0.5 s is not an integer multiple of step_h 0.2 s", id="off-step"),
     pytest.param({"duration": 1e-10},
                  "duration: 1e-10 s is shorter than one step_h 0.2 s", id="under-one-step"),
+    pytest.param({"duration": 1e308},
+                 "duration: 1e+308 s is not a finite number of step_h 0.2 s steps",
+                 id="step-count-overflow"),
     pytest.param({"seed": -3}, "seed: must be >= 0", id="negative-seed"),
     pytest.param({"agents": (replace(MOVER, goal=Pose(-5.0, 10.0, 0.0)), BLOCKER)},
                  "agent 'mover': goal (-5, 10) outside the map", id="goal-off-map"),
@@ -350,8 +385,7 @@ def _with(changes: dict) -> dict:
 # the ways to build a scenario; no ScenarioConfig can hold a fault, so the
 # document is written by to_dict from the bare fields
 BUILDERS = {
-    "load": lambda changes: load(
-        json.dumps(ScenarioConfig.to_dict(SimpleNamespace(**_with(changes))))),
+    "load": lambda changes: load(ScenarioConfig.to_dict(SimpleNamespace(**_with(changes)))),
     "constructor": lambda changes: ScenarioConfig(**_with(changes)),
     "replace": lambda changes: replace(builtin("t_corridor"), **changes),
 }
@@ -375,11 +409,45 @@ def test_scenario_sequences_are_tuples(name):
 
 def test_round_trip_serialization():
     config = load(MINIMAL)
-    again = load(config.to_json())
+    again = load(config.to_dict())
     assert again.to_dict() == config.to_dict()
     for name in BUILTINS:
         built = builtin(name)
-        assert load(built.to_json()).to_dict() == built.to_dict()
+        assert load(built.to_dict()).to_dict() == built.to_dict()
+
+
+# SHA-256 of json.dumps(builtin(name, mode=mode).to_dict(), sort_keys=True),
+# recorded when the built-ins still took a mode
+BUILTIN_DIGESTS = {
+    ("open_field", "ds_mpepc"):
+        "198dd458e905fb419c5f74ce65d7be6d10be143cb288b1cd705bb4dba0abd3f4",
+    ("open_field", "baseline_mpepc"):
+        "9715c036894023b3dc0c24874c5df303bd106096962c1c91a70ab7d096773cad",
+    ("t_corridor", "ds_mpepc"):
+        "7e83e93d73191aac7422ad95035cddea07204dc5040647c1003f05b42b1d274f",
+    ("t_corridor", "baseline_mpepc"):
+        "56678d9122b0c427b87f4118b8497e244e952c84993608d539ef3054f53b04de",
+    ("narrow_corridor", "ds_mpepc"):
+        "ad940718f919c7d8d2d13d84f187ef9bd90d715a9cc61a642b3b34a3d1a709f1",
+    ("narrow_corridor", "baseline_mpepc"):
+        "38ae952d0df78fef4483deae3476e82652d19378dbc8ae2dcfb6b3da33d1f445",
+    ("circle", "ds_mpepc"):
+        "6310bd74dd3dee873fd12ef0d748bbb2c20350c3bd9b1f6022985710a060f47b",
+    ("circle", "baseline_mpepc"):
+        "665aabed46ab6166f50e9e8c6e05e29d058288baefff970002ffc4d76fef462f",
+    ("pedestrian_hall", "ds_mpepc"):
+        "1200a8f33c853a2c5d385546843ecae82b8fe919d161b238c2e00db6ce645958",
+    ("pedestrian_hall", "baseline_mpepc"):
+        "8c012d52abd00cf3d26bcc5457fe8f12a8981f9b0506cbeed63ab1a8d26dfc15",
+}
+
+
+@pytest.mark.parametrize("name,mode", BUILTIN_DIGESTS)
+def test_builtin_with_mode_is_the_builtin_of_that_mode(name, mode):
+    doc = builtin(name).with_mode(mode).to_dict()
+    assert [a["mode"] for a in doc["agents"]] == [mode] * len(doc["agents"])
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == BUILTIN_DIGESTS[name, mode]
 
 
 def test_unknown_builtin():
