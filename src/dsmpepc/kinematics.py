@@ -54,6 +54,11 @@ R_SLOWDOWN = 0.5
 # Angular rates below this are integrated as straight-line motion.
 OMEGA_STRAIGHT = 1e-9
 
+# The most steps a planner horizon may hold: 40 times the default 25. A
+# rollout batch keeps several (steps + 1, 2, batch) arrays, so a horizon of
+# millions of steps would ask for tens of GB.
+MAX_HORIZON_STEPS = 1000
+
 
 # As 0-d arrays, constants reach numpy's loops without the conversion of a
 # Python float that every operation would otherwise repeat.
@@ -375,7 +380,11 @@ class PlannerConfig:
                      "alpha_limit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        whole_steps(self.horizon_T, self.step_h, "horizon_T")
+        steps = whole_steps(self.horizon_T, self.step_h, "horizon_T")
+        if steps > MAX_HORIZON_STEPS:
+            raise ValueError(f"horizon_T: {self.horizon_T:g} s is {steps} steps of step_h "
+                             f"{self.step_h:g} s, more than MAX_HORIZON_STEPS "
+                             f"({MAX_HORIZON_STEPS})")
 
     @property
     def n_steps(self) -> int:

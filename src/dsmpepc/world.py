@@ -474,11 +474,16 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     """Arc length along each ray until the distance field drops to the robot
     radius; +inf where a ray has no hit within its max_arc.
 
-    Sphere-tracing march from where each ray enters the grid box: the
-    1-Lipschitz field allows steps of (df - radius), floored at resolution/2
-    so the error stays within one cell. All rays march in lockstep, each
-    until it hits or passes its end; each iteration samples only the rays
-    still marching.
+    Sphere tracing (Hart, 1996) from where each ray enters the grid box:
+    steps of gap = df - radius, at least one resolution. The first sample
+    within the radius (gap <= 0) backs off by its overshoot to s + gap, not
+    before the entry; along a 1-Lipschitz field contact comes no later.
+    Each ray marches a step past its end and an arc beyond the end is +inf,
+    so the result is the unbounded arc where that lies within max_arc.
+    Against a dense march it is at most about 0.1 cell early and one cell
+    late, unless the ray grazes the contact zone (less than a cell of it)
+    or meets it within a cell of its end. All rays march in lockstep; each
+    iteration samples only the rays still marching.
     """
     n = x.shape[0]
     arcs = np.full(n, math.inf)
@@ -499,18 +504,24 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
         s0 = np.where(parallel, s0, np.maximum(s0, lo_t))
         s1 = np.where(parallel, s1, np.minimum(s1, hi_t))
     valid &= s1 >= s0
-    min_step = 0.5 * grid.resolution
+    min_step = grid.resolution
 
+    # the gap (<= 0) of each ray's hit, applied once after the loop
+    overshoot = np.zeros(n)
     idx = np.flatnonzero(valid)
-    s, end = s0[idx], s1[idx]
+    s, end = s0[idx], s1[idx] + min_step
     while idx.size:
         df = grid.sample_distance_batch(x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)
         gap = df - robot_radius
         hit = gap <= 0.0
-        arcs[idx[hit]] = s[hit]
+        at = idx[hit]
+        arcs[at] = s[hit]
+        overshoot[at] = gap[hit]
         s = s + np.maximum(min_step, gap)
         alive = ~hit & (s <= end)
         idx, s, end = idx[alive], s[alive], end[alive]
+    arcs = np.maximum(arcs + overshoot, s0)
+    arcs[arcs > s1] = math.inf
     return arcs
 
 

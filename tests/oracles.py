@@ -430,9 +430,9 @@ def _clearance(world, x: float, y: float, t: float) -> float:
     return max(0.0, d - world.robot_radius)
 
 
-def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
-    """The grid march written against a scalar sample of the distance field:
-    arc length to the first sample within the robot radius, or None."""
+def _ray_box(grid, x, y, ux, uy):
+    """(entry, exit) arcs of a ray through the grid box from (x, y), the entry
+    at least 0; None where the ray misses the box."""
     xmin, ymin, xmax, ymax = grid.extent
     s, s_end = 0.0, math.inf
     for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
@@ -442,15 +442,47 @@ def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
         else:
             ta, tb = sorted(((lo - p) / u, (hi - p) / u))
             s, s_end = max(s, ta), min(s_end, tb)
-    if s_end < s:
+    return None if s_end < s else (s, s_end)
+
+
+def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
+    """The grid march written against a scalar sample of the distance field:
+    the first sample within the robot radius, backed off by its overshoot
+    (never before the entry into the grid box), or None. The march goes one
+    step of a resolution past `max_arc`, and a backed-off arc beyond it is
+    None."""
+    box = _ray_box(grid, x, y, ux, uy)
+    if box is None:
         return None
-    s_end = min(s_end, max_arc)
-    while s <= s_end:
+    s = s_entry = box[0]
+    s_end = min(box[1], max_arc)
+    s_last = s_end + grid.resolution
+    while s <= s_last:
         gap = _sample_distance(grid, x + ux * s, y + uy * s) - robot_radius
         if gap <= 0.0:
-            return s
-        s += max(gap, 0.5 * grid.resolution)
+            arc = max(s + gap, s_entry)
+            return arc if arc <= s_end else None
+        s += max(gap, grid.resolution)
     return None
+
+
+def fine_step_ray_contact(grid, x, y, ux, uy, robot_radius, step):
+    """A fixed-step march of one ray through the grid box: (first sample arc
+    within the robot radius or None, length of the contact zone from there
+    to the first sample out of contact, arc where the ray leaves the box)."""
+    box = _ray_box(grid, x, y, ux, uy)
+    if box is None:
+        return None, 0.0, None
+    s0, s_end = box
+    s = s0 + step * np.arange(int((s_end - s0) / step) + 1)
+    df = reference_sample_field(grid, _distance_field(grid), x + ux * s, y + uy * s)
+    contact = df - robot_radius <= 0.0
+    if not contact.any():
+        return None, 0.0, s_end
+    first = int(np.argmax(contact))
+    inside = contact[first:]
+    samples = inside.size if inside.all() else int(np.argmin(inside))
+    return float(s[first]), samples * step, s_end
 
 
 def reference_time_to_collision(world, position, velocity, t0: float) -> float:

@@ -161,15 +161,17 @@ def test_terminal_ttc_cases():
     world = open_world()
     free = RobotState(pose=Pose(7, 7, 0.3), v=0.0, t=2.0)
     assert terminal_ttc(free, world, 2.0, v_limit=1.0) == math.inf
-    # nearest wall cell centers at x = 10.5; robot at 8.15 with radius 0.35
-    # leaves a 2.0 m gap
+    # nearest wall cell centers at x = 10.5; a robot at x with radius 0.35
+    # leaves a 10.15 - x m gap (2.0 m at 8.15), which the march's backed-off
+    # hit meets to rounding whether or not a sample lands on it
     rows = ["." * 52 + "#" * 2] * 40
     grid = OccupancyGrid.from_ascii(rows, 0.2)
     wall_world = World(grid=grid, obstacles=(), robot_radius=0.35)
-    facing = RobotState(pose=Pose(8.15, 4.0, 0.0), v=0.0, t=0.0)
-    assert terminal_ttc(facing, wall_world, 0.0, v_limit=1.0) == pytest.approx(
-        2.0, abs=grid.resolution
-    )
+    for x in (8.15, 8.1, 8.03, 7.91):
+        facing = RobotState(pose=Pose(x, 4.0, 0.0), v=0.0, t=0.0)
+        assert terminal_ttc(facing, wall_world, 0.0, v_limit=1.0) == pytest.approx(
+            10.15 - x, abs=1e-9
+        )
     contact = RobotState(pose=Pose(10.3, 4.0, 0.0), v=0.0, t=0.0)
     assert terminal_ttc(contact, wall_world, 0.0, v_limit=1.0) == 0.0
 

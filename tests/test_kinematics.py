@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsmpepc.kinematics import (
+    MAX_HORIZON_STEPS,
     OMEGA_STRAIGHT,
     R_EPSILON,
     PlannerConfig,
@@ -57,6 +58,11 @@ def test_planner_config_requires_integer_steps():
     with pytest.raises(ValueError, match="^horizon_T: 5 s is not a finite number of step_h"):
         PlannerConfig(step_h=1e-320)
     assert PlannerConfig(horizon_T=5.0, step_h=0.2).n_steps == 25
+    # a horizon of millions of steps would ask the rollout for tens of GB
+    assert PlannerConfig(horizon_T=200.0).n_steps == MAX_HORIZON_STEPS
+    with pytest.raises(ValueError, match=r"^horizon_T: 1e\+06 s is 5000000 steps of step_h "
+                                         r"0.2 s, more than MAX_HORIZON_STEPS \(1000\)$"):
+        PlannerConfig(horizon_T=1e6)
 
 
 def test_advance_pose_straight():

@@ -142,11 +142,11 @@ PLAN_DIGESTS_AVX512 = {
     "ds_in_contact":
         "b2905dffdc07ae425fe81fcf58504495af4fbfffc2ae1748d43fda30d0949244",
     "ds_no_terminal":
-        "3330b9408f646b45bf73835386a782708121a4e066f9a19100a47ef461e4d56f",
+        "4c7e26eb939c19981be3ca8f2443df2e2ee8946b8661f4a33d30cde80b8404df",
     "ds_walled_mixed":
-        "485d62268a68288dd87d61bd0e9853671188ed1b9e1fc3e30261724358f62126",
+        "47c1b8f4f06bf3d6848336e37808f7c3f960f2c3fe671b65b23b0600c274f8f1",
     "ds_warm_start":
-        "f50272049985daf62503f15a89512cbfc679d1a59dfd8fc212435f479c29082d",
+        "6361ec0b9614847513ad7c4ff0b90498d6f42dc04771ca13c2741d6189b72fd9",
 }
 PLAN_DIGESTS_AVX2 = {
     "baseline_walled_mixed":
@@ -156,18 +156,18 @@ PLAN_DIGESTS_AVX2 = {
     "ds_in_contact":
         "b2905dffdc07ae425fe81fcf58504495af4fbfffc2ae1748d43fda30d0949244",
     "ds_no_terminal":
-        "b2525c44d6ef07bdfed1638196f72f91ec890bf662369693f9821b1625568f92",
+        "327d2193ceccdf101ba114b4ec2a9f15587012f01b8c30b82f9d969e5dc31071",
     "ds_walled_mixed":
-        "3aa6655594380e1a1d00d49cfa42b9bc17822d772303d94274d7060bbc58e240",
+        "9a13f2de8d2c8dd66e45e111dc6d66f167b6614cb94e72962533ed7982216833",
     "ds_warm_start":
-        "9c6cb005646b25041ffa4d4a766692cb873f03e64140216e445bd93510d9aaca",
+        "b2ca8925b46ef6caf58f51a4c59154d338c731d839c2c630b0573e0434875af0",
 }
 # numpy before 2.4 has no X86_V4 target; its AVX-512 baseline is AVX512_SKX
 _AVX512 = __cpu_features__.get("X86_V4", __cpu_features__.get("AVX512_SKX"))
 PLAN_DIGESTS = PLAN_DIGESTS_AVX512 if _AVX512 else PLAN_DIGESTS_AVX2
 RUN_DIGEST = (
-    "d119b65ec4873a7bb277e252b0fc9d6a3d79290f2d267e45f40fcd10ff908339" if _AVX512
-    else "6b0435a4741c3c3d023f0cd7129e9177f50b8c9529f5ced6160321ba2c0b1371"
+    "f52252aaab047ca432d505fbe2b0c736078f82ebb5c20d32d5061a57f7a5bd06" if _AVX512
+    else "d0267001efdddb62d74cb87895f373527ec73dc81a0202d3e0c6e6145fd20712"
 )
 
 

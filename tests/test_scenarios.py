@@ -323,6 +323,9 @@ DEFAULTS_VALUE_ERRORS = [
      "defaults.planner: horizon_T: 1e-10 s is shorter than one step_h 0.2 s"),
     ("planner", {"step_h": 1e-320},
      "defaults.planner: horizon_T: 5 s is not a finite number of step_h"),
+    ("planner", {"horizon_T": 1e6},
+     "defaults.planner: horizon_T: 1e+06 s is 5000000 steps of step_h 0.2 s, "
+     "more than MAX_HORIZON_STEPS (1000)"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
     ("optimizer", {"n_global_samples": 0}, "defaults.optimizer: n_global_samples must be >= 1"),

@@ -29,6 +29,7 @@ from dsmpepc.scenarios import builtin
 from oracles import (
     brute_force_distance_field,
     fine_step_first_contact,
+    fine_step_ray_contact,
     reference_navigation_field,
     reference_ray_arc,
     reference_sample_field,
@@ -465,6 +466,103 @@ def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
         live = [sum(k > i for k in steps) for i in range(len(sizes))]
         assert sizes == live
         _assert_arcs_match_reference(grid, rays, rr)
+
+
+def _walled_grid(rng):
+    """A walled hall with rectangular pillars, in the benchmark's resolutions."""
+    w, h = rng.randint(40, 64), rng.randint(28, 44)
+    occupied = np.zeros((h, w), dtype=bool)
+    occupied[[0, -1], :] = True
+    occupied[:, [0, -1]] = True
+    for _ in range(rng.randint(3, 6)):
+        pw, ph = rng.randint(2, 7), rng.randint(2, 7)
+        px, py = rng.randint(4, w - 4 - pw), rng.randint(4, h - 4 - ph)
+        occupied[py:py + ph, px:px + pw] = True
+    return OccupancyGrid(occupied, rng.choice((0.2, 0.25)),
+                         origin=(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+
+
+def _rays(grid, rng, count, clear_of=None):
+    """Seeded rays: starts in and around the grid box (only where the field
+    exceeds `clear_of`, if given), a quarter of them axis-parallel."""
+    xmin, ymin, xmax, ymax = grid.extent
+    rays = []
+    while len(rays) < count:
+        x, y = rng.uniform(xmin - 1.0, xmax + 1.0), rng.uniform(ymin - 1.0, ymax + 1.0)
+        if clear_of is not None and grid.sample_distance(x, y) <= clear_of:
+            continue
+        if rng.random() < 0.25:
+            ang = rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2])
+        else:
+            ang = rng.uniform(-math.pi, math.pi)
+        rays.append((x, y, math.cos(ang), math.sin(ang)))
+    return tuple(map(np.array, zip(*rays)))
+
+
+def test_static_ray_arc_does_not_depend_on_its_end():
+    # The arc at any max_arc is the unbounded arc where that lies within
+    # max_arc, else +inf: a hit backed off to within the end is found even
+    # when its sample lies past the end. So a TTC query that an added
+    # obstacle shortens keeps its grid hit or loses it, never moves it later.
+    rng = random.Random(17)
+    nprng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(8):
+        grid = _walled_grid(rng)
+        for rr in (0.25, 0.35, 0.5):
+            x, y, ux, uy = _rays(grid, rng, 300)
+            unbounded = _static_ray_arcs(grid, x, y, ux, uy, rr, np.full(x.size, math.inf))
+            hits = np.isfinite(unbounded)
+            assert hits.mean() > 0.5
+            # ends anywhere, and ends within a cell either side of each hit
+            near = unbounded + grid.resolution * nprng.uniform(-1.0, 1.0, x.size)
+            for max_arc in (nprng.uniform(0.0, 15.0, x.size),
+                            np.where(hits, near, nprng.uniform(0.0, 15.0, x.size))):
+                arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+                want = np.where(unbounded <= max_arc, unbounded, math.inf)
+                assert np.array_equal(arcs, want)
+                checked += int((hits & (unbounded <= max_arc)).sum())
+    assert checked > 5000
+
+
+def test_static_ray_arc_bound_against_a_dense_march():
+    # Against a march of fixed resolution/32 steps from the same entry over
+    # the same sampled field, the arc is never more than 0.1 cell early. It
+    # is at most one cell late, unless the dense march's contact zone is
+    # shorter than a cell (the ray grazes it, and the march may step over
+    # it) or starts within a cell of the ray's end.
+    rng = random.Random(23)
+    counts = dict.fromkeys(("bounded", "graze", "near end", "no contact"), 0)
+    worst_early = worst_late = -math.inf
+    for _ in range(6):
+        grid = _walled_grid(rng)
+        res = grid.resolution
+        for rr in (0.3, 0.35, 0.45):
+            x, y, ux, uy = _rays(grid, rng, 120, clear_of=rr)
+            max_arc = np.array([rng.choice([math.inf, rng.uniform(0.5, 12.0)])
+                                for _ in x])
+            arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+            for i, arc in enumerate(arcs.tolist()):
+                ref, zone, exit_arc = fine_step_ray_contact(
+                    grid, x[i], y[i], ux[i], uy[i], rr, res / 32)
+                if math.isfinite(arc):
+                    assert ref is not None
+                    worst_early = max(worst_early, (ref - arc) / res)
+                end = min(exit_arc or 0.0, max_arc[i])
+                if ref is None or ref > end:
+                    counts["no contact"] += 1
+                elif zone < res:
+                    counts["graze"] += 1
+                elif ref > end - res:
+                    counts["near end"] += 1
+                else:
+                    counts["bounded"] += 1
+                    worst_late = max(worst_late, (arc - ref) / res)
+    print(f"rays per case: {counts}; worst early {worst_early:.3f} cell, "
+          f"worst late {worst_late:.3f} cell")
+    assert worst_early <= 0.1
+    assert worst_late <= 1.0
+    assert counts["bounded"] > 10 * (counts["graze"] + counts["near end"])
 
 
 def test_ttc_head_on_static_disk():
