@@ -25,7 +25,7 @@ from .simulator import OUTCOME_DEADLOCKED, SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
 from .world import predict_obstacle
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MODE_ALIASES = {"ds": DS_MPEPC, "mpepc": BASELINE_MPEPC,
                  DS_MPEPC: DS_MPEPC, BASELINE_MPEPC: BASELINE_MPEPC}
@@ -102,7 +102,7 @@ def _metrics_json(config: scen.ScenarioConfig, result: SimResult,
         "schema_version": SCHEMA_VERSION,
         "scenario": config.name,
         "seed": result.seed,
-        "modes": {a.id: a.mode for a in config.agents},
+        "modes": {a.id: a.cost.mode for a in config.agents},
         "result": result.to_dict(),
         "parameters": {
             "agents": config.to_dict()["agents"],

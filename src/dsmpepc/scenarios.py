@@ -34,10 +34,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One robot in a scenario: endpoints, footprint, and configs.
-
-    The cost mode lives in `cost.mode`; `mode` reads it.
-    """
+    """One robot in a scenario: endpoints, footprint, and configs."""
 
     id: str
     start: Pose
@@ -50,10 +47,6 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"agent {self.id!r}: radius must be positive and finite")
-
-    @property
-    def mode(self) -> str:
-        return self.cost.mode
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,6 @@ def _agent_to_dict(a: AgentSpec) -> dict:
         "start": [a.start.x, a.start.y, a.start.heading],
         "goal": [a.goal.x, a.goal.y, a.goal.heading],
         "radius": a.radius,
-        "mode": a.mode,
         "planner": asdict(a.planner),
         "cost": asdict(a.cost),
         "optimizer": asdict(a.optimizer),
@@ -307,14 +299,10 @@ def load(source) -> ScenarioConfig:
     agents = []
     for i, entry in enumerate(_list(doc.get("agents", []), "agents")):
         path = f"agents[{i}]"
-        entry = _object(entry, path, ("id", "start", "goal", "radius", "mode", "planner",
-                                      "cost", "optimizer"))
+        entry = _object(entry, path, ("id", "start", "goal", "radius", "planner", "cost",
+                                      "optimizer"))
         if "id" not in entry or "start" not in entry or "goal" not in entry:
             raise ScenarioError(f"{path}: 'id', 'start' and 'goal' are required")
-        cost = _block(default_cost, entry.get("cost", {}), f"{path}.cost")
-        if "mode" in entry:
-            mode = _typed(entry["mode"], "", f"{path}.mode")
-            cost = _build(f"{path}.mode", replace, cost, mode=mode)
         spec = _build(
             path, AgentSpec,
             id=_typed(entry["id"], "", f"{path}.id"),
@@ -322,7 +310,7 @@ def load(source) -> ScenarioConfig:
             goal=_pose(entry["goal"], f"{path}.goal"),
             **_given(entry, path, radius=_number),
             planner=_block(default_planner, entry.get("planner", {}), f"{path}.planner"),
-            cost=cost,
+            cost=_block(default_cost, entry.get("cost", {}), f"{path}.cost"),
             optimizer=_block(default_optimizer, entry.get("optimizer", {}),
                              f"{path}.optimizer"),
         )

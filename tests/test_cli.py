@@ -49,7 +49,7 @@ def test_run_writes_artifacts_and_exit_zero(small_scenario, tmp_path):
     with open(metrics_path) as f:
         # strict JSON: no NaN/Infinity constants allowed
         metrics = json.load(f, parse_constant=lambda c: pytest.fail(f"bad JSON {c}"))
-    assert metrics["schema_version"] == 1
+    assert metrics["schema_version"] == 2
     assert metrics["result"]["agents"][0]["outcome"] == "reached"
     for artifact in metrics["artifacts"]:
         assert os.path.exists(artifact)

@@ -33,7 +33,7 @@ def test_load_minimal_document():
     assert config.name == "mini"
     assert len(config.agents) == 1
     agent = config.agents[0]
-    assert agent.mode == "ds_mpepc"
+    assert agent.cost.mode == "ds_mpepc"
     assert agent.planner.horizon_T == 5.0
     assert agent.cost.a == 0.7
     assert config.grid.resolution == 0.5
@@ -49,7 +49,7 @@ def test_load_from_json_text_and_defaults_merge(tmp_path):
     doc["agents"] = [
         {"id": "a", "start": [2, 5, 0], "goal": [8, 5, 0]},
         {"id": "b", "start": [2, 7, 0], "goal": [8, 7, 0],
-         "cost": {"a": 0.2}, "mode": "baseline_mpepc"},
+         "cost": {"a": 0.2, "mode": "baseline_mpepc"}},
     ]
     path = tmp_path / "merge.json"
     path.write_text(json.dumps(doc))
@@ -58,15 +58,14 @@ def test_load_from_json_text_and_defaults_merge(tmp_path):
     assert a.planner.v_limit == 0.7 and b.planner.v_limit == 0.7
     assert a.cost.a == 0.5
     assert b.cost.a == 0.2
-    assert b.mode == "baseline_mpepc" and b.cost.mode == "baseline_mpepc"
+    assert b.cost.mode == "baseline_mpepc"
     assert a.optimizer.n_global_samples == 64
 
 
 def test_agent_blocks_override_fields_of_the_defaults():
-    # an agent's block replaces only the fields it names, also inside gains,
-    # and its "mode" applies together with its cost block
+    # an agent's block replaces only the fields it names, also inside gains
     doc = dict(MINIMAL, defaults={"planner": {"horizon_T": 4.0, "gains": {"k1": 2.0}}})
-    doc["agents"] = [dict(MINIMAL["agents"][0], mode="baseline_mpepc", cost={"a": 0.2},
+    doc["agents"] = [dict(MINIMAL["agents"][0], cost={"mode": "baseline_mpepc", "a": 0.2},
                           planner={"v_limit": 0.6, "gains": {"k2": 5.0}})]
     agent = load(doc).agents[0]
     assert (agent.planner.gains.k1, agent.planner.gains.k2) == (2.0, 5.0)
@@ -249,9 +248,6 @@ MALFORMED = [
     # not a whole number of 0.2 s planner steps
     (("duration",), 0.5),
     (("duration",), 1.5),
-    # an agent-level mode, named where it is written, not under its cost block
-    (("agents", 0, "mode"), 5),
-    (("agents", 0, "mode"), "fast"),
     # within the whole-step rule of 0.2 s steps, but no step
     (("agents", 0, "planner"), {"horizon_T": 1e-10}),
 ]
@@ -284,6 +280,8 @@ UNKNOWN_KEYS = [
     (("map",), "orgin", "map.orgin"),
     (("defaults",), "planer", "defaults.planer"),
     (("agents", 0), "raduis", "agents[0].raduis"),
+    # the cost mode is written only in the cost block
+    (("agents", 0), "mode", "agents[0].mode"),
     (("scripted_obstacles", 0), "positon", "scripted_obstacles[0].positon"),
     (("defaults", "cost"), "sgima_d", "defaults.cost.sgima_d"),
     (("defaults", "planner"), "v_limt", "defaults.planner.v_limt"),
@@ -419,36 +417,53 @@ def test_round_trip_serialization():
         assert load(built.to_dict()).to_dict() == built.to_dict()
 
 
-# SHA-256 of json.dumps(builtin(name, mode=mode).to_dict(), sort_keys=True),
-# recorded when the built-ins still took a mode
+@pytest.mark.parametrize("name", BUILTINS)
+def test_edited_cost_mode_loads_back(name):
+    # a dumped document has one mode per agent, so editing it takes effect
+    for mode in ("ds_mpepc", "baseline_mpepc"):
+        doc = builtin(name).with_mode(mode).to_dict()
+        other = "ds_mpepc" if mode == "baseline_mpepc" else "baseline_mpepc"
+        doc["agents"][0]["cost"]["mode"] = other
+        modes = [a.cost.mode for a in load(doc).agents]
+        assert modes == [other] + [mode] * (len(modes) - 1)
+
+
+def test_to_dict_writes_each_agent_setting_once():
+    keys = {"id", "start", "goal", "radius", "planner", "cost", "optimizer"}
+    for name in BUILTINS:
+        for agent in builtin(name).to_dict()["agents"]:
+            assert agent.keys() == keys
+
+
+# SHA-256 of json.dumps(builtin(name).with_mode(mode).to_dict(), sort_keys=True)
 BUILTIN_DIGESTS = {
     ("open_field", "ds_mpepc"):
-        "198dd458e905fb419c5f74ce65d7be6d10be143cb288b1cd705bb4dba0abd3f4",
+        "d5d14341fac4b34bcab3397dd0fae3825c02dbf1b53175b169f914f80c8cabd9",
     ("open_field", "baseline_mpepc"):
-        "9715c036894023b3dc0c24874c5df303bd106096962c1c91a70ab7d096773cad",
+        "1389e4636ec70cee74eb727af93890e8040bb280c896e5c44cd9d9b9912bfedb",
     ("t_corridor", "ds_mpepc"):
-        "7e83e93d73191aac7422ad95035cddea07204dc5040647c1003f05b42b1d274f",
+        "e03f9822a17e3c08a16791b5ac8840218b57f11c19eb9c25ea46dd4007ee05ac",
     ("t_corridor", "baseline_mpepc"):
-        "56678d9122b0c427b87f4118b8497e244e952c84993608d539ef3054f53b04de",
+        "2413404f5bd89d7aa1541d60a16eda49bfd098349fa554392f7f20ef208ed684",
     ("narrow_corridor", "ds_mpepc"):
-        "ad940718f919c7d8d2d13d84f187ef9bd90d715a9cc61a642b3b34a3d1a709f1",
+        "a9a97dc92e57fa1209e98c343e6efce2008909e477ddf33e3fa9b8acca0c2ea9",
     ("narrow_corridor", "baseline_mpepc"):
-        "38ae952d0df78fef4483deae3476e82652d19378dbc8ae2dcfb6b3da33d1f445",
+        "e6032d9db375e6459c6415a20f3dab1b839a3d2281b56d3f1b276ba5648dfb6d",
     ("circle", "ds_mpepc"):
-        "6310bd74dd3dee873fd12ef0d748bbb2c20350c3bd9b1f6022985710a060f47b",
+        "cd0b15931c13280daab8d7f07076427124d7f17e27763f146e8247a4f5a5b812",
     ("circle", "baseline_mpepc"):
-        "665aabed46ab6166f50e9e8c6e05e29d058288baefff970002ffc4d76fef462f",
+        "50c54c7a9e332687172904527e80300744b91270208953ed8ff93945cc1e9c57",
     ("pedestrian_hall", "ds_mpepc"):
-        "1200a8f33c853a2c5d385546843ecae82b8fe919d161b238c2e00db6ce645958",
+        "5992e7066f00394db7783aa2df4648581544888de8ff648d53a7714def5f4ddf",
     ("pedestrian_hall", "baseline_mpepc"):
-        "8c012d52abd00cf3d26bcc5457fe8f12a8981f9b0506cbeed63ab1a8d26dfc15",
+        "3af991e89a2e0305a6f3e25e8e963979f32bdf1b1f109a43917d947697dc9012",
 }
 
 
 @pytest.mark.parametrize("name,mode", BUILTIN_DIGESTS)
 def test_builtin_with_mode_is_the_builtin_of_that_mode(name, mode):
     doc = builtin(name).with_mode(mode).to_dict()
-    assert [a["mode"] for a in doc["agents"]] == [mode] * len(doc["agents"])
+    assert [a["cost"]["mode"] for a in doc["agents"]] == [mode] * len(doc["agents"])
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == BUILTIN_DIGESTS[name, mode]
 
