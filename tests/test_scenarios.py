@@ -248,6 +248,10 @@ MALFORMED = [
     # not a whole number of 0.2 s planner steps
     (("duration",), 0.5),
     (("duration",), 1.5),
+    # an agent-level mode, which the cost block alone carries, is refused
+    # and named where it is written
+    (("agents", 0, "mode"), 5),
+    (("agents", 0, "mode"), "fast"),
     # within the whole-step rule of 0.2 s steps, but no step
     (("agents", 0, "planner"), {"horizon_T": 1e-10}),
 ]
