@@ -352,16 +352,12 @@ def load(source) -> ScenarioConfig:
 
 
 def _carved_grid(width_m: float, height_m: float, resolution: float, free_fn) -> OccupancyGrid:
-    """All-occupied grid with cells freed where free_fn(x, y) holds at centers."""
+    """All-occupied grid with cells freed where free_fn(x, y) holds at centers;
+    free_fn is elementwise over the arrays of all the cells' centers."""
     nx = int(round(width_m / resolution))
     ny = int(round(height_m / resolution))
-    occupied = np.ones((ny, nx), dtype=bool)
-    for iy in range(ny):
-        cy = (iy + 0.5) * resolution
-        for ix in range(nx):
-            if free_fn((ix + 0.5) * resolution, cy):
-                occupied[iy, ix] = False
-    return OccupancyGrid(occupied, resolution)
+    x, y = np.meshgrid((np.arange(nx) + 0.5) * resolution, (np.arange(ny) + 0.5) * resolution)
+    return OccupancyGrid(~free_fn(x, y), resolution)
 
 
 # Benchmark scenarios use a lighter search budget than the library default
@@ -397,9 +393,9 @@ def t_corridor(corridor_width: float = 2.2, resolution: float = 0.2) -> Scenario
     bar_hi = bar_lo + w
 
     def free(x, y):
-        in_stem = 2.0 <= x <= 4.0 and 0.6 <= y <= bar_lo
-        in_bar = 2.0 <= x <= 11.4 and bar_lo <= y <= bar_hi
-        return in_stem or in_bar
+        in_stem = (2.0 <= x) & (x <= 4.0) & (0.6 <= y) & (y <= bar_lo)
+        in_bar = (2.0 <= x) & (x <= 11.4) & (bar_lo <= y) & (y <= bar_hi)
+        return in_stem | in_bar
 
     grid = _carved_grid(12.0, 10.0, resolution, free)
     mover = _agent("mover", Pose(3.0, 1.5, math.pi / 2), Pose(10.6, bar_lo + w / 2, 0.0))
@@ -421,7 +417,7 @@ def narrow_corridor(width: float = 2.1, length: float = 10.0, resolution: float 
         )
 
     def free(x, y):
-        return 1.0 <= x <= 1.0 + length and 1.0 <= y <= 1.0 + width
+        return (1.0 <= x) & (x <= 1.0 + length) & (1.0 <= y) & (y <= 1.0 + width)
 
     grid = _carved_grid(length + 2.0, width + 2.0, resolution, free)
     mid = 1.0 + width / 2.0
@@ -474,13 +470,10 @@ def pedestrian_hall(resolution: float = 0.25) -> ScenarioConfig:
     """
 
     def free(x, y):
-        if not (0.5 <= x <= 15.5 and 0.5 <= y <= 7.5):
-            return False
-        if 5.0 <= x <= 6.0 and 4.5 <= y <= 7.5:
-            return False
-        if 10.0 <= x <= 11.0 and 0.5 <= y <= 3.5:
-            return False
-        return True
+        hall = (0.5 <= x) & (x <= 15.5) & (0.5 <= y) & (y <= 7.5)
+        pillar_0 = (5.0 <= x) & (x <= 6.0) & (4.5 <= y) & (y <= 7.5)
+        pillar_1 = (10.0 <= x) & (x <= 11.0) & (0.5 <= y) & (y <= 3.5)
+        return hall & ~pillar_0 & ~pillar_1
 
     grid = _carved_grid(16.0, 8.0, resolution, free)
     agent = _agent("robot", Pose(1.5, 4.0, 0.0), Pose(14.5, 4.0, 0.0))
