@@ -25,7 +25,7 @@ from .simulator import OUTCOME_DEADLOCKED, SimResult, run, steps
 from .svg import AGENT_COLOR, OBSTACLE_COLOR, SceneRenderer
 from .world import predict_obstacle
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MODE_ALIASES = {"ds": DS_MPEPC, "mpepc": BASELINE_MPEPC,
                  DS_MPEPC: DS_MPEPC, BASELINE_MPEPC: BASELINE_MPEPC}
@@ -115,6 +115,10 @@ def _metrics_json(config: scen.ScenarioConfig, result: SimResult,
 
 def cmd_run(args) -> int:
     config = _load_scenario(args.scenario, _MODE_ALIASES.get(args.mode), args.seed)
+    for agent in config.agents:  # an id names its agent's --csv and --diag files
+        if {"\0", "/", os.sep, os.altsep} & set(agent.id):
+            raise scen.ScenarioError(f"agent {agent.id!r}: an id that names a file holds "
+                                     f"no NUL character or path separator")
     t0 = time.perf_counter()
     result = run(config, diag_every=25 if args.diag else None)
     wall = time.perf_counter() - t0

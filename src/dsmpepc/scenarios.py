@@ -47,6 +47,9 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"agent {self.id!r}: radius must be positive and finite")
+        if self.optimizer.seed != 0:
+            raise ValueError(f"agent {self.id!r}: optimizer.seed must be 0; a run reads "
+                             f"the scenario's seed alone")
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def _agent_to_dict(a: AgentSpec) -> dict:
         "radius": a.radius,
         "planner": asdict(a.planner),
         "cost": asdict(a.cost),
-        "optimizer": asdict(a.optimizer),
+        "optimizer": {k: v for k, v in asdict(a.optimizer).items() if k != "seed"},
     }
 
 
@@ -240,7 +243,8 @@ def _block(base, value, path: str):
     """`base`, a config dataclass, with the fields that `value`, the config
     block at `path`, sets; each value must have the JSON type of the field's
     default, and a planner block's `gains` is a block of its own."""
-    changes = dict(_object(value, path, tuple(f.name for f in fields(base))))
+    # no block sets a seed: a run reads the scenario's alone
+    changes = dict(_object(value, path, tuple(f.name for f in fields(base) if f.name != "seed")))
     for key, field_value in changes.items():
         if key == "gains":
             changes[key] = _block(base.gains, field_value, f"{path}.gains")
@@ -352,8 +356,7 @@ def load(source) -> ScenarioConfig:
 
 
 def _carved_grid(width_m: float, height_m: float, resolution: float, free_fn) -> OccupancyGrid:
-    """All-occupied grid with cells freed where free_fn(x, y) holds at centers;
-    free_fn is elementwise over the arrays of all the cells' centers."""
+    """All-occupied grid with cells freed where free_fn(x, y) holds, elementwise at centers."""
     nx = int(round(width_m / resolution))
     ny = int(round(height_m / resolution))
     x, y = np.meshgrid((np.arange(nx) + 0.5) * resolution, (np.arange(ny) + 0.5) * resolution)

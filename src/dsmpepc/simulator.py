@@ -171,10 +171,10 @@ def steps(scenario: ScenarioConfig) -> Iterator[Step]:
     `distance_to_nearest` in that world. The plans every active agent makes
     before the next step read these worlds; all of them then execute the
     first control of their plans at once. Each plan's optimizer seed comes
-    from the scenario's `seed`, the agent's index and the cycle; an agent's
-    own `optimizer.seed` is never read. The scenario keeps its
-    rules, as every `ScenarioConfig` does: at least one agent, one shared
-    step, and a whole number of steps in the duration.
+    from the scenario's `seed`, the agent's index and the cycle: a run reads
+    that one seed, and an agent's `optimizer.seed` is always 0. The scenario
+    keeps its rules, as every `ScenarioConfig` does: at least one agent, one
+    shared step, and a whole number of steps in the duration.
     """
     grid = scenario.grid
     specs = scenario.agents

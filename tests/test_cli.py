@@ -49,7 +49,7 @@ def test_run_writes_artifacts_and_exit_zero(small_scenario, tmp_path):
     with open(metrics_path) as f:
         # strict JSON: no NaN/Infinity constants allowed
         metrics = json.load(f, parse_constant=lambda c: pytest.fail(f"bad JSON {c}"))
-    assert metrics["schema_version"] == 2
+    assert metrics["schema_version"] == 3
     assert metrics["result"]["agents"][0]["outcome"] == "reached"
     for artifact in metrics["artifacts"]:
         assert os.path.exists(artifact)
@@ -117,6 +117,21 @@ def test_run_unknown_key_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "agents[0].raduis: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent_id", ["a\0b", "a/b"])
+def test_run_agent_id_that_cannot_name_a_file_exits_2(agent_id, tmp_path, capsys):
+    # run names files after ids, so such an id is refused before anything runs
+    doc = copy.deepcopy(SMALL_FIELD)
+    doc["agents"][0]["id"] = agent_id
+    path = tmp_path / "bad_id.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--csv", "--diag", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: agent {agent_id!r}: an id that names a file holds no NUL " \
+                  f"character or path separator\n"
+    assert not out.exists()
 
 
 def test_run_unreadable_path_exits_2(tmp_path, capsys):

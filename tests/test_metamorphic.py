@@ -18,7 +18,8 @@ relations that follow from clearance and TTC being minima over obstacles.
 
 The last tests compare two whole runs (`simulator.run`) of one small scenario
 on one build, exactly: two agents crossing an open map past a
-constant-velocity disk and a waypoint-scripted disk.
+constant-velocity disk and a waypoint-scripted disk, or one agent between two
+approaching constant-velocity disks.
 """
 
 from dataclasses import replace
@@ -288,6 +289,20 @@ def test_each_obstacle_bounds_a_crossing_clearance(crossing_run):
 def test_run_ignores_the_order_of_scripted_obstacles(crossing_run):
     reversed_run = run(replace(CROSSING, scripted_obstacles=CROSSING.scripted_obstacles[::-1]))
     assert reversed_run.agents == crossing_run.agents
+
+
+def test_run_ignores_the_order_of_two_approaching_disks():
+    # In CROSSING the last disk of each planner world is the other agent's,
+    # so a disk TTC that keeps the last obstacle's root, not the least, passes
+    # the test above. Here one agent meets two scripted disks, and each order
+    # of them puts the other last.
+    lone = AgentSpec("a", Pose(1.0, 3.0, 0.0), Pose(7.0, 3.0, 0.0), optimizer=_RUN_OPT)
+    disks = (DynamicObstacle(id="upper", radius=0.3, position=(3.4, 4.7), velocity=(0.2, -0.4)),
+             DynamicObstacle(id="lower", radius=0.3, position=(6.9, 0.8), velocity=(-0.4, 0.2)))
+    scenario = replace(CROSSING, name="between", agents=(lone,), scripted_obstacles=disks,
+                       duration=2.0)
+    reversed_run = run(replace(scenario, scripted_obstacles=disks[::-1]))
+    assert reversed_run.agents == run(scenario).agents
 
 
 def test_run_ignores_a_far_receding_obstacle(crossing_run):

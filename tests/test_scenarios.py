@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from dsmpepc.kinematics import PlannerConfig, Pose
+from dsmpepc.optimizer import OptimizerConfig
 from dsmpepc.scenarios import (
     BUILTINS,
     ScenarioConfig,
@@ -295,6 +296,9 @@ UNKNOWN_KEYS = [
     (("agents", 0, "planner"), "v_limt", "agents[0].planner.v_limt"),
     (("agents", 0, "planner", "gains"), "k3", "agents[0].planner.gains.k3"),
     (("agents", 0, "optimizer"), "n_samples", "agents[0].optimizer.n_samples"),
+    # a run reads the scenario's seed alone, so an optimizer block sets none
+    (("defaults", "optimizer"), "seed", "defaults.optimizer.seed"),
+    (("agents", 0, "optimizer"), "seed", "agents[0].optimizer.seed"),
 ]
 
 
@@ -302,7 +306,7 @@ UNKNOWN_KEYS = [
 def test_unknown_key_is_a_scenario_error(path, key, named):
     doc = copy.deepcopy(MINIMAL)
     blocks = {"cost": {"a": 0.5}, "planner": {"gains": {"k1": 1.2}},
-              "optimizer": {"seed": 4}}
+              "optimizer": {"refine_max_evals": 30}}
     doc["defaults"] = copy.deepcopy(blocks)
     doc["agents"][0].update(copy.deepcopy(blocks))
     doc["scripted_obstacles"] = [dict(_PED)]
@@ -434,33 +438,42 @@ def test_edited_cost_mode_loads_back(name):
 
 def test_to_dict_writes_each_agent_setting_once():
     keys = {"id", "start", "goal", "radius", "planner", "cost", "optimizer"}
+    budgets = {"n_global_samples", "n_refine_seeds", "refine_max_evals"}
     for name in BUILTINS:
         for agent in builtin(name).to_dict()["agents"]:
             assert agent.keys() == keys
+            assert agent["optimizer"].keys() == budgets
+
+
+def test_agent_spec_holds_no_optimizer_seed():
+    # a run reads the scenario's seed alone; a seed set on an agent would be ignored
+    mover = builtin("t_corridor").agents[0]
+    with pytest.raises(ValueError, match=r"^agent 'mover': optimizer.seed must be 0"):
+        replace(mover, optimizer=OptimizerConfig(seed=5))
 
 
 # SHA-256 of json.dumps(builtin(name).with_mode(mode).to_dict(), sort_keys=True)
 BUILTIN_DIGESTS = {
     ("open_field", "ds_mpepc"):
-        "d5d14341fac4b34bcab3397dd0fae3825c02dbf1b53175b169f914f80c8cabd9",
+        "faf7d67b424f9a18491f1b5f6c71d7b41f154721e7a0d36131b644588263b3e4",
     ("open_field", "baseline_mpepc"):
-        "1389e4636ec70cee74eb727af93890e8040bb280c896e5c44cd9d9b9912bfedb",
+        "b455716b1e8be0d1e2e6798a0639c41e50701fb523592f1e3412350f52d6d2c2",
     ("t_corridor", "ds_mpepc"):
-        "e03f9822a17e3c08a16791b5ac8840218b57f11c19eb9c25ea46dd4007ee05ac",
+        "d7aca636496133552fa8b028abb9c0137842cb4485a6b8f4efab7846c0b7ee9d",
     ("t_corridor", "baseline_mpepc"):
-        "2413404f5bd89d7aa1541d60a16eda49bfd098349fa554392f7f20ef208ed684",
+        "6e278bc92097cf137215cc23f4941d7ebd7a2199f48796de81db6e52f4a92764",
     ("narrow_corridor", "ds_mpepc"):
-        "a9a97dc92e57fa1209e98c343e6efce2008909e477ddf33e3fa9b8acca0c2ea9",
+        "ae885e99948b5288b59b6e579bd0afe138719b74170c0164fdab7fa80d2f9b82",
     ("narrow_corridor", "baseline_mpepc"):
-        "e6032d9db375e6459c6415a20f3dab1b839a3d2281b56d3f1b276ba5648dfb6d",
+        "37091113bbfa1d014344be98bbec84ee7ffbe3c9f26998755c496c09b4f0f03f",
     ("circle", "ds_mpepc"):
-        "cd0b15931c13280daab8d7f07076427124d7f17e27763f146e8247a4f5a5b812",
+        "69f77c166d2093edc9a23dfea3629626bdc5879269b73eb1378c4fa0745cfbe9",
     ("circle", "baseline_mpepc"):
-        "50c54c7a9e332687172904527e80300744b91270208953ed8ff93945cc1e9c57",
+        "b73fdbcd817ea686af49b8d91a8c657f9718d61af4c2a6aad247547bdbb5af21",
     ("pedestrian_hall", "ds_mpepc"):
-        "5992e7066f00394db7783aa2df4648581544888de8ff648d53a7714def5f4ddf",
+        "91f3081a31e9becbfa516dfcd586d90922fa670bd8d97aef81c7ef2b966413b7",
     ("pedestrian_hall", "baseline_mpepc"):
-        "3af991e89a2e0305a6f3e25e8e963979f32bdf1b1f109a43917d947697dc9012",
+        "e050a18922df2150e8dbcec42668ed639cbc0f2633b129528831c3b970bbc741",
 }
 
 
