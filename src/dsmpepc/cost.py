@@ -292,10 +292,15 @@ class CostKernel:
         the closer endpoint defines the segment's d_o, and its TTC feeds the
         anticipatory factor (so an in-contact endpoint forces probability 1
         exactly). A segment whose distance-based probability is below
-        _P_C_SKIP gets ttc = +inf without a query. All TTC queries of an
-        evaluation go to one `HorizonSnapshot.ttc` call, so the grid is
-        ray-marched once: the segments' queries first, then the terminal
-        queries (each last state at v_limit along its heading). Baseline mode
+        _P_C_SKIP gets ttc = +inf without a query. Each state is evaluated
+        once: one bilinear stencil samples the map's distance field and the
+        navigation field at every state (open maps use their closed forms),
+        and a state that is the closer endpoint of both its segments is
+        queried once for both. All TTC queries of an evaluation go to one
+        `HorizonSnapshot.ttc` call, so the grid is ray-marched once: the
+        queried states first, then the terminal queries (each last state at
+        v_limit along its heading), each ray starting from the distance its
+        clearance read. Baseline mode
         uses the distance-only probability and no terminal term. Every
         operation is elementwise or runs along a row, so a row does not
         depend on the rest of the batch, and the segment terms are summed in
@@ -303,9 +308,17 @@ class CostKernel:
         """
         params = self.params
         cfg = self.cfg
+        snapshot = self.snapshot
+        grid = snapshot.world.grid
         b, n = xs.shape[0], xs.shape[1] - 1
-        d = self.snapshot.clearance(xs, ys)
-        nf = self.nav.distance_batch(xs, ys)
+        # one stencil samples both fields; an open map's are closed forms
+        if grid.has_occupied:
+            d_grid, nf = grid.sample_field_batch((grid.distance_field, self.nav.values),
+                                                 xs, ys)
+        else:
+            d_grid = np.full(xs.shape, math.inf)
+            nf = np.hypot(xs - self.goal[0], ys - self.goal[1])
+        d = snapshot.clearance(xs, ys, d_grid)
 
         left = d[:, :-1] <= d[:, 1:]
         d_seg = np.where(left, d[:, :-1], d[:, 1:])
@@ -316,21 +329,31 @@ class CostKernel:
         with np.errstate(**_EXTREMES):
             p_c = _collision_probability(d_seg, params)
             if ds_mode:
-                rr, cols = np.nonzero(p_c >= _P_C_SKIP)
-                qr, qt = rr, np.where(left[rr, cols], cols, cols + 1)
-                speed = vs[qr, qt]
+                # the closer endpoint of each segment that needs a TTC; a state
+                # closer for both its segments gives both the same d_o, so
+                # both or neither need it, and it is queried once
+                need = p_c >= _P_C_SKIP
+                queried = np.zeros((b, n + 1), dtype=bool)
+                queried[:, :-1] = need & left
+                queried[:, 1:] |= need & ~left
+                # flat indices into the row-major (B, N+1) state arrays
+                q = np.flatnonzero(queried)
+                m = q.size
+                speed = vs.take(q)
                 if with_terminal:
-                    qr = np.concatenate((qr, np.arange(b)))
-                    qt = np.concatenate((qt, np.full(b, n)))
+                    q = np.concatenate((q, np.arange(n, b * (n + 1), n + 1)))
                     speed = np.concatenate((speed, np.full(b, cfg.v_limit)))
                 q_ttc = np.empty(0)
-                if qr.size:
-                    qh = hs[qr, qt]
-                    q_ttc = self.snapshot.ttc(xs[qr, qt], ys[qr, qt], speed * np.cos(qh),
-                                              speed * np.sin(qh), qt, d[qr, qt])
-                ttc = np.full((b, n), math.inf)
-                ttc[rr, cols] = q_ttc[:rr.size]
-                ttc_n = q_ttc[rr.size:]
+                if q.size:
+                    qh = hs.take(q)
+                    q_ttc = snapshot.ttc(xs.take(q), ys.take(q), speed * np.cos(qh),
+                                         speed * np.sin(qh), q % (n + 1), d.take(q),
+                                         d_grid.take(q))
+                # +inf at every state left unqueried, so a skipped segment reads +inf
+                state_ttc = np.full((b, n + 1), math.inf)
+                np.put(state_ttc, q[:m], q_ttc[:m])
+                ttc = np.where(left, state_ttc[:, :-1], state_ttc[:, 1:])
+                ttc_n = q_ttc[m:]
                 p_c = p_c * _anticipatory_factor(ttc, params)
 
             p_s = _survivability(p_c)

@@ -78,6 +78,9 @@ def _direction_numbers() -> np.ndarray:
 
 
 _SOBOL_V = _direction_numbers()
+# Per dimension d, direction number j and row k: whether bit 29 - k of
+# v[d, j] is set, i.e. which columns of a scramble matrix v[d, j] selects.
+_SOBOL_V_BITS = ((_SOBOL_V[:, :, None] >> _SOBOL_MSB) & 1).astype(bool)
 
 
 def _scrambled_sobol(m: int, seed: int) -> np.ndarray:
@@ -99,9 +102,11 @@ def _scrambled_sobol(m: int, seed: int) -> np.ndarray:
              @ (1 << np.arange(_SOBOL_BITS)))
     ltm = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
     ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
-    # each matrix times each direction number's bit column, over GF(2)
-    bits = (_SOBOL_V[:, :, None] >> _SOBOL_MSB) & 1
-    v = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << _SOBOL_MSB)
+    # each matrix times each direction number's bit column, over GF(2): the
+    # XOR of the matrix's columns, each packed with row r at bit 29 - r, that
+    # the direction number's bits select
+    columns = ltm.transpose(0, 2, 1) @ (1 << _SOBOL_MSB)
+    v = np.bitwise_xor.reduce(np.where(_SOBOL_V_BITS, columns[:, None, :], 0), axis=2)
     # point i is point i - 1 with the direction number at i's lowest set bit
     # XORed in; point 0 is the shift
     low = np.zeros(1 << m, dtype=np.intp)

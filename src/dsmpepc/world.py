@@ -7,10 +7,18 @@ during one planning cycle; all queries are read-only.
 
 `OccupancyGrid.sample_field_batch` is the one bilinear sampler of the
 distance field and of the navigation field: the clearance, the TTC ray march
-and the progress term all read through it. Its constants (origin,
-resolution, clamps, corner offsets) are folded into 0-d arrays once per
-grid, and it works in place on a few arrays per call, since the march calls
-it once per lockstep iteration on few points.
+and the progress term all read through it. It takes every field it samples
+at the same points and computes their stencil (cell indices and fractions)
+once, so the cost kernel samples both fields at its rollout states in one
+call. Its constants (origin, resolution, clamps, corner offsets) are folded
+into 0-d arrays once per grid, and it works in place on a few arrays per
+call, since the march calls it once per lockstep iteration on few points.
+A ray's first sample is the distance the clearance has already read at its
+start, so the march samples only rays that enter the grid box from outside
+before it steps. The public samplers (`sample_distance`,
+`sample_distance_batch`, `NavigationField.distance` and `distance_batch`)
+reject NaN coordinates; the planner's own calls go to the unchecked
+`sample_field_batch`.
 
 The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
 it for every agent of a simulation step, `distance_to_nearest` for one point.
@@ -141,10 +149,13 @@ class OccupancyGrid:
         return (min(self.width - 1, max(0, ix)), min(self.height - 1, max(0, iy)))
 
     def sample_distance(self, x: float, y: float) -> float:
-        """Bilinear sample of the distance field (meters); clamps outside points.
+        """Bilinear sample of the distance field (meters); clamps outside
+        points and raises ValueError for a NaN coordinate.
 
         The same arithmetic as `sample_distance_batch`, so the two agree
         exactly."""
+        if math.isnan(x) or math.isnan(y):
+            _reject_nan(x=x, y=y)
         if not self.has_occupied:
             return math.inf
         field = self.distance_field
@@ -175,19 +186,25 @@ class OccupancyGrid:
         return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
 
     def sample_distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized `sample_distance` over arrays of points."""
+        """Vectorized `sample_distance` over arrays of points, through
+        `sample_field_batch`."""
         xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        _reject_nan(xs=xs, ys=ys)
         if not self.has_occupied:
             return np.full(xs.shape, math.inf)
-        return self.sample_field_batch(self.distance_field, xs, ys)
+        return self.sample_field_batch((self.distance_field,), xs, ys)[0]
 
-    def sample_field_batch(self, values: np.ndarray, xs, ys) -> np.ndarray:
-        """Bilinear sample of a per-cell field (shaped like the grid, values at
-        cell centers) at arrays of points; clamps outside points.
+    def sample_field_batch(self, fields, xs, ys) -> list[np.ndarray]:
+        """Bilinear samples of per-cell fields (each shaped like the grid,
+        values at cell centers) at arrays of points, one array per field of
+        `fields`; clamps outside points and does not check for NaN.
 
         The arithmetic of `sample_distance`, in place on a few arrays per
-        call, with the four corners gathered by flat index into the
-        row-major field."""
+        call. The stencil (cell indices and fractions) is computed once for
+        all fields, and each field's four corners are gathered by flat index
+        into the row-major field, so a field sampled with others equals the
+        field sampled alone."""
         ox, oy, res, w1, h1, ix_last, iy_last, width, d01, d10, d11 = self._folded
         shape = np.shape(xs)
         gx = np.subtract(xs, ox, out=np.empty(shape))
@@ -207,20 +224,34 @@ class OccupancyGrid:
         # flat index of the lower corner, in place of iy
         i00 = np.multiply(iy, width, out=iy)
         np.add(i00, ix, out=i00)
-        flat = values.ravel()
-        v00 = flat[i00]
-        v01, v10, v11 = (flat[np.add(i00, d, out=ix)] for d in (d01, d10, d11))
+        flats = [values.ravel() for values in fields]
+        # per field, its values at the corners (v00, v01, v10, v11)
+        corners = [[flat[i00]] for flat in flats]
+        for d in (d01, d10, d11):
+            i = np.add(i00, d, out=ix)
+            for flat, values in zip(flats, corners):
+                values.append(flat[i])
         # (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
         one_minus = np.subtract(_ONE, gx)
-        for lower, upper in ((v00, v01), (v10, v11)):
-            np.multiply(one_minus, lower, out=lower)
-            np.multiply(gx, upper, out=upper)
-            np.add(lower, upper, out=lower)
+        for v00, v01, v10, v11 in corners:
+            for lower, upper in ((v00, v01), (v10, v11)):
+                np.multiply(one_minus, lower, out=lower)
+                np.multiply(gx, upper, out=upper)
+                np.add(lower, upper, out=lower)
         np.subtract(_ONE, gy, out=one_minus)
-        np.multiply(one_minus, v00, out=v00)
-        np.multiply(gy, v10, out=v10)
-        np.add(v00, v10, out=v00)
-        return v00
+        for v00, _, v10, _ in corners:
+            np.multiply(one_minus, v00, out=v00)
+            np.multiply(gy, v10, out=v10)
+            np.add(v00, v10, out=v00)
+        return [values[0] for values in corners]
+
+
+def _reject_nan(**coordinates) -> None:
+    """Raise a ValueError naming the first of `coordinates` that holds a NaN.
+    An infinite coordinate passes: the samplers clamp it."""
+    for name, values in coordinates.items():
+        if np.isnan(values).any():
+            raise ValueError(f"{name} must not be NaN")
 
 
 def _axis_stencil(cells: int) -> tuple[int, int, int]:
@@ -406,23 +437,27 @@ class HorizonSnapshot:
             [[_motion(obs, t) for t in ts] for obs in world.obstacles],
             dtype=float).reshape(len(world.obstacles), len(ts), 4)
 
-    def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Clearance d_o at points whose last axis runs over the step times;
-        any leading axes (a batch of rollouts) broadcast."""
+    def clearance(self, xs: np.ndarray, ys: np.ndarray, d_grid: np.ndarray) -> np.ndarray:
+        """Clearance d_o at points whose last axis runs over the step times,
+        given `d_grid`, the grid's distance field sampled at the points (as
+        `OccupancyGrid.sample_distance_batch` gives it); any leading axes (a
+        batch of rollouts) broadcast."""
         world = self.world
-        d = world.grid.sample_distance_batch(xs, ys)
+        d = d_grid
         for obs, (ox, oy, _, _) in zip(world.obstacles, self.tracks.transpose(0, 2, 1)):
             d = np.minimum(d, np.hypot(xs - ox, ys - oy) - obs.radius)
         return np.maximum(0.0, d - world.robot_radius)
 
-    def ttc(self, x, y, vx, vy, t_idx, d0) -> np.ndarray:
+    def ttc(self, x, y, vx, vy, t_idx, d0, d_grid) -> np.ndarray:
         """`time_to_collision` of points moving with velocities (vx, vy),
         each against the obstacles at its index `t_idx` into the step times;
-        `d0` is the points' clearance (0 exactly where in contact).
+        `d0` is the points' clearance (0 exactly where in contact) and
+        `d_grid` the grid's distance field there, as `clearance` read it.
+        A point's grid ray takes `d_grid` as its first sample.
 
         Every operation is elementwise per point, so a point's TTC does not
         depend on the others in the call: `CostKernel.evaluate` makes one
-        call per evaluation, its segment queries followed by its terminal
+        call per evaluation, its queried states followed by its terminal
         queries, and the static grid is ray-marched once for all of them."""
         world = self.world
         n = x.shape[0]
@@ -441,22 +476,23 @@ class HorizonSnapshot:
                 c = dpx * dpx + dpy * dpy - r_sum * r_sum
                 disc = bq * bq - 4.0 * a * c
                 ok = (a >= _SPEED_EPS * _SPEED_EPS) & (disc > 0.0)
-                s = (-bq - np.sqrt(np.where(ok, disc, 0.0))) / np.where(ok, 2.0 * a, 1.0)
+                # the NaN and inf of a negative disc or a nil a are masked out
+                s = (-bq - np.sqrt(disc)) / (2.0 * a)
                 s = np.where(ok & (s > 0.0), s, math.inf)
                 best = np.minimum(best, s)
         # only the grid march reads the speeds: an open map skips them
         if world.grid.has_occupied:
             speed = np.hypot(vx, vy)
             # a point in contact has TTC 0 whatever the grid holds ahead of it
-            movers = (speed >= _SPEED_EPS) & (d0 > 0.0)
-            if movers.any():
-                mi = np.nonzero(movers)[0]
+            mi = np.flatnonzero((speed >= _SPEED_EPS) & (d0 > 0.0))
+            if mi.size:
                 sp = speed[mi]
                 arcs = _static_ray_arcs(
                     world.grid,
                     x[mi], y[mi], vx[mi] / sp, vy[mi] / sp,
                     world.robot_radius,
                     np.minimum(best[mi], TTC_HORIZON) * sp,
+                    d_grid[mi],
                 )
                 best[mi] = np.minimum(best[mi], arcs / sp)
         best = np.where(best > TTC_HORIZON, math.inf, best)
@@ -466,16 +502,21 @@ class HorizonSnapshot:
 def distance_to_nearest_batch(world: World, xs: np.ndarray, ys: np.ndarray,
                               ts: np.ndarray) -> np.ndarray:
     """Vectorized `distance_to_nearest` over matched point/time arrays."""
-    return HorizonSnapshot(world, ts).clearance(xs, ys)
+    return HorizonSnapshot(world, ts).clearance(
+        xs, ys, world.grid.sample_distance_batch(xs, ys))
 
 
 def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
-                     max_arc) -> np.ndarray:
+                     max_arc, d_start) -> np.ndarray:
     """Arc length along each ray until the distance field drops to the robot
-    radius; +inf where a ray has no hit within its max_arc.
+    radius; +inf where a ray has no hit within its max_arc. `d_start` is the
+    distance field at each ray's start (x, y), as `sample_distance_batch`
+    gives it.
 
     Sphere tracing (Hart, 1996) from where each ray enters the grid box:
-    steps of gap = df - radius, at least one resolution. The first sample
+    steps of gap = df - radius, at least one resolution. A ray that starts
+    in the box takes `d_start` as its first sample; one that enters from
+    outside samples its entry point. The first sample
     within the radius (gap <= 0) backs off by its overshoot to s + gap, not
     before the entry; along a 1-Lipschitz field contact comes no later.
     Each ray marches a step past its end and an arc beyond the end is +inf,
@@ -506,12 +547,19 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     valid &= s1 >= s0
     min_step = grid.resolution
 
+    field = (grid.distance_field,)
     # the gap (<= 0) of each ray's hit, applied once after the loop
     overshoot = np.zeros(n)
     idx = np.flatnonzero(valid)
     s, end = s0[idx], s1[idx] + min_step
+    # the first samples: at a start in the box (s = 0) the field is given
+    df = d_start[idx]
+    entering = np.flatnonzero(s > 0.0)
+    if entering.size:
+        at, se = idx[entering], s[entering]
+        df[entering] = grid.sample_field_batch(
+            field, x[at] + ux[at] * se, y[at] + uy[at] * se)[0]
     while idx.size:
-        df = grid.sample_distance_batch(x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)
         gap = df - robot_radius
         hit = gap <= 0.0
         at = idx[hit]
@@ -520,6 +568,8 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
         s = s + np.maximum(min_step, gap)
         alive = ~hit & (s <= end)
         idx, s, end = idx[alive], s[alive], end[alive]
+        if idx.size:
+            df = grid.sample_field_batch(field, x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)[0]
     arcs = np.maximum(arcs + overshoot, s0)
     arcs[arcs > s1] = math.inf
     return arcs
@@ -541,8 +591,9 @@ def time_to_collision(
         raise ValueError("time_to_collision requires a finite position, velocity and t0")
     snapshot = HorizonSnapshot(world, [t0])
     x, y = np.array([x]), np.array([y])
+    d_grid = world.grid.sample_distance_batch(x, y)
     ttc = snapshot.ttc(x, y, np.array([vx]), np.array([vy]),
-                       np.zeros(1, dtype=int), snapshot.clearance(x, y))
+                       np.zeros(1, dtype=int), snapshot.clearance(x, y, d_grid), d_grid)
     return float(ttc[0])
 
 
@@ -567,7 +618,8 @@ class NavigationField:
     the moves out of the cells the last round lowered, until none is
     lowered. It ends at the least fixpoint of d[v] = min over u of
     (d[u] + w), unique for weights of at least one resolution, so it is a
-    Dijkstra search's float field, bit for bit.
+    Dijkstra search's float field, bit for bit. `values` holds the field
+    per cell, or None over a grid with no occupied cell.
     """
 
     def __init__(self, grid: OccupancyGrid, goal: tuple[float, float]):
@@ -575,13 +627,13 @@ class NavigationField:
         self.goal = (float(goal[0]), float(goal[1]))
         if not all(map(math.isfinite, self.goal)):
             raise ValueError(f"navigation goal {self.goal} must be finite")
-        self._values: np.ndarray | None = None
+        self.values: np.ndarray | None = None
         if grid.has_occupied:
             xmin, ymin, xmax, ymax = grid.extent
             if not (xmin <= self.goal[0] <= xmax and ymin <= self.goal[1] <= ymax):
                 raise ValueError(
                     f"navigation goal {self.goal} lies outside the grid extent {grid.extent}")
-            self._values = self._shortest_paths()
+            self.values = self._shortest_paths()
 
     def _shortest_paths(self) -> np.ndarray:
         grid = self.grid
@@ -623,11 +675,16 @@ class NavigationField:
 
     def distance(self, x: float, y: float) -> float:
         """`distance_batch` of one point."""
+        if math.isnan(x) or math.isnan(y):
+            _reject_nan(x=x, y=y)
         return float(self.distance_batch([x], [y])[0])
 
     def distance_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The field at arrays of points: bilinear over a walled grid,
+        Euclidean over an open one. Raises ValueError for a NaN coordinate."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self._values is None:
+        _reject_nan(xs=xs, ys=ys)
+        if self.values is None:
             return np.hypot(xs - self.goal[0], ys - self.goal[1])
-        return self.grid.sample_field_batch(self._values, xs, ys)
+        return self.grid.sample_field_batch((self.values,), xs, ys)[0]

@@ -571,8 +571,9 @@ def _marching_problem():
 
 
 def test_evaluate_marches_every_ttc_query_once(monkeypatch):
-    # one ds evaluation marches its segment and terminal rays together, and
-    # each row equals what separate segment and terminal queries give
+    # one ds evaluation marches its segment and terminal rays together, one
+    # ray per distinct queried state, and each row equals what separate
+    # segment and terminal queries give
     world, start, states = _marching_problem()
     xs, ys, hs, vs, _ = states
     kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), PARAMS, CFG, start)
@@ -588,9 +589,9 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
     assert len(marches) == 1
 
     b, n = xs.shape[0], xs.shape[1] - 1
-    assert marches[0] > b  # the terminal rays and moving segment queries
     snapshot = kernel.snapshot
-    d = snapshot.clearance(xs, ys)
+    d_grid = world.grid.sample_distance_batch(xs, ys)
+    d = snapshot.clearance(xs, ys, d_grid)
     need = collision_probability(rows.d_o, PARAMS) >= _P_C_SKIP
     assert need.any() and not need.all()
     rr, cols = np.nonzero(need)
@@ -598,10 +599,17 @@ def test_evaluate_marches_every_ttc_query_once(monkeypatch):
     pv, ph = vs[rr, pt], hs[rr, pt]
     ttc = np.full((b, n), math.inf)
     ttc[rr, cols] = snapshot.ttc(xs[rr, pt], ys[rr, pt], pv * np.cos(ph), pv * np.sin(ph),
-                                 pt, d[rr, pt])
+                                 pt, d[rr, pt], d_grid[rr, pt])
     heading = hs[:, -1]
     ttc_n = snapshot.ttc(xs[:, -1], ys[:, -1], CFG.v_limit * np.cos(heading),
-                         CFG.v_limit * np.sin(heading), np.full(b, n), d[:, -1])
+                         CFG.v_limit * np.sin(heading), np.full(b, n), d[:, -1], d_grid[:, -1])
+    # the rays marched: each distinct queried state that moves and is not in
+    # contact, and each terminal row not in contact (all move at v_limit)
+    states = sorted(set(zip(rr.tolist(), pt.tolist())))
+    assert len(states) < rr.size  # some states close both their segments
+    r, t = np.array(states).T
+    moving = np.hypot(vs[r, t] * np.cos(hs[r, t]), vs[r, t] * np.sin(hs[r, t])) >= 1e-9
+    assert marches == [int((moving & (d[r, t] > 0.0)).sum() + (d[:, -1] > 0.0).sum())]
     np.testing.assert_array_equal(rows.ttc, ttc)
     np.testing.assert_array_equal(rows.ttc_terminal, ttc_n)
     assert (ttc == 0.0).any() and (np.isfinite(ttc) & (ttc > 0.0)).any()
@@ -615,7 +623,9 @@ def test_evaluate_without_ttc_queries_makes_no_ttc_call(params, monkeypatch):
     # whose segments are all below _P_C_SKIP queries nothing
     world, start, states = _marching_problem()
     kernel = CostKernel(world, Pose(10.0, 4.0, 0.0), params, CFG, start)
-    clear = kernel.snapshot.clearance(states[0], states[1]).min(axis=1) > 0.05
+    xs, ys = states[:2]
+    d_grid = world.grid.sample_distance_batch(xs, ys)
+    clear = kernel.snapshot.clearance(xs, ys, d_grid).min(axis=1) > 0.05
     assert 0 < clear.sum() < clear.size
     states = tuple(a[clear] for a in states)
     monkeypatch.setattr(HorizonSnapshot, "ttc", lambda *a: pytest.fail("queried"))

@@ -206,7 +206,9 @@ def test_step_clearance_is_distance_to_nearest_in_its_world(scenario):
             world = step.worlds[a.id]
             assert s.d_o == distance_to_nearest(world, (s.x, s.y), step.t)
             snapshot = HorizonSnapshot(world, [step.t])
-            assert s.d_o == snapshot.clearance(np.array([s.x]), np.array([s.y])).item()
+            x, y = np.array([s.x]), np.array([s.y])
+            d_grid = world.grid.sample_distance_batch(x, y)
+            assert s.d_o == snapshot.clearance(x, y, d_grid).item()
             obstacle_bound += s.d_o < max(0.0, world.grid.sample_distance(s.x, s.y) - a.radius)
     # an obstacle or another agent, not the map, set some of them
     assert obstacle_bound > 0

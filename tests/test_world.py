@@ -193,7 +193,8 @@ def test_sample_distance_batch_matches_scalar():
 @pytest.mark.parametrize("shape", [(17, 23), (1, 9), (9, 1), (1, 1)])
 def test_sample_field_batch_matches_2d_indexing(shape):
     # the flat-index gather against 2-D indexing, on an arbitrary field and
-    # the distance field, off the origin, at points inside and outside
+    # the distance field, off the origin, at points inside and outside; two
+    # fields through one stencil equal each field sampled alone
     rng = np.random.default_rng(sum(shape))
     occupied = rng.random(shape) < 0.2
     occupied[-1, 0] = True
@@ -203,10 +204,37 @@ def test_sample_field_batch_matches_2d_indexing(shape):
     ys = rng.uniform(ymin - 1.0, ymax + 1.0, size=(40, 26))
     xs[0, :4] = [xmin, xmax, xmin, xmax]  # the box's corners
     ys[0, :4] = [ymin, ymin, ymax, ymax]
-    for values in (rng.normal(size=shape), grid.distance_field):
-        got = grid.sample_field_batch(values, xs, ys)
+    fields = (rng.normal(size=shape), grid.distance_field)
+    alone = []
+    for values in fields:
+        [got] = grid.sample_field_batch((values,), xs, ys)
         assert got.shape == xs.shape
         np.testing.assert_array_equal(got, reference_sample_field(grid, values, xs, ys))
+        alone.append(got)
+    together = grid.sample_field_batch(fields, xs, ys)
+    assert len(together) == 2
+    assert all((a == b).all() for a, b in zip(together, alone))
+
+
+@pytest.mark.parametrize("rows", [["#...", "...."], ["....", "...."]], ids=["walled", "open"])
+def test_public_samplers_reject_nan_coordinates(rows):
+    # a NaN coordinate is a ValueError that names it, on a walled and an open
+    # map; an infinite coordinate still clamps to the grid's border
+    grid = OccupancyGrid.from_ascii(rows, 0.5)
+    nav = NavigationField(grid, (1.75, 0.25))
+
+    def pair(v):
+        return np.array([0.5, v])
+
+    for sampler, names, point in ((grid.sample_distance, "xy", float),
+                                  (nav.distance, "xy", float),
+                                  (grid.sample_distance_batch, ("xs", "ys"), pair),
+                                  (nav.distance_batch, ("xs", "ys"), pair)):
+        with pytest.raises(ValueError, match=f"^{names[0]} must not be NaN"):
+            sampler(point(math.nan), point(0.5))
+        with pytest.raises(ValueError, match=f"^{names[1]} must not be NaN"):
+            sampler(point(0.5), point(math.nan))
+        assert not np.isnan(sampler(point(math.inf), point(-math.inf))).any()
 
 
 def test_sampled_field_is_lipschitz():
@@ -388,11 +416,14 @@ def test_horizon_snapshot_matches_per_time_queries():
     for w in (world, replace(world, obstacles=())):
         snapshot = HorizonSnapshot(w, ts)
         # a batch of rollouts broadcasts over the leading axis, row for row
-        stacked = snapshot.clearance(stack_x, stack_y)
+        stacked = snapshot.clearance(stack_x, stack_y,
+                                     w.grid.sample_distance_batch(stack_x, stack_y))
         assert stacked.shape == (3, 26)
         for row_x, row_y, row in zip(stack_x, stack_y, stacked):
-            assert snapshot.clearance(row_x, row_y).tolist() == row.tolist()
-        for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys)):
+            d_grid = w.grid.sample_distance_batch(row_x, row_y)
+            assert snapshot.clearance(row_x, row_y, d_grid).tolist() == row.tolist()
+        d_grid = w.grid.sample_distance_batch(xs, ys)
+        for x, y, t, d in zip(xs, ys, ts, snapshot.clearance(xs, ys, d_grid)):
             assert d == distance_to_nearest(w, (x, y), t)
         assert snapshot.tracks.shape == (len(w.obstacles), len(ts), 4)
         # the array holds exactly the predicted states
@@ -404,7 +435,8 @@ def test_horizon_snapshot_matches_per_time_queries():
 def _assert_arcs_match_reference(grid, rays, robot_radius):
     x, y, ux, uy, max_arc = map(np.array, zip(*rays))
     # all rays march in one lockstep batch, each as it would alone
-    arcs = _static_ray_arcs(grid, x, y, ux, uy, robot_radius, max_arc)
+    arcs = _static_ray_arcs(grid, x, y, ux, uy, robot_radius, max_arc,
+                            grid.sample_distance_batch(x, y))
     for ray, arc in zip(rays, arcs.tolist()):
         expected = reference_ray_arc(grid, *ray[:4], robot_radius, ray[4])
         assert arc == (math.inf if expected is None else expected)
@@ -430,7 +462,9 @@ def test_static_ray_arc_matches_sampled_march(shape):
 
 def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
     # Marches of one sample next to marches of dozens: each lockstep
-    # iteration samples exactly the rays still marching.
+    # iteration samples exactly the rays still marching, except the first,
+    # which samples only the rays that enter the box from outside (a ray
+    # that starts inside takes the given distance at its start).
     rng = random.Random(31)
     occupied = np.random.default_rng(31).random((40, 60)) < 0.01
     grid = OccupancyGrid(occupied, 0.2, origin=(2.0, -3.0))
@@ -444,27 +478,34 @@ def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
                           rng.uniform(-math.pi, math.pi)])
         rays.append((x, y, math.cos(ang), math.sin(ang),
                      rng.choice([math.inf, 10 ** rng.uniform(-1.5, 1.5)])))
+    inside = [xmin <= x <= xmax and ymin <= y <= ymax for x, y, *_ in rays]
+    assert 0 < sum(inside) < len(rays)
     sampled = []
 
-    def counted(self, xs, ys, _real=OccupancyGrid.sample_distance_batch):
+    def counted(self, fields, xs, ys, _real=OccupancyGrid.sample_field_batch):
         sampled.append(xs.size)
-        return _real(self, xs, ys)
+        return _real(self, fields, xs, ys)
 
     def march_sizes(rays, rr):
-        """Points sampled per iteration of one lockstep march of `rays`."""
-        sampled.clear()
+        """Points sampled per call of one lockstep march of `rays`."""
         x, y, ux, uy, max_arc = map(np.array, zip(*rays))
-        _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+        d_start = grid.sample_distance_batch(x, y)
+        sampled.clear()
+        _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc, d_start)
         return list(sampled)
 
-    monkeypatch.setattr(OccupancyGrid, "sample_distance_batch", counted)
+    monkeypatch.setattr(OccupancyGrid, "sample_field_batch", counted)
     for rr in (0.1, 0.25):
         sizes = march_sizes(rays, rr)
-        steps = [len(march_sizes([ray], rr)) for ray in rays]
+        # a ray's iterations: its sampling calls, and its start if inside
+        calls = [len(march_sizes([ray], rr)) for ray in rays]
+        steps = [k + start for k, start in zip(calls, inside)]
         marched = [k for k in steps if k]
         assert max(marched) >= 10 * min(marched)
-        live = [sum(k > i for k in steps) for i in range(len(sizes))]
-        assert sizes == live
+        entering = sum(k > 0 and not start for k, start in zip(calls, inside))
+        live = [sum(k > i for k in steps) for i in range(1, max(steps))]
+        assert entering > 0
+        assert sizes == [entering] + live
         _assert_arcs_match_reference(grid, rays, rr)
 
 
@@ -511,14 +552,16 @@ def test_static_ray_arc_does_not_depend_on_its_end():
         grid = _walled_grid(rng)
         for rr in (0.25, 0.35, 0.5):
             x, y, ux, uy = _rays(grid, rng, 300)
-            unbounded = _static_ray_arcs(grid, x, y, ux, uy, rr, np.full(x.size, math.inf))
+            d_start = grid.sample_distance_batch(x, y)
+            unbounded = _static_ray_arcs(grid, x, y, ux, uy, rr, np.full(x.size, math.inf),
+                                         d_start)
             hits = np.isfinite(unbounded)
             assert hits.mean() > 0.5
             # ends anywhere, and ends within a cell either side of each hit
             near = unbounded + grid.resolution * nprng.uniform(-1.0, 1.0, x.size)
             for max_arc in (nprng.uniform(0.0, 15.0, x.size),
                             np.where(hits, near, nprng.uniform(0.0, 15.0, x.size))):
-                arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+                arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc, d_start)
                 want = np.where(unbounded <= max_arc, unbounded, math.inf)
                 assert np.array_equal(arcs, want)
                 checked += int((hits & (unbounded <= max_arc)).sum())
@@ -541,7 +584,8 @@ def test_static_ray_arc_bound_against_a_dense_march():
             x, y, ux, uy = _rays(grid, rng, 120, clear_of=rr)
             max_arc = np.array([rng.choice([math.inf, rng.uniform(0.5, 12.0)])
                                 for _ in x])
-            arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc)
+            arcs = _static_ray_arcs(grid, x, y, ux, uy, rr, max_arc,
+                                    grid.sample_distance_batch(x, y))
             for i, arc in enumerate(arcs.tolist()):
                 ref, zone, exit_arc = fine_step_ray_contact(
                     grid, x[i], y[i], ux[i], uy[i], rr, res / 32)
@@ -633,7 +677,8 @@ def test_ttc_marches_only_points_clear_of_contact(monkeypatch):
     snapshot = HorizonSnapshot(world, [0.0])
     x, y, vx, vy = np.random.default_rng(5).uniform(
         [0.0, 0.0, -1.0, -1.0], [6.0, 6.0, 1.0, 1.0], (200, 4)).T
-    d0 = snapshot.clearance(x, y)
+    d_grid = world.grid.sample_distance_batch(x, y)
+    d0 = snapshot.clearance(x, y, d_grid)
     contact = d0 <= 0.0
     assert 0 < contact.sum() < contact.size
     marched = []
@@ -643,7 +688,7 @@ def test_ttc_marches_only_points_clear_of_contact(monkeypatch):
         return _real(grid, mx, my, *rest)
 
     monkeypatch.setattr(world_module, "_static_ray_arcs", counted)
-    ttc = snapshot.ttc(x, y, vx, vy, np.zeros(x.size, dtype=int), d0)
+    ttc = snapshot.ttc(x, y, vx, vy, np.zeros(x.size, dtype=int), d0, d_grid)
     assert sorted(marched) == sorted(zip(x[~contact].tolist(), y[~contact].tolist()))
     assert (ttc[contact] == 0.0).all() and (ttc[~contact] > 0.0).all()
 
@@ -659,6 +704,11 @@ def test_ttc_static_wall_and_speed_scaling():
     assert ttc2 == pytest.approx(ttc1 / 2.0, rel=1e-9)
     # moving parallel to the wall never hits
     assert time_to_collision(world, (3.0, 4.1), (1.0, 0.0), 0.0) == math.inf
+    # from above the grid box: the march samples its entry point first
+    outside = time_to_collision(world, (3.0, 8.1), (0.0, -1.0), 0.0)
+    assert outside == pytest.approx(ttc1 + 4.0, abs=1e-9)
+    assert outside == pytest.approx(
+        reference_time_to_collision(world, (3.0, 8.1), (0.0, -1.0), 0.0), abs=1e-9)
 
 
 def test_ttc_beyond_horizon_is_infinite():
@@ -799,15 +849,15 @@ def test_navigation_field_matches_reference_dijkstra():
     cases += [(rim, c) for c in _free_cell_centers(rim, sorted(border))]
     for grid, goal in cases:
         assert np.array_equal(
-            NavigationField(grid, goal)._values, reference_navigation_field(grid, goal))
+            NavigationField(grid, goal).values, reference_navigation_field(grid, goal))
     # the corner cut is a move: one diagonal step joins the two free corners
     nav = NavigationField(corner, corner.cell_center(0, 2))
-    assert nav._values[1, 1] == math.sqrt(2.0) * 0.5
-    assert nav._values[2, 2] == 2 * math.sqrt(2.0) * 0.5
+    assert nav.values[1, 1] == math.sqrt(2.0) * 0.5
+    assert nav.values[2, 2] == 2 * math.sqrt(2.0) * 0.5
     # the pocket is unreachable and lies at the ceiling, above every reached cell
     nav = NavigationField(pocket, pocket.cell_center(1, 1))
-    reached = nav._values[1:4, 1:5][~pocket.occupied[1:4, 1:5]]
-    assert nav._values[3, 6] == nav._values[0, 0] > reached.max()
+    reached = nav.values[1:4, 1:5][~pocket.occupied[1:4, 1:5]]
+    assert nav.values[3, 6] == nav.values[0, 0] > reached.max()
 
 
 def test_navigation_field_matches_reference_dijkstra_on_edge_cases():
@@ -824,7 +874,7 @@ def test_navigation_field_matches_reference_dijkstra_on_edge_cases():
     cases.append((big, big.cell_center(ix, iy)))
     for grid, goal in cases:
         assert np.array_equal(
-            NavigationField(grid, goal)._values, reference_navigation_field(grid, goal))
+            NavigationField(grid, goal).values, reference_navigation_field(grid, goal))
 
 
 def test_navigation_field_corrects_a_cells_first_label():
@@ -835,9 +885,9 @@ def test_navigation_field_corrects_a_cells_first_label():
     goal = maze.cell_center(0, 0)
     nav = NavigationField(maze, goal)
     diagonal = math.sqrt(2.0)
-    assert nav._values[2, 4] == 1.0 + 1.0 + 1.0 + diagonal + 1.0
-    assert nav._values[2, 4] < diagonal + diagonal + diagonal + diagonal
-    assert np.array_equal(nav._values, reference_navigation_field(maze, goal))
+    assert nav.values[2, 4] == 1.0 + 1.0 + 1.0 + diagonal + 1.0
+    assert nav.values[2, 4] < diagonal + diagonal + diagonal + diagonal
+    assert np.array_equal(nav.values, reference_navigation_field(maze, goal))
 
 
 @pytest.mark.parametrize("goal", [(math.nan, 0.25), (0.25, math.inf), (-math.inf, 0.0)])
