@@ -11,20 +11,23 @@ and the progress term all read through it. It takes every field it samples
 at the same points and computes their stencil (cell indices and fractions)
 once, so the cost kernel samples both fields at its rollout states in one
 call. Its constants (origin, resolution, clamps, corner offsets) are folded
-into 0-d arrays once per grid, and it works in place on a few arrays per
-call, since the march calls it once per lockstep iteration on few points.
-A ray's first sample is the distance the clearance has already read at its
-start, so the march samples only rays that enter the grid box from outside
-before it steps. The public samplers (`sample_distance`,
-`sample_distance_batch`, `NavigationField.distance` and `distance_batch`)
-reject NaN coordinates; the planner's own calls go to the unchecked
-`sample_field_batch`.
+into 0-d arrays once per grid, and its arithmetic is plain numpy
+expressions. Only the stencil's flat index and fractions outlive
+`_stencil`, so a call holds few arrays at once: on the kernel's calls of
+thousands of points, the fresh memory of each array held costs more than
+its arithmetic. A ray's first sample is the distance the clearance has
+already read at its start, so the march samples only rays that enter the
+grid box from outside before it steps. The public samplers
+(`sample_distance`, `sample_distance_batch`, `NavigationField.distance` and
+`distance_batch`) and `cell_of` reject NaN coordinates; the planner's own
+calls go to the unchecked `sample_field_batch`.
 
 The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
-it for every agent of a simulation step, `distance_to_nearest` for one point.
-It measures a disk as `HorizonSnapshot.clearance` does, with numpy's
-`hypot`, so the scalar and the planner's clearance are equal. One lookup
-(`_motion`) gives an obstacle's center and velocity at a time.
+it for every agent of a simulation step, `distance_to_nearest` for one point;
+both reject a non-finite time. It measures a disk as
+`HorizonSnapshot.clearance` does, with numpy's `hypot`, so the scalar and
+the planner's clearance are equal. One lookup (`_motion`) gives an
+obstacle's center and velocity at a time.
 
 A grid with an occupied cell gets both of its fields from numpy alone, each
 exact: the distance field from a separable Euclidean distance transform
@@ -142,11 +145,14 @@ class OccupancyGrid:
         return (ox + (ix + 0.5) * self.resolution, oy + (iy + 0.5) * self.resolution)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """(ix, iy) of the cell containing the point, clamped to the grid."""
+        """(ix, iy) of the cell containing the point, clamped to the grid;
+        raises ValueError for a NaN coordinate."""
+        if math.isnan(x) or math.isnan(y):
+            _reject_nan(x=x, y=y)
         ox, oy = self.origin
-        ix = int((x - ox) / self.resolution)
-        iy = int((y - oy) / self.resolution)
-        return (min(self.width - 1, max(0, ix)), min(self.height - 1, max(0, iy)))
+        gx = min(self.width - 1, max(0.0, (x - ox) / self.resolution))
+        gy = min(self.height - 1, max(0.0, (y - oy) / self.resolution))
+        return (int(gx), int(gy))
 
     def sample_distance(self, x: float, y: float) -> float:
         """Bilinear sample of the distance field (meters); clamps outside
@@ -200,50 +206,29 @@ class OccupancyGrid:
         values at cell centers) at arrays of points, one array per field of
         `fields`; clamps outside points and does not check for NaN.
 
-        The arithmetic of `sample_distance`, in place on a few arrays per
-        call. The stencil (cell indices and fractions) is computed once for
-        all fields, and each field's four corners are gathered by flat index
-        into the row-major field, so a field sampled with others equals the
-        field sampled alone."""
-        ox, oy, res, w1, h1, ix_last, iy_last, width, d01, d10, d11 = self._folded
-        shape = np.shape(xs)
-        gx = np.subtract(xs, ox, out=np.empty(shape))
-        gy = np.subtract(ys, oy, out=np.empty(shape))
-        cells = []
-        for g, last, g_max in ((gx, ix_last, w1), (gy, iy_last, h1)):
-            np.divide(g, res, out=g)
-            np.subtract(g, _HALF, out=g)
-            np.maximum(g, _ZERO, out=g)
-            np.minimum(g, g_max, out=g)
-            i = g.astype(int)
-            np.minimum(i, last, out=i)
-            # the fraction within the cell
-            np.subtract(g, i, out=g)
-            cells.append(i)
-        ix, iy = cells
-        # flat index of the lower corner, in place of iy
-        i00 = np.multiply(iy, width, out=iy)
-        np.add(i00, ix, out=i00)
-        flats = [values.ravel() for values in fields]
-        # per field, its values at the corners (v00, v01, v10, v11)
-        corners = [[flat[i00]] for flat in flats]
-        for d in (d01, d10, d11):
-            i = np.add(i00, d, out=ix)
-            for flat, values in zip(flats, corners):
-                values.append(flat[i])
+        The arithmetic of `sample_distance`, operation for operation. The
+        stencil (cell indices and fractions) is computed once for all fields,
+        and each field's four corners are gathered by flat index into the
+        row-major field, so a field sampled with others equals the field
+        sampled alone."""
+        i00, fx, fy = self._stencil(xs, ys)
+        d01, d10, d11 = self._folded[8:]
+        ex, ey = _ONE - fx, _ONE - fy
         # (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
-        one_minus = np.subtract(_ONE, gx)
-        for v00, v01, v10, v11 in corners:
-            for lower, upper in ((v00, v01), (v10, v11)):
-                np.multiply(one_minus, lower, out=lower)
-                np.multiply(gx, upper, out=upper)
-                np.add(lower, upper, out=lower)
-        np.subtract(_ONE, gy, out=one_minus)
-        for v00, _, v10, _ in corners:
-            np.multiply(one_minus, v00, out=v00)
-            np.multiply(gy, v10, out=v10)
-            np.add(v00, v10, out=v00)
-        return [values[0] for values in corners]
+        return [ey * (ex * flat[i00] + fx * flat[i00 + d01])
+                + fy * (ex * flat[i00 + d10] + fx * flat[i00 + d11])
+                for flat in map(np.ravel, fields)]
+
+    def _stencil(self, xs, ys):
+        """Per point, the flat index of the lower corner of its bilinear
+        stencil and its fractions (fx, fy) within that cell. Only these
+        three outlive the call, so the sampler holds few arrays at once."""
+        ox, oy, res, w1, h1, ix_last, iy_last, width = self._folded[:8]
+        gx = np.minimum(np.maximum((xs - ox) / res - _HALF, _ZERO), w1)
+        gy = np.minimum(np.maximum((ys - oy) / res - _HALF, _ZERO), h1)
+        ix = np.minimum(gx.astype(int), ix_last)
+        iy = np.minimum(gy.astype(int), iy_last)
+        return iy * width + ix, gx - ix, gy - iy
 
 
 def _reject_nan(**coordinates) -> None:
@@ -379,12 +364,20 @@ def _gaps(grid: OccupancyGrid, x: float, y: float, radius: float, disks) -> list
     return gaps
 
 
+def _disks_at(obstacles, t: float) -> list[tuple[float, float, float]]:
+    """Each of `obstacles` as a disk (x, y, radius) predicted at time t;
+    raises ValueError for a non-finite t."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
+
+
 def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
     """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration):
     the least gap of the robot's disk to the grid and to every obstacle disk
-    predicted at t, at least 0."""
+    predicted at t, at least 0. Raises ValueError for a non-finite t."""
     x, y = point
-    disks = [(*predict_obstacle(obs, t), obs.radius) for obs in world.obstacles]
+    disks = _disks_at(world.obstacles, t)
     return max(0.0, min(_gaps(world.grid, x, y, world.robot_radius, disks)))
 
 
@@ -404,9 +397,10 @@ def detect_collision(
     max(0, least gap), the `distance_to_nearest` of a world holding the
     obstacles and the other agents' disks where they stand at t. An agent is
     thus in contact exactly when its d_o is 0, and neither result depends on
-    the order of `agents` or `obstacles`.
+    the order of `agents` or `obstacles`. Raises ValueError for a
+    non-finite t.
     """
-    disks = [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
+    disks = _disks_at(obstacles, t)
     parties = ["grid", *(obs.id for obs in obstacles)]
     events, clearance = [], {}
     for aid, (x, y) in agents.items():
@@ -548,8 +542,6 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     min_step = grid.resolution
 
     field = (grid.distance_field,)
-    # the gap (<= 0) of each ray's hit, applied once after the loop
-    overshoot = np.zeros(n)
     idx = np.flatnonzero(valid)
     s, end = s0[idx], s1[idx] + min_step
     # the first samples: at a start in the box (s = 0) the field is given
@@ -562,15 +554,14 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     while idx.size:
         gap = df - robot_radius
         hit = gap <= 0.0
-        at = idx[hit]
-        arcs[at] = s[hit]
-        overshoot[at] = gap[hit]
+        # a hit backs off by its overshoot (gap <= 0)
+        arcs[idx[hit]] = s[hit] + gap[hit]
         s = s + np.maximum(min_step, gap)
         alive = ~hit & (s <= end)
         idx, s, end = idx[alive], s[alive], end[alive]
         if idx.size:
             df = grid.sample_field_batch(field, x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)[0]
-    arcs = np.maximum(arcs + overshoot, s0)
+    arcs = np.maximum(arcs, s0)
     arcs[arcs > s1] = math.inf
     return arcs
 

@@ -19,6 +19,7 @@ from dsmpepc.world import (
     World,
     _motion,
     _static_ray_arcs,
+    detect_collision,
     distance_to_nearest,
     distance_to_nearest_batch,
     predict_obstacle,
@@ -219,7 +220,8 @@ def test_sample_field_batch_matches_2d_indexing(shape):
 @pytest.mark.parametrize("rows", [["#...", "...."], ["....", "...."]], ids=["walled", "open"])
 def test_public_samplers_reject_nan_coordinates(rows):
     # a NaN coordinate is a ValueError that names it, on a walled and an open
-    # map; an infinite coordinate still clamps to the grid's border
+    # map; an infinite coordinate still clamps to the grid's border, and
+    # cell_of clamps it to a border cell
     grid = OccupancyGrid.from_ascii(rows, 0.5)
     nav = NavigationField(grid, (1.75, 0.25))
 
@@ -227,6 +229,7 @@ def test_public_samplers_reject_nan_coordinates(rows):
         return np.array([0.5, v])
 
     for sampler, names, point in ((grid.sample_distance, "xy", float),
+                                  (grid.cell_of, "xy", float),
                                   (nav.distance, "xy", float),
                                   (grid.sample_distance_batch, ("xs", "ys"), pair),
                                   (nav.distance_batch, ("xs", "ys"), pair)):
@@ -235,6 +238,8 @@ def test_public_samplers_reject_nan_coordinates(rows):
         with pytest.raises(ValueError, match=f"^{names[1]} must not be NaN"):
             sampler(point(0.5), point(math.nan))
         assert not np.isnan(sampler(point(math.inf), point(-math.inf))).any()
+    assert grid.cell_of(math.inf, -math.inf) == (3, 0)
+    assert grid.cell_of(-math.inf, math.inf) == (0, 1)
 
 
 def test_sampled_field_is_lipschitz():
@@ -339,6 +344,19 @@ def test_distance_to_nearest_lone_obstacle():
     )
     assert distance_to_nearest(world, (0.0, 0.0), 0.0) == pytest.approx(2.0, abs=1e-12)
     assert distance_to_nearest(world, (3.1, 0.0), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_contact_queries_reject_a_non_finite_time(t):
+    # a NaN time would move a constant-velocity disk's center to NaN, and so
+    # report a robot touching a resting disk as unbounded clearance
+    resting = DynamicObstacle(id="o", radius=0.3, position=(0.5, 0.5))
+    world = World(grid=empty_grid(), obstacles=(resting,), robot_radius=0.3)
+    assert distance_to_nearest(world, (0.5, 0.5), 0.0) == 0.0
+    with pytest.raises(ValueError, match="^t must be finite"):
+        distance_to_nearest(world, (0.5, 0.5), t)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        detect_collision(world.grid, {"a": (0.5, 0.5)}, {"a": 0.3}, (resting,), t)
 
 
 def test_distance_to_nearest_brute_force_agreement():
