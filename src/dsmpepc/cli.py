@@ -32,10 +32,12 @@ _MODE_ALIASES = {"ds": DS_MPEPC, "mpepc": BASELINE_MPEPC,
 
 
 def _load_scenario(source: str, mode: str | None, seed: int | None) -> scen.ScenarioConfig:
-    if os.path.exists(source):
-        config = scen.load(source)
-    elif source in scen.BUILTINS:
+    # only a file shadows a built-in of its name; another existing path,
+    # a directory included, is read and its error reported
+    if source in scen.BUILTINS and not os.path.isfile(source):
         config = scen.builtin(source)
+    elif os.path.exists(source):
+        config = scen.load(source)
     else:
         raise scen.ScenarioError(
             f"{source!r} is neither a readable file nor a built-in scenario"

@@ -72,6 +72,12 @@ class CostParams:
                      "v_epsilon"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # _bell divides by the square, which must neither underflow to 0
+        # nor overflow to inf, or exact contact values turn to NaN
+        for name in ("sigma_d", "sigma_inv_ttc", "sigma_inv_ttg"):
+            sigma = getattr(self, name)
+            if not 0 < sigma * sigma < math.inf:
+                raise ValueError(f"{name} squared must be positive and finite")
         if not 0.0 <= self.a < 1.0:
             raise ValueError("a must be in [0, 1)")
         for name in ("w_progress", "w_action_v", "w_action_w", "c_collision"):

@@ -22,9 +22,9 @@ grid box from outside before it steps. The public samplers
 `distance_batch`) and `cell_of` reject NaN coordinates; the planner's own
 calls go to the unchecked `sample_field_batch`.
 
-The scalar contact rule (`_gaps`) is written once: `detect_collision` reads
-it for every agent of a simulation step, `distance_to_nearest` for one point;
-both reject a non-finite time. It measures a disk as
+The scalar contact rule is written once, in `detect_collision`, for every
+agent of a simulation step; `distance_to_nearest` is its case of one robot,
+and both reject a non-finite time. It measures a disk as
 `HorizonSnapshot.clearance` does, with numpy's `hypot`, so the scalar and
 the planner's clearance are equal. One lookup (`_motion`) gives an
 obstacle's center and velocity at a time.
@@ -352,33 +352,13 @@ class World:
             raise ValueError("robot_radius must be positive and finite")
 
 
-def _gaps(grid: OccupancyGrid, x: float, y: float, radius: float, disks) -> list[float]:
-    """The contact rule: the gaps between a robot's disk of `radius` at
-    (x, y) and the map, then each of `disks` ((x, y, radius) triples), each
-    their distance less the disk's radius, then the robot's. A gap of 0 or
-    less is contact, and the robot's clearance d_o is max(0, least gap). The
-    arithmetic is `HorizonSnapshot.clearance`'s, so the two agree exactly."""
-    gaps = [grid.sample_distance(x, y) - radius]
-    for dx, dy, r in disks:
-        gaps.append(float(np.hypot(x - dx, y - dy)) - r - radius)
-    return gaps
-
-
-def _disks_at(obstacles, t: float) -> list[tuple[float, float, float]]:
-    """Each of `obstacles` as a disk (x, y, radius) predicted at time t;
-    raises ValueError for a non-finite t."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    return [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
-
-
 def distance_to_nearest(world: World, point: tuple[float, float], t: float) -> float:
     """Clearance d_o in meters at `point` and time `t` (0 = contact/penetration):
-    the least gap of the robot's disk to the grid and to every obstacle disk
-    predicted at t, at least 0. Raises ValueError for a non-finite t."""
-    x, y = point
-    disks = _disks_at(world.obstacles, t)
-    return max(0.0, min(_gaps(world.grid, x, y, world.robot_radius, disks)))
+    `detect_collision`'s clearance for one robot of `world.robot_radius`
+    among `world.obstacles`. Raises ValueError for a non-finite t."""
+    _, clearance = detect_collision(
+        world.grid, {"": point}, {"": world.robot_radius}, world.obstacles, t)
+    return clearance[""]
 
 
 def detect_collision(
@@ -390,22 +370,27 @@ def detect_collision(
 ) -> tuple[list[tuple[str, str]], dict[str, float]]:
     """Each agent's contacts (agent, other) at time t, and its clearance d_o.
 
-    `other` is "grid", an obstacle id, or another agent id. Each obstacle is
-    predicted once, and each agent reads its own row of the contact rule: its
-    gaps to the map, each obstacle and each other agent. Its contacts are the
+    This is the contact rule. `other` is "grid", an obstacle id, or another
+    agent id. Each obstacle is predicted once, and each agent's row of gaps
+    holds its disk's gap to the map, then to each obstacle disk and each
+    other agent's disk: their distance less both radii. Its contacts are the
     parties whose gap is 0 or less, in that order, and its clearance is
-    max(0, least gap), the `distance_to_nearest` of a world holding the
-    obstacles and the other agents' disks where they stand at t. An agent is
-    thus in contact exactly when its d_o is 0, and neither result depends on
-    the order of `agents` or `obstacles`. Raises ValueError for a
-    non-finite t.
+    max(0, least gap). An agent is thus in contact exactly when its d_o is
+    0, and neither result depends on the order of `agents` or `obstacles`.
+    The arithmetic is `HorizonSnapshot.clearance`'s (numpy's `hypot`), so
+    the two agree exactly. Raises ValueError for a non-finite t.
     """
-    disks = _disks_at(obstacles, t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    disks = [(*predict_obstacle(obs, t), obs.radius) for obs in obstacles]
     parties = ["grid", *(obs.id for obs in obstacles)]
     events, clearance = [], {}
     for aid, (x, y) in agents.items():
+        radius = radii[aid]
         others = [bid for bid in agents if bid != aid]
-        gaps = _gaps(grid, x, y, radii[aid], disks + [(*agents[b], radii[b]) for b in others])
+        gaps = [grid.sample_distance(x, y) - radius]
+        for dx, dy, r in disks + [(*agents[b], radii[b]) for b in others]:
+            gaps.append(float(np.hypot(x - dx, y - dy)) - r - radius)
         events += [(aid, other) for other, gap in zip(parties + others, gaps) if gap <= 0.0]
         clearance[aid] = max(0.0, min(gaps))
     return events, clearance

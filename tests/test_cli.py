@@ -181,6 +181,13 @@ def test_run_builtin_name(tmp_path):
     assert code == 0
 
 
+def test_run_builtin_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
+    # only a file of a built-in's name is read in its place
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "open_field").mkdir()
+    assert main(["run", "open_field", "--out", str(tmp_path / "out")]) == 0
+
+
 def test_svg_deterministic(small_scenario, tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")

@@ -324,6 +324,12 @@ def test_cost_params_validation():
         CostParams(mode="something")
     with pytest.raises(ValueError):
         CostParams(w_progress=-1.0)
+    # a scale whose square underflows to 0 or overflows to inf would turn
+    # the exact contact values (p_c = 1 at d_o = 0, factor 1 at ttc = 0) to NaN
+    for name in ("sigma_d", "sigma_inv_ttc", "sigma_inv_ttg"):
+        for sigma in (1e-200, 1e200):
+            with pytest.raises(ValueError, match=rf"^{name} squared"):
+                CostParams(**{name: sigma})
 
 
 def total_from_segments(rows, params):

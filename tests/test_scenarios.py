@@ -334,6 +334,7 @@ DEFAULTS_VALUE_ERRORS = [
      "more than MAX_HORIZON_STEPS (1000)"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
+    ("cost", {"sigma_d": 1e-200}, "defaults.cost: sigma_d squared must be positive and finite"),
     ("optimizer", {"n_global_samples": 0}, "defaults.optimizer: n_global_samples must be >= 1"),
     ("optimizer", {"n_global_samples": 2 ** 31},
      "defaults.optimizer: n_global_samples must be <= 2^30"),
