@@ -385,6 +385,9 @@ class PlannerConfig:
             raise ValueError(f"horizon_T: {self.horizon_T:g} s is {steps} steps of step_h "
                              f"{self.step_h:g} s, more than MAX_HORIZON_STEPS "
                              f"({MAX_HORIZON_STEPS})")
+        if not math.isfinite(self.r_max):
+            raise ValueError(f"v_limit {self.v_limit:g} m/s times horizon_T "
+                             f"{self.horizon_T:g} s overflows r_max")
 
     @property
     def n_steps(self) -> int:

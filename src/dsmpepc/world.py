@@ -15,9 +15,9 @@ into 0-d arrays once per grid, and its arithmetic is plain numpy
 expressions. Only the stencil's flat index and fractions outlive
 `_stencil`, so a call holds few arrays at once: on the kernel's calls of
 thousands of points, the fresh memory of each array held costs more than
-its arithmetic. A ray's first sample is the distance the clearance has
-already read at its start, so the march samples only rays that enter the
-grid box from outside before it steps. The public samplers
+its arithmetic. The TTC ray march starts at each ray's own start, where
+the clearance has already read the distance, so it samples nothing before
+its first step. The public samplers
 (`sample_distance`, `sample_distance_batch`, `NavigationField.distance` and
 `distance_batch`) and `cell_of` reject NaN coordinates; the planner's own
 calls go to the unchecked `sample_field_batch`.
@@ -492,14 +492,15 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     distance field at each ray's start (x, y), as `sample_distance_batch`
     gives it.
 
-    Sphere tracing (Hart, 1996) from where each ray enters the grid box:
-    steps of gap = df - radius, at least one resolution. A ray that starts
-    in the box takes `d_start` as its first sample; one that enters from
-    outside samples its entry point. The first sample
-    within the radius (gap <= 0) backs off by its overshoot to s + gap, not
-    before the entry; along a 1-Lipschitz field contact comes no later.
-    Each ray marches a step past its end and an arc beyond the end is +inf,
-    so the result is the unbounded arc where that lies within max_arc.
+    Sphere tracing (Hart, 1996) from each ray's start, whose first sample is
+    `d_start`: steps of gap = df - radius, at least one resolution, over the
+    clamped field that the samplers read, outside the grid box too. A ray
+    ends where it leaves the box (an axis it runs parallel to bounds
+    nothing) or at max_arc, whichever comes first. The first sample within
+    the radius (gap <= 0) backs off by its overshoot to s + gap, not before
+    the start; along a 1-Lipschitz field contact comes no later. Each ray
+    marches a step past its end and an arc beyond the end is +inf, so the
+    result is the unbounded arc where that lies within max_arc.
     Against a dense march it is at most about 0.1 cell early and one cell
     late, unless the ray grazes the contact zone (less than a cell of it)
     or meets it within a cell of its end. All rays march in lockstep; each
@@ -510,32 +511,17 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
     if n == 0 or not grid.has_occupied:
         return arcs
     xmin, ymin, xmax, ymax = grid.extent
-    s0 = np.zeros(n)
     s1 = np.minimum(np.asarray(max_arc, dtype=float), math.inf)
-    valid = np.ones(n, dtype=bool)
     for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
-        parallel = np.abs(u) < 1e-15
-        valid &= ~parallel | ((p >= lo) & (p <= hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo - p) / np.where(parallel, 1.0, u)
-            tb = (hi - p) / np.where(parallel, 1.0, u)
-        lo_t = np.minimum(ta, tb)
-        hi_t = np.maximum(ta, tb)
-        s0 = np.where(parallel, s0, np.maximum(s0, lo_t))
-        s1 = np.where(parallel, s1, np.minimum(s1, hi_t))
-    valid &= s1 >= s0
+        # the arc where the ray crosses the box side it heads for
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            exit_arc = (np.where(u > 0, hi, lo) - p) / u
+        s1 = np.where(np.abs(u) < 1e-15, s1, np.minimum(s1, exit_arc))
     min_step = grid.resolution
 
     field = (grid.distance_field,)
-    idx = np.flatnonzero(valid)
-    s, end = s0[idx], s1[idx] + min_step
-    # the first samples: at a start in the box (s = 0) the field is given
-    df = d_start[idx]
-    entering = np.flatnonzero(s > 0.0)
-    if entering.size:
-        at, se = idx[entering], s[entering]
-        df[entering] = grid.sample_field_batch(
-            field, x[at] + ux[at] * se, y[at] + uy[at] * se)[0]
+    idx = np.arange(n)
+    s, end, df = np.zeros(n), s1 + min_step, d_start
     while idx.size:
         gap = df - robot_radius
         hit = gap <= 0.0
@@ -546,7 +532,7 @@ def _static_ray_arcs(grid: OccupancyGrid, x, y, ux, uy, robot_radius: float,
         idx, s, end = idx[alive], s[alive], end[alive]
         if idx.size:
             df = grid.sample_field_batch(field, x[idx] + ux[idx] * s, y[idx] + uy[idx] * s)[0]
-    arcs = np.maximum(arcs, s0)
+    arcs = np.maximum(arcs, 0.0)
     arcs[arcs > s1] = math.inf
     return arcs
 
@@ -558,13 +544,22 @@ def time_to_collision(
 
     Returns 0 exactly when already in contact (d_o = 0), +inf when no contact
     occurs within TTC_HORIZON. Dynamic obstacles are solved analytically from
-    the relative-motion quadratic; the static grid is ray-marched. A batch of
-    one point through the planner's own TTC (`HorizonSnapshot.ttc`). Raises
-    ValueError for a non-finite position, velocity or t0.
+    the relative-motion quadratic; the static grid is ray-marched. Outside
+    the grid box a point reads the distance field at the nearest point of
+    the rectangle of edge cell centres, as every sampler does; a ray from
+    there is marched from its start over that clamped field until it
+    leaves the box, so one heading away from the box never meets the map.
+    A batch of one point through the planner's own TTC
+    (`HorizonSnapshot.ttc`). Raises ValueError for a non-finite position,
+    velocity or t0, and for a speed whose product with TTC_HORIZON
+    overflows.
     """
     x, y, vx, vy, t0 = map(float, (position[0], position[1], velocity[0], velocity[1], t0))
     if not all(map(math.isfinite, (x, y, vx, vy, t0))):
         raise ValueError("time_to_collision requires a finite position, velocity and t0")
+    if not math.isfinite(TTC_HORIZON * math.hypot(vx, vy)):
+        raise ValueError(f"time_to_collision: velocity ({vx:g}, {vy:g}) overflows: "
+                         f"TTC_HORIZON ({TTC_HORIZON:g} s) times its speed is not finite")
     snapshot = HorizonSnapshot(world, [t0])
     x, y = np.array([x]), np.array([y])
     d_grid = world.grid.sample_distance_batch(x, y)

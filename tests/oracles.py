@@ -430,51 +430,44 @@ def _clearance(world, x: float, y: float, t: float) -> float:
     return max(0.0, d - world.robot_radius)
 
 
-def _ray_box(grid, x, y, ux, uy):
-    """(entry, exit) arcs of a ray through the grid box from (x, y), the entry
-    at least 0; None where the ray misses the box."""
+def _ray_exit(grid, x, y, ux, uy):
+    """The arc where a ray from (x, y) leaves the grid box: the least, over
+    the axes it does not run parallel to, of the arc to the box side it
+    heads for; negative where that side lies behind the start."""
     xmin, ymin, xmax, ymax = grid.extent
-    s, s_end = 0.0, math.inf
+    s_end = math.inf
     for p, u, lo, hi in ((x, ux, xmin, xmax), (y, uy, ymin, ymax)):
-        if abs(u) < 1e-15:
-            if p < lo or p > hi:
-                return None
-        else:
-            ta, tb = sorted(((lo - p) / u, (hi - p) / u))
-            s, s_end = max(s, ta), min(s_end, tb)
-    return None if s_end < s else (s, s_end)
+        if abs(u) >= 1e-15:
+            s_end = min(s_end, ((hi if u > 0 else lo) - p) / u)
+    return s_end
 
 
 def reference_ray_arc(grid, x, y, ux, uy, robot_radius, max_arc):
-    """The grid march written against a scalar sample of the distance field:
-    the first sample within the robot radius, backed off by its overshoot
-    (never before the entry into the grid box), or None. The march goes one
-    step of a resolution past `max_arc`, and a backed-off arc beyond it is
-    None."""
-    box = _ray_box(grid, x, y, ux, uy)
-    if box is None:
-        return None
-    s = s_entry = box[0]
-    s_end = min(box[1], max_arc)
+    """The grid march written against a scalar sample of the distance field,
+    from the ray's start: the first sample within the robot radius, backed
+    off by its overshoot (never before the start), or None. The march ends
+    where the ray leaves the grid box or at `max_arc`, whichever is first;
+    it goes one step of a resolution past that end, and a backed-off arc
+    beyond the end is None."""
+    s = 0.0
+    s_end = min(_ray_exit(grid, x, y, ux, uy), max_arc)
     s_last = s_end + grid.resolution
     while s <= s_last:
         gap = _sample_distance(grid, x + ux * s, y + uy * s) - robot_radius
         if gap <= 0.0:
-            arc = max(s + gap, s_entry)
+            arc = max(s + gap, 0.0)
             return arc if arc <= s_end else None
         s += max(gap, grid.resolution)
     return None
 
 
 def fine_step_ray_contact(grid, x, y, ux, uy, robot_radius, step):
-    """A fixed-step march of one ray through the grid box: (first sample arc
-    within the robot radius or None, length of the contact zone from there
-    to the first sample out of contact, arc where the ray leaves the box)."""
-    box = _ray_box(grid, x, y, ux, uy)
-    if box is None:
-        return None, 0.0, None
-    s0, s_end = box
-    s = s0 + step * np.arange(int((s_end - s0) / step) + 1)
+    """A fixed-step march of one ray from its start to where it leaves the
+    grid box: (first sample arc within the robot radius or None, length of
+    the contact zone from there to the first sample out of contact, arc
+    where the ray leaves the box)."""
+    s_end = _ray_exit(grid, x, y, ux, uy)
+    s = step * np.arange(int(max(s_end, 0.0) / step) + 1)
     df = reference_sample_field(grid, _distance_field(grid), x + ux * s, y + uy * s)
     contact = df - robot_radius <= 0.0
     if not contact.any():

@@ -332,6 +332,8 @@ DEFAULTS_VALUE_ERRORS = [
     ("planner", {"horizon_T": 1e6},
      "defaults.planner: horizon_T: 1e+06 s is 5000000 steps of step_h 0.2 s, "
      "more than MAX_HORIZON_STEPS (1000)"),
+    ("planner", {"v_limit": 1e308},
+     "defaults.planner: v_limit 1e+308 m/s times horizon_T 5 s overflows r_max"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
     ("cost", {"sigma_d": 1e-200}, "defaults.cost: sigma_d squared must be positive and finite"),

@@ -481,8 +481,7 @@ def test_static_ray_arc_matches_sampled_march(shape):
 def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
     # Marches of one sample next to marches of dozens: each lockstep
     # iteration samples exactly the rays still marching, except the first,
-    # which samples only the rays that enter the box from outside (a ray
-    # that starts inside takes the given distance at its start).
+    # which samples none (every ray takes the given distance at its start).
     rng = random.Random(31)
     occupied = np.random.default_rng(31).random((40, 60)) < 0.01
     grid = OccupancyGrid(occupied, 0.2, origin=(2.0, -3.0))
@@ -515,16 +514,54 @@ def test_static_ray_arc_matches_sampled_march_of_mixed_lengths(monkeypatch):
     monkeypatch.setattr(OccupancyGrid, "sample_field_batch", counted)
     for rr in (0.1, 0.25):
         sizes = march_sizes(rays, rr)
-        # a ray's iterations: its sampling calls, and its start if inside
+        # a ray's iterations: its start, then its sampling calls
         calls = [len(march_sizes([ray], rr)) for ray in rays]
-        steps = [k + start for k, start in zip(calls, inside)]
-        marched = [k for k in steps if k]
-        assert max(marched) >= 10 * min(marched)
-        entering = sum(k > 0 and not start for k, start in zip(calls, inside))
+        steps = [k + 1 for k in calls]
+        assert max(steps) >= 10 * min(steps)
         live = [sum(k > i for k in steps) for i in range(1, max(steps))]
-        assert entering > 0
-        assert sizes == [entering] + live
+        assert sizes == live
         _assert_arcs_match_reference(grid, rays, rr)
+
+
+def test_ray_from_outside_the_box_marches_the_clamped_field_from_its_start():
+    # One occupied cell, centred at (2.5, 2.5); along the row y = 2.5 the
+    # field is |x - 2.5| between the outer cell centres, and 2 left of
+    # x = 0.5, where the samplers clamp. The ray from (-2, 2.5) samples the
+    # clamped field at its start and at x = -0.3, then x = 1.4 (gap 0.8, so
+    # a one-cell step) and x = 2.4, where the gap of -0.2 backs it off to
+    # x = 2.2: contact at arc 4.2. Marched from its box entry at x = 0, the
+    # ray would step to x = 1.7 and 2.7 and back off to arc 4.6 instead.
+    occupied = np.zeros((5, 5), dtype=bool)
+    occupied[2, 2] = True
+    world = World(grid=OccupancyGrid(occupied, 1.0), robot_radius=0.3)
+    assert time_to_collision(world, (-2.0, 2.5), (1.0, 0.0), 0.0) == pytest.approx(
+        4.2, abs=1e-12)
+    # a start whose clamped field is within the radius is a hit at once
+    x, y, ux, uy = (np.array([v]) for v in (-2.0, 2.5, 1.0, 0.0))
+    arcs = _static_ray_arcs(world.grid, x, y, ux, uy, 2.5, np.array([math.inf]),
+                            world.grid.sample_distance_batch(x, y))
+    assert arcs.tolist() == [0.0]
+
+
+def test_axis_parallel_ray_outside_the_box_is_marched_to_its_exit():
+    # A wall in the right-hand column: below the box the clamped field is
+    # that of row 0, 4 left of x = 0.5 and 4.5 - x up to the wall's centre.
+    # A ray along y = -1 runs parallel to the box's lower side, outside it;
+    # it is marched until it leaves the box at x = 5, meeting contact where
+    # the field reaches the radius, at x = 4. One heading away from the box
+    # leaves it behind its start and has no contact.
+    occupied = np.zeros((5, 5), dtype=bool)
+    occupied[:, 4] = True
+    world = World(grid=OccupancyGrid(occupied, 1.0), robot_radius=0.5)
+    assert time_to_collision(world, (-2.0, -1.0), (2.0, 0.0), 0.0) == 3.0
+    assert time_to_collision(world, (-2.0, -1.0), (-2.0, 0.0), 0.0) == math.inf
+    # the contact at arc 6 counts only within max_arc
+    x, y, ux, uy = (np.array([v]) for v in (-2.0, -1.0, 1.0, 0.0))
+    d_start = world.grid.sample_distance_batch(x, y)
+    assert _static_ray_arcs(world.grid, x, y, ux, uy, 0.5, np.array([5.0]),
+                            d_start).tolist() == [math.inf]
+    assert _static_ray_arcs(world.grid, x, y, ux, uy, 0.5, np.array([6.0]),
+                            d_start).tolist() == [6.0]
 
 
 def _walled_grid(rng):
@@ -587,7 +624,7 @@ def test_static_ray_arc_does_not_depend_on_its_end():
 
 
 def test_static_ray_arc_bound_against_a_dense_march():
-    # Against a march of fixed resolution/32 steps from the same entry over
+    # Against a march of fixed resolution/32 steps from the same start over
     # the same sampled field, the arc is never more than 0.1 cell early. It
     # is at most one cell late, unless the dense march's contact zone is
     # shorter than a cell (the ray grazes it, and the march may step over
@@ -658,7 +695,10 @@ def test_ttc_rejects_nonfinite_input():
                                    ((0.25, 0.25), (1.0, math.inf), 0.0),
                                    ((0.25, 0.25), (1.0, 0.0), math.nan),
                                    ((math.nan, 0.25), (1.0, 0.0), 0.0),
-                                   ((0.25, -math.inf), (1.0, 0.0), 0.0)):
+                                   ((0.25, -math.inf), (1.0, 0.0), 0.0),
+                                   # finite, but TTC_HORIZON times the speed is not
+                                   ((0.25, 0.25), (-1.7e308, -1.7e308), 0.0),
+                                   ((0.25, 0.25), (0.0, -1e308), 0.0)):
         with pytest.raises(ValueError):
             time_to_collision(world, position, velocity, t0)
     terminal = RobotState(pose=Pose(0.25, 0.25, math.nan))
