@@ -21,8 +21,12 @@ one shape. `rollout_batch` calls the kernels on a whole batch of rollouts
 per step, with one workspace made per call for all its steps. With the
 curvature and rate-limit arrays beside it and the per-step views of the
 state buffers, all made before the first step, no step allocates an array
-or builds a view or a `Pose`. The workspace is dropped when the call
-returns, and the arrays the call returns are copies that own their data.
+or builds a view or a `Pose`. A step hands the next the sine and cosine of
+the heading it turned to, so that only the first step takes the trig of
+the heading it starts from, and it wraps the turned heading only when some
+row's has left (-pi, pi); a row that crossed takes its sine and cosine
+anew. The workspace is dropped when the call returns, and the arrays the
+call returns are copies that own their data.
 
 The public functions (`wrap_angle`, `egocentric_coords`,
 `control_law_curvature`, `velocity_modulation`, `advance_pose`) are thin
@@ -111,29 +115,29 @@ class _Workspace:
     returns: `offset` (rows `offset_x`, `offset_y`), the wrap's `turns` and
     `beyond` (with their first rows, for a single row of angles), `tmp_a`
     and `tmp_b` for the kernels that take scratch arrays, and the arc
-    step's `straight`, the mask of straight rows, and pairs `radius` (rows
-    `radius_x`, `radius_y`), `trig0` (rows `sin0`, `cos0`) and `trig1`
-    (rows `sin1`, `cos1`).
+    step's masks `straight` (straight rows) and `crossed` (rows whose
+    turned heading left (-pi, pi)) and pairs `radius` (rows `radius_x`,
+    `radius_y`) and `chord` (rows `chord_x`, `chord_y`).
     """
 
     __slots__ = ("r", "angles", "theta", "delta", "near", "offset", "offset_x", "offset_y",
                  "turns", "turns_row", "beyond", "beyond_row", "tmp_a", "tmp_b",
-                 "straight", "radius", "radius_x", "radius_y", "trig0", "sin0", "cos0",
-                 "trig1", "sin1", "cos1")
+                 "straight", "crossed", "radius", "radius_x", "radius_y", "chord", "chord_x",
+                 "chord_y")
 
     def __init__(self, shape):
         pair = (2,) + shape
         self.r, self.tmp_a, self.tmp_b = (np.empty(shape) for _ in range(3))
-        self.near, self.straight = (np.empty(shape, dtype=bool) for _ in range(2))
-        self.angles, self.offset, self.turns, self.radius, self.trig0, self.trig1 = (
-            np.empty(pair) for _ in range(6))
+        self.near, self.straight, self.crossed = (np.empty(shape, dtype=bool)
+                                                  for _ in range(3))
+        self.angles, self.offset, self.turns, self.radius, self.chord = (
+            np.empty(pair) for _ in range(5))
         self.beyond = np.empty(pair, dtype=bool)
         self.theta, self.delta = self.angles
         self.offset_x, self.offset_y = self.offset
         self.turns_row, self.beyond_row = self.turns[0], self.beyond[0]
         self.radius_x, self.radius_y = self.radius
-        self.sin0, self.cos0 = self.trig0
-        self.sin1, self.cos1 = self.trig1
+        self.chord_x, self.chord_y = self.chord
 
 
 @dataclass(frozen=True)
@@ -181,14 +185,32 @@ class ControlGains:
             raise ValueError("curvature_beta must be finite and >= 0")
         if not 1 <= self.curvature_lambda < math.inf:
             raise ValueError("curvature_lambda must be finite and >= 1")
+        # One bound per gain, past what steers a ground robot, and low enough
+        # that a rollout stays finite with all four at theirs: |kappa| is at
+        # most (1.5 pi k2 + 1 + k1) / R_EPSILON < 6e8 1/m, so
+        # beta |kappa|^lambda < 1e90.
+        for name, bound in (
+                # atan(-k1 theta) is then within 0.1 rad of +-pi/2 once
+                # |theta| > 0.1 rad; more only sharpens it below that
+                ("k1", 100.0),
+                # the heading then meets the line of sight within r / k2 of
+                # travel: 1 cm at 1 m
+                ("k2", 100.0),
+                # an arc of 1 m radius then runs at 1 % of v_max
+                ("curvature_beta", 100.0),
+                # the slowdown is then a step at |kappa| = 1 1/m
+                ("curvature_lambda", 10.0)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound:g}")
 
 
-def _egocentric_into(position, target, heading, target_heading, work):
+def _egocentric_into(position, target, headings, heading, work):
     """`egocentric_coords` of targets from robots into the workspace
     `work`: r into `work.r` and (theta, delta) into `work.angles`, which are
-    wrapped in one pass. `position` and `target` stack the x and y arrays,
-    (2, ...); the headings are arrays of the trailing shape, the shape of
-    `work`. Returns the mask of rows with r < R_EPSILON (`work.near`), or
+    taken in one subtraction and wrapped in one pass. `position` and
+    `target` stack the x and y arrays and `headings` the target's and the
+    robot's heading, (2, ...) each, and `heading` is the robot's row of
+    `headings`; the trailing shape is the shape of `work`. Returns the mask of rows with r < R_EPSILON (`work.near`), or
     None when there is none.
     """
     dx, dy = work.offset_x, work.offset_y
@@ -200,8 +222,7 @@ def _egocentric_into(position, target, heading, target_heading, work):
         near = None
     else:
         np.copyto(los, heading, where=near)
-    np.subtract(target_heading, los, out=work.theta)
-    np.subtract(heading, los, out=work.delta)
+    np.subtract(headings, los, out=work.angles)
     _wrap_into(work.angles, work.angles, work.turns, work.beyond)
     return near
 
@@ -217,7 +238,8 @@ def egocentric_coords(robot: Pose, target: Pose) -> EgocentricCoords:
     (x, y, heading, tx, ty, th), shape = _arrays(robot.x, robot.y, robot.heading,
                                                  target.x, target.y, target.heading)
     work = _Workspace(x.shape)
-    _egocentric_into(np.stack((x, y)), np.stack((tx, ty)), heading, th, work)
+    headings = np.stack((th, heading))
+    _egocentric_into(np.stack((x, y)), np.stack((tx, ty)), headings, headings[1], work)
     return EgocentricCoords(*(_unshaped(a, shape) for a in (work.r, work.theta, work.delta)))
 
 
@@ -236,21 +258,22 @@ def target_from_param(robot: Pose, r, theta, delta) -> Pose:
     )
 
 
-def _curvature_into(r, theta, delta, near, k1, k2, out, k1_theta, t):
+def _curvature_into(r, theta, delta, near, minus_k1, k2, out, k1_theta, t):
     """`control_law_curvature` into `out`; `near` is the mask of rows with
-    r < R_EPSILON or None (`_egocentric_into`), k1 and k2 the gains, and
-    `k1_theta` and `t` scratch arrays of the shape of `out`."""
-    np.multiply(k1, theta, out=k1_theta)
-    # -[...] built directly: rounding is symmetric under negation, so this
-    # is exactly the negated bracket
-    np.negative(k1_theta, out=t)
-    np.arctan(t, out=t)
+    r < R_EPSILON or None (`_egocentric_into`), minus_k1 and k2 the gains
+    -k1 and k2, and `k1_theta` and `t` scratch arrays of the shape of
+    `out`."""
+    # rounding is symmetric under negation, so -k1*theta is exactly the
+    # negated k1*theta, its square is exactly k1*theta's, and
+    # 1 - (-k1)/(...) is exactly 1 + k1/(...): this builds -[...] directly
+    np.multiply(minus_k1, theta, out=k1_theta)
+    np.arctan(k1_theta, out=t)
     np.subtract(t, delta, out=t)
     np.multiply(k2, t, out=out)
     np.multiply(k1_theta, k1_theta, out=k1_theta)
     np.add(_ONE, k1_theta, out=k1_theta)
-    np.divide(k1, k1_theta, out=k1_theta)
-    np.add(_ONE, k1_theta, out=k1_theta)
+    np.divide(minus_k1, k1_theta, out=k1_theta)
+    np.subtract(_ONE, k1_theta, out=k1_theta)
     np.sin(delta, out=t)
     np.multiply(k1_theta, t, out=t)
     np.subtract(out, t, out=out)
@@ -276,7 +299,7 @@ def control_law_curvature(coords: EgocentricCoords, gains: ControlGains):
     (r, theta, delta), shape = _arrays(coords.r, coords.theta, coords.delta)
     near = r < _R_EPSILON
     kappa = _curvature_into(r, theta, delta, near if near.any() else None,
-                            np.array(gains.k1), np.array(gains.k2),
+                            np.array(-gains.k1), np.array(gains.k2),
                             *(np.empty_like(r) for _ in range(3)))
     return _unshaped(kappa, shape)
 
@@ -388,6 +411,15 @@ class PlannerConfig:
         if not math.isfinite(self.r_max):
             raise ValueError(f"v_limit {self.v_limit:g} m/s times horizon_T "
                              f"{self.horizon_T:g} s overflows r_max")
+        # One bound per limit, past what a ground robot reaches; a long
+        # horizon can still overflow r_max within them
+        for name, bound in (
+                ("v_limit", 100.0),  # m/s: 360 km/h
+                ("omega_limit", 100.0),  # rad/s: 16 turns a second
+                ("accel_limit", 100.0),  # m/s^2: 10 g, where tyres grip at about 1 g
+                ("alpha_limit", 1000.0)):  # rad/s^2: from rest to 100 rad/s in 0.1 s
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound:g}")
 
     @property
     def n_steps(self) -> int:
@@ -415,17 +447,29 @@ class Trajectory:
         return self.states[-1]
 
 
-def _advance_into(position, heading, v, omega, dt, position1, heading1, work):
+def _advance_into(position, heading, trig0, v, omega, dt, position1, heading1, trig1, work):
     """`advance_pose` into (position1, heading1) with the scratch of the
     `_Workspace` `work`: `position` and `position1` stack the x and y
-    arrays, (2, ...); the other arrays have the trailing shape, the shape
-    of `work`, and no output shares memory with an input."""
-    straight, turned = work.straight, work.tmp_a
-    np.absolute(omega, out=turned)
-    np.less(turned, _OMEGA_STRAIGHT, out=straight)
+    arrays, (2, ...); `trig0` is the (2, ...) pair (sin, cos) of `heading`
+    followed by its two rows; the other arrays have the trailing shape, the
+    shape of `work`, and no output shares memory with an input.
+
+    Writes (sin, cos) of `heading1` into `trig1`, a pair with its rows as
+    `trig0`, so that a rollout's next step takes them as its `trig0` and
+    computes no trig of the heading it starts from. The turned heading is
+    written into `heading1` and wrapped only when some row has |h| >= pi:
+    below that `wrap_angle` returns it as it is, except -0.0, which only a
+    straight row turns to, and a straight row keeps its heading and its
+    pair. A row that crossed takes its pair anew.
+    """
+    pair0, sin0, cos0 = trig0
+    pair1, sin1, cos1 = trig1
+    straight, scratch = work.straight, work.tmp_a
+    np.absolute(omega, out=scratch)
+    np.less(scratch, _OMEGA_STRAIGHT, out=straight)
     any_straight = np.count_nonzero(straight)
-    np.multiply(omega, dt, out=turned)
-    np.add(heading, turned, out=turned)
+    np.multiply(omega, dt, out=heading1)
+    np.add(heading, heading1, out=heading1)
     # (radius, -radius); a straight row divides by 1 and is overwritten below
     radius, radius_x, radius_y = work.radius, work.radius_x, work.radius_y
     if any_straight:
@@ -437,24 +481,28 @@ def _advance_into(position, heading, v, omega, dt, position1, heading1, work):
     np.negative(radius_x, out=radius_y)
     # x + radius * (sin h1 - sin h0) and y - radius * (cos h1 - cos h0), the
     # latter as y + -radius * (...), which rounds the same; the step is
-    # built in trig1
-    trig1, trig0 = work.trig1, work.trig0
-    np.sin(turned, out=work.sin1)
-    np.cos(turned, out=work.cos1)
-    np.sin(heading, out=work.sin0)
-    np.cos(heading, out=work.cos0)
-    np.subtract(trig1, trig0, out=trig1)
-    np.multiply(radius, trig1, out=trig1)
-    np.add(position, trig1, out=position1)
-    _wrap_into(turned, heading1, work.turns_row, work.beyond_row)
+    # built in chord
+    chord = work.chord
+    np.sin(heading1, out=sin1)
+    np.cos(heading1, out=cos1)
+    np.subtract(pair1, pair0, out=chord)
+    np.multiply(radius, chord, out=chord)
+    np.add(position, chord, out=position1)
+    np.absolute(heading1, out=scratch)
+    crossed = np.greater_equal(scratch, _PI, out=work.crossed)
+    if np.count_nonzero(crossed):
+        _wrap_into(heading1, heading1, work.turns_row, work.beyond_row)
+        np.sin(heading1, out=sin1, where=crossed)
+        np.cos(heading1, out=cos1, where=crossed)
     if any_straight:
-        # the straight step (v dt cos h0, v dt sin h0), again built in trig1
+        # the straight step (v dt cos h0, v dt sin h0), again built in chord
         np.multiply(v, dt, out=radius_x)
-        np.multiply(radius_x, work.cos0, out=work.sin1)
-        np.multiply(radius_x, work.sin0, out=work.cos1)
-        np.add(position, trig1, out=trig1)
-        np.copyto(position1, trig1, where=straight)
+        np.multiply(radius_x, cos0, out=work.chord_x)
+        np.multiply(radius_x, sin0, out=work.chord_y)
+        np.add(position, chord, out=chord)
+        np.copyto(position1, chord, where=straight)
         np.copyto(heading1, heading, where=straight)
+        np.copyto(pair1, pair0, where=straight)
 
 
 def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
@@ -468,8 +516,11 @@ def advance_pose(pose: Pose, v, omega, dt: float) -> Pose:
     (x, y, heading, v, omega), shape = _arrays(pose.x, pose.y, pose.heading, v, omega)
     position1 = np.empty((2,) + x.shape)
     heading1 = np.empty_like(x)
-    _advance_into(np.stack((x, y)), heading, v, omega, np.array(dt, dtype=float),
-                  position1, heading1, _Workspace(x.shape))
+    trig0 = np.stack((np.sin(heading), np.cos(heading)))
+    trig1 = np.empty_like(trig0)
+    _advance_into(np.stack((x, y)), heading, (trig0, *trig0), v, omega,
+                  np.array(dt, dtype=float), position1, heading1, (trig1, *trig1),
+                  _Workspace(x.shape))
     return Pose(*(_unshaped(a, shape) for a in (*position1, heading1)))
 
 
@@ -492,16 +543,19 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     whole batch: `egocentric_coords`, `control_law_curvature`,
     `velocity_modulation` (its formula, without re-checking v_max on every
     step), then (v, omega) clamped to the configured limits and
-    rate-limited, and one exact arc step (`advance_pose`). Every operation
-    is elementwise, so a row does not depend on the rest of the batch.
+    rate-limited, and one exact arc step (`advance_pose`). The arc step
+    hands the next step the sine and cosine of the heading it wrote, and
+    wraps the headings only when some row's turned heading has left
+    (-pi, pi), which leaves every other row's as it was. So every operation
+    is elementwise, and a row does not depend on the rest of the batch.
     """
     b = params.shape[0]
     n = cfg.n_steps
     gains = cfg.gains
     # 0-d arrays, like the module's constants: numpy takes them as they are
     # instead of converting a Python float on every step
-    h, k1, k2, beta, lam = (np.array(c) for c in (
-        cfg.step_h, gains.k1, gains.k2, gains.curvature_beta, gains.curvature_lambda))
+    h, minus_k1, k2, beta, lam = (np.array(c) for c in (
+        cfg.step_h, -gains.k1, gains.k2, gains.curvature_beta, gains.curvature_lambda))
     # (v, omega) is one (2, B) array: its limits and rate limits are full
     # arrays of that shape, since broadcasting a (2, 1) operand costs more
     # than the two rows apart
@@ -515,13 +569,16 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     target_xy = np.stack((target.x, target.y))
     vmax_z = np.ascontiguousarray(vmax_z)
 
-    # One row per step: step i reads row i-1 and writes row i in place.
+    # One row per step: step i reads row i-1 and writes row i in place. Each
+    # heading row sits below a copy of the target headings, so that theta
+    # and delta are one subtraction.
     xys = np.empty((n + 1, 2, b))
-    hs = np.empty((n + 1, b))
+    hs = np.empty((n + 1, 2, b))
     vws = np.empty((n + 1, 2, b))
     xys[0, 0] = start.pose.x
     xys[0, 1] = start.pose.y
-    hs[0] = start.pose.heading
+    hs[:, 0] = target.heading
+    hs[0, 1] = start.pose.heading
     vws[0, 0] = start.v
     vws[0, 1] = start.omega
     # the workspace of every step, and each step's rows, made once
@@ -529,12 +586,16 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
     r, theta, delta, tmp_a, tmp_b = work.r, work.theta, work.delta, work.tmp_a, work.tmp_b
     kappa = np.empty(b)
     bound = np.empty((2, b))
-    xy, hd, vw = list(xys), list(hs), list(vws)
+    xy, headings, hd, vw = list(xys), list(hs), list(hs[:, 1]), list(vws)
     v_rows, w_rows = list(vws[:, 0]), list(vws[:, 1])
-    target_h = target.heading
+    # (sin, cos) of the heading a step starts from, handed on by the step
+    # before, each pair with its rows; the two swap roles every step
+    trig0, trig1 = ((pair, *pair) for pair in np.empty((2, 2, b)))
+    np.sin(hd[0], out=trig0[1])
+    np.cos(hd[0], out=trig0[2])
     for i in range(1, n + 1):
-        near = _egocentric_into(xy[i - 1], target_xy, hd[i - 1], target_h, work)
-        _curvature_into(r, theta, delta, near, k1, k2, kappa, tmp_a, tmp_b)
+        near = _egocentric_into(xy[i - 1], target_xy, headings[i - 1], hd[i - 1], work)
+        _curvature_into(r, theta, delta, near, minus_k1, k2, kappa, tmp_a, tmp_b)
         vw1, v, w = vw[i], v_rows[i], w_rows[i]
         _speed_into(kappa, vmax_z, r, beta, lam, v, tmp_a)
         np.multiply(kappa, v, out=w)
@@ -544,10 +605,11 @@ def rollout_batch(start: RobotState, params: np.ndarray, cfg: PlannerConfig):
         np.maximum(vw1, bound, out=vw1)
         np.add(vw[i - 1], rate, out=bound)
         np.minimum(vw1, bound, out=vw1)
-        _advance_into(xy[i - 1], hd[i - 1], v, w, h, xy[i], hd[i], work)
+        _advance_into(xy[i - 1], hd[i - 1], trig0, v, w, h, xy[i], hd[i], trig1, work)
+        trig0, trig1 = trig1, trig0
     xs, ys = xys.transpose(1, 2, 0).copy()
     vs, ws = vws.transpose(1, 2, 0).copy()
-    return xs, ys, hs.T.copy(), vs, ws
+    return xs, ys, hs[:, 1].T.copy(), vs, ws
 
 
 def trajectory(start: RobotState, z: TrajectoryParam, cfg: PlannerConfig,

@@ -188,14 +188,19 @@ def test_rollout_steps_match_composed_helpers():
                 assert abs(got - want) <= 1e-12
 
 
-def _branch_batch():
-    """A start and a (B, 4) batch that take every branch of the step loop."""
+# the per-step rate limit of omega
+DW = CFG.alpha_limit * CFG.step_h
+
+
+def _branch_batch(heading=-math.pi, omega=2.0 * DW, seed=12):
+    """A start and a (B, 4) batch that take every branch of the step loop;
+    the start's heading and turn rate and the seed of the batch's random
+    rows as given."""
     # At rest, so that a row near its target stays near; heading -pi; a turn
     # rate beyond omega_limit, twice the per-step rate limit: the first step
     # holds it at one rate limit, and on rows turning the other way the
     # second step takes it to exactly 0, where they move straight.
-    dw = CFG.alpha_limit * CFG.step_h
-    start = RobotState(pose=Pose(0.7, -0.4, -math.pi), v=0.0, omega=2.0 * dw, t=1.0)
+    start = RobotState(pose=Pose(0.7, -0.4, heading), v=0.0, omega=omega, t=1.0)
     rows = [
         (0.0, 0.0, 0.0, 0.0),  # the halting candidate
         # within R_EPSILON of the target, r = 0 included, at every step
@@ -211,7 +216,7 @@ def _branch_batch():
         (3.0, 0.0, -0.5, 4.0),
         (3.0, 0.0, 0.5, 4.0),
     ]
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(seed)
     random_rows = rng.uniform([0.0, -math.pi, -math.pi, 0.0], [8.0, math.pi, math.pi, 1.0],
                               (40, 4))
     return start, np.concatenate((rows, random_rows))
@@ -236,6 +241,29 @@ def test_rollout_batch_equals_reference_loop_bit_for_bit():
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape == (len(params), CFG.n_steps + 1)
         assert a.tobytes() == b.tobytes()
+    # A step hands its heading's (sin, cos) to the next and wraps only a
+    # heading outside (-pi, pi). Each start runs with several seeds:
+    # - from -pi, and from +pi at a turn rate 1e-10 above the default, some
+    #   step has a row crossing +-pi while another moves straight; from +pi,
+    #   rows turning the other way reach a rate of about 1e-10 in the second
+    #   step, move straight on their kept heading and pair, and turn from
+    #   them in the third;
+    # - from -0.0 without turning, the halting row moves straight and keeps
+    #   -0.0 to the end, which the wrap would make +0.0.
+    for heading, omega in ((-math.pi, 2.0 * DW), (math.pi, 2.0 * DW + 1e-10), (-0.0, 0.0)):
+        for seed in (21, 34, 55):
+            start, params = _branch_batch(heading, omega, seed)
+            want = reference_rollout_batch(start, params, CFG)
+            hs, ws = want[2], want[4]
+            if omega:
+                crossed = np.abs(np.diff(hs, axis=1)) > math.pi
+                straight = np.abs(ws[:, 1:]) < OMEGA_STRAIGHT
+                assert (crossed.any(axis=0) & straight.any(axis=0)).any()
+            else:
+                assert ((hs == 0.0) & np.signbit(hs)).all(axis=1).any()
+            got = rollout_batch(start, params, CFG)
+            for a, b in zip(got, want, strict=True):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_rollout_batch_workspace_lives_for_one_call():

@@ -1,8 +1,10 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from dsmpepc.scenarios import (
     builtin,
     load,
 )
+from dsmpepc.simulator import steps
 
 MINIMAL = {
     "name": "mini",
@@ -409,6 +412,47 @@ def test_every_build_path_rejects_the_same_faults(changes, message, build):
     with pytest.raises(ScenarioError) as raised:
         BUILDERS[build](changes)
     assert str(raised.value) == message
+
+
+# the bound of each gain and actuation limit, by its path in a planner block
+PLANNER_BOUNDS = [
+    (("gains", "k1"), 100.0),
+    (("gains", "k2"), 100.0),
+    (("gains", "curvature_beta"), 100.0),
+    (("gains", "curvature_lambda"), 10.0),
+    (("v_limit",), 100.0),
+    (("omega_limit",), 100.0),
+    (("accel_limit",), 100.0),
+    (("alpha_limit",), 1000.0),
+]
+
+
+def _t_corridor_planners_with(path, value):
+    """T_CORRIDOR's document with the planner field at `path` of every agent
+    set to `value`."""
+    doc = T_CORRIDOR.to_dict()
+    for agent in doc["agents"]:
+        block = agent["planner"]
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,bound", PLANNER_BOUNDS,
+                         ids=[path[-1] for path, _ in PLANNER_BOUNDS])
+def test_planner_bounds_suffice(path, bound):
+    # At its bound a field plans and steps without a numpy warning (a k2 of
+    # 3e307 would make a NaN rollout reach the grid sampler as an index, a
+    # v_limit of 3e307 overflow in the speed); one float past it is rejected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in itertools.islice(steps(load(_t_corridor_planners_with(path, bound))), 3):
+            pass
+    block = ".".join(("agents[0].planner",) + path[:-1])
+    with pytest.raises(ScenarioError,
+                       match=rf"^{re.escape(block)}: {path[-1]} must be at most {bound:g}$"):
+        load(_t_corridor_planners_with(path, math.nextafter(bound, math.inf)))
 
 
 @pytest.mark.parametrize("name", ["agents", "scripted_obstacles"])
