@@ -411,8 +411,7 @@ class PlannerConfig:
         if not math.isfinite(self.r_max):
             raise ValueError(f"v_limit {self.v_limit:g} m/s times horizon_T "
                              f"{self.horizon_T:g} s overflows r_max")
-        # One bound per limit, past what a ground robot reaches; a long
-        # horizon can still overflow r_max within them
+        # One bound per limit, past what a ground robot reaches
         for name, bound in (
                 ("v_limit", 100.0),  # m/s: 360 km/h
                 ("omega_limit", 100.0),  # rad/s: 16 turns a second
@@ -420,6 +419,17 @@ class PlannerConfig:
                 ("alpha_limit", 1000.0)):  # rad/s^2: from rest to 100 rad/s in 0.1 s
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound:g}")
+        # A microsecond is shorter than any robot's control cycle. Above it a
+        # turning row's omega h (|omega| >= OMEGA_STRAIGHT) is never 0, so
+        # the rollout's turned headings are never -0.0 (`_advance_into`)
+        if self.step_h < 1e-6:
+            raise ValueError("step_h must be at least 1e-06")
+        # a long horizon can still reach an r_max that the speed's slowdown
+        # (r / R_SLOWDOWN, `_speed_into`) overflows
+        if not math.isfinite(self.r_max / R_SLOWDOWN):
+            raise ValueError(f"v_limit {self.v_limit:g} m/s times horizon_T "
+                             f"{self.horizon_T:g} s is an r_max that overflows "
+                             f"r / R_SLOWDOWN")
 
     @property
     def n_steps(self) -> int:
@@ -458,9 +468,11 @@ def _advance_into(position, heading, trig0, v, omega, dt, position1, heading1, t
     `trig0`, so that a rollout's next step takes them as its `trig0` and
     computes no trig of the heading it starts from. The turned heading is
     written into `heading1` and wrapped only when some row has |h| >= pi:
-    below that `wrap_angle` returns it as it is, except -0.0, which only a
-    straight row turns to, and a straight row keeps its heading and its
-    pair. A row that crossed takes its pair anew.
+    below that `wrap_angle` returns it as it is, except -0.0, which it
+    makes +0.0. A straight row keeps its heading and its pair, and a
+    turning row turns to -0.0 only when omega dt underflows to -0.0, which
+    takes a `dt` below 3e-315 (a `PlannerConfig`'s step_h is at least
+    1e-6). A row that crossed takes its pair anew.
     """
     pair0, sin0, cos0 = trig0
     pair1, sin1, cos1 = trig1

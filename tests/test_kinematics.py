@@ -264,6 +264,18 @@ def test_rollout_batch_equals_reference_loop_bit_for_bit():
             got = rollout_batch(start, params, CFG)
             for a, b in zip(got, want, strict=True):
                 assert a.tobytes() == b.tobytes()
+    # at the least step_h, 1e-6 s, the rows turning from -0.0 move off 0.0
+    # in their first step: omega h does not underflow, so the wrap to +0.0
+    # that the step skips has no -0.0 to make
+    cfg = PlannerConfig(horizon_T=1e-4, step_h=1e-6)
+    start, params = _branch_batch(-0.0, -1e-5, 21)
+    want = reference_rollout_batch(start, params, cfg)
+    hs, ws = want[2], want[4]
+    turning = np.abs(ws[:, 1]) >= OMEGA_STRAIGHT
+    assert turning.sum() > len(params) // 2 and (hs[turning, 1] != 0.0).all()
+    got = rollout_batch(start, params, cfg)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rollout_batch_workspace_lives_for_one_call():

@@ -337,6 +337,11 @@ DEFAULTS_VALUE_ERRORS = [
      "more than MAX_HORIZON_STEPS (1000)"),
     ("planner", {"v_limit": 1e308},
      "defaults.planner: v_limit 1e+308 m/s times horizon_T 5 s overflows r_max"),
+    ("planner", {"v_limit": 100, "horizon_T": 1e306, "step_h": 1e306},
+     "defaults.planner: v_limit 100 m/s times horizon_T 1e+306 s is an r_max that "
+     "overflows r / R_SLOWDOWN"),
+    ("planner", {"horizon_T": 1e-5, "step_h": 1e-7},
+     "defaults.planner: step_h must be at least 1e-06"),
     ("planner", {"gains": {"k1": 0}}, "defaults.planner.gains: k1 and k2 must be positive"),
     ("cost", {"sigma_d": -1}, "defaults.cost: sigma_d must be positive and finite"),
     ("cost", {"sigma_d": 1e-200}, "defaults.cost: sigma_d squared must be positive and finite"),
@@ -427,16 +432,24 @@ PLANNER_BOUNDS = [
 ]
 
 
-def _t_corridor_planners_with(path, value):
-    """T_CORRIDOR's document with the planner field at `path` of every agent
-    set to `value`."""
+def _t_corridor_planners_with(changes):
+    """T_CORRIDOR's document with each planner field of every agent that
+    `changes` maps by its path to a value set to that value."""
     doc = T_CORRIDOR.to_dict()
     for agent in doc["agents"]:
-        block = agent["planner"]
-        for key in path[:-1]:
-            block = block[key]
-        block[path[-1]] = value
+        for path, value in changes.items():
+            block = agent["planner"]
+            for key in path[:-1]:
+                block = block[key]
+            block[path[-1]] = value
     return doc
+
+
+def _three_steps_without_a_warning(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in itertools.islice(steps(load(doc)), 3):
+            pass
 
 
 @pytest.mark.parametrize("path,bound", PLANNER_BOUNDS,
@@ -445,14 +458,29 @@ def test_planner_bounds_suffice(path, bound):
     # At its bound a field plans and steps without a numpy warning (a k2 of
     # 3e307 would make a NaN rollout reach the grid sampler as an index, a
     # v_limit of 3e307 overflow in the speed); one float past it is rejected
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in itertools.islice(steps(load(_t_corridor_planners_with(path, bound))), 3):
-            pass
+    _three_steps_without_a_warning(_t_corridor_planners_with({path: bound}))
     block = ".".join(("agents[0].planner",) + path[:-1])
     with pytest.raises(ScenarioError,
                        match=rf"^{re.escape(block)}: {path[-1]} must be at most {bound:g}$"):
-        load(_t_corridor_planners_with(path, math.nextafter(bound, math.inf)))
+        load(_t_corridor_planners_with({path: math.nextafter(bound, math.inf)}))
+
+
+def test_planner_at_every_bound_at_once():
+    # the gains' bounds keep |kappa| and beta |kappa|^lambda finite with all
+    # four at theirs, and the limits' keep the rollout finite beside them
+    _three_steps_without_a_warning(_t_corridor_planners_with(dict(PLANNER_BOUNDS)))
+
+
+def test_step_h_lower_bound_suffices():
+    # at a step_h of 1e-6 s (and a horizon of 100 such steps) t_corridor plans
+    # and steps without a numpy warning; one float below it is rejected
+    def doc(step_h):
+        return _t_corridor_planners_with({("step_h",): step_h, ("horizon_T",): 1e-4}) | {
+            "duration": 1e-3}
+    _three_steps_without_a_warning(doc(1e-6))
+    with pytest.raises(ScenarioError,
+                       match=r"^agents\[0\]\.planner: step_h must be at least 1e-06$"):
+        load(doc(math.nextafter(1e-6, 0.0)))
 
 
 @pytest.mark.parametrize("name", ["agents", "scripted_obstacles"])
